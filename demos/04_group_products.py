@@ -10,13 +10,13 @@ from fractions import Fraction
 
 from elladic import (
     NcSeries,
+    ReducedSeries,
     bch,
     bch_reduced,
     bernoulli_kernel,
     gamma_series,
     inversion_closed_form,
     inversion_pipeline,
-    reduce_series,
 )
 from elladic.bernoulli import bernoulli_number
 from math import factorial
@@ -30,7 +30,7 @@ full = bch(X, Y)
 print(f"log(e^X e^Y) degree-2 part: {full['XY']} XY + {full['YX']} YX")
 
 print("\n== reduced mod the one-Y quotient ==")
-red = reduce_series(full).truncate(D)
+red = ReducedSeries.from_series(full).truncate(D)
 closed = bch_reduced(1, [0], 0, [1], D)
 print("X o Y = X + Y * X/(e^X - 1):", red == closed)
 print("b-coefficients are Bernoulli numbers over factorials:")

@@ -20,7 +20,6 @@ from .measures import (
     dilation_pullback,
     dirac_tower,
     integrate,
-    measure_from_tower,
     mellin_multi,
     product_tower,
     pushforward_linear,
@@ -53,7 +52,6 @@ from .ncseries import (
     inversion_pipeline,
     l_from_li,
     li_from_l,
-    reduce_series,
 )
 from .lfunctions import (
     DirichletCharacter,

@@ -26,6 +26,7 @@ from .lfunctions import (
 )
 from .measures import (
     Factor,
+    _frac_str,
     integrate,
     pushforward_linear,
     restrict,
@@ -34,6 +35,7 @@ from .measures import (
 )
 from .ncseries import (
     NcSeries,
+    ReducedSeries,
     bch,
     bch_reduced,
     bch_scaled_pair,
@@ -42,19 +44,15 @@ from .ncseries import (
     gamma_series,
     inversion_closed_form,
     inversion_pipeline,
-    reduce_series,
 )
 from .padic import PadicNum, teichmuller
 from .transforms import f_transform, p_transform
 
 
-def _frac_str(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+def _parse_s(text: str):
+    """The --s argument: an int when integral, else a Fraction."""
+    s = Fraction(text)
+    return int(s) if s.denominator == 1 else s
 
 
 def _parse_csv(s: str, cast=int):
@@ -123,13 +121,13 @@ def verify_bch(degree: int = 10, seed: int = 7, count: int = 20) -> dict:
     checks = []
     x = NcSeries.variable("X", degree + 1, max_y=2)
     y = NcSeries.variable("Y", degree + 1, max_y=2)
-    xy = reduce_series(bch(x, y)).truncate(degree)
+    xy = ReducedSeries.from_series(bch(x, y)).truncate(degree)
     xy_closed = bch_reduced(1, [Fraction(0)], 0, [Fraction(1)], degree)
     checks.append(
         {"name": "xy-closed-form", "pass": xy == xy_closed,
          "discrepancy": _first_discrepancy(xy, xy_closed)}
     )
-    yx = reduce_series(bch(y, x)).truncate(degree)
+    yx = ReducedSeries.from_series(bch(y, x)).truncate(degree)
     yx_closed = bch_reduced(0, [Fraction(1)], 1, [Fraction(0)], degree)
     checks.append(
         {"name": "yx-closed-form", "pass": yx == yx_closed,
@@ -142,7 +140,7 @@ def verify_bch(degree: int = 10, seed: int = 7, count: int = 20) -> dict:
         phi2 = _random_poly(rng, 4)
         a = _one_y_series(alpha, phi1, degree + 1, max_y=2)
         b = _one_y_series(beta, phi2, degree + 1, max_y=2)
-        got = reduce_series(bch(a, b)).truncate(degree)
+        got = ReducedSeries.from_series(bch(a, b)).truncate(degree)
         want = bch_reduced(alpha, phi1, beta, phi2, degree)
         checks.append(
             {"name": f"random-{i}", "pass": got == want,
@@ -161,7 +159,7 @@ def verify_gamma(degree: int = 10, seed: int = 7, chis=None) -> dict:
     for chi in chis:
         l_even = [
             bernoulli_number(2 * k) / (2 * factorial(2 * k)) * (1 - chi ** (2 * k))
-            for k in range(1, degree // 2 + 1)
+            for k in range(1, (degree + 1) // 2 + 1)
         ]
         l_odd = [Fraction(rng.randint(-5, 5)) for _ in range(degree // 2 + 1)]
         out = gamma_series(chi, l_even, l_odd, degree)
@@ -202,7 +200,7 @@ def verify_inversion(degree: int = 8, seed: int = 7, count: int = 10,
 
 def _cmd_bernoulli(args) -> dict:
     if args.t is not None:
-        val = bernoulli_poly(args.k, _parse_frac(args.t))
+        val = bernoulli_poly(args.k, Fraction(args.t))
         return {"k": args.k, "t": args.t, "value": _frac_str(val)}
     return {"k": args.k, "value": _frac_str(bernoulli_number(args.k))}
 
@@ -214,8 +212,7 @@ def _cmd_teichmuller(args) -> dict:
 
 def _cmd_kl(args) -> dict:
     c = args.c if args.c is not None else smallest_regularizer(args.ell)
-    s = _parse_frac(args.s)
-    s = int(s) if s.denominator == 1 else s
+    s = _parse_s(args.s)
     val = kubota_leopoldt(
         args.beta, s, args.ell, c=c, level=args.level, method=args.method,
         M=args.prec,
@@ -227,8 +224,7 @@ def _cmd_kl(args) -> dict:
 
 
 def _cmd_minus_one(args) -> dict:
-    s = _parse_frac(args.s)
-    s = int(s) if s.denominator == 1 else s
+    s = _parse_s(args.s)
     val = minus_one_l(args.beta, s, args.ell, c=args.c, level=args.level,
                       method=args.method, M=args.prec)
     return {"ell": args.ell, "beta": args.beta, "s": _frac_str(s),
@@ -236,8 +232,7 @@ def _cmd_minus_one(args) -> dict:
 
 
 def _cmd_hurwitz(args) -> dict:
-    s = _parse_frac(args.s)
-    s = int(s) if s.denominator == 1 else s
+    s = _parse_s(args.s)
     val = hurwitz_l(args.beta, s, args.i, args.m, args.ell, M=args.prec)
     return {"ell": args.ell, "beta": args.beta, "s": _frac_str(s), "i": args.i,
             "m": args.m, "value": val.to_json()}
@@ -245,8 +240,7 @@ def _cmd_hurwitz(args) -> dict:
 
 def _cmd_dirichlet(args) -> dict:
     psi = _parse_psi(args.psi, args.ell)
-    s = _parse_frac(args.s)
-    s = int(s) if s.denominator == 1 else s
+    s = _parse_s(args.s)
     val = dirichlet_l(psi, args.beta, s, args.ell, M=args.prec)
     return {"ell": args.ell, "beta": args.beta, "s": _frac_str(s),
             "psi": args.psi, "value": val.to_json()}
@@ -254,8 +248,7 @@ def _cmd_dirichlet(args) -> dict:
 
 def _cmd_zinv(args) -> dict:
     primes = _parse_csv(args.primes)
-    s = _parse_frac(args.s)
-    s = int(s) if s.denominator == 1 else s
+    s = _parse_s(args.s)
     rep = zinv_report(args.beta, s, primes, args.ell, M=args.prec)
     return {
         "ell": args.ell, "beta": args.beta, "s": _frac_str(s), "primes": primes,
@@ -291,7 +284,7 @@ def _cmd_measure(args) -> dict:
         teich = _parse_csv(args.teich) if args.teich else [0] * mu.rank
         inv = _parse_csv(args.inv) if args.inv else [0] * mu.rank
         brackets = (
-            [None if b == "-" else _parse_frac(b) for b in args.bracket.split(",")]
+            [None if b == "-" else Fraction(b) for b in args.bracket.split(",")]
             if args.bracket
             else [None] * mu.rank
         )
@@ -318,19 +311,23 @@ def _cmd_measure(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    chis = [_parse_frac(args.chi)] if args.chi else None
-    t = _parse_frac(args.t) if args.t else None
+    if args.degree is not None and args.degree < 0:
+        raise ValueError("degree must be >= 0")
+    chis = [Fraction(args.chi)] if args.chi else None
+    t = Fraction(args.t) if args.t else None
+    series_degree = 10 if args.degree is None else args.degree
+    inversion_degree = 8 if args.degree is None else args.degree
     if args.suite == "bch":
-        doc = verify_bch(args.degree or 10, args.seed)
+        doc = verify_bch(series_degree, args.seed)
     elif args.suite == "gamma":
-        doc = verify_gamma(args.degree or 10, args.seed, chis)
+        doc = verify_gamma(series_degree, args.seed, chis)
     elif args.suite == "inversion":
-        doc = verify_inversion(args.degree or 8, args.seed,
+        doc = verify_inversion(inversion_degree, args.seed,
                                chi=chis[0] if chis else None, t=t)
     elif args.suite == "all":
-        parts = [verify_bch(args.degree or 10, args.seed),
-                 verify_gamma(args.degree or 10, args.seed, chis),
-                 verify_inversion(min(args.degree or 8, 8), args.seed)]
+        parts = [verify_bch(series_degree, args.seed),
+                 verify_gamma(series_degree, args.seed, chis),
+                 verify_inversion(min(inversion_degree, 8), args.seed)]
         doc = {"suite": "all", "parts": parts,
                "all_pass": all(p["all_pass"] for p in parts)}
     else:

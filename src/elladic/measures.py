@@ -2,7 +2,11 @@
 
 A tower keeps, for every level n <= depth, the table of values on the
 ``ell**(r*n)`` cosets of level n.  The defining coherence ("distribution")
-property says each value equals the sum of the ``ell**r`` values above it.
+property says each value equals the sum of the ``ell**r`` values above it, so
+a tower is determined by its top level.  ``MeasureTower.from_top`` is the one
+construction path: every constructor here computes only its level-``depth``
+table and ``_coarsen`` sums it down to the coarser levels.  Validating a tower
+from outside coarsens each level and compares.
 Values are exact Fractions; ``denom_exponent`` is the smallest d with every
 value in ``ell**(-d) * Z_(ell)``.
 
@@ -32,7 +36,6 @@ __all__ = [
     "MeasureTower",
     "Word",
     "Factor",
-    "measure_from_tower",
     "bernoulli_measure",
     "dirac_tower",
     "zero_tower",
@@ -89,6 +92,23 @@ def _encode(coords, m: int) -> int:
     return idx
 
 
+def _coarsen(table, ell: int, rank: int, n: int) -> list:
+    """The level n-1 table under a level-n table: each cell sums its children."""
+    small = ell ** (n - 1)
+    out = [Fraction(0)] * (small ** rank)
+    if rank == 1:
+        # the flat index is the coordinate, so the parent is idx mod ell^(n-1)
+        for idx, v in enumerate(table):
+            if v:
+                out[idx % small] += v
+        return out
+    m = small * ell
+    for idx, v in enumerate(table):
+        if v:
+            out[_encode(tuple(c % small for c in _decode(idx, m, rank)), small)] += v
+    return out
+
+
 class MeasureTower:
     __slots__ = ("ell", "rank", "depth", "levels", "denom_exponent", "units_only")
 
@@ -115,21 +135,24 @@ class MeasureTower:
         if validate:
             self._validate(per_level_d)
 
+    @classmethod
+    def from_top(cls, ell, rank, depth, top, units_only=False):
+        """The tower whose level-``depth`` table is ``top``; it is coherent by
+        construction, every coarser level being summed from the one above."""
+        levels = [top]
+        for n in range(depth, 0, -1):
+            levels.append(_coarsen(levels[-1], ell, rank, n))
+        return cls(ell, rank, levels[::-1], units_only=units_only, validate=False)
+
     def _validate(self, per_level_d):
         ell, rank = self.ell, self.rank
         for n in range(self.depth):
-            m = ell ** n
-            child = self.levels[n + 1]
-            acc = [Fraction(0)] * len(self.levels[n])
-            for idx, v in enumerate(child):
-                if v:
-                    coords = _decode(idx, m * ell, rank)
-                    acc[_encode(tuple(c % m for c in coords), m)] += v
+            acc = _coarsen(self.levels[n + 1], ell, rank, n + 1)
             for idx, v in enumerate(self.levels[n]):
                 if acc[idx] != v:
                     raise ValueError(
                         f"not a distribution: level {n} cell "
-                        f"{_decode(idx, m, rank)} has {v}, children sum to {acc[idx]}"
+                        f"{_decode(idx, ell ** n, rank)} has {v}, children sum to {acc[idx]}"
                     )
         # Growth heuristic: denominators gaining an ell at every single level
         # is the signature of an unbounded family (e.g. the uniform "measure"
@@ -162,11 +185,6 @@ class MeasureTower:
         )
 
 
-def measure_from_tower(levels, ell: int, rank: int) -> MeasureTower:
-    """Validate a raw family of level tables and wrap it as a measure."""
-    return MeasureTower(ell, rank, levels, validate=True)
-
-
 # -- constructors -------------------------------------------------------------
 
 
@@ -179,33 +197,24 @@ def bernoulli_measure(c: int, ell: int, depth: int) -> MeasureTower:
     if c % ell == 0:
         raise ValueError("not a unit: c must be coprime to ell")
     shift = Fraction(c - 1, 2)
-    levels = []
-    for n in range(depth + 1):
-        m = ell ** n
-        cinv = pow(c, -1, m) if m > 1 else 0
-        table = [
-            Fraction(i, m) - c * Fraction(cinv * i % m, m) + shift for i in range(m)
-        ]
-        levels.append(table)
-    return MeasureTower(ell, 1, levels, validate=True)
+    m = ell ** depth
+    cinv = pow(c, -1, m)
+    top = [Fraction(i, m) - c * Fraction(cinv * i % m, m) + shift for i in range(m)]
+    return MeasureTower.from_top(ell, 1, depth, top)
 
 
 def dirac_tower(point, ell: int, rank: int, depth: int) -> MeasureTower:
     point = tuple(point) if not isinstance(point, int) else (point,)
     if len(point) != rank:
         raise ValueError("rank mismatch")
-    levels = []
-    for n in range(depth + 1):
-        m = ell ** n
-        table = [Fraction(0)] * (m ** rank)
-        table[_encode(tuple(p % m for p in point), m)] = Fraction(1)
-        levels.append(table)
-    return MeasureTower(ell, rank, levels, validate=False)
+    m = ell ** depth
+    top = [Fraction(0)] * (m ** rank)
+    top[_encode(tuple(p % m for p in point), m)] = Fraction(1)
+    return MeasureTower.from_top(ell, rank, depth, top)
 
 
 def zero_tower(ell: int, rank: int, depth: int) -> MeasureTower:
-    levels = [[Fraction(0)] * (ell ** (rank * n)) for n in range(depth + 1)]
-    return MeasureTower(ell, rank, levels, validate=False)
+    return MeasureTower.from_top(ell, rank, depth, [Fraction(0)] * (ell ** (rank * depth)))
 
 
 def product_tower(mu1: MeasureTower, mu2: MeasureTower) -> MeasureTower:
@@ -215,20 +224,17 @@ def product_tower(mu1: MeasureTower, mu2: MeasureTower) -> MeasureTower:
     ell = mu1.ell
     rank = mu1.rank + mu2.rank
     depth = min(mu1.depth, mu2.depth)
-    levels = []
-    for n in range(depth + 1):
-        m = ell ** n
-        t1, t2 = mu1.levels[n], mu2.levels[n]
-        table = [Fraction(0)] * (m ** rank)
-        for i2, v2 in enumerate(t2):
-            if not v2:
-                continue
-            base = i2 * m ** mu1.rank
-            for i1, v1 in enumerate(t1):
-                if v1:
-                    table[base + i1] = v1 * v2
-        levels.append(table)
-    return MeasureTower(ell, rank, levels, validate=False)
+    m = ell ** depth
+    t1, t2 = mu1.levels[depth], mu2.levels[depth]
+    top = [Fraction(0)] * (m ** rank)
+    for i2, v2 in enumerate(t2):
+        if not v2:
+            continue
+        base = i2 * m ** mu1.rank
+        for i1, v1 in enumerate(t1):
+            if v1:
+                top[base + i1] = v1 * v2
+    return MeasureTower.from_top(ell, rank, depth, top)
 
 
 def random_bounded_tower(
@@ -250,13 +256,13 @@ def random_bounded_tower(
         e = rng.randint(0, denom_exponent) if denom_exponent else 0
         return Fraction(rng.randint(-9, 9), ell ** e)
 
-    levels = [[Fraction(0) if zero_total else rand_val()]]
+    table = [Fraction(0) if zero_total else rand_val()]
     for n in range(depth):
         m = ell ** n
         big = m * ell
         child = [Fraction(0)] * (ell ** (rank * (n + 1)))
         offsets = list(range(ell ** rank))
-        for idx, val in enumerate(levels[n]):
+        for idx, val in enumerate(table):
             coords = _decode(idx, m, rank)
             kids = []
             for off in offsets:
@@ -268,8 +274,8 @@ def random_bounded_tower(
                 child[_encode(kid, big)] = v
                 running += v
             child[_encode(kids[-1], big)] = val - running
-        levels.append(child)
-    return MeasureTower(ell, rank, levels, validate=False)
+        table = child
+    return MeasureTower.from_top(ell, rank, depth, table)
 
 
 # -- pushforward / restriction / pullback -------------------------------------
@@ -278,26 +284,23 @@ def random_bounded_tower(
 def pushforward_linear(matrix, mu: MeasureTower) -> MeasureTower:
     """Image measure under an integer matrix acting on coordinates.
 
-    Computed levelwise: the value on a level-n cell is the sum of values over
-    its preimage cells at the same level, which is exact for any integer
-    matrix (reduction mod ell^n commutes with the map).
+    The value on a top-level cell is the sum of values over its preimage cells
+    at the same level, which is exact for any integer matrix (reduction mod
+    ell^n commutes with the map), so the coarser levels follow by summation.
     """
     r = mu.rank
     matrix = [list(row) for row in matrix]
     if len(matrix) != r or any(len(row) != r for row in matrix):
         raise ValueError("matrix shape must match rank")
-    levels = []
-    for n in range(mu.depth + 1):
-        m = mu.ell ** n
-        table = [Fraction(0)] * (m ** r)
-        for idx, v in enumerate(mu.levels[n]):
-            if not v:
-                continue
-            x = _decode(idx, m, r)
-            img = tuple(sum(matrix[i][j] * x[j] for j in range(r)) % m for i in range(r))
-            table[_encode(img, m)] += v
-        levels.append(table)
-    return MeasureTower(mu.ell, r, levels, validate=False)
+    m = mu.ell ** mu.depth
+    top = [Fraction(0)] * (m ** r)
+    for idx, v in enumerate(mu.levels[mu.depth]):
+        if not v:
+            continue
+        x = _decode(idx, m, r)
+        img = tuple(sum(matrix[i][j] * x[j] for j in range(r)) % m for i in range(r))
+        top[_encode(img, m)] += v
+    return MeasureTower.from_top(mu.ell, r, mu.depth, top)
 
 
 def successive_difference_pushforward(mu: MeasureTower) -> MeasureTower:
@@ -318,8 +321,8 @@ def restrict(mu: MeasureTower, region) -> MeasureTower:
 
     ``region`` is either the string "units" (unit coordinates) or a pair
     ``(level, cells)`` where cells is an iterable of coordinate tuples at that
-    level.  Coarser levels are rebuilt by summation so the result is again a
-    distribution tower.
+    level.  The top level is filtered and the coarser levels are rebuilt by
+    summation, so the result is again a distribution tower.
     """
     ell, r = mu.ell, mu.rank
     if region == "units":
@@ -335,26 +338,15 @@ def restrict(mu: MeasureTower, region) -> MeasureTower:
             return all(c % ell for c in coords)
         return tuple(c % ell ** base_level for c in coords) in keep
 
-    levels = [None] * (mu.depth + 1)
-    for n in range(base_level, mu.depth + 1):
-        m = ell ** n
-        levels[n] = [
-            v if v and kept(_decode(idx, m, r)) else Fraction(0)
-            for idx, v in enumerate(mu.levels[n])
-        ]
-    for n in range(base_level - 1, -1, -1):
-        m = ell ** n
-        big = m * ell
-        table = [Fraction(0)] * (m ** r)
-        for idx, v in enumerate(levels[n + 1]):
-            if v:
-                coords = _decode(idx, big, r)
-                table[_encode(tuple(c % m for c in coords), m)] += v
-        levels[n] = table
+    m = ell ** mu.depth
+    top = [
+        v if v and kept(_decode(idx, m, r)) else Fraction(0)
+        for idx, v in enumerate(mu.levels[mu.depth])
+    ]
     units_only = keep is None or all(
         all(c % ell for c in t) for t in keep
     )
-    return MeasureTower(ell, r, levels, units_only=units_only, validate=False)
+    return MeasureTower.from_top(ell, r, mu.depth, top, units_only=units_only)
 
 
 def dilation_pullback(mu: MeasureTower, k) -> MeasureTower:
@@ -370,25 +362,22 @@ def dilation_pullback(mu: MeasureTower, k) -> MeasureTower:
     kmax = max(ks)
     if kmax > mu.depth:
         raise ValueError("region not expressible at available depth")
-    new_depth = mu.depth - kmax
-    levels = []
-    for n in range(new_depth + 1):
-        m = ell ** n
-        big = ell ** (n + kmax)
-        table = [Fraction(0)] * (m ** r)
-        src = mu.levels[n + kmax]
-        for idx in range(len(table)):
-            coords = _decode(idx, m, r)
-            total = Fraction(0)
-            reps = [
-                [(ell ** kj * cj + ell ** (n + kj) * e) % big for e in range(ell ** (kmax - kj))]
-                for cj, kj in zip(coords, ks)
-            ]
-            for combo in _cartesian(reps):
-                total += src[_encode(combo, big)]
-            table[idx] = total
-        levels.append(table)
-    return MeasureTower(ell, r, levels, validate=False)
+    n = mu.depth - kmax
+    m = ell ** n
+    big = ell ** mu.depth
+    src = mu.levels[mu.depth]
+    top = [Fraction(0)] * (m ** r)
+    for idx in range(len(top)):
+        coords = _decode(idx, m, r)
+        total = Fraction(0)
+        reps = [
+            [(ell ** kj * cj + ell ** (n + kj) * e) % big for e in range(ell ** (kmax - kj))]
+            for cj, kj in zip(coords, ks)
+        ]
+        for combo in _cartesian(reps):
+            total += src[_encode(combo, big)]
+        top[idx] = total
+    return MeasureTower.from_top(ell, r, n, top)
 
 
 def _cartesian(lists):

@@ -24,7 +24,6 @@ __all__ = [
     "NcSeries",
     "ReducedSeries",
     "bch",
-    "reduce_series",
     "bch_reduced",
     "li_from_l",
     "l_from_li",
@@ -153,8 +152,9 @@ class NcSeries:
 
     ``max_y`` optionally truncates further by the two-sided ideal of words
     with more than max_y letters Y.  Quotient maps compose, so any reduction
-    that only reads words with fewer Y's (such as ``reduce_series``, which
-    keeps at most one) is unaffected when max_y >= that count + 1.
+    that only reads words with fewer Y's (such as
+    ``ReducedSeries.from_series``, which keeps at most one) is unaffected when
+    max_y >= that count + 1.
     """
 
     __slots__ = ("degree", "max_y", "coeffs")
@@ -187,9 +187,6 @@ class NcSeries:
     def constant(self) -> Fraction:
         return self.coeffs.get("", Q0)
 
-    def _cap(self):
-        return self.max_y
-
     def __add__(self, other):
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
@@ -198,10 +195,10 @@ class NcSeries:
                 out[w] = v
             else:
                 out.pop(w, None)
-        return NcSeries(self.degree, out, self._cap())
+        return NcSeries(self.degree, out, self.max_y)
 
     def __neg__(self):
-        return NcSeries(self.degree, {w: -c for w, c in self.coeffs.items()}, self._cap())
+        return NcSeries(self.degree, {w: -c for w, c in self.coeffs.items()}, self.max_y)
 
     def __sub__(self, other):
         return self + (-other)
@@ -209,12 +206,12 @@ class NcSeries:
     def scale(self, c) -> "NcSeries":
         c = Fraction(c)
         if not c:
-            return NcSeries(self.degree, None, self._cap())
-        return NcSeries(self.degree, {w: c * v for w, v in self.coeffs.items()}, self._cap())
+            return NcSeries(self.degree, None, self.max_y)
+        return NcSeries(self.degree, {w: c * v for w, v in self.coeffs.items()}, self.max_y)
 
     def __mul__(self, other):
         D = self.degree
-        cap = self._cap()
+        cap = self.max_y
         by_len: dict[int, list] = {}
         for w, c in other.coeffs.items():
             by_len.setdefault(len(w), []).append((w, c, w.count("Y")))
@@ -241,8 +238,8 @@ class NcSeries:
     def exp(self) -> "NcSeries":
         if self.constant:
             raise ValueError("exp needs zero constant term")
-        acc = NcSeries.one(self.degree, self._cap())
-        term = NcSeries.one(self.degree, self._cap())
+        acc = NcSeries.one(self.degree, self.max_y)
+        term = NcSeries.one(self.degree, self.max_y)
         for n in range(1, self.degree + 1):
             term = (term * self).scale(Fraction(1, n))
             if not term.coeffs:
@@ -253,9 +250,9 @@ class NcSeries:
     def log(self) -> "NcSeries":
         if self.constant != 1:
             raise ValueError("log needs constant term 1")
-        w = self - NcSeries.one(self.degree, self._cap())
-        acc = NcSeries(self.degree, None, self._cap())
-        term = NcSeries.one(self.degree, self._cap())
+        w = self - NcSeries.one(self.degree, self.max_y)
+        acc = NcSeries(self.degree, None, self.max_y)
+        term = NcSeries.one(self.degree, self.max_y)
         for n in range(1, self.degree + 1):
             term = term * w
             if not term.coeffs:
@@ -380,10 +377,6 @@ class ReducedSeries:
 
     def __repr__(self):
         return f"ReducedSeries[deg<={self.degree}](a={self.a}, b={self.b})"
-
-
-def reduce_series(s: NcSeries) -> ReducedSeries:
-    return ReducedSeries.from_series(s)
 
 
 def bch_reduced(alpha, phi1, beta, phi2, degree: int) -> ReducedSeries:

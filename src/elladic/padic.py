@@ -231,10 +231,7 @@ class PadicNum:
         if self.is_exact_zero or other.is_exact_zero:
             return PadicNum.zero(self.ell)
         if self.unit == 0 or other.unit == 0:
-            bound = (self.valuation if self.unit == 0 else self.valuation) + (
-                other.valuation if other.unit == 0 else other.valuation
-            )
-            return PadicNum.zero_to_precision(self.ell, bound)
+            return PadicNum.zero_to_precision(self.ell, self.valuation + other.valuation)
         nd = min(self.ndigits, other.ndigits)
         return PadicNum(
             self.ell,
@@ -290,8 +287,6 @@ class PadicNum:
                 return d.is_exact_zero
         if d.is_exact_zero:
             return True
-        if d.unit == 0:
-            return d.valuation >= abs_exp
         return d.valuation >= abs_exp
 
     def residue(self, k: int) -> int:

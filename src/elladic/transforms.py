@@ -87,6 +87,29 @@ def _multi_indices(rank, degree, total):
             yield (head,) + tail
 
 
+def _moment_sums(mu: MeasureTower, indices, level: int, weight):
+    """Yield (n, sum over level cells x of prod_j weight(x_j, n_j) * value)
+    for each multi-index n whose sum is nonzero."""
+    m = mu.ell ** level
+    r = mu.rank
+    cells = [
+        (_decode(idx, m, r), v) for idx, v in enumerate(mu.levels[level]) if v
+    ]
+    for n in indices:
+        acc = Fraction(0)
+        for coords, v in cells:
+            w = 1
+            for c, nj in zip(coords, n):
+                if nj:
+                    w *= weight(c, nj)
+                    if w == 0:
+                        break
+            if w:
+                acc += w * v
+        if acc:
+            yield n, acc
+
+
 def p_transform(
     mu: MeasureTower, degree: int, level: int | None = None, total: bool = True
 ) -> IwasawaSeries:
@@ -97,26 +120,9 @@ def p_transform(
     """
     if level is None:
         level = mu.depth
-    m = mu.ell ** level
-    r = mu.rank
-    cells = [
-        (_decode(idx, m, r), v) for idx, v in enumerate(mu.levels[level]) if v
-    ]
-    coeffs = {}
-    for n in _multi_indices(r, degree, total):
-        acc = Fraction(0)
-        for coords, v in cells:
-            w = 1
-            for c, nj in zip(coords, n):
-                if nj:
-                    w *= comb(c, nj)
-                    if w == 0:
-                        break
-            if w:
-                acc += w * v
-        if acc:
-            coeffs[n] = acc
-    return IwasawaSeries(r, "binomial", degree, coeffs)
+    indices = _multi_indices(mu.rank, degree, total)
+    coeffs = dict(_moment_sums(mu, indices, level, comb))
+    return IwasawaSeries(mu.rank, "binomial", degree, coeffs)
 
 
 def f_transform(
@@ -125,29 +131,13 @@ def f_transform(
     """Exponential-moment series; coefficient of X^n is sum cell^n/n! * value."""
     if level is None:
         level = mu.depth
-    m = mu.ell ** level
-    r = mu.rank
-    cells = [
-        (_decode(idx, m, r), v) for idx, v in enumerate(mu.levels[level]) if v
-    ]
     coeffs = {}
-    for n in _multi_indices(r, degree, True):
-        acc = Fraction(0)
-        for coords, v in cells:
-            w = 1
-            for c, nj in zip(coords, n):
-                if nj:
-                    w *= c ** nj
-                    if w == 0:
-                        break
-            if w:
-                acc += w * v
-        if acc:
-            den = 1
-            for nj in n:
-                den *= factorial(nj)
-            coeffs[n] = acc / den
-    return IwasawaSeries(r, "exp", degree, coeffs)
+    for n, acc in _moment_sums(mu, _multi_indices(mu.rank, degree, True), level, pow):
+        den = 1
+        for nj in n:
+            den *= factorial(nj)
+        coeffs[n] = acc / den
+    return IwasawaSeries(mu.rank, "exp", degree, coeffs)
 
 
 def p_series_to_f(series: IwasawaSeries, degree: int) -> IwasawaSeries:
@@ -222,24 +212,4 @@ def measure_from_p_series(series: IwasawaSeries, ell: int, depth: int) -> Measur
                 for i1 in range(m):
                     if r1[i1]:
                         top[base + i1] += f * r1[i1]
-    levels = [top]
-    cur = top
-    for n in range(depth, 0, -1):
-        mm = ell ** n
-        small = ell ** (n - 1)
-        nxt = [Fraction(0)] * (small ** r)
-        for idx, v in enumerate(cur):
-            if v:
-                coords = _decode(idx, mm, r)
-                nxt[_encode_small(tuple(c % small for c in coords), small)] += v
-        levels.append(nxt)
-        cur = nxt
-    levels.reverse()
-    return MeasureTower(ell, r, levels, validate=True)
-
-
-def _encode_small(coords, m):
-    idx = 0
-    for c in reversed(coords):
-        idx = idx * m + c
-    return idx
+    return MeasureTower.from_top(ell, r, depth, top)

@@ -24,10 +24,10 @@ from elladic.lfunctions import (
     zinv_report,
 )
 from elladic.measures import (
+    MeasureTower,
     Word,
     bernoulli_measure,
     congruence_check,
-    measure_from_tower,
     pushforward_linear,
     random_bounded_tower,
     _frac_val,
@@ -94,7 +94,7 @@ def test_criterion_02_bernoulli_measure_towers():
                 continue
             E = bernoulli_measure(c, ell, 5)
             # re-validate explicitly from raw tables
-            again = measure_from_tower([list(t) for t in E.levels], ell, 1)
+            again = MeasureTower(ell, 1, [list(t) for t in E.levels])
             assert again.denom_exponent == 0
             for n in range(1, 6):
                 m = ell ** n
@@ -252,7 +252,7 @@ def test_criterion_12_congruence_harness():
     ell, depth = 3, 3
     uniform = [[F(1, ell ** n)] * ell ** n for n in range(depth + 1)]
     with pytest.raises(ValueError, match="not bounded"):
-        measure_from_tower(uniform, ell, 1)
+        MeasureTower(ell, 1, uniform)
     report(12, "congruence holds for 50 seeded towers; unbounded tower rejected")
 
 

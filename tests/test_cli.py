@@ -1,6 +1,8 @@
 import json
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +175,22 @@ class TestVerify:
                              "--chi", "3", "--t", "1/4"], capsys)
         assert code == 0 and doc["all_pass"]
 
+    @pytest.mark.parametrize("degree", [7, 8, 9, 10, 11])
+    def test_gamma_suite_odd_and_even_degrees(self, degree, capsys):
+        code, doc = run_cli(["verify", "gamma", "--degree", str(degree)], capsys)
+        assert code == 0 and doc["all_pass"] and doc["degree"] == degree
+
+    @pytest.mark.parametrize("suite", ["bch", "gamma", "inversion"])
+    def test_degree_zero_is_not_replaced_by_default(self, suite, capsys):
+        code, doc = run_cli(["verify", suite, "--degree", "0"], capsys)
+        assert code == 0 and doc["degree"] == 0
+
+    @pytest.mark.parametrize("suite", ["bch", "gamma", "inversion", "all"])
+    def test_negative_degree_is_structured_error(self, suite, capsys):
+        code, doc = run_cli(["verify", suite, "--degree=-1"], capsys)
+        assert code == 1
+        assert doc == {"command": "verify", "error": "degree must be >= 0"}
+
 
 class TestContract:
     def test_unknown_subcommand_exits_2(self):
@@ -205,3 +223,28 @@ class TestContract:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == "1"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestReadmeGolden:
+    """The README's command-line examples print exactly the recorded bytes.
+
+    ``golden/readme_cli.json`` holds each example's argv, exit status, stdout
+    and (for ``--out``) the written file, recorded before the tower
+    constructors were rebuilt on ``MeasureTower.from_top``; ``golden/tower.json``
+    is the ``tower.json`` the examples read.
+    """
+
+    CASES = json.loads((GOLDEN / "readme_cli.json").read_text())
+
+    @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+    def test_example_output_is_byte_identical(self, case, tmp_path, monkeypatch, capsys):
+        shutil.copy(GOLDEN / "tower.json", tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(case["argv"]) == case["exit"]
+        assert capsys.readouterr().out == case["stdout"]
+        if "out_file" in case:
+            out_path = case["argv"][case["argv"].index("--out") + 1]
+            assert (tmp_path / out_path).read_text() == case["out_file"]

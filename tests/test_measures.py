@@ -3,6 +3,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from elladic.bernoulli import bernoulli_number
 from elladic.measures import (
@@ -14,7 +15,6 @@ from elladic.measures import (
     dilation_pullback,
     dirac_tower,
     integrate,
-    measure_from_tower,
     mellin_multi,
     product_tower,
     pushforward_linear,
@@ -26,8 +26,10 @@ from elladic.measures import (
     tower_to_json,
     word_coefficient,
     zero_tower,
+    _coarsen,
     _frac_val,
 )
+from elladic.transforms import IwasawaSeries, measure_from_p_series
 
 F = Fraction
 
@@ -38,12 +40,12 @@ def frac_val(q, ell):
 
 class TestValidation:
     def test_dirac_is_valid_with_zero_denominator(self):
-        mu = measure_from_tower(dirac_tower((3,), 5, 1, 3).levels, 5, 1)
+        mu = MeasureTower(5, 1, dirac_tower((3,), 5, 1, 3).levels)
         assert mu.denom_exponent == 0
 
     def test_bernoulli_tower_validates(self):
         E = bernoulli_measure(2, 5, 3)
-        again = measure_from_tower(E.levels, 5, 1)
+        again = MeasureTower(5, 1, E.levels)
         assert again.denom_exponent == 0
 
     def test_perturbed_cell_reported(self):
@@ -51,13 +53,13 @@ class TestValidation:
         levels = [list(t) for t in E.levels]
         levels[1][2] += 1
         with pytest.raises(ValueError, match="not a distribution"):
-            measure_from_tower(levels, 5, 1)
+            MeasureTower(5, 1, levels)
 
     def test_uniform_measure_rejected_as_unbounded(self):
         ell, depth = 3, 3
         levels = [[F(1, ell ** n)] * ell ** n for n in range(depth + 1)]
         with pytest.raises(ValueError, match="not bounded"):
-            measure_from_tower(levels, ell, 1)
+            MeasureTower(ell, 1, levels)
 
     def test_wrong_table_size(self):
         with pytest.raises(ValueError, match="cells"):
@@ -475,3 +477,81 @@ class TestSerialization:
         assert back.levels == E.levels
         assert doc["denom_exponent"] == 0
         assert doc["levels"][1] == ["1/2", "-1/2", "1/2", "-1/2", "1/2"]
+
+
+# -- every constructor yields a tower whose levels coarsen into each other -----
+
+
+def assert_coarsens(mu):
+    for n in range(mu.depth):
+        assert tuple(_coarsen(mu.levels[n + 1], mu.ell, mu.rank, n + 1)) == mu.levels[n]
+
+
+ELLS = st.sampled_from([3, 5])
+
+
+@st.composite
+def towers(draw, ell, rank=None, min_depth=0):
+    rank = draw(st.integers(1, 2)) if rank is None else rank
+    depth = draw(st.integers(min_depth, 3 if rank == 1 else 2))
+    return random_bounded_tower(
+        ell, rank, depth, denom_exponent=draw(st.integers(0, 2)),
+        seed=draw(st.integers(0, 10 ** 6)),
+    )
+
+
+class TestCoarsenProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(ELLS, st.integers(1, 40), st.integers(0, 4))
+    def test_bernoulli_measure(self, ell, c, depth):
+        assume(c % ell)
+        assert_coarsens(bernoulli_measure(c, ell, depth))
+
+    @settings(max_examples=25, deadline=None)
+    @given(ELLS, st.lists(st.integers(-50, 50), min_size=1, max_size=2), st.integers(0, 3))
+    def test_dirac(self, ell, point, depth):
+        assert_coarsens(dirac_tower(point, ell, len(point), depth))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), ELLS)
+    def test_product(self, data, ell):
+        mu1 = data.draw(towers(ell, rank=1))
+        mu2 = data.draw(towers(ell, rank=1))
+        assert_coarsens(product_tower(mu1, mu2))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), ELLS)
+    def test_pushforward(self, data, ell):
+        mu = data.draw(towers(ell))
+        r = mu.rank
+        mat = data.draw(st.lists(
+            st.lists(st.integers(-4, 4), min_size=r, max_size=r), min_size=r, max_size=r))
+        assert_coarsens(pushforward_linear(mat, mu))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), ELLS)
+    def test_restrict(self, data, ell):
+        mu = data.draw(towers(ell, min_depth=1))
+        if data.draw(st.booleans()):
+            region = "units"
+        else:
+            level = data.draw(st.integers(0, mu.depth))
+            coord = st.integers(0, ell ** level - 1)
+            cells = data.draw(st.lists(st.tuples(*[coord] * mu.rank), max_size=6))
+            region = (level, cells)
+        assert_coarsens(restrict(mu, region))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), ELLS)
+    def test_dilation_pullback(self, data, ell):
+        mu = data.draw(towers(ell))
+        k = data.draw(st.lists(st.integers(0, mu.depth), min_size=mu.rank, max_size=mu.rank))
+        assert_coarsens(dilation_pullback(mu, k))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), ELLS, st.integers(1, 2), st.integers(0, 2))
+    def test_measure_from_p_series(self, data, ell, rank, depth):
+        index = st.tuples(*[st.integers(0, 6)] * rank)
+        coeffs = data.draw(st.dictionaries(index, st.fractions(max_denominator=9), max_size=5))
+        series = IwasawaSeries(rank, "binomial", 6, coeffs)
+        assert_coarsens(measure_from_p_series(series, ell, depth))
