@@ -45,7 +45,7 @@ from .ncseries import (
     inversion_closed_form,
     inversion_pipeline,
 )
-from .padic import PadicNum, teichmuller
+from .padic import teichmuller
 from .transforms import f_transform, p_transform
 
 
@@ -57,14 +57,6 @@ def _parse_s(text: str):
 
 def _parse_csv(s: str, cast=int):
     return [cast(x) for x in s.split(",") if x != ""]
-
-
-def _value_json(v):
-    if isinstance(v, PadicNum):
-        return v.to_json()
-    if isinstance(v, Fraction):
-        return _frac_str(v)
-    return v
 
 
 def _emit(doc: dict) -> None:

@@ -8,9 +8,11 @@ Evaluation strategies:
 * interpolation route — pick the integer weight k >= 1 with k = beta mod
   (ell-1) and k = s mod ell^M, evaluate the closed Bernoulli expression there.
   Kummer-type congruences make the result correct to M digits (minus the
-  valuation drop of the value itself).
+  valuation drop of the value itself).  Every family is read off its node
+  by the one helper ``_read_off``.
 
 Integer weights s with s = beta mod (ell-1) are evaluated exactly at k = s.
+The twist omega(c)^beta [c]^s shared by the families is built by ``_twist``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 from .bernoulli import bernoulli_number, bernoulli_poly, gen_bernoulli
 from .measures import Factor, bernoulli_measure, integrate, restrict, _fraction_to_padic_abs, _frac_val
-from .padic import PadicNum, one_unit_pow, residue_mod, teichmuller, _angle_from_scalar, _check_prime
+from .padic import PadicNum, one_unit_pow, residue_mod, teichmuller, unit_decompose, _angle_from_scalar, _check_prime
 
 __all__ = [
     "SigmaDependentError",
@@ -162,9 +164,15 @@ def smallest_regularizer(ell: int) -> int:
     raise ArithmeticError("no primitive root found")  # unreachable for primes
 
 
+def _exact_weight(beta: int, s, ell: int) -> bool:
+    return isinstance(s, int) and s >= 1 and (s - beta) % (ell - 1) == 0
+
+
 def interpolation_weight(beta: int, s, ell: int, M: int) -> int:
     """The integer k >= 1 with k = beta mod (ell-1) and k = s mod ell^M."""
-    if isinstance(s, int) and s >= 1 and (s - beta) % (ell - 1) == 0:
+    if M < 0:
+        raise ValueError("precision M must be >= 0")
+    if _exact_weight(beta, s, ell):
         return s
     lm = ell ** M
     sv = _angle_from_scalar(s, ell, M)
@@ -173,22 +181,36 @@ def interpolation_weight(beta: int, s, ell: int, M: int) -> int:
     return k if k else (ell - 1) * lm
 
 
-def _exact_weight(beta: int, s, ell: int) -> bool:
-    return isinstance(s, int) and s >= 1 and (s - beta) % (ell - 1) == 0
+def _read_off(node, beta: int, s, ell: int, M: int, ndigits: int) -> PadicNum:
+    """The interpolated value at 1-s, read off ``node(k, exact)`` at the weight k.
 
-
-def _node_precision(value_val: int, M: int, beta: int, k: int, ell: int) -> int:
-    """Digits guaranteed for an interpolated value read off at weight k.
-
-    Kummer-type stability gives M digits, less the valuation drop of the
-    value itself.  The branch beta = 0 mod (ell-1) carries the classical
-    simple pole, whose two 1/weight terms cost another v(k) when the weight
-    is divisible by ell.
+    A node is an exact Fraction or a PadicNum.  At an exact weight the value
+    keeps ndigits digits.  Otherwise Kummer-type stability gives M digits,
+    less the valuation drop of the value itself; the branch beta = 0 mod
+    (ell-1) carries the classical simple pole, whose two 1/weight terms cost
+    another v(k) when the weight is divisible by ell.
     """
-    prec = M + min(0, value_val)
+    k = interpolation_weight(beta, s, ell, M)
+    exact = _exact_weight(beta, s, ell)
+    v = node(k, exact)
+    if isinstance(v, PadicNum):
+        if exact:
+            return v.reduce_digits(ndigits)
+        val = 0 if v.unit == 0 else v.valuation
+    else:
+        val = 0 if v == 0 else _frac_val(v, ell)
+        if exact:
+            return _fraction_to_padic_abs(v, ell, val + ndigits)
+    prec = M + min(0, val)
     if beta % (ell - 1) == 0:
         prec -= _frac_val(Fraction(k), ell)
-    return prec
+    return v.reduce_abs(prec) if isinstance(v, PadicNum) else _fraction_to_padic_abs(v, ell, prec)
+
+
+def _twist(c: int, beta: int, s, ell: int, K: int) -> PadicNum:
+    """omega(c)^beta [c]^s to K digits, for an integer c prime to ell."""
+    om, br = unit_decompose(PadicNum.from_int(c, ell, K))
+    return om ** beta * one_unit_pow(br, s)
 
 
 def kl_node(k: int, beta: int, ell: int, ndigits: int = 8) -> PadicNum:
@@ -226,12 +248,10 @@ def kubota_leopoldt(
     if not 0 <= beta < ell - 1:
         raise ValueError("beta must lie in [0, ell-1)")
     if method == "interp":
-        k = interpolation_weight(beta, s, ell, M)
-        if _exact_weight(beta, s, ell):
-            return kl_node(k, beta, ell, ndigits)
-        v = kl_node(k, beta, ell, M + 4)
-        val = 0 if v.unit == 0 else v.valuation
-        return v.reduce_abs(_node_precision(val, M, beta, k, ell))
+        return _read_off(
+            lambda k, exact: kl_node(k, beta, ell, ndigits if exact else M + 4),
+            beta, s, ell, M, ndigits,
+        )
     if method != "measure":
         raise ValueError("method must be 'measure' or 'interp'")
     if c is None:
@@ -244,10 +264,7 @@ def kubota_leopoldt(
     half_integral = integrate(
         emc, (Factor(inverse=True, teich=beta, bracket=s),), level
     ) * Fraction(1, 2)
-    K = level + 2
-    om = teichmuller(c, ell, K)
-    br = PadicNum.from_int(c, ell, K) * om.invert()
-    denom = om ** beta * one_unit_pow(br, s) - 1
+    denom = _twist(c, beta, s, ell, level + 2) - 1
     if denom.unit == 0:
         raise ValueError("regularizer degenerate (increase precision or change c)")
     return 2 * half_integral / denom
@@ -272,10 +289,7 @@ def minus_one_l(
             "sigma-dependent; Euler-factor formula not applicable for odd beta"
         )
     base = kubota_leopoldt(beta, s, ell, c=c, level=level, method=method, M=M, ndigits=ndigits)
-    K = max(level, M, ndigits) + 4
-    om2 = teichmuller(2, ell, K)
-    br2 = PadicNum.from_int(2, ell, K) * om2.invert()
-    t = om2 ** beta * one_unit_pow(br2, s) / 2
+    t = _twist(2, beta, s, ell, max(level, M, ndigits) + 4) / 2
     return (1 - t) / t * base
 
 
@@ -306,13 +320,7 @@ def hurwitz_l(
     beta: int, s, i: int, m: int, ell: int, M: int = 2, ndigits: int = 8
 ) -> PadicNum:
     """Interpolated Hurwitz-type value at 1-s for the pair (i, m)."""
-    k = interpolation_weight(beta, s, ell, M)
-    val = hurwitz_node(k, i, m, ell)
-    if _exact_weight(beta, s, ell):
-        vv = 0 if val == 0 else _frac_val(val, ell)
-        return _fraction_to_padic_abs(val, ell, vv + ndigits)
-    vv = 0 if val == 0 else _frac_val(val, ell)
-    return _fraction_to_padic_abs(val, ell, _node_precision(vv, M, beta, k, ell))
+    return _read_off(lambda k, exact: hurwitz_node(k, i, m, ell), beta, s, ell, M, ndigits)
 
 
 def classical_dirichlet_special(psi: DirichletCharacter, k: int) -> Fraction:
@@ -331,6 +339,18 @@ def classical_dirichlet_special(psi: DirichletCharacter, k: int) -> Fraction:
     return -Fraction(m) ** (k - 1) * acc / k
 
 
+def _psi_hurwitz_sum(psi: DirichletCharacter, k: int, ell: int, work: int) -> PadicNum:
+    """sum_a psi(a) hurwitz_node(k, a, m), worked to ``work`` digits."""
+    m = psi.modulus
+    acc = PadicNum.zero(ell)
+    for a in range(1, m):
+        if psi.residue(a):
+            acc = acc + psi.value(a, work) * PadicNum.from_rational(
+                hurwitz_node(k, a, m, ell), ell, work
+            )
+    return acc
+
+
 def dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int = 8):
     """-m^(k-1) sum_a psi(a) hurwitz_node(k, a, m): exact when psi is rational."""
     m = psi.modulus
@@ -341,14 +361,8 @@ def dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int = 8):
             if va:
                 acc += va * hurwitz_node(k, a, m, ell)
         return -Fraction(m) ** (k - 1) * acc
-    acc = PadicNum.zero(ell)
     work = ndigits + k + 4
-    for a in range(1, m):
-        if psi.residue(a):
-            term = psi.value(a, work) * PadicNum.from_rational(
-                hurwitz_node(k, a, m, ell), ell, work
-            )
-            acc = acc + term
+    acc = _psi_hurwitz_sum(psi, k, ell, work)
     return acc * PadicNum.from_rational(-Fraction(m) ** (k - 1), ell, work)
 
 
@@ -372,24 +386,14 @@ def dirichlet_l(
             "sigma-dependent: the sign must match the parity of beta"
         )
     m = psi.modulus
-    k = interpolation_weight(beta, s, ell, M)
-    work = ndigits + k + 6
-    acc = PadicNum.zero(ell)
-    for a in range(1, m):
-        if psi.residue(a):
-            acc = acc + psi.value(a, work) * PadicNum.from_rational(
-                hurwitz_node(k, a, m, ell), ell, work
-            )
-    om = teichmuller(m, ell, work)
-    brm = PadicNum.from_int(m, ell, work) * om.invert()
-    front = -(om ** beta) * one_unit_pow(brm, s) * PadicNum.from_rational(
-        Fraction(1, m), ell, work
-    )
-    out = front * acc
-    if _exact_weight(beta, s, ell):
-        return out.reduce_digits(ndigits)
-    val = 0 if out.unit == 0 else out.valuation
-    return out.reduce_abs(_node_precision(val, M, beta, k, ell))
+
+    def node(k, exact):
+        work = ndigits + k + 6
+        acc = _psi_hurwitz_sum(psi, k, ell, work)
+        front = -_twist(m, beta, s, ell, work) * PadicNum.from_rational(Fraction(1, m), ell, work)
+        return front * acc
+
+    return _read_off(node, beta, s, ell, M, ndigits)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +407,7 @@ def _zinv_modulus(primes) -> int:
         raise ValueError("at least one prime required (the modulus must exceed 1)")
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
-    m = 1
-    for p in primes:
-        m *= p
-    return m
+    return math.prod(primes)
 
 
 def zinv_node(k: int, primes, ell: int) -> Fraction:
@@ -423,12 +424,7 @@ def zinv_node(k: int, primes, ell: int) -> Fraction:
 
 def zinv_l(beta: int, s, primes, ell: int, M: int = 2, ndigits: int = 8) -> PadicNum:
     """Definition-route value: the coprime Hurwitz sum at the interpolation weight."""
-    k = interpolation_weight(beta, s, ell, M)
-    val = zinv_node(k, primes, ell)
-    vv = 0 if val == 0 else _frac_val(val, ell)
-    if _exact_weight(beta, s, ell):
-        return _fraction_to_padic_abs(val, ell, vv + ndigits)
-    return _fraction_to_padic_abs(val, ell, _node_precision(vv, M, beta, k, ell))
+    return _read_off(lambda k, exact: zinv_node(k, primes, ell), beta, s, ell, M, ndigits)
 
 
 def zinv_report(beta: int, s, primes, ell: int, M: int = 2, ndigits: int = 8) -> dict:
@@ -444,10 +440,7 @@ def zinv_report(beta: int, s, primes, ell: int, M: int = 2, ndigits: int = 8) ->
     base = kubota_leopoldt(beta, s, ell, method="interp", M=M, ndigits=work)
     prod = PadicNum.from_int(1, ell, work)
     for p in primes:
-        omp = teichmuller(p, ell, work)
-        brp = PadicNum.from_int(p, ell, work) * omp.invert()
-        factor = p * one_unit_pow(brp, s).invert() * (omp ** beta).invert() - 1
-        prod = prod * factor
+        prod = prod * (p * _twist(p, beta, s, ell, work).invert() - 1)
     product_route = prod * base
     # ratio of the two routes, when both are nonzero to working precision
     ratio = None

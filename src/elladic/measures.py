@@ -77,6 +77,11 @@ def _fraction_to_padic_abs(s: Fraction, ell: int, abs_exp: int) -> PadicNum:
     return PadicNum.from_rational(s, ell, abs_exp - v)
 
 
+def _denom_exponent(table, ell: int) -> int:
+    """The smallest d >= 0 with every value of the table in ell^(-d) Z_(ell)."""
+    return max((max(0, -_frac_val(v, ell)) for v in table if v), default=0)
+
+
 def _decode(idx: int, m: int, rank: int) -> tuple:
     out = []
     for _ in range(rank):
@@ -116,6 +121,8 @@ class MeasureTower:
         _check_prime(ell)
         if rank < 1:
             raise ValueError("rank must be >= 1")
+        if not levels:
+            raise ValueError("a tower needs at least one level")
         self.ell = ell
         self.rank = rank
         self.depth = len(levels) - 1
@@ -127,13 +134,11 @@ class MeasureTower:
             norm.append(tuple(Fraction(v) for v in table))
         self.levels = tuple(norm)
         self.units_only = units_only
-        per_level_d = [
-            max((max(0, -_frac_val(v, ell)) for v in table if v), default=0)
-            for table in self.levels
-        ]
-        self.denom_exponent = max(per_level_d, default=0)
+        # every coarser value is a sum of top values, and ell^(-d) Z_(ell) is
+        # closed under addition, so the top level fixes the exponent
+        self.denom_exponent = _denom_exponent(self.levels[-1], ell)
         if validate:
-            self._validate(per_level_d)
+            self._validate()
 
     @classmethod
     def from_top(cls, ell, rank, depth, top, units_only=False):
@@ -144,7 +149,7 @@ class MeasureTower:
             levels.append(_coarsen(levels[-1], ell, rank, n))
         return cls(ell, rank, levels[::-1], units_only=units_only, validate=False)
 
-    def _validate(self, per_level_d):
+    def _validate(self):
         ell, rank = self.ell, self.rank
         for n in range(self.depth):
             acc = _coarsen(self.levels[n + 1], ell, rank, n + 1)
@@ -157,6 +162,7 @@ class MeasureTower:
         # Growth heuristic: denominators gaining an ell at every single level
         # is the signature of an unbounded family (e.g. the uniform "measure"
         # with value ell**(-r*n) on each level-n cell).
+        per_level_d = [_denom_exponent(t, ell) for t in self.levels[:-1]] + [self.denom_exponent]
         if self.depth >= 2 and all(
             per_level_d[n] > per_level_d[n - 1] for n in range(1, self.depth + 1)
         ):
@@ -196,6 +202,8 @@ def bernoulli_measure(c: int, ell: int, depth: int) -> MeasureTower:
     _check_prime(ell)
     if c % ell == 0:
         raise ValueError("not a unit: c must be coprime to ell")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     shift = Fraction(c - 1, 2)
     m = ell ** depth
     cinv = pow(c, -1, m)

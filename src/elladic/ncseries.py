@@ -427,10 +427,6 @@ def l_from_li(l_scalar, li_coeffs, degree: int):
 # ---------------------------------------------------------------------------
 
 
-def _one_y(b_poly, degree):
-    return ReducedSeries(degree, None, b_poly)
-
-
 def gamma_series(chi, l_even, l_odd, degree: int) -> ReducedSeries:
     """Group-product assembly of the inversion loop's log series.
 

@@ -278,16 +278,17 @@ class PadicNum:
     # -- comparisons and readout ---------------------------------------------
 
     def congruent(self, other, abs_exp=None) -> bool:
-        """Equality mod ell^abs_exp (default: the weaker stated precision)."""
+        """Equality mod ell^abs_exp (default: the weaker stated precision).
+
+        Raises ValueError when the known digits cannot decide it.
+        """
         o = self._coerce_other(other)
         d = self - o
         if abs_exp is None:
             abs_exp = min(self.abs_prec, o.abs_prec)
             if abs_exp is math.inf:
                 return d.is_exact_zero
-        if d.is_exact_zero:
-            return True
-        return d.valuation >= abs_exp
+        return d.valuation_at_least(abs_exp)
 
     def residue(self, k: int) -> int:
         """The integer in [0, ell^k) congruent to the value mod ell^k."""

@@ -151,6 +151,16 @@ class TestMeasureCommands:
         assert code == 0
         assert doc["value"]["unit"] % 5 == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["transform"], ["pushforward", "--matrix", "1"],
+    ], ids=["validate", "transform", "pushforward"])
+    def test_empty_tower_is_structured_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"ell":5,"rank":1,"levels":[]}')
+        code, doc = run_cli(["measure", argv[0], "--in", str(path)] + argv[1:], capsys)
+        assert code == 1
+        assert doc == {"command": "measure", "error": "a tower needs at least one level"}
+
     def test_transform(self, tower_file, capsys):
         code, doc = run_cli(
             ["measure", "transform", "--in", tower_file, "--kind", "f",
@@ -159,6 +169,31 @@ class TestMeasureCommands:
         )
         assert code == 0
         assert doc["coeffs"]["0"] == "1/2"
+
+
+NEGATIVE_PRECISION = [
+    ["kl", "--ell", "5", "--beta", "2", "--s", "1/2", "--method", "interp", "--prec=-3"],
+    ["kl", "--ell", "5", "--beta", "2", "--s", "6", "--method", "interp", "--prec=-1"],
+    ["minus-one", "--ell", "5", "--beta", "2", "--s", "1/2", "--method", "interp", "--prec=-1"],
+    ["hurwitz", "--ell", "5", "--beta", "2", "--s", "1/2", "--i", "1", "--m", "3", "--prec=-1"],
+    ["dirichlet", "--ell", "5", "--beta", "1", "--s", "1/2", "--psi", "4:1=1,3=-1", "--prec=-1"],
+    ["zinv", "--ell", "5", "--beta", "2", "--s", "1/2", "--primes", "2,3", "--prec=-1"],
+    ["kl", "--ell", "5", "--beta", "2", "--s", "1/2", "--level=-1"],
+    ["minus-one", "--ell", "5", "--beta", "2", "--s", "1/2", "--level=-1"],
+]
+
+
+class TestNegativePrecision:
+    """A negative --prec or --level is one JSON error document with exit 1."""
+
+    @pytest.mark.parametrize("argv", NEGATIVE_PRECISION, ids=[" ".join(a) for a in NEGATIVE_PRECISION])
+    def test_structured_error(self, argv, capsys):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = json.loads(out)
+        assert doc["command"] == argv[0] and "must be >= 0" in doc["error"]
 
 
 class TestVerify:
@@ -229,15 +264,21 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestReadmeGolden:
-    """The README's command-line examples print exactly the recorded bytes.
+    """Recorded command lines print exactly the recorded bytes.
 
-    ``golden/readme_cli.json`` holds each example's argv, exit status, stdout
-    and (for ``--out``) the written file, recorded before the tower
-    constructors were rebuilt on ``MeasureTower.from_top``; ``golden/tower.json``
-    is the ``tower.json`` the examples read.
+    Each golden file holds argv, exit status, stdout and (for ``--out``) the
+    written file of each case.  ``golden/readme_cli.json`` has the README's
+    examples, recorded before the tower constructors were rebuilt on
+    ``MeasureTower.from_top``; ``golden/tower.json`` is the ``tower.json`` they
+    read.  ``golden/lfunctions_cli.json`` covers the interpolation and
+    measure routes of the L-function commands (exact and non-exact weights,
+    the beta = 0 pole branch, rational and non-rational characters, domain
+    errors), recorded before those routes were folded onto one read-off
+    helper and one twist.
     """
 
-    CASES = json.loads((GOLDEN / "readme_cli.json").read_text())
+    CASES = [case for name in ("readme_cli.json", "lfunctions_cli.json")
+             for case in json.loads((GOLDEN / name).read_text())]
 
     @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
     def test_example_output_is_byte_identical(self, case, tmp_path, monkeypatch, capsys):

@@ -37,6 +37,11 @@ class TestWeights:
         assert interpolation_weight(2, 2, 5, 3) == 2
         assert interpolation_weight(2, 6, 5, 3) == 6
 
+    def test_negative_precision_rejected(self):
+        for s in (F(1, 2), 6):
+            with pytest.raises(ValueError, match="M must be >= 0"):
+                interpolation_weight(2, s, 5, -1)
+
     def test_crt_weight(self):
         k = interpolation_weight(2, F(1, 2), 5, 2)
         assert k % 4 == 2

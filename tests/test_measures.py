@@ -65,6 +65,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="cells"):
             MeasureTower(5, 1, [[F(1)], [F(1)] * 4])
 
+    def test_empty_tower_rejected(self):
+        with pytest.raises(ValueError, match="at least one level"):
+            MeasureTower(5, 1, [])
+        with pytest.raises(ValueError, match="at least one level"):
+            tower_from_json({"ell": 5, "rank": 1, "levels": []})
+
 
 class TestBernoulliMeasure:
     def test_level_one_values(self):
@@ -82,6 +88,10 @@ class TestBernoulliMeasure:
                 m = ell ** n
                 for i in range(1, m):
                     assert E.value(n, (m - i,)) == -E.value(n, (i,))
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            bernoulli_measure(2, 5, -1)
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="not a unit"):
@@ -485,6 +495,9 @@ class TestSerialization:
 def assert_coarsens(mu):
     for n in range(mu.depth):
         assert tuple(_coarsen(mu.levels[n + 1], mu.ell, mu.rank, n + 1)) == mu.levels[n]
+    # denom_exponent is read off the top level; every level must agree with it
+    every_level = max((max(0, -_frac_val(v, mu.ell)) for t in mu.levels for v in t if v), default=0)
+    assert mu.denom_exponent == every_level
 
 
 ELLS = st.sampled_from([3, 5])

@@ -218,6 +218,17 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             PadicNum.zero_to_precision(5, 3).invert()
 
+    def test_congruent_raises_when_undecidable(self):
+        # O(5^2) and 3 + O(5^2) say nothing about the digits mod 5^4 or 5^5
+        with pytest.raises(ValueError, match="insufficient precision"):
+            PadicNum.zero_to_precision(5, 2).congruent(0, 4)
+        with pytest.raises(ValueError, match="insufficient precision"):
+            PadicNum.from_int(3, 5, 2).congruent(28, 5)
+        # decidable verdicts are unchanged
+        assert PadicNum.zero_to_precision(5, 2).congruent(0, 2)
+        assert not PadicNum.from_int(3, 5, 2).congruent(4, 5)
+        assert PadicNum.from_int(3, 5, 2).congruent(28)
+
     def test_rational_roundtrip(self):
         for q in (Fraction(7, 3), Fraction(-2, 45), Fraction(25, 4)):
             x = PadicNum.from_rational(q, 5, 6)
