@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .bernoulli import bernoulli_number, bernoulli_poly, gen_bernoulli
 from .measures import Factor, bernoulli_measure, integrate, restrict, _fraction_to_padic_abs, _frac_val
-from .padic import PadicNum, one_unit_pow, residue_mod, teichmuller, unit_decompose, _angle_from_scalar, _check_prime
+from .padic import PadicNum, is_odd_prime, one_unit_pow, residue_mod, teichmuller, unit_decompose, _angle_from_scalar, _check_prime
 
 __all__ = [
     "SigmaDependentError",
@@ -150,6 +150,7 @@ class DirichletCharacter:
 
 def smallest_regularizer(ell: int) -> int:
     """Smallest c >= 2 generating the units mod ell^2 (so c^(ell-1) != 1)."""
+    _check_prime(ell)
     m = ell * ell
     target = ell * (ell - 1)
     for c in range(2, m):
@@ -405,6 +406,9 @@ def _zinv_modulus(primes) -> int:
     primes = list(primes)
     if not primes:
         raise ValueError("at least one prime required (the modulus must exceed 1)")
+    for p in primes:
+        if p != 2 and not is_odd_prime(p):
+            raise ValueError(f"every entry of primes must be a prime, got {p}")
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
     return math.prod(primes)

@@ -13,11 +13,17 @@ value in ``ell**(-d) * Z_(ell)``.
 Cells at level n are indexed by coordinate tuples in ``[0, ell**n)**r``; the
 flat index is ``sum_j c_j * (ell**n)**j`` (first coordinate fastest).
 
+Every integral against a tower is a level sum
+``sum_x f(x) * mu(x + ell**n Z_ell**r)`` over the nonzero cells x of level n,
+and ``_moment_sums`` is the one loop that computes such sums: ``integrate``,
+the word integrals and the P/F transforms of ``transforms`` differ only in f.
+
 Riemann sums against the closed integrand family (powers, unit inverses,
 Teichmuller powers, one-unit powers) return ell-adic values carrying the
 guaranteed absolute precision ``level - denom_exponent`` reduced by one per
 inverse factor: every admitted factor moves points by at most their distance,
-so the level-n oscillation of the integrand is at most ell**(-n).
+so the level-n oscillation of the integrand is at most ell**(-n).  Each
+factor is evaluated as one power ``x**a * omega(x)**b`` mod ell**K.
 
 Towers are immutable after construction; Riemann sums are exact rational
 additions, so any evaluation order gives identical results.
@@ -28,9 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from random import Random
 
-from .padic import PadicNum, teichmuller, _check_prime
+from .padic import PadicNum, teichmuller, _angle_from_scalar, _check_prime
 
 __all__ = [
     "MeasureTower",
@@ -189,6 +196,28 @@ class MeasureTower:
             f"MeasureTower(ell={self.ell}, rank={self.rank}, depth={self.depth}, "
             f"d={self.denom_exponent})"
         )
+
+
+# -- level sums ---------------------------------------------------------------
+
+
+def _moment_sums(mu: MeasureTower, indices, level: int, weight):
+    """Yield (n, sum over level cells x of weight(x, n) * mu(x)) for each index
+    n whose sum is nonzero; x is the cell's coordinate tuple."""
+    if not 0 <= level <= mu.depth:
+        raise ValueError("level out of range")
+    m = mu.ell ** level
+    cells = [
+        (_decode(idx, m, mu.rank), v) for idx, v in enumerate(mu.levels[level]) if v
+    ]
+    for n in indices:
+        acc = Fraction(0)
+        for x, v in cells:
+            w = weight(x, n)
+            if w:
+                acc += w * v
+        if acc:
+            yield n, acc
 
 
 # -- constructors -------------------------------------------------------------
@@ -382,19 +411,10 @@ def dilation_pullback(mu: MeasureTower, k) -> MeasureTower:
             [(ell ** kj * cj + ell ** (n + kj) * e) % big for e in range(ell ** (kmax - kj))]
             for cj, kj in zip(coords, ks)
         ]
-        for combo in _cartesian(reps):
+        for combo in product(*reps):
             total += src[_encode(combo, big)]
         top[idx] = total
     return MeasureTower.from_top(ell, r, n, top)
-
-
-def _cartesian(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for rest in _cartesian(lists[1:]):
-            yield (head,) + rest
 
 
 # -- integration ---------------------------------------------------------------
@@ -431,16 +451,30 @@ def _normalize_integrand(integrand, rank):
     return terms
 
 
+def _bracket_residue(s, ell: int, K: int) -> int:
+    """A bracket exponent reduced into the one-unit group exponent mod ell^(K-1)."""
+    if isinstance(s, PadicNum):
+        return 0 if s.is_exact_zero else s.residue(min(K - 1, s.abs_prec))
+    return _angle_from_scalar(s, ell, K - 1)
+
+
 def integrate(mu: MeasureTower, integrand, level: int | None = None) -> PadicNum:
     """Level-n Riemann sum of a closed-family integrand against the tower.
 
     Returns an ell-adic value with guaranteed absolute precision
     ``level - denom_exponent - (#inverse factors)``, further capped by the
     stated precision of any ell-adic bracket exponent.
+
+    Since [x] = x * omega(x)^(-1) and omega(x)^(ell-1) = 1 mod ell^K, each
+    factor x^power * x^(-inverse) * omega(x)^teich * [x]^s is the single
+    power x^a * omega(x)^b mod ell^K with a = power - inverse + s and
+    b = (teich - s) mod (ell - 1).
     """
     ell, r = mu.ell, mu.rank
     if level is None:
         level = mu.depth
+    # the kernel checks the level too, but the work precision below needs a
+    # valid one, and a bad level is reported before the unit checks
     if not 0 <= level <= mu.depth:
         raise ValueError("level out of range")
     terms = _normalize_integrand(integrand, r)
@@ -464,53 +498,29 @@ def integrate(mu: MeasureTower, integrand, level: int | None = None) -> PadicNum
     K = max(level + mu.denom_exponent + 3, int(prec) + mu.denom_exponent + 3)
     modK = ell ** K
 
-    omega_table = [None] * ell
+    # omega(u) mod ell^K by u mod ell; index 0 is read only when no factor
+    # needs units, and then every b is 0
+    omega = [0] * ell
     if needs_units:
-        for u in range(1, ell):
-            omega_table[u] = teichmuller(u, ell, K).residue(K)
+        omega[1:] = [teichmuller(u, ell, K).residue(K) for u in range(1, ell)]
 
-    # per-factor bracket exponents reduced into the one-unit group exponent
-    from .padic import _angle_from_scalar
+    def fold(f):
+        s = _bracket_residue(f.bracket, ell, K) if f.bracket is not None else 0
+        b = (f.teich - s) % (ell - 1)
+        return f.power - f.inverse + s, [pow(w, b, modK) for w in omega]
 
-    def bracket_residue(s):
-        if isinstance(s, PadicNum):
-            digits = min(K - 1, s.abs_prec if s.abs_prec is not math.inf else K - 1)
-            return s.residue(int(digits)) if not s.is_exact_zero else 0
-        return _angle_from_scalar(s, ell, K - 1)
+    folded = [[fold(f) for f in fs] for _, fs in terms]
 
-    prepared = []
-    for coeff, fs in terms:
-        pf = []
-        for f in fs:
-            sres = bracket_residue(f.bracket) if f.bracket is not None else None
-            pf.append((f, sres))
-        prepared.append((coeff, pf))
+    def weight(x, t):
+        if needs_units and not all(c % ell for c in x):
+            return 0
+        val = 1
+        for c, (a, omega_b) in zip(x, folded[t]):
+            val = val * pow(c, a, modK) * omega_b[c % ell] % modK
+        return val
 
-    m = ell ** level
-    total = Fraction(0)
-    for idx, wt in enumerate(mu.levels[level]):
-        if not wt:
-            continue
-        coords = _decode(idx, m, r)
-        if needs_units and any(c % ell == 0 for c in coords):
-            continue
-        cellsum = Fraction(0)
-        for coeff, pf in prepared:
-            val = 1
-            for x, (f, sres) in zip(coords, pf):
-                v = pow(x, f.power, modK) if f.power else 1
-                if f.needs_units:
-                    om = omega_table[x % ell]
-                    if f.inverse:
-                        v = v * pow(x, -1, modK) % modK
-                    if f.teich:
-                        v = v * pow(om, f.teich % (ell - 1), modK) % modK
-                    if f.bracket is not None:
-                        br = x * pow(om, -1, modK) % modK
-                        v = v * pow(br, sres, modK) % modK
-                val = val * v % modK
-            cellsum += coeff * val
-        total += cellsum * wt
+    sums = _moment_sums(mu, range(len(terms)), level, weight)
+    total = sum((terms[t][0] * acc for t, acc in sums), Fraction(0))
     return _fraction_to_padic_abs(total, ell, int(prec))
 
 
@@ -535,33 +545,20 @@ class Word:
         return len(self.exponents) - 1
 
 
-def _word_poly_sum(mu: MeasureTower, word: Word, level: int) -> Fraction:
-    """Exact level sum of (-x1)^a0 (x1-x2)^a1 ... x_r^a_r against the tower."""
-    if word.rank != mu.rank:
-        raise ValueError("rank mismatch")
-    a = word.exponents
-    r = mu.rank
-    m = mu.ell ** level
-    total = Fraction(0)
-    for idx, wt in enumerate(mu.levels[level]):
-        if not wt:
-            continue
-        x = _decode(idx, m, r)
-        val = (-x[0]) ** a[0]
-        for i in range(1, r):
-            val *= (x[i - 1] - x[i]) ** a[i]
-        val *= x[r - 1] ** a[r]
-        if val:
-            total += val * wt
-    return total
+def _word_poly(x, a) -> int:
+    """(-x1)^a0 (x1-x2)^a1 ... (x_(r-1)-x_r)^a_(r-1) x_r^a_r at the point x."""
+    inner = math.prod((p - q) ** e for p, q, e in zip(x, x[1:], a[1:]))
+    return (-x[0]) ** a[0] * inner * x[-1] ** a[-1]
 
 
 def raw_word_integral(mu: MeasureTower, word: Word, level: int | None = None):
     """The un-normalized word integral and its guaranteed precision exponent."""
+    if word.rank != mu.rank:
+        raise ValueError("rank mismatch")
     if level is None:
         level = mu.depth
-    s = _word_poly_sum(mu, word, level)
-    return s, level - mu.denom_exponent
+    sums = _moment_sums(mu, [word.exponents], level, _word_poly)
+    return sum((acc for _, acc in sums), Fraction(0)), level - mu.denom_exponent
 
 
 def word_coefficient(mu: MeasureTower, word: Word, level: int | None = None) -> PadicNum:

@@ -8,7 +8,9 @@ Two commutative series are attached to a measure on (Z_ell)^r:
   integral of prod_j x_j^(n_j) / n_j!.
 
 The X-form is the A-form composed with A_j = exp(X_j) - 1.  Coefficients are
-computed as exact level sums; such a sum approximates the true coefficient to
+computed as exact level sums through the one level-sum kernel of
+``measures`` (``_moment_sums``), with weight prod_j C(x_j, n_j) or
+prod_j x_j^(n_j); such a sum approximates the true coefficient to
 ``level - denom_exponent - v(n!)`` digits.
 
 Because the cells at level n biject with the basis (1+A)^i, 0 <= i < ell^n, of
@@ -20,9 +22,10 @@ is what ``measure_from_p_series`` does.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from itertools import product
+from math import comb, factorial, prod
 
-from .measures import MeasureTower, _decode
+from .measures import MeasureTower, _moment_sums
 from .ncseries import pmul
 
 __all__ = [
@@ -78,36 +81,12 @@ class IwasawaSeries:
 
 
 def _multi_indices(rank, degree, total):
-    if rank == 0:
-        yield ()
-        return
-    for head in range(degree + 1):
-        rest_cap = degree - head if total else degree
-        for tail in _multi_indices(rank - 1, rest_cap, total):
-            yield (head,) + tail
-
-
-def _moment_sums(mu: MeasureTower, indices, level: int, weight):
-    """Yield (n, sum over level cells x of prod_j weight(x_j, n_j) * value)
-    for each multi-index n whose sum is nonzero."""
-    m = mu.ell ** level
-    r = mu.rank
-    cells = [
-        (_decode(idx, m, r), v) for idx, v in enumerate(mu.levels[level]) if v
-    ]
-    for n in indices:
-        acc = Fraction(0)
-        for coords, v in cells:
-            w = 1
-            for c, nj in zip(coords, n):
-                if nj:
-                    w *= weight(c, nj)
-                    if w == 0:
-                        break
-            if w:
-                acc += w * v
-        if acc:
-            yield n, acc
+    """Exponent tuples in [0, degree]^rank in lexicographic order; with
+    ``total`` only those of total degree <= degree."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    box = product(range(degree + 1), repeat=rank)
+    return (n for n in box if not total or sum(n) <= degree)
 
 
 def p_transform(
@@ -121,7 +100,7 @@ def p_transform(
     if level is None:
         level = mu.depth
     indices = _multi_indices(mu.rank, degree, total)
-    coeffs = dict(_moment_sums(mu, indices, level, comb))
+    coeffs = dict(_moment_sums(mu, indices, level, lambda x, n: prod(map(comb, x, n))))
     return IwasawaSeries(mu.rank, "binomial", degree, coeffs)
 
 
@@ -131,12 +110,9 @@ def f_transform(
     """Exponential-moment series; coefficient of X^n is sum cell^n/n! * value."""
     if level is None:
         level = mu.depth
-    coeffs = {}
-    for n, acc in _moment_sums(mu, _multi_indices(mu.rank, degree, True), level, pow):
-        den = 1
-        for nj in n:
-            den *= factorial(nj)
-        coeffs[n] = acc / den
+    indices = _multi_indices(mu.rank, degree, True)
+    sums = _moment_sums(mu, indices, level, lambda x, n: prod(map(pow, x, n)))
+    coeffs = {n: acc / prod(map(factorial, n)) for n, acc in sums}
     return IwasawaSeries(mu.rank, "exp", degree, coeffs)
 
 

@@ -274,18 +274,59 @@ class TestReadmeGolden:
     measure routes of the L-function commands (exact and non-exact weights,
     the beta = 0 pole branch, rational and non-rational characters, domain
     errors), recorded before those routes were folded onto one read-off
-    helper and one twist.
+    helper and one twist.  ``golden/measures_cli.json`` covers ``measure
+    validate``, ``pushforward --out``, ``transform --kind p|f`` and
+    ``integrate`` (with and without ``--units``; powers, inverses, Teichmuller
+    powers, integer, fractional, negative and ``-`` brackets; several levels;
+    domain errors) on ``tower.json`` and the rank-2 and rank-3 towers
+    ``golden/tower_rank2.json`` and ``golden/tower_rank3.json``, recorded
+    before those sums were folded onto one level-sum kernel.
     """
 
-    CASES = [case for name in ("readme_cli.json", "lfunctions_cli.json")
+    CASES = [case for name in ("readme_cli.json", "lfunctions_cli.json", "measures_cli.json")
              for case in json.loads((GOLDEN / name).read_text())]
 
     @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
     def test_example_output_is_byte_identical(self, case, tmp_path, monkeypatch, capsys):
-        shutil.copy(GOLDEN / "tower.json", tmp_path)
+        for tower in GOLDEN.glob("tower*.json"):
+            shutil.copy(tower, tmp_path)
         monkeypatch.chdir(tmp_path)
         assert main(case["argv"]) == case["exit"]
         assert capsys.readouterr().out == case["stdout"]
         if "out_file" in case:
             out_path = case["argv"][case["argv"].index("--out") + 1]
             assert (tmp_path / out_path).read_text() == case["out_file"]
+
+
+TOWER = "tower.json"
+ZINV = ["zinv", "--ell", "5", "--beta", "2", "--s", "2"]
+REFUSED = [
+    (["measure", "transform", "--in", TOWER, "--level=-1"], "level out of range"),
+    (["measure", "transform", "--in", TOWER, "--level", "7"], "level out of range"),
+    (["measure", "transform", "--in", TOWER, "--kind", "f", "--level", "4"], "level out of range"),
+    (["measure", "transform", "--in", TOWER, "--degree=-1"], "degree must be >= 0"),
+    (["measure", "transform", "--in", TOWER, "--kind", "f", "--degree=-1"],
+     "degree must be >= 0"),
+    (["kl", "--ell", "9", "--beta", "0", "--s", "1"], "ell must be an odd prime >= 3, got 9"),
+    (["kl", "--ell", "4", "--beta", "0", "--s", "1"], "ell must be an odd prime >= 3, got 4"),
+    (ZINV + ["--primes", "1"], "every entry of primes must be a prime, got 1"),
+    (ZINV + ["--primes", "4"], "every entry of primes must be a prime, got 4"),
+    (ZINV + ["--primes=-3"], "every entry of primes must be a prime, got -3"),
+    (ZINV + ["--primes", "2,9"], "every entry of primes must be a prime, got 9"),
+    (ZINV + ["--primes", "2,2"], "primes must be distinct"),
+    (ZINV + ["--primes", "5"], "primes must differ from ell"),
+]
+
+
+class TestRefusedInputs:
+    """A transform level or degree out of range, a non-prime ell without --c
+    and a non-prime zinv modulus entry are one JSON error document, exit 1."""
+
+    @pytest.mark.parametrize("argv,error", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
+    def test_structured_error(self, argv, error, monkeypatch, capsys):
+        monkeypatch.chdir(GOLDEN)
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"command": argv[0], "error": error}

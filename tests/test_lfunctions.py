@@ -54,6 +54,11 @@ class TestWeights:
             c = smallest_regularizer(ell)
             assert pow(c, ell - 1, ell * ell) != 1
 
+    @pytest.mark.parametrize("ell", [2, 4, 9, 15])
+    def test_smallest_regularizer_rejects_non_primes(self, ell):
+        with pytest.raises(ValueError, match="odd prime"):
+            smallest_regularizer(ell)
+
 
 class TestKubotaLeopoldt:
     def test_node_values(self):
@@ -265,6 +270,9 @@ class TestZInverted:
             zinv_node(2, [2, 2], 5)
         with pytest.raises(ValueError, match="differ from ell"):
             zinv_node(2, [5], 5)
+        for primes in ([1], [4], [-3], [2, 9], [0]):
+            with pytest.raises(ValueError, match="must be a prime"):
+                zinv_node(2, primes, 5)
 
     def test_product_route_report(self):
         rep = zinv_report(2, 2, [2, 3], 5)

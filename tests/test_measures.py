@@ -29,6 +29,7 @@ from elladic.measures import (
     _coarsen,
     _frac_val,
 )
+from elladic.padic import PadicNum, residue_mod, teichmuller
 from elladic.transforms import IwasawaSeries, measure_from_p_series
 
 F = Fraction
@@ -240,8 +241,6 @@ class TestIntegrate:
         assert v.abs_prec == 3  # level 4, d = 0, one inverse factor
 
     def test_low_precision_bracket_caps_result(self):
-        from elladic.padic import PadicNum
-
         E = bernoulli_measure(2, 5, 4)
         Eu = restrict(E, "units")
         s_coarse = PadicNum.from_int(2, 5, 1)  # exponent known mod 5 only
@@ -269,6 +268,12 @@ class TestWords:
         d = dirac_tower((3,), 5, 1, 2)
         with pytest.raises(ValueError, match="rank mismatch"):
             word_coefficient(d, Word((0, 1, 0)), 2)
+
+    @pytest.mark.parametrize("level", [-1, 3])
+    def test_level_out_of_range(self, level):
+        d = dirac_tower((3,), 5, 1, 2)
+        with pytest.raises(ValueError, match="level out of range"):
+            raw_word_integral(d, Word((0, 2)), level)
 
     def test_raw_integral_skips_factorials(self):
         mu = random_bounded_tower(3, 1, 3, denom_exponent=1, seed=3)
@@ -568,3 +573,66 @@ class TestCoarsenProperty:
         coeffs = data.draw(st.dictionaries(index, st.fractions(max_denominator=9), max_size=5))
         series = IwasawaSeries(rank, "binomial", 6, coeffs)
         assert_coarsens(measure_from_p_series(series, ell, depth))
+
+
+# -- integrate against the factor-by-factor formula ------------------------------
+
+
+def oracle_integrate(mu, terms, level, K):
+    """The level sum of the integrand with every factor evaluated one piece at a
+    time, mod ell^K: x^power, then x^-1, then omega(x)^teich, then
+    [x]^s = (x * omega(x)^-1)^s."""
+    ell = mu.ell
+    mod = ell ** K
+    omega = {u: teichmuller(u, ell, K).residue(K) for u in range(1, ell)}
+    total = F(0)
+    for x, v in mu.cells(level):
+        if not v or any(c % ell == 0 for c in x):
+            continue
+        for coeff, fs in terms:
+            val = 1
+            for c, f in zip(x, fs):
+                om = omega[c % ell]
+                val = val * pow(c, f.power, mod) % mod
+                if f.inverse:
+                    val = val * pow(c, -1, mod) % mod
+                val = val * pow(om, f.teich, mod) % mod
+                if f.bracket is not None:
+                    s = f.bracket
+                    if isinstance(s, PadicNum):
+                        s = 0 if s.is_exact_zero else s.residue(min(K - 1, s.abs_prec))
+                    else:
+                        s = residue_mod(s, ell ** (K - 1))
+                    val = val * pow(c * pow(om, -1, mod) % mod, s, mod) % mod
+            total += coeff * val * v
+    return total
+
+
+@st.composite
+def factors(draw, ell):
+    kind = draw(st.sampled_from(["none", "int", "fraction", "padic"]))
+    if kind == "int":
+        bracket = draw(st.integers(-6, 6))
+    elif kind == "fraction":
+        bracket = F(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 4, 7])))
+    elif kind == "padic":
+        bracket = PadicNum.from_int(draw(st.integers(-30, 30)), ell, draw(st.integers(1, 4)))
+    else:
+        bracket = None
+    return Factor(power=draw(st.integers(0, 4)), inverse=draw(st.booleans()),
+                  teich=draw(st.integers(-5, 7)), bracket=bracket)
+
+
+class TestIntegrateOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), ELLS)
+    def test_agrees_with_factor_by_factor_formula(self, data, ell):
+        mu = restrict(data.draw(towers(ell, min_depth=1)), "units")
+        level = data.draw(st.integers(1, mu.depth))
+        term = st.tuples(st.fractions(-3, 3, max_denominator=4),
+                         st.tuples(*[factors(ell)] * mu.rank))
+        terms = data.draw(st.lists(term, min_size=1, max_size=2))
+        got = integrate(mu, terms, level)
+        K = level + 2 * mu.denom_exponent + 6
+        want = PadicNum.from_rational(oracle_integrate(mu, terms, level, K), ell, K)
+        assert got.congruent(want, got.abs_prec)

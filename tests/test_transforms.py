@@ -39,6 +39,19 @@ class TestPTransform:
         assert p_transform(E, 4).constant == E.total_mass
 
 
+class TestDomain:
+    @pytest.mark.parametrize("transform", [p_transform, f_transform])
+    def test_negative_degree_rejected(self, transform):
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            transform(bernoulli_measure(2, 5, 2), -1)
+
+    @pytest.mark.parametrize("transform", [p_transform, f_transform])
+    @pytest.mark.parametrize("level", [-1, 3])
+    def test_level_out_of_range_rejected(self, transform, level):
+        with pytest.raises(ValueError, match="level out of range"):
+            transform(bernoulli_measure(2, 5, 2), 2, level)
+
+
 class TestFTransform:
     def test_point_mass_is_exponential(self):
         d = dirac_tower((7,), 5, 1, 3)
