@@ -280,6 +280,11 @@ def _cmd_measure(args) -> dict:
             if args.bracket
             else [None] * mu.rank
         )
+        for name, values in (("powers", powers), ("inv", inv), ("teich", teich),
+                             ("bracket", brackets)):
+            if len(values) != mu.rank:
+                raise ValueError(f"rank mismatch: a rank-{mu.rank} tower needs "
+                                 f"{mu.rank} --{name} entries, got {len(values)}")
         if args.units:
             mu = restrict(mu, "units")
         factors = tuple(

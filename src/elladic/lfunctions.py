@@ -21,8 +21,8 @@ import math
 from fractions import Fraction
 
 from .bernoulli import bernoulli_number, bernoulli_poly, gen_bernoulli
-from .measures import Factor, bernoulli_measure, integrate, restrict, _fraction_to_padic_abs, _frac_val
-from .padic import PadicNum, is_odd_prime, one_unit_pow, residue_mod, teichmuller, unit_decompose, _angle_from_scalar, _check_prime
+from .measures import Factor, bernoulli_measure, integrate, restrict
+from .padic import PadicNum, is_odd_prime, one_unit_pow, residue_mod, teichmuller, unit_decompose, _angle_from_scalar, _check_prime, _frac_val
 
 __all__ = [
     "SigmaDependentError",
@@ -194,18 +194,17 @@ def _read_off(node, beta: int, s, ell: int, M: int, ndigits: int) -> PadicNum:
     k = interpolation_weight(beta, s, ell, M)
     exact = _exact_weight(beta, s, ell)
     v = node(k, exact)
-    if isinstance(v, PadicNum):
-        if exact:
-            return v.reduce_digits(ndigits)
-        val = 0 if v.unit == 0 else v.valuation
-    else:
-        val = 0 if v == 0 else _frac_val(v, ell)
-        if exact:
-            return _fraction_to_padic_abs(v, ell, val + ndigits)
-    prec = M + min(0, val)
+    if not isinstance(v, PadicNum):
+        # encode a Fraction node once, with the digits either branch keeps;
+        # a zero node is known to vanish to that many digits
+        digits = ndigits if exact else max(ndigits, M)
+        v = PadicNum.from_rational(v, ell, digits) if v else PadicNum.zero_to_precision(ell, digits)
+    if exact:
+        return v.reduce_digits(ndigits)
+    prec = M + (min(0, v.valuation) if v.unit else 0)
     if beta % (ell - 1) == 0:
-        prec -= _frac_val(Fraction(k), ell)
-    return v.reduce_abs(prec) if isinstance(v, PadicNum) else _fraction_to_padic_abs(v, ell, prec)
+        prec -= _frac_val(k, ell)
+    return v.reduce_abs(prec)
 
 
 def _twist(c: int, beta: int, s, ell: int, K: int) -> PadicNum:
@@ -219,7 +218,7 @@ def kl_node(k: int, beta: int, ell: int, ndigits: int = 8) -> PadicNum:
     if k < 1:
         raise ValueError("k must be >= 1")
     j = (beta - k) % (ell - 1)
-    pad = _frac_val(Fraction(k), ell) + 1
+    pad = _frac_val(k, ell) + 1
     b = gen_bernoulli(k, j, ell, ndigits + pad)
     return (-b / k).reduce_digits(ndigits)
 

@@ -37,7 +37,15 @@ from fractions import Fraction
 from itertools import product
 from random import Random
 
-from .padic import PadicNum, teichmuller, _angle_from_scalar, _check_prime
+from .padic import (
+    PadicNum,
+    teichmuller,
+    _check_prime,
+    _exponent_residue,
+    _frac_val,
+    _fraction_to_padic_abs,
+    _int_valuation,
+)
 
 __all__ = [
     "MeasureTower",
@@ -63,30 +71,11 @@ __all__ = [
 ]
 
 
-def _frac_val(q: Fraction, ell: int) -> int:
-    """ell-adic valuation of a nonzero rational."""
-    num, den = q.numerator, q.denominator
-    v = 0
-    while num % ell == 0:
-        num //= ell
-        v += 1
-    while den % ell == 0:
-        den //= ell
-        v -= 1
-    return v
-
-
-def _fraction_to_padic_abs(s: Fraction, ell: int, abs_exp: int) -> PadicNum:
-    """Encode an exactly-known rational at claimed absolute precision."""
-    if s == 0 or _frac_val(s, ell) >= abs_exp:
-        return PadicNum.zero_to_precision(ell, abs_exp)
-    v = _frac_val(s, ell)
-    return PadicNum.from_rational(s, ell, abs_exp - v)
-
-
 def _denom_exponent(table, ell: int) -> int:
     """The smallest d >= 0 with every value of the table in ell^(-d) Z_(ell)."""
-    return max((max(0, -_frac_val(v, ell)) for v in table if v), default=0)
+    # in lowest terms the ell-power of a value's denominator is minus its
+    # valuation when that is negative, and 0 otherwise
+    return max((_int_valuation(v.denominator, ell) for v in table), default=0)
 
 
 def _decode(idx: int, m: int, rank: int) -> tuple:
@@ -451,13 +440,6 @@ def _normalize_integrand(integrand, rank):
     return terms
 
 
-def _bracket_residue(s, ell: int, K: int) -> int:
-    """A bracket exponent reduced into the one-unit group exponent mod ell^(K-1)."""
-    if isinstance(s, PadicNum):
-        return 0 if s.is_exact_zero else s.residue(min(K - 1, s.abs_prec))
-    return _angle_from_scalar(s, ell, K - 1)
-
-
 def integrate(mu: MeasureTower, integrand, level: int | None = None) -> PadicNum:
     """Level-n Riemann sum of a closed-family integrand against the tower.
 
@@ -505,7 +487,7 @@ def integrate(mu: MeasureTower, integrand, level: int | None = None) -> PadicNum
         omega[1:] = [teichmuller(u, ell, K).residue(K) for u in range(1, ell)]
 
     def fold(f):
-        s = _bracket_residue(f.bracket, ell, K) if f.bracket is not None else 0
+        s = _exponent_residue(f.bracket, ell, K - 1) if f.bracket is not None else 0
         b = (f.teich - s) % (ell - 1)
         return f.power - f.inverse + s, [pow(w, b, modK) for w in omega]
 
@@ -569,7 +551,7 @@ def word_coefficient(mu: MeasureTower, word: Word, level: int | None = None) -> 
     fact = 1
     for ai in word.exponents:
         fact *= math.factorial(ai)
-    lost = _frac_val(Fraction(fact), mu.ell)
+    lost = _frac_val(fact, mu.ell)
     return _fraction_to_padic_abs(s / fact, mu.ell, prec - lost)
 
 

@@ -111,16 +111,12 @@ def pexp_scalar(gamma, D):
 def p_em1_over(gamma, D):
     """(exp(gamma X) - 1)/(gamma X), equal to 1 when gamma = 0."""
     gamma = Fraction(gamma)
-    if gamma == 0:
-        return [Q1] + [Q0] * D
     return [gamma ** k / factorial(k + 1) for k in range(D + 1)]
 
 
 def p_x_over_em1(gamma, D):
     """gamma X / (exp(gamma X) - 1) = sum B_k (gamma X)^k / k!; 1 when gamma = 0."""
     gamma = Fraction(gamma)
-    if gamma == 0:
-        return [Q1] + [Q0] * D
     return [bernoulli_number(k) * gamma ** k / factorial(k) for k in range(D + 1)]
 
 

@@ -55,6 +55,11 @@ def _int_valuation(n: int, ell: int) -> int:
     return v
 
 
+def _frac_val(q, ell: int) -> int:
+    """ell-adic valuation of a nonzero int or Fraction (ValueError on 0)."""
+    return _int_valuation(q.numerator, ell) - _int_valuation(q.denominator, ell)
+
+
 class PadicNum:
     __slots__ = ("ell", "valuation", "unit", "ndigits")
 
@@ -92,31 +97,18 @@ class PadicNum:
 
     @classmethod
     def from_int(cls, n: int, ell: int, ndigits: int) -> "PadicNum":
-        if n == 0:
-            return cls.zero(ell)
-        v = _int_valuation(n, ell)
-        return cls(ell, v, (n // ell ** v) % ell ** ndigits, ndigits)
+        return cls.from_rational(n, ell, ndigits)
 
     @classmethod
     def from_rational(cls, q, ell: int, ndigits: int) -> "PadicNum":
         q = Fraction(q)
         if q == 0:
             return cls.zero(ell)
-        vn = _int_valuation(q.numerator, ell) if q.numerator else 0
-        vd = _int_valuation(q.denominator, ell)
-        num = q.numerator // ell ** vn
-        den = q.denominator // ell ** vd
+        v = _frac_val(q, ell)
         m = ell ** ndigits
-        unit = num * pow(den, -1, m) % m
-        return cls(ell, vn - vd, unit, ndigits)
-
-    @classmethod
-    def coerce(cls, x, ell: int, ndigits: int) -> "PadicNum":
-        if isinstance(x, PadicNum):
-            if x.ell != ell:
-                raise ValueError("prime mismatch")
-            return x
-        return cls.from_rational(x, ell, ndigits)
+        # q is in lowest terms, so the ell-power sits in one of its two parts
+        num, den = q.numerator // ell ** max(v, 0), q.denominator // ell ** max(-v, 0)
+        return cls(ell, v, num * pow(den, -1, m) % m, ndigits)
 
     # -- state predicates --------------------------------------------------
 
@@ -176,9 +168,7 @@ class PadicNum:
             return other
         if isinstance(other, (int, Fraction)):
             nd = self.ndigits if self.ndigits else 1
-            extra = 0
-            if isinstance(other, int) and other != 0:
-                extra = _int_valuation(other, self.ell)
+            extra = _frac_val(other, self.ell) if other else 0
             return PadicNum.from_rational(other, self.ell, nd + abs(extra) + 2)
         return NotImplemented
 
@@ -389,6 +379,21 @@ def _angle_from_scalar(s, ell: int, k: int) -> int:
     return s.numerator * pow(s.denominator, -1, m) % m
 
 
+def _exponent_residue(s, ell: int, k: int) -> int:
+    """An exponent s mod ell^k; a PadicNum gives only the digits it knows."""
+    if isinstance(s, PadicNum):
+        return s.residue(min(k, s.abs_prec))
+    return _angle_from_scalar(s, ell, k)
+
+
+def _fraction_to_padic_abs(s, ell: int, abs_exp: int) -> PadicNum:
+    """Encode an exactly-known rational at claimed absolute precision ell^abs_exp."""
+    v = _frac_val(s, ell) if s else abs_exp
+    if v >= abs_exp:
+        return PadicNum.zero_to_precision(ell, abs_exp)
+    return PadicNum.from_rational(s, ell, abs_exp - v)
+
+
 def one_unit_pow(u: PadicNum, s) -> PadicNum:
     """u^s for u = 1 mod ell and s an ell-adic integer.
 
@@ -410,12 +415,9 @@ def one_unit_pow(u: PadicNum, s) -> PadicNum:
     pad = nd // (ell - 1) + 2
     K = nd + pad
     mod = ell ** K
-    if isinstance(s, PadicNum):
-        # the result is already capped at s.abs_prec + 1 digits, so the
-        # exponent's own digits always suffice
-        sv = s.residue(min(K, int(s.abs_prec)))
-    else:
-        sv = _angle_from_scalar(s, ell, K)
+    # the result is already capped at s.abs_prec + 1 digits, so the
+    # exponent's own digits always suffice
+    sv = _exponent_residue(s, ell, K)
     t = (u.unit - 1) % ell ** min(nd, u.ndigits)  # v >= 1
     acc = 0
     binom_num = 1  # s(s-1)...(s-k+1) mod ell^K

@@ -30,8 +30,8 @@ from elladic.measures import (
     congruence_check,
     pushforward_linear,
     random_bounded_tower,
-    _frac_val,
 )
+from elladic.padic import _frac_val
 from elladic.transforms import f_transform, measure_from_p_series, p_series_to_f, p_transform
 from elladic.cli import verify_bch, verify_gamma, verify_inversion
 

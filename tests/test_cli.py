@@ -280,7 +280,9 @@ class TestReadmeGolden:
     powers, integer, fractional, negative and ``-`` brackets; several levels;
     domain errors) on ``tower.json`` and the rank-2 and rank-3 towers
     ``golden/tower_rank2.json`` and ``golden/tower_rank3.json``, recorded
-    before those sums were folded onto one level-sum kernel.
+    before those sums were folded onto one level-sum kernel; its case
+    ``integrate --in tower.json --powers 1,1`` was re-recorded when a list
+    longer or shorter than the tower rank became a rank-mismatch error.
     """
 
     CASES = [case for name in ("readme_cli.json", "lfunctions_cli.json", "measures_cli.json")
@@ -300,6 +302,7 @@ class TestReadmeGolden:
 
 TOWER = "tower.json"
 ZINV = ["zinv", "--ell", "5", "--beta", "2", "--s", "2"]
+INTEGRATE = ["measure", "integrate", "--in", TOWER]
 REFUSED = [
     (["measure", "transform", "--in", TOWER, "--level=-1"], "level out of range"),
     (["measure", "transform", "--in", TOWER, "--level", "7"], "level out of range"),
@@ -315,12 +318,24 @@ REFUSED = [
     (ZINV + ["--primes", "2,9"], "every entry of primes must be a prime, got 9"),
     (ZINV + ["--primes", "2,2"], "primes must be distinct"),
     (ZINV + ["--primes", "5"], "primes must differ from ell"),
+    (INTEGRATE + ["--powers", "1,7"], "rank mismatch: a rank-1 tower needs 1 --powers entries, got 2"),
+    (INTEGRATE + ["--powers", "1,7,9", "--teich", "2,3", "--units"],
+     "rank mismatch: a rank-1 tower needs 1 --powers entries, got 3"),
+    (INTEGRATE + ["--units", "--inv", "1,0"], "rank mismatch: a rank-1 tower needs 1 --inv entries, got 2"),
+    (INTEGRATE + ["--units", "--teich", "1,1"], "rank mismatch: a rank-1 tower needs 1 --teich entries, got 2"),
+    (INTEGRATE + ["--units", "--bracket", "1/2,-"],
+     "rank mismatch: a rank-1 tower needs 1 --bracket entries, got 2"),
+    (["measure", "integrate", "--in", "tower_rank2.json", "--powers", "1"],
+     "rank mismatch: a rank-2 tower needs 2 --powers entries, got 1"),
+    (["measure", "integrate", "--in", "tower_rank3.json", "--units", "--bracket", "1,2,3,4"],
+     "rank mismatch: a rank-3 tower needs 3 --bracket entries, got 4"),
 ]
 
 
 class TestRefusedInputs:
-    """A transform level or degree out of range, a non-prime ell without --c
-    and a non-prime zinv modulus entry are one JSON error document, exit 1."""
+    """A transform level or degree out of range, a non-prime ell without --c,
+    a non-prime zinv modulus entry and an integrand list whose length is not
+    the tower rank are one JSON error document, exit 1."""
 
     @pytest.mark.parametrize("argv,error", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
     def test_structured_error(self, argv, error, monkeypatch, capsys):

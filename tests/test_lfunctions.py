@@ -23,7 +23,7 @@ from elladic.lfunctions import (
     zinv_node,
     zinv_report,
 )
-from elladic.measures import _frac_val
+from elladic.padic import _frac_val
 
 F = Fraction
 

@@ -27,9 +27,8 @@ from elladic.measures import (
     word_coefficient,
     zero_tower,
     _coarsen,
-    _frac_val,
 )
-from elladic.padic import PadicNum, residue_mod, teichmuller
+from elladic.padic import PadicNum, residue_mod, teichmuller, _frac_val
 from elladic.transforms import IwasawaSeries, measure_from_p_series
 
 F = Fraction

@@ -18,6 +18,7 @@ from elladic.ncseries import (
     inversion_pipeline,
     l_from_li,
     li_from_l,
+    p_em1_over,
     p_x_over_em1,
     pcompose,
     pmul,
@@ -244,3 +245,11 @@ class TestInversionPipeline:
             loop = bch_scaled_pair(chi, t, 9)
             assert loop.b == bch_scaled_pair_display(chi, t, 9)
             assert loop.a == ptrim([0, t * (1 - chi)], 9)
+
+
+class TestGammaZero:
+    @pytest.mark.parametrize("D", [0, 1, 5])
+    def test_series_are_one(self, D):
+        # (e^(gamma X) - 1)/(gamma X) and its inverse are 1 at gamma = 0
+        assert p_em1_over(0, D) == [1] + [0] * D
+        assert p_x_over_em1(0, D) == [1] + [0] * D

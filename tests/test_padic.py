@@ -1,7 +1,9 @@
+import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from elladic.padic import (
     PadicNum,
@@ -11,6 +13,9 @@ from elladic.padic import (
     residue_mod,
     teichmuller,
     unit_decompose,
+    _exponent_residue,
+    _frac_val,
+    _fraction_to_padic_abs,
 )
 
 PRIMES = [3, 5, 7]
@@ -254,3 +259,117 @@ class TestArithmetic:
         assert ((a + b) + c).congruent(a + (b + c))
         assert (a * (b + c)).congruent(a * b + a * c)
         assert (a * b).congruent(b * a)
+
+
+def val(q, ell):
+    return math.inf if q == 0 else _frac_val(q, ell)
+
+
+def represented(x: PadicNum) -> Fraction:
+    """The rational ell^valuation * unit that a PadicNum's digits spell out."""
+    return Fraction(0) if x.unit == 0 else Fraction(x.ell) ** x.valuation * x.unit
+
+
+@st.composite
+def rationals(draw, ell):
+    """n/d * ell^e for small n, d and e in [-4, 4]; an integral one is
+    sometimes drawn as an int."""
+    n = draw(st.integers(-400, 400))
+    d = draw(st.integers(1, 60))
+    q = Fraction(n, d) * Fraction(ell) ** draw(st.integers(-4, 4))
+    return int(q) if q.denominator == 1 and draw(st.booleans()) else q
+
+
+class TestValuation:
+    def test_int_and_fraction(self):
+        assert _frac_val(50, 5) == 2
+        assert _frac_val(-7, 5) == 0
+        assert _frac_val(Fraction(3, 125), 5) == -3
+        assert _frac_val(Fraction(250, 7), 5) == 3
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_zero_raises(self, zero):
+        with pytest.raises(ValueError, match="valuation of 0"):
+            _frac_val(zero, 5)
+
+
+class TestEncoder:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from(PRIMES), st.integers(-6, 8))
+    def test_exact_absolute_precision(self, data, ell, abs_exp):
+        q = data.draw(rationals(ell) | st.just(Fraction(0)))
+        x = _fraction_to_padic_abs(q, ell, abs_exp)
+        assert x.abs_prec == abs_exp
+        assert val(q - represented(x), ell) >= abs_exp
+        assert x.unit == 0 or x.valuation == _frac_val(q, ell)
+
+
+class TestExponentResidue:
+    def test_padic_exponent_gives_only_its_digits(self):
+        s = PadicNum.from_int(7 + 3 * 125, 5, 2)  # 7 + O(5^2)
+        assert _exponent_residue(s, 5, 4) == 7
+        assert _exponent_residue(s, 5, 1) == 2
+        assert _exponent_residue(PadicNum.zero(5), 5, 4) == 0
+
+    def test_rational_exponent(self):
+        assert _exponent_residue(Fraction(1, 2), 5, 3) == angle_repr(Fraction(1, 2), 3, 5)
+        assert _exponent_residue(-3, 5, 2) == 22
+        with pytest.raises(ValueError, match="not integral"):
+            _exponent_residue(Fraction(1, 5), 5, 2)
+
+
+class TestMixedOperands:
+    def test_fraction_operand_keeps_digits(self):
+        one = PadicNum.from_int(1, 5, 3)
+        for q in (Fraction(1, 5 ** 6), Fraction(1, 125)):
+            total = one + q
+            assert total.abs_prec == 3
+            assert val(1 + q - represented(total), 5) >= 3
+
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def supported(op, a_prec, va, b_prec, vb):
+    """The absolute precision exponent of a op b implied by its operands.
+
+    a is known to ell^a_prec and has valuation va (inf for exact values and
+    for zero); likewise b.
+    """
+    if op in "+-":
+        return min(a_prec, b_prec)
+    if op == "*":
+        return min(a_prec + vb, b_prec + va)
+    return min(a_prec - vb, b_prec + va - 2 * vb)
+
+
+class TestArithmeticOracle:
+    """Every PadicNum operation against exact Fraction arithmetic: the result
+    agrees with the exact value to its stated absolute precision and never
+    states more than the operands support."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.data(),
+        st.sampled_from(PRIMES),
+        st.sampled_from(sorted(OPS)),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.booleans(),
+    )
+    def test_agrees_with_fraction_oracle(self, data, ell, op, nda, ndb, exact_b):
+        qa = data.draw(rationals(ell) | st.just(Fraction(0)))
+        qb = data.draw(rationals(ell) | st.just(Fraction(0)))
+        assume(op != "/" or qb != 0)
+        a = PadicNum.from_rational(qa, ell, nda)
+        b = qb if exact_b else PadicNum.from_rational(qb, ell, ndb)
+        got = OPS[op](a, b)
+        want = OPS[op](Fraction(qa), Fraction(qb))
+        assert got.ell == ell
+        if got.is_exact_zero:
+            assert want == 0
+        else:
+            assert val(want - represented(got), ell) >= got.abs_prec
+        b_prec = math.inf if exact_b else b.abs_prec
+        bound = supported(op, a.abs_prec, val(qa, ell), b_prec, val(qb, ell))
+        assert got.abs_prec <= bound

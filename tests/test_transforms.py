@@ -10,8 +10,8 @@ from elladic.measures import (
     pushforward_linear,
     random_bounded_tower,
     zero_tower,
-    _frac_val,
 )
+from elladic.padic import _frac_val
 from elladic.transforms import (
     IwasawaSeries,
     f_transform,
