@@ -3,8 +3,8 @@
 Evaluation strategies:
 
 * measure route — regularized unit-group integral against the Bernoulli
-  measure, available for the zeta-type family (the odd symmetry of that
-  measure halves the integral exactly);
+  measure for the zeta-type family, summed as integers mod ell^K over the
+  units of one level with no tower built (``bernoulli_unit_integral``);
 * interpolation route — pick the integer weight k >= 1 with k = beta mod
   (ell-1) and k = s mod ell^M, evaluate the closed Bernoulli expression there.
   Kummer-type congruences make the result correct to M digits (minus the
@@ -21,8 +21,8 @@ import math
 from fractions import Fraction
 
 from .bernoulli import bernoulli_number, bernoulli_poly, gen_bernoulli
-from .measures import Factor, bernoulli_measure, integrate, restrict
-from .padic import PadicNum, is_odd_prime, one_unit_pow, residue_mod, teichmuller, unit_decompose, _angle_from_scalar, _check_prime, _frac_val
+from .measures import bernoulli_unit_integral
+from .padic import PadicNum, is_odd_prime, one_unit_pow, residue_mod, smallest_regularizer, teichmuller, unit_decompose, _angle_from_scalar, _check_prime, _frac_val
 
 __all__ = [
     "SigmaDependentError",
@@ -148,23 +148,6 @@ class DirichletCharacter:
 # ---------------------------------------------------------------------------
 
 
-def smallest_regularizer(ell: int) -> int:
-    """Smallest c >= 2 generating the units mod ell^2 (so c^(ell-1) != 1)."""
-    _check_prime(ell)
-    m = ell * ell
-    target = ell * (ell - 1)
-    for c in range(2, m):
-        if c % ell == 0:
-            continue
-        k, x = 1, c % m
-        while x != 1:
-            x = x * c % m
-            k += 1
-        if k == target:
-            return c
-    raise ArithmeticError("no primitive root found")  # unreachable for primes
-
-
 def _exact_weight(beta: int, s, ell: int) -> bool:
     return isinstance(s, int) and s >= 1 and (s - beta) % (ell - 1) == 0
 
@@ -240,8 +223,8 @@ def kubota_leopoldt(
 ) -> PadicNum:
     """The regularized unit-group L-value at 1-s for the beta-th twist.
 
-    method "measure": 2/(omega(c)^beta [c]^s - 1) times the unit integral of
-    [x]^s x^(-1) omega(x)^beta against half the Bernoulli measure for c.
+    method "measure": the unit integral of [x]^s x^(-1) omega(x)^beta against the
+    Bernoulli measure for c, summed over residues mod ell^K, over omega(c)^beta [c]^s - 1.
     method "interp": closed Bernoulli value at the interpolation weight.
     """
     _check_prime(ell)
@@ -260,14 +243,11 @@ def kubota_leopoldt(
         raise ValueError("not a unit")
     if pow(c, ell - 1, ell * ell) == 1:
         raise ValueError("regularizer degenerate (increase precision or change c)")
-    emc = restrict(bernoulli_measure(c, ell, level), "units")
-    half_integral = integrate(
-        emc, (Factor(inverse=True, teich=beta, bracket=s),), level
-    ) * Fraction(1, 2)
+    integral = bernoulli_unit_integral(c, ell, level, beta, s)
     denom = _twist(c, beta, s, ell, level + 2) - 1
     if denom.unit == 0:
         raise ValueError("regularizer degenerate (increase precision or change c)")
-    return 2 * half_integral / denom
+    return integral / denom
 
 
 def minus_one_l(

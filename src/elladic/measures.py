@@ -17,6 +17,8 @@ Every integral against a tower is a level sum
 ``sum_x f(x) * mu(x + ell**n Z_ell**r)`` over the nonzero cells x of level n,
 and ``_moment_sums`` is the one loop that computes such sums: ``integrate``,
 the word integrals and the P/F transforms of ``transforms`` differ only in f.
+The one integral that is not, ``bernoulli_unit_integral``, needs no tower: the
+Bernoulli measure's values are closed-form integers plus (c-1)/2, summed mod ell^K.
 
 Riemann sums against the closed integrand family (powers, unit inverses,
 Teichmuller powers, one-unit powers) return ell-adic values carrying the
@@ -39,6 +41,7 @@ from random import Random
 
 from .padic import (
     PadicNum,
+    smallest_regularizer,
     teichmuller,
     _check_prime,
     _exponent_residue,
@@ -52,6 +55,7 @@ __all__ = [
     "Word",
     "Factor",
     "bernoulli_measure",
+    "bernoulli_unit_integral",
     "dirac_tower",
     "zero_tower",
     "product_tower",
@@ -212,21 +216,50 @@ def _moment_sums(mu: MeasureTower, indices, level: int, weight):
 # -- constructors -------------------------------------------------------------
 
 
-def bernoulli_measure(c: int, ell: int, depth: int) -> MeasureTower:
-    """The c-regularized first Bernoulli distribution on Z_ell.
-
-    Level-n value at i: i/ell^n - c*<c^(-1) i>/ell^n + (c-1)/2.
-    """
+def _check_bernoulli(c: int, ell: int, depth: int) -> None:
     _check_prime(ell)
     if c % ell == 0:
         raise ValueError("not a unit: c must be coprime to ell")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+
+
+def bernoulli_measure(c: int, ell: int, depth: int) -> MeasureTower:
+    """The c-regularized first Bernoulli distribution on Z_ell.
+
+    Level-n value at i: i/ell^n - c*<c^(-1) i>/ell^n + (c-1)/2.
+    """
+    _check_bernoulli(c, ell, depth)
     shift = Fraction(c - 1, 2)
     m = ell ** depth
     cinv = pow(c, -1, m)
     top = [Fraction(i, m) - c * Fraction(cinv * i % m, m) + shift for i in range(m)]
     return MeasureTower.from_top(ell, 1, depth, top)
+
+
+def bernoulli_unit_integral(c: int, ell: int, level: int, beta: int, s) -> PadicNum:
+    """``integrate(restrict(bernoulli_measure(c, ell, level), "units"),
+    Factor(inverse=True, teich=beta, bracket=s), level)``, without the tower.
+
+    At a unit x of level n the measure is (x - c*<c^(-1) x>)/ell^n + (c-1)/2,
+    so twice the sum is an integer, wanted mod ell^K.  The units are g^j for
+    g = ``smallest_regularizer(ell)`` (c need not generate), weighted r^j: the
+    integrand at g^j, within ell^n of its value at g^j mod ell^n and so exact
+    to the claimed ``level - 1`` digits.
+    """
+    _check_bernoulli(c, ell, level)
+    if level < 1:
+        raise ValueError("region not expressible at available depth")
+    factor = Factor(inverse=True, teich=beta, bracket=s)
+    prec, K, [[(a, b)]] = _precision_plan(ell, [(1, (factor,))], level, 0)
+    modK, m = ell ** K, ell ** level
+    g = smallest_regularizer(ell)
+    r = pow(g, a, modK) * pow(teichmuller(g, ell, K).residue(K), b, modK) % modK
+    x, y, w, total = 1, pow(c, -1, m), 1, 0
+    for _ in range(m - m // ell):
+        total += w * (2 * ((x - c * y) // m) + c - 1)
+        x, y, w = x * g % m, y * g % m, w * r % modK
+    return _fraction_to_padic_abs(Fraction(total % modK, 2), ell, prec)
 
 
 def dirac_tower(point, ell: int, rank: int, depth: int) -> MeasureTower:
@@ -440,18 +473,32 @@ def _normalize_integrand(integrand, rank):
     return terms
 
 
-def integrate(mu: MeasureTower, integrand, level: int | None = None) -> PadicNum:
-    """Level-n Riemann sum of a closed-family integrand against the tower.
-
-    Returns an ell-adic value with guaranteed absolute precision
-    ``level - denom_exponent - (#inverse factors)``, further capped by the
-    stated precision of any ell-adic bracket exponent.
-
-    Since [x] = x * omega(x)^(-1) and omega(x)^(ell-1) = 1 mod ell^K, each
-    factor x^power * x^(-inverse) * omega(x)^teich * [x]^s is the single
-    power x^a * omega(x)^b mod ell^K with a = power - inverse + s and
-    b = (teich - s) mod (ell - 1).
+def _precision_plan(ell: int, terms, level: int, denom_exponent: int):
+    """(prec, K, folded) of a level sum: the guaranteed absolute precision
+    ``level - denom_exponent - (#inverse factors)``, capped by the stated
+    precision of any ell-adic bracket exponent; the work precision K; and per
+    factor the single power x^a * omega(x)^b mod ell^K it folds into, since
+    [x] = x * omega(x)^(-1): a = power - inverse + s, b = (teich - s) mod (ell - 1).
     """
+    n_inv = max(sum(1 for f in fs if f.inverse) for _, fs in terms)
+    cap = math.inf
+    for _, fs in terms:
+        for f in fs:
+            if isinstance(f.bracket, PadicNum) and not f.bracket.is_exact_zero:
+                cap = min(cap, f.bracket.abs_prec + 1)
+    prec = min(level - n_inv, cap) - denom_exponent
+    K = max(level, prec) + denom_exponent + 3
+
+    def fold(f):
+        s = _exponent_residue(f.bracket, ell, K - 1) if f.bracket is not None else 0
+        return f.power - f.inverse + s, (f.teich - s) % (ell - 1)
+
+    return prec, K, [[fold(f) for f in fs] for _, fs in terms]
+
+
+def integrate(mu: MeasureTower, integrand, level: int | None = None) -> PadicNum:
+    """Level-n Riemann sum of a closed-family integrand against the tower, at
+    the guaranteed absolute precision that ``_precision_plan`` works out."""
     ell, r = mu.ell, mu.rank
     if level is None:
         level = mu.depth
@@ -470,14 +517,7 @@ def integrate(mu: MeasureTower, integrand, level: int | None = None) -> PadicNum
         if level < 1:
             raise ValueError("integrand undefined on region: need level >= 1")
 
-    n_inv = max(sum(1 for f in fs if f.inverse) for _, fs in terms)
-    cap = math.inf
-    for _, fs in terms:
-        for f in fs:
-            if isinstance(f.bracket, PadicNum) and not f.bracket.is_exact_zero:
-                cap = min(cap, f.bracket.abs_prec + 1)
-    prec = min(level - n_inv, cap) - mu.denom_exponent
-    K = max(level + mu.denom_exponent + 3, int(prec) + mu.denom_exponent + 3)
+    prec, K, folded = _precision_plan(ell, terms, level, mu.denom_exponent)
     modK = ell ** K
 
     # omega(u) mod ell^K by u mod ell; index 0 is read only when no factor
@@ -485,25 +525,19 @@ def integrate(mu: MeasureTower, integrand, level: int | None = None) -> PadicNum
     omega = [0] * ell
     if needs_units:
         omega[1:] = [teichmuller(u, ell, K).residue(K) for u in range(1, ell)]
-
-    def fold(f):
-        s = _exponent_residue(f.bracket, ell, K - 1) if f.bracket is not None else 0
-        b = (f.teich - s) % (ell - 1)
-        return f.power - f.inverse + s, [pow(w, b, modK) for w in omega]
-
-    folded = [[fold(f) for f in fs] for _, fs in terms]
+    tables = [[(a, [pow(w, b, modK) for w in omega]) for a, b in fs] for fs in folded]
 
     def weight(x, t):
         if needs_units and not all(c % ell for c in x):
             return 0
         val = 1
-        for c, (a, omega_b) in zip(x, folded[t]):
+        for c, (a, omega_b) in zip(x, tables[t]):
             val = val * pow(c, a, modK) * omega_b[c % ell] % modK
         return val
 
     sums = _moment_sums(mu, range(len(terms)), level, weight)
     total = sum((terms[t][0] * acc for t, acc in sums), Fraction(0))
-    return _fraction_to_padic_abs(total, ell, int(prec))
+    return _fraction_to_padic_abs(total, ell, prec)
 
 
 # -- word integrals -------------------------------------------------------------
@@ -637,5 +671,11 @@ def tower_to_json(mu: MeasureTower) -> dict:
 
 
 def tower_from_json(doc: dict) -> MeasureTower:
-    levels = [[Fraction(s) for s in table] for table in doc["levels"]]
+    if not isinstance(doc, dict) or any(type(doc.get(k)) is not int for k in ("ell", "rank")):
+        raise ValueError('a tower document is a JSON object with integer "ell" and "rank"')
+    levels = doc["levels"]
+    if not isinstance(levels, list) or not all(
+            isinstance(t, list) and all(isinstance(v, str) for v in t) for t in levels):
+        raise ValueError('"levels" must be a list of lists of value strings')
+    levels = [[Fraction(v) for v in table] for table in levels]
     return MeasureTower(doc["ell"], doc["rank"], levels, validate=True)

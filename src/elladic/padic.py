@@ -26,6 +26,7 @@ __all__ = [
     "one_unit_pow",
     "angle_repr",
     "residue_mod",
+    "smallest_regularizer",
 ]
 
 
@@ -169,7 +170,10 @@ class PadicNum:
         if isinstance(other, (int, Fraction)):
             nd = self.ndigits if self.ndigits else 1
             extra = _frac_val(other, self.ell) if other else 0
-            return PadicNum.from_rational(other, self.ell, nd + abs(extra) + 2)
+            nd += abs(extra) + 2
+            if not self.is_exact_zero:  # reach the precision this operand states
+                nd = max(nd, self.abs_prec - extra)
+            return PadicNum.from_rational(other, self.ell, nd)
         return NotImplemented
 
     def __add__(self, other):
@@ -351,6 +355,22 @@ def teichmuller(u, ell: int, ndigits: int) -> PadicNum:
             break
         x = y
     return PadicNum(ell, 0, x, ndigits)
+
+
+def smallest_regularizer(ell: int) -> int:
+    """Smallest c >= 2 generating the units mod ell^2 (so c^(ell-1) != 1)."""
+    _check_prime(ell)
+    m = ell * ell
+    target = ell * (ell - 1)
+    for c in range(2, m):
+        if c % ell == 0:
+            continue
+        k, x = 1, c % m
+        while x != 1:
+            x = x * c % m
+            k += 1
+        if k == target:
+            return c
 
 
 def unit_decompose(x: PadicNum):

@@ -332,10 +332,14 @@ REFUSED = [
 ]
 
 
+NOT_A_TOWER = 'a tower document is a JSON object with integer "ell" and "rank"'
+
+
 class TestRefusedInputs:
     """A transform level or degree out of range, a non-prime ell without --c,
-    a non-prime zinv modulus entry and an integrand list whose length is not
-    the tower rank are one JSON error document, exit 1."""
+    a non-prime zinv modulus entry, an integrand list whose length is not
+    the tower rank and a tower file of the wrong shape are one JSON error
+    document, exit 1."""
 
     @pytest.mark.parametrize("argv,error", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
     def test_structured_error(self, argv, error, monkeypatch, capsys):
@@ -345,3 +349,20 @@ class TestRefusedInputs:
         assert code == 1
         assert out.count("\n") == 1
         assert json.loads(out) == {"command": argv[0], "error": error}
+
+    @pytest.mark.parametrize("doc,error", [
+        ([1, 2], NOT_A_TOWER),
+        ({"ell": 5, "rank": "1", "levels": [["1"]]}, NOT_A_TOWER),
+        ({"ell": "5", "rank": 1, "levels": [["1"]]}, NOT_A_TOWER),
+        ({"ell": 5, "rank": 1, "levels": [[0.5]]},
+         '"levels" must be a list of lists of value strings'),
+        ({"ell": 5, "rank": 1, "levels": "1"}, '"levels" must be a list of lists of value strings'),
+    ], ids=["list", "string rank", "string ell", "number value", "string levels"])
+    def test_malformed_tower_file(self, doc, error, tmp_path, capsys):
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(doc))
+        code = main(["measure", "validate", "--in", str(path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"command": "measure", "error": error}

@@ -81,6 +81,11 @@ class TestKubotaLeopoldt:
         assert v2.congruent(F(-2, 5))
         assert v2.valuation == -1
 
+    def test_measure_route_at_level_8(self):
+        v = kubota_leopoldt(2, 2, 5, c=2, level=8)
+        assert v.abs_prec >= 7
+        assert v.congruent(kl_node(2, 2, 5, ndigits=10))
+
     def test_measure_matches_interp_at_integer_weights(self):
         for ell, beta, k in [(5, 2, 2), (5, 2, 6), (7, 0, 2), (3, 0, 4)]:
             got = kubota_leopoldt(beta, k, ell, level=5)

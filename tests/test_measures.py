@@ -3,7 +3,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from elladic.bernoulli import bernoulli_number
 from elladic.measures import (
@@ -11,6 +11,7 @@ from elladic.measures import (
     MeasureTower,
     Word,
     bernoulli_measure,
+    bernoulli_unit_integral,
     congruence_check,
     dilation_pullback,
     dirac_tower,
@@ -635,3 +636,54 @@ class TestIntegrateOracle:
         K = level + 2 * mu.denom_exponent + 6
         want = PadicNum.from_rational(oracle_integrate(mu, terms, level, K), ell, K)
         assert got.congruent(want, got.abs_prec)
+
+
+def regularisers(ell):
+    """Every valid regulariser below 60: a unit c with c^(ell-1) != 1 mod ell^2."""
+    return [c for c in range(2, 60) if c % ell and pow(c, ell - 1, ell * ell) != 1]
+
+
+@st.composite
+def unit_integrals(draw):
+    """(ell, level, c, beta, s) with at most 3125 cells at the top level."""
+    ell = draw(st.sampled_from([3, 5, 7, 11]))
+    level = draw(st.integers(1, max(n for n in range(1, 6) if ell ** n <= 3125)))
+    kind = draw(st.sampled_from(["int", "fraction", "padic"]))
+    if kind == "int":
+        s = draw(st.integers(-9, 9))
+    elif kind == "fraction":
+        s = F(draw(st.integers(-9, 9)), draw(st.sampled_from([d for d in (2, 3, 4, 7) if d % ell])))
+    else:
+        s = PadicNum.from_int(draw(st.integers(-50, 50)), ell, draw(st.integers(1, 6)))
+    return (ell, level, draw(st.sampled_from(regularisers(ell))),
+            draw(st.integers(0, ell - 2)), s)
+
+
+class TestBernoulliUnitIntegral:
+    """The residue sum is the tower route's integral, as the same PadicNum."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(unit_integrals())
+    # regularisers that do not generate the units mod ell
+    @example((3, 5, 4, 1, F(-3, 2)))
+    @example((5, 4, 4, 2, 3))
+    @example((7, 3, 9, 1, F(1, 2)))
+    @example((11, 2, 4, 4, PadicNum.from_int(7, 11, 1)))
+    def test_equals_tower_route(self, case):
+        ell, level, c, beta, s = case
+        mu = restrict(bernoulli_measure(c, ell, level), "units")
+        want = integrate(mu, (Factor(inverse=True, teich=beta, bracket=s),), level)
+        got = bernoulli_unit_integral(c, ell, level, beta, s)
+        assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("args,error", [
+        ((5, 5, 2), "not a unit"),
+        ((2, 5, -1), "depth must be >= 0"),
+        ((2, 5, 0), "region not expressible at available depth"),
+        ((2, 9, 2), "ell must be an odd prime"),
+    ])
+    def test_refusals_match_tower_route(self, args, error):
+        with pytest.raises(ValueError, match=error):
+            restrict(bernoulli_measure(*args), "units")
+        with pytest.raises(ValueError, match=error):
+            bernoulli_unit_integral(*args, 0, 1)

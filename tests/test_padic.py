@@ -326,6 +326,17 @@ class TestMixedOperands:
             assert total.abs_prec == 3
             assert val(1 + q - represented(total), 5) >= 3
 
+    def test_exact_operand_reaches_abs_prec(self):
+        a = PadicNum.from_int(2 * 5 ** 5, 5, 3)
+        for q in (1, Fraction(1, 5)):
+            total = a + q
+            assert total.abs_prec == 8
+            assert val(2 * 5 ** 5 + q - represented(total), 5) >= 8
+
+    def test_exact_zero_keeps_the_digit_floor(self):
+        # an exact zero states no precision to reach
+        assert (PadicNum.zero(5) + 7).abs_prec == 3
+
 
 OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
