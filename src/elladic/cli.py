@@ -9,6 +9,7 @@ usage errors (argparse).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -261,6 +262,8 @@ def _cmd_measure(args) -> dict:
                 "denom_exponent": mu.denom_exponent, "depth": mu.depth,
                 "rank": mu.rank}
     if args.action == "pushforward":
+        if args.matrix is None:
+            raise ValueError("pushforward needs --matrix")
         rows = [
             _parse_csv(row) for row in args.matrix.split(";")
         ]
@@ -332,7 +335,9 @@ def _cmd_verify(args) -> dict:
     return doc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: ``main`` reuses it on every call."""
     ap = argparse.ArgumentParser(prog="elladic")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -5,10 +5,13 @@ A tower keeps, for every level n <= depth, the table of values on the
 property says each value equals the sum of the ``ell**r`` values above it, so
 a tower is determined by its top level.  ``MeasureTower.from_top`` is the one
 construction path: every constructor here computes only its level-``depth``
-table and ``_coarsen`` sums it down to the coarser levels.  Validating a tower
-from outside coarsens each level and compares.
-Values are exact Fractions; ``denom_exponent`` is the smallest d with every
-value in ``ell**(-d) * Z_(ell)``.
+table and ``_coarsen`` sums it down to the coarser levels.  A tower given from
+outside, ``MeasureTower(ell, rank, levels)``, is checked: each level is
+coarsened and compared.  Each level is stored as a tuple of integer numerators
+over one denominator ``den``, the lcm of the values' denominators, so every
+level sum adds integers and ``denom_exponent``, the smallest d with every value
+in ``ell**(-d) * Z_(ell)``, is v_ell(den).  Fractions appear only at the
+boundary: ``levels``, ``value``, ``cells``, ``total_mass`` and the JSON codecs.
 
 Cells at level n are indexed by coordinate tuples in ``[0, ell**n)**r``; the
 flat index is ``sum_j c_j * (ell**n)**j`` (first coordinate fastest).
@@ -27,7 +30,7 @@ inverse factor: every admitted factor moves points by at most their distance,
 so the level-n oscillation of the integrand is at most ell**(-n).  Each
 factor is evaluated as one power ``x**a * omega(x)**b`` mod ell**K.
 
-Towers are immutable after construction; Riemann sums are exact rational
+Towers are immutable after construction; Riemann sums are exact integer
 additions, so any evaluation order gives identical results.
 """
 
@@ -75,13 +78,6 @@ __all__ = [
 ]
 
 
-def _denom_exponent(table, ell: int) -> int:
-    """The smallest d >= 0 with every value of the table in ell^(-d) Z_(ell)."""
-    # in lowest terms the ell-power of a value's denominator is minus its
-    # valuation when that is negative, and 0 otherwise
-    return max((_int_valuation(v.denominator, ell) for v in table), default=0)
-
-
 def _decode(idx: int, m: int, rank: int) -> tuple:
     out = []
     for _ in range(rank):
@@ -100,7 +96,7 @@ def _encode(coords, m: int) -> int:
 def _coarsen(table, ell: int, rank: int, n: int) -> list:
     """The level n-1 table under a level-n table: each cell sums its children."""
     small = ell ** (n - 1)
-    out = [Fraction(0)] * (small ** rank)
+    out = [0] * (small ** rank)
     if rank == 1:
         # the flat index is the coordinate, so the parent is idx mod ell^(n-1)
         for idx, v in enumerate(table):
@@ -115,54 +111,64 @@ def _coarsen(table, ell: int, rank: int, n: int) -> list:
 
 
 class MeasureTower:
-    __slots__ = ("ell", "rank", "depth", "levels", "denom_exponent", "units_only")
+    """A tower whose level-n values are ``tables[n][i] / den``."""
 
-    def __init__(self, ell, rank, levels, units_only=False, validate=True):
+    __slots__ = ("ell", "rank", "depth", "tables", "den", "denom_exponent", "units_only")
+
+    def __init__(self, ell, rank, levels, units_only=False):
         _check_prime(ell)
         if rank < 1:
             raise ValueError("rank must be >= 1")
         if not levels:
             raise ValueError("a tower needs at least one level")
-        self.ell = ell
-        self.rank = rank
-        self.depth = len(levels) - 1
-        norm = []
+        values = []
         for n, table in enumerate(levels):
             size = ell ** (rank * n)
             if len(table) != size:
                 raise ValueError(f"level {n} must have {size} cells, got {len(table)}")
-            norm.append(tuple(Fraction(v) for v in table))
-        self.levels = tuple(norm)
-        self.units_only = units_only
-        # every coarser value is a sum of top values, and ell^(-d) Z_(ell) is
-        # closed under addition, so the top level fixes the exponent
-        self.denom_exponent = _denom_exponent(self.levels[-1], ell)
-        if validate:
-            self._validate()
+            values.append([Fraction(v) for v in table])
+        den = math.lcm(*(v.denominator for table in values for v in table))
+        tables = [tuple(v.numerator * (den // v.denominator) for v in t) for t in values]
+        self._store(ell, rank, tables, den, units_only)
+        self._validate()
 
     @classmethod
-    def from_top(cls, ell, rank, depth, top, units_only=False):
-        """The tower whose level-``depth`` table is ``top``; it is coherent by
-        construction, every coarser level being summed from the one above."""
-        levels = [top]
+    def from_top(cls, ell, rank, depth, top, den=1, units_only=False):
+        """The tower whose level-``depth`` values are ``top[i] / den`` for
+        integers ``top[i]``; it is coherent by construction, every coarser
+        level being summed from the one above, so nothing is checked."""
+        g = math.gcd(den, *top)
+        tables = [tuple(v // g for v in top)]
         for n in range(depth, 0, -1):
-            levels.append(_coarsen(levels[-1], ell, rank, n))
-        return cls(ell, rank, levels[::-1], units_only=units_only, validate=False)
+            tables.append(tuple(_coarsen(tables[-1], ell, rank, n)))
+        tower = cls.__new__(cls)
+        tower._store(ell, rank, tables[::-1], den // g, units_only)
+        return tower
+
+    def _store(self, ell, rank, tables, den, units_only):
+        self.ell = ell
+        self.rank = rank
+        self.depth = len(tables) - 1
+        self.tables = tuple(tables)
+        self.den = den
+        self.units_only = units_only
+        # den is the lcm of the values' denominators
+        self.denom_exponent = _int_valuation(den, ell)
 
     def _validate(self):
-        ell, rank = self.ell, self.rank
+        ell, rank, den = self.ell, self.rank, self.den
         for n in range(self.depth):
-            acc = _coarsen(self.levels[n + 1], ell, rank, n + 1)
-            for idx, v in enumerate(self.levels[n]):
+            acc = _coarsen(self.tables[n + 1], ell, rank, n + 1)
+            for idx, v in enumerate(self.tables[n]):
                 if acc[idx] != v:
                     raise ValueError(
-                        f"not a distribution: level {n} cell "
-                        f"{_decode(idx, ell ** n, rank)} has {v}, children sum to {acc[idx]}"
+                        f"not a distribution: level {n} cell {_decode(idx, ell ** n, rank)} "
+                        f"has {Fraction(v, den)}, children sum to {Fraction(acc[idx], den)}"
                     )
         # Growth heuristic: denominators gaining an ell at every single level
         # is the signature of an unbounded family (e.g. the uniform "measure"
         # with value ell**(-r*n) on each level-n cell).
-        per_level_d = [_denom_exponent(t, ell) for t in self.levels[:-1]] + [self.denom_exponent]
+        per_level_d = [_int_valuation(den // math.gcd(den, *t), ell) for t in self.tables]
         if self.depth >= 2 and all(
             per_level_d[n] > per_level_d[n - 1] for n in range(1, self.depth + 1)
         ):
@@ -170,19 +176,24 @@ class MeasureTower:
 
     # -- cell access --------------------------------------------------------
 
+    @property
+    def levels(self) -> tuple:
+        """The value tables, one tuple of Fractions per level."""
+        return tuple(tuple(Fraction(v, self.den) for v in t) for t in self.tables)
+
     def value(self, level: int, coords) -> Fraction:
         m = self.ell ** level
         coords = tuple(c % m for c in coords)
-        return self.levels[level][_encode(coords, m)]
+        return Fraction(self.tables[level][_encode(coords, m)], self.den)
 
     def cells(self, level: int):
         m = self.ell ** level
-        for idx, v in enumerate(self.levels[level]):
-            yield _decode(idx, m, self.rank), v
+        for idx, v in enumerate(self.tables[level]):
+            yield _decode(idx, m, self.rank), Fraction(v, self.den)
 
     @property
     def total_mass(self) -> Fraction:
-        return self.levels[0][0]
+        return Fraction(self.tables[0][0], self.den)
 
     def __repr__(self):
         return (
@@ -196,21 +207,22 @@ class MeasureTower:
 
 def _moment_sums(mu: MeasureTower, indices, level: int, weight):
     """Yield (n, sum over level cells x of weight(x, n) * mu(x)) for each index
-    n whose sum is nonzero; x is the cell's coordinate tuple."""
+    n whose sum is nonzero; x is the cell's coordinate tuple and the integer
+    weights are summed against the numerators, divided by ``den`` once."""
     if not 0 <= level <= mu.depth:
         raise ValueError("level out of range")
     m = mu.ell ** level
     cells = [
-        (_decode(idx, m, mu.rank), v) for idx, v in enumerate(mu.levels[level]) if v
+        (_decode(idx, m, mu.rank), v) for idx, v in enumerate(mu.tables[level]) if v
     ]
     for n in indices:
-        acc = Fraction(0)
+        acc = 0
         for x, v in cells:
             w = weight(x, n)
             if w:
                 acc += w * v
         if acc:
-            yield n, acc
+            yield n, Fraction(acc, mu.den)
 
 
 # -- constructors -------------------------------------------------------------
@@ -230,11 +242,10 @@ def bernoulli_measure(c: int, ell: int, depth: int) -> MeasureTower:
     Level-n value at i: i/ell^n - c*<c^(-1) i>/ell^n + (c-1)/2.
     """
     _check_bernoulli(c, ell, depth)
-    shift = Fraction(c - 1, 2)
     m = ell ** depth
     cinv = pow(c, -1, m)
-    top = [Fraction(i, m) - c * Fraction(cinv * i % m, m) + shift for i in range(m)]
-    return MeasureTower.from_top(ell, 1, depth, top)
+    top = [2 * (i - c * (cinv * i % m)) + (c - 1) * m for i in range(m)]
+    return MeasureTower.from_top(ell, 1, depth, top, 2 * m)
 
 
 def bernoulli_unit_integral(c: int, ell: int, level: int, beta: int, s) -> PadicNum:
@@ -267,13 +278,13 @@ def dirac_tower(point, ell: int, rank: int, depth: int) -> MeasureTower:
     if len(point) != rank:
         raise ValueError("rank mismatch")
     m = ell ** depth
-    top = [Fraction(0)] * (m ** rank)
-    top[_encode(tuple(p % m for p in point), m)] = Fraction(1)
+    top = [0] * (m ** rank)
+    top[_encode(tuple(p % m for p in point), m)] = 1
     return MeasureTower.from_top(ell, rank, depth, top)
 
 
 def zero_tower(ell: int, rank: int, depth: int) -> MeasureTower:
-    return MeasureTower.from_top(ell, rank, depth, [Fraction(0)] * (ell ** (rank * depth)))
+    return MeasureTower.from_top(ell, rank, depth, [0] * (ell ** (rank * depth)))
 
 
 def product_tower(mu1: MeasureTower, mu2: MeasureTower) -> MeasureTower:
@@ -284,8 +295,8 @@ def product_tower(mu1: MeasureTower, mu2: MeasureTower) -> MeasureTower:
     rank = mu1.rank + mu2.rank
     depth = min(mu1.depth, mu2.depth)
     m = ell ** depth
-    t1, t2 = mu1.levels[depth], mu2.levels[depth]
-    top = [Fraction(0)] * (m ** rank)
+    t1, t2 = mu1.tables[depth], mu2.tables[depth]
+    top = [0] * (m ** rank)
     for i2, v2 in enumerate(t2):
         if not v2:
             continue
@@ -293,7 +304,7 @@ def product_tower(mu1: MeasureTower, mu2: MeasureTower) -> MeasureTower:
         for i1, v1 in enumerate(t1):
             if v1:
                 top[base + i1] = v1 * v2
-    return MeasureTower.from_top(ell, rank, depth, top)
+    return MeasureTower.from_top(ell, rank, depth, top, mu1.den * mu2.den)
 
 
 def random_bounded_tower(
@@ -307,34 +318,31 @@ def random_bounded_tower(
     """Seeded synthetic bounded tower: split each value into ell^r children.
 
     Values stay in ell^(-denom_exponent) Z, so the result is bounded with
-    exponent <= denom_exponent by construction.
+    exponent <= denom_exponent by construction; the tables hold the values
+    times ell^denom_exponent.
     """
     rng = Random(seed)
 
     def rand_val():
         e = rng.randint(0, denom_exponent) if denom_exponent else 0
-        return Fraction(rng.randint(-9, 9), ell ** e)
+        return rng.randint(-9, 9) * ell ** (denom_exponent - e)
 
-    table = [Fraction(0) if zero_total else rand_val()]
+    table = [0 if zero_total else rand_val()]
     for n in range(depth):
         m = ell ** n
         big = m * ell
-        child = [Fraction(0)] * (ell ** (rank * (n + 1)))
-        offsets = list(range(ell ** rank))
+        child = [0] * (ell ** (rank * (n + 1)))
+        last = ell ** rank - 1
         for idx, val in enumerate(table):
             coords = _decode(idx, m, rank)
-            kids = []
-            for off in offsets:
-                e = _decode(off, ell, rank)
-                kids.append(tuple(c + m * ej for c, ej in zip(coords, e)))
-            running = Fraction(0)
-            for kid in kids[:-1]:
-                v = rand_val()
+            # random children, the last one taking what is left of val
+            for off in range(last + 1):
+                kid = [c + m * e for c, e in zip(coords, _decode(off, ell, rank))]
+                v = rand_val() if off < last else val
                 child[_encode(kid, big)] = v
-                running += v
-            child[_encode(kids[-1], big)] = val - running
+                val -= v
         table = child
-    return MeasureTower.from_top(ell, rank, depth, table)
+    return MeasureTower.from_top(ell, rank, depth, table, ell ** denom_exponent)
 
 
 # -- pushforward / restriction / pullback -------------------------------------
@@ -352,14 +360,14 @@ def pushforward_linear(matrix, mu: MeasureTower) -> MeasureTower:
     if len(matrix) != r or any(len(row) != r for row in matrix):
         raise ValueError("matrix shape must match rank")
     m = mu.ell ** mu.depth
-    top = [Fraction(0)] * (m ** r)
-    for idx, v in enumerate(mu.levels[mu.depth]):
+    top = [0] * (m ** r)
+    for idx, v in enumerate(mu.tables[mu.depth]):
         if not v:
             continue
         x = _decode(idx, m, r)
         img = tuple(sum(matrix[i][j] * x[j] for j in range(r)) % m for i in range(r))
         top[_encode(img, m)] += v
-    return MeasureTower.from_top(mu.ell, r, mu.depth, top)
+    return MeasureTower.from_top(mu.ell, r, mu.depth, top, mu.den)
 
 
 def successive_difference_pushforward(mu: MeasureTower) -> MeasureTower:
@@ -399,13 +407,13 @@ def restrict(mu: MeasureTower, region) -> MeasureTower:
 
     m = ell ** mu.depth
     top = [
-        v if v and kept(_decode(idx, m, r)) else Fraction(0)
-        for idx, v in enumerate(mu.levels[mu.depth])
+        v if v and kept(_decode(idx, m, r)) else 0
+        for idx, v in enumerate(mu.tables[mu.depth])
     ]
     units_only = keep is None or all(
         all(c % ell for c in t) for t in keep
     )
-    return MeasureTower.from_top(ell, r, mu.depth, top, units_only=units_only)
+    return MeasureTower.from_top(ell, r, mu.depth, top, mu.den, units_only)
 
 
 def dilation_pullback(mu: MeasureTower, k) -> MeasureTower:
@@ -424,11 +432,11 @@ def dilation_pullback(mu: MeasureTower, k) -> MeasureTower:
     n = mu.depth - kmax
     m = ell ** n
     big = ell ** mu.depth
-    src = mu.levels[mu.depth]
-    top = [Fraction(0)] * (m ** r)
+    src = mu.tables[mu.depth]
+    top = [0] * (m ** r)
     for idx in range(len(top)):
         coords = _decode(idx, m, r)
-        total = Fraction(0)
+        total = 0
         reps = [
             [(ell ** kj * cj + ell ** (n + kj) * e) % big for e in range(ell ** (kmax - kj))]
             for cj, kj in zip(coords, ks)
@@ -436,7 +444,7 @@ def dilation_pullback(mu: MeasureTower, k) -> MeasureTower:
         for combo in product(*reps):
             total += src[_encode(combo, big)]
         top[idx] = total
-    return MeasureTower.from_top(ell, r, n, top)
+    return MeasureTower.from_top(ell, r, n, top, mu.den)
 
 
 # -- integration ---------------------------------------------------------------
@@ -678,4 +686,4 @@ def tower_from_json(doc: dict) -> MeasureTower:
             isinstance(t, list) and all(isinstance(v, str) for v in t) for t in levels):
         raise ValueError('"levels" must be a list of lists of value strings')
     levels = [[Fraction(v) for v in table] for table in levels]
-    return MeasureTower(doc["ell"], doc["rank"], levels, validate=True)
+    return MeasureTower(doc["ell"], doc["rank"], levels)

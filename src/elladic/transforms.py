@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .measures import MeasureTower, _moment_sums
 from .ncseries import pmul
@@ -135,9 +135,7 @@ def p_series_to_f(series: IwasawaSeries, degree: int) -> IwasawaSeries:
             return
         nj = index[j]
         room = degree - sum(exps)
-        tab = pow_table[nj] if nj <= degree else None
-        if tab is None:
-            return
+        tab = pow_table[nj]
         for k in range(nj, room + 1):
             if tab[k]:
                 spread(j + 1, index, partial_coeff * tab[k], exps + [k])
@@ -163,29 +161,21 @@ def measure_from_p_series(series: IwasawaSeries, ell: int, depth: int) -> Measur
     if r > 2:
         raise ValueError("tower reconstruction supports rank 1 and 2 only")
     m = ell ** depth
+    den = lcm(*(c.denominator for c in series.coeffs.values()))
     kmax = max((max(k) for k in series.coeffs), default=0)
     # T[k][i] = sum over j = i mod m, j <= k of (-1)^(k-j) C(k, j)
     tables = []
     for k in range(kmax + 1):
-        row = [Fraction(0)] * m
+        row = [0] * m
         for j in range(k + 1):
             row[j % m] += (-1) ** (k - j) * comb(k, j)
         tables.append(row)
-    top = [Fraction(0)] * (m ** r)
+    top = [0] * (m ** r)
     for index, c in series.coeffs.items():
-        if r == 1:
-            row = tables[index[0]]
-            for i in range(m):
-                if row[i]:
-                    top[i] += c * row[i]
-        else:
-            r1, r2 = tables[index[0]], tables[index[1]]
-            for i2 in range(m):
-                if not r2[i2]:
-                    continue
-                base = i2 * m
-                f = c * r2[i2]
-                for i1 in range(m):
-                    if r1[i1]:
-                        top[base + i1] += f * r1[i1]
-    return MeasureTower.from_top(ell, r, depth, top)
+        c = c.numerator * (den // c.denominator)
+        # the cell (i_1, ..., i_r) gets c times the product of row entries
+        rows = [[(i, t) for i, t in enumerate(tables[k]) if t] for k in index]
+        for cell in product(*rows):
+            flat = sum(i * m ** j for j, (i, _) in enumerate(cell))
+            top[flat] += c * prod(t for _, t in cell)
+    return MeasureTower.from_top(ell, r, depth, top, den)

@@ -329,6 +329,7 @@ REFUSED = [
      "rank mismatch: a rank-2 tower needs 2 --powers entries, got 1"),
     (["measure", "integrate", "--in", "tower_rank3.json", "--units", "--bracket", "1,2,3,4"],
      "rank mismatch: a rank-3 tower needs 3 --bracket entries, got 4"),
+    (["measure", "pushforward", "--in", TOWER], "pushforward needs --matrix"),
 ]
 
 
@@ -338,8 +339,8 @@ NOT_A_TOWER = 'a tower document is a JSON object with integer "ell" and "rank"'
 class TestRefusedInputs:
     """A transform level or degree out of range, a non-prime ell without --c,
     a non-prime zinv modulus entry, an integrand list whose length is not
-    the tower rank and a tower file of the wrong shape are one JSON error
-    document, exit 1."""
+    the tower rank, a pushforward without --matrix and a tower file of the
+    wrong shape are one JSON error document, exit 1."""
 
     @pytest.mark.parametrize("argv,error", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
     def test_structured_error(self, argv, error, monkeypatch, capsys):

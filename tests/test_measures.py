@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -30,7 +31,7 @@ from elladic.measures import (
     _coarsen,
 )
 from elladic.padic import PadicNum, residue_mod, teichmuller, _frac_val
-from elladic.transforms import IwasawaSeries, measure_from_p_series
+from elladic.transforms import IwasawaSeries, f_transform, measure_from_p_series, p_transform
 
 F = Fraction
 
@@ -518,6 +519,18 @@ def towers(draw, ell, rank=None, min_depth=0):
     )
 
 
+@st.composite
+def restrictions(draw):
+    """(tower, region): the units or a few cells of some level."""
+    ell = draw(ELLS)
+    mu = draw(towers(ell, min_depth=1))
+    if draw(st.booleans()):
+        return mu, "units"
+    level = draw(st.integers(0, mu.depth))
+    coord = st.integers(0, ell ** level - 1)
+    return mu, (level, draw(st.lists(st.tuples(*[coord] * mu.rank), max_size=6)))
+
+
 class TestCoarsenProperty:
     @settings(max_examples=25, deadline=None)
     @given(ELLS, st.integers(1, 40), st.integers(0, 4))
@@ -547,16 +560,12 @@ class TestCoarsenProperty:
         assert_coarsens(pushforward_linear(mat, mu))
 
     @settings(max_examples=25, deadline=None)
-    @given(st.data(), ELLS)
-    def test_restrict(self, data, ell):
-        mu = data.draw(towers(ell, min_depth=1))
-        if data.draw(st.booleans()):
-            region = "units"
-        else:
-            level = data.draw(st.integers(0, mu.depth))
-            coord = st.integers(0, ell ** level - 1)
-            cells = data.draw(st.lists(st.tuples(*[coord] * mu.rank), max_size=6))
-            region = (level, cells)
+    @given(restrictions())
+    # the units drop the one cell with an ell in its denominator, so the
+    # exponent must fall from 1 to 0 with the reduced common denominator
+    @example((MeasureTower(3, 1, [[F(4, 3)], [F(1, 3), F(1), F(0)]]), "units"))
+    def test_restrict(self, case):
+        mu, region = case
         assert_coarsens(restrict(mu, region))
 
     @settings(max_examples=25, deadline=None)
@@ -636,6 +645,49 @@ class TestIntegrateOracle:
         K = level + 2 * mu.denom_exponent + 6
         want = PadicNum.from_rational(oracle_integrate(mu, terms, level, K), ell, K)
         assert got.congruent(want, got.abs_prec)
+
+
+class TestLevelSumOracle:
+    """The integer level sums against a direct Fraction sum over the cells."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), ELLS)
+    def test_transforms_and_word_integral(self, data, ell):
+        mu = data.draw(towers(ell))
+        level = data.draw(st.integers(0, mu.depth))
+        degree = data.draw(st.integers(0, 3))
+        cells = list(mu.cells(level))
+
+        def direct(weight, n):
+            return sum((weight(x, n) * v for x, v in cells), F(0))
+
+        def binom(x, n):
+            return math.prod(math.comb(c, k) for c, k in zip(x, n))
+
+        def moment(x, n):
+            return F(math.prod(c ** k for c, k in zip(x, n)),
+                     math.prod(math.factorial(k) for k in n))
+
+        box = list(product(range(degree + 1), repeat=mu.rank))
+        total = [n for n in box if sum(n) <= degree]
+        for truncate, indices in ((True, total), (False, box)):
+            want = {n: direct(binom, n) for n in indices}
+            got = p_transform(mu, degree, level, total=truncate)
+            assert got.coeffs == {n: c for n, c in want.items() if c}
+        want = {n: direct(moment, n) for n in total}
+        assert f_transform(mu, degree, level).coeffs == {n: c for n, c in want.items() if c}
+
+        a = data.draw(st.lists(st.integers(0, 3), min_size=mu.rank + 1, max_size=mu.rank + 1))
+
+        def word_poly(x, a):
+            val = (-x[0]) ** a[0] * x[-1] ** a[-1]
+            for j in range(mu.rank - 1):
+                val *= (x[j] - x[j + 1]) ** a[j + 1]
+            return val
+
+        got, prec = raw_word_integral(mu, Word(a), level)
+        assert got == direct(word_poly, a)
+        assert prec == level - mu.denom_exponent
 
 
 def regularisers(ell):
