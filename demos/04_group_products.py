@@ -22,8 +22,8 @@ from elladic.bernoulli import bernoulli_number
 from math import factorial
 
 D = 8
-X = NcSeries.variable("X", D + 1, max_y=2)
-Y = NcSeries.variable("Y", D + 1, max_y=2)
+X = NcSeries.variable("X", D + 1, max_y=1)
+Y = NcSeries.variable("Y", D + 1, max_y=1)
 
 print("== the group product on words ==")
 full = bch(X, Y)

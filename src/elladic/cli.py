@@ -27,6 +27,7 @@ from .lfunctions import (
 )
 from .measures import (
     Factor,
+    _frac_from_str,
     _frac_str,
     integrate,
     pushforward_linear,
@@ -52,7 +53,7 @@ from .transforms import f_transform, p_transform
 
 def _parse_s(text: str):
     """The --s argument: an int when integral, else a Fraction."""
-    s = Fraction(text)
+    s = _frac_from_str(text, "--s")
     return int(s) if s.denominator == 1 else s
 
 
@@ -107,13 +108,14 @@ def verify_bch(degree: int = 10, seed: int = 7, count: int = 20) -> dict:
     """Full group product reduced mod the one-Y quotient vs the closed form.
 
     The full route runs one degree higher so its truncation window covers
-    every Y X^j with j <= degree, and caps words at two Y's (a coarser
-    two-sided ideal than the one reduced by, so the comparison is exact).
+    every Y X^j with j <= degree, and caps words at one Y: the words with two
+    or more Y's form a two-sided ideal that the reduction kills anyway, so
+    the comparison is exact.
     """
     rng = Random(seed)
     checks = []
-    x = NcSeries.variable("X", degree + 1, max_y=2)
-    y = NcSeries.variable("Y", degree + 1, max_y=2)
+    x = NcSeries.variable("X", degree + 1, max_y=1)
+    y = NcSeries.variable("Y", degree + 1, max_y=1)
     xy = ReducedSeries.from_series(bch(x, y)).truncate(degree)
     xy_closed = bch_reduced(1, [Fraction(0)], 0, [Fraction(1)], degree)
     checks.append(
@@ -131,8 +133,8 @@ def verify_bch(degree: int = 10, seed: int = 7, count: int = 20) -> dict:
         beta = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.randint(1, 3))
         phi1 = _random_poly(rng, 4)
         phi2 = _random_poly(rng, 4)
-        a = _one_y_series(alpha, phi1, degree + 1, max_y=2)
-        b = _one_y_series(beta, phi2, degree + 1, max_y=2)
+        a = _one_y_series(alpha, phi1, degree + 1, max_y=1)
+        b = _one_y_series(beta, phi2, degree + 1, max_y=1)
         got = ReducedSeries.from_series(bch(a, b)).truncate(degree)
         want = bch_reduced(alpha, phi1, beta, phi2, degree)
         checks.append(
@@ -193,7 +195,7 @@ def verify_inversion(degree: int = 8, seed: int = 7, count: int = 10,
 
 def _cmd_bernoulli(args) -> dict:
     if args.t is not None:
-        val = bernoulli_poly(args.k, Fraction(args.t))
+        val = bernoulli_poly(args.k, _frac_from_str(args.t, "--t"))
         return {"k": args.k, "t": args.t, "value": _frac_str(val)}
     return {"k": args.k, "value": _frac_str(bernoulli_number(args.k))}
 
@@ -279,7 +281,8 @@ def _cmd_measure(args) -> dict:
         teich = _parse_csv(args.teich) if args.teich else [0] * mu.rank
         inv = _parse_csv(args.inv) if args.inv else [0] * mu.rank
         brackets = (
-            [None if b == "-" else Fraction(b) for b in args.bracket.split(",")]
+            [None if b == "-" else _frac_from_str(b, "--bracket")
+             for b in args.bracket.split(",")]
             if args.bracket
             else [None] * mu.rank
         )
@@ -313,8 +316,8 @@ def _cmd_measure(args) -> dict:
 def _cmd_verify(args) -> dict:
     if args.degree is not None and args.degree < 0:
         raise ValueError("degree must be >= 0")
-    chis = [Fraction(args.chi)] if args.chi else None
-    t = Fraction(args.t) if args.t else None
+    chis = [_frac_from_str(args.chi, "--chi")] if args.chi else None
+    t = _frac_from_str(args.t, "--t") if args.t else None
     series_degree = 10 if args.degree is None else args.degree
     inversion_degree = 8 if args.degree is None else args.degree
     if args.suite == "bch":

@@ -668,6 +668,14 @@ def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _frac_from_str(text: str, name: str) -> Fraction:
+    """Parse a rational given as text; ``name`` says which input it was."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must be a rational number, got {text!r}") from None
+
+
 def tower_to_json(mu: MeasureTower) -> dict:
     return {
         "ell": mu.ell,
@@ -685,5 +693,5 @@ def tower_from_json(doc: dict) -> MeasureTower:
     if not isinstance(levels, list) or not all(
             isinstance(t, list) and all(isinstance(v, str) for v in t) for t in levels):
         raise ValueError('"levels" must be a list of lists of value strings')
-    levels = [[Fraction(v) for v in table] for table in levels]
+    levels = [[_frac_from_str(v, "a tower value") for v in table] for table in levels]
     return MeasureTower(doc["ell"], doc["rank"], levels)

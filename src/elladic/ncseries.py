@@ -148,9 +148,9 @@ class NcSeries:
 
     ``max_y`` optionally truncates further by the two-sided ideal of words
     with more than max_y letters Y.  Quotient maps compose, so any reduction
-    that only reads words with fewer Y's (such as
-    ``ReducedSeries.from_series``, which keeps at most one) is unaffected when
-    max_y >= that count + 1.
+    that only reads words with at most some count of Y's (such as
+    ``ReducedSeries.from_series``, which reads at most one) is unaffected when
+    max_y >= that count.
     """
 
     __slots__ = ("degree", "max_y", "coeffs")
@@ -266,11 +266,8 @@ class NcSeries:
         return f"NcSeries[deg<={self.degree}]({body}{more})"
 
 
-def bch(a: NcSeries, b: NcSeries, degree: int | None = None) -> NcSeries:
+def bch(a: NcSeries, b: NcSeries) -> NcSeries:
     """log(exp(a) * exp(b)), truncated."""
-    if degree is not None and degree != a.degree:
-        a = NcSeries(degree, a.coeffs, a.max_y)
-        b = NcSeries(degree, b.coeffs, b.max_y)
     if a.constant or b.constant:
         raise ValueError("bch needs zero constant terms")
     return (a.exp() * b.exp()).log()

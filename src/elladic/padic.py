@@ -256,18 +256,19 @@ class PadicNum:
         return self.invert() * other
 
     def __pow__(self, k: int):
+        """self^k: valuation v*k and unit^k mod ell^ndigits (k < 0 inverts)."""
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return self.invert() ** (-k)
-        out = PadicNum.from_int(1, self.ell, self.ndigits if self.ndigits else 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if k == 0:
+            return PadicNum.from_int(1, self.ell, self.ndigits or 1)
+        if self.is_exact_zero:
+            return self
+        if self.unit == 0:
+            return PadicNum.zero_to_precision(self.ell, self.valuation * k)
+        m = self.ell ** self.ndigits
+        return PadicNum(self.ell, self.valuation * k, pow(self.unit, k, m), self.ndigits)
 
     # -- comparisons and readout ---------------------------------------------
 
@@ -336,8 +337,8 @@ class PadicNum:
 def teichmuller(u, ell: int, ndigits: int) -> PadicNum:
     """The (ell-1)-st root of unity congruent to u mod ell.
 
-    Computed by iterating x -> x^ell mod ell^ndigits to its fixed point; each
-    step gains one digit of agreement with the limit.
+    omega(u) is the limit of u^(ell^n), and u^(ell^(ndigits-1)) already agrees
+    with it mod ell^ndigits: that power is one modular pow.
     """
     _check_prime(ell)
     m = ell ** ndigits
@@ -348,13 +349,9 @@ def teichmuller(u, ell: int, ndigits: int) -> PadicNum:
     u %= m
     if u % ell == 0:
         raise ValueError("not a unit")
-    x = u
-    for _ in range(ndigits + 1):
-        y = pow(x, ell, m)
-        if y == x:
-            break
-        x = y
-    return PadicNum(ell, 0, x, ndigits)
+    if ndigits < 1:
+        raise ValueError("nonzero value needs at least one digit")
+    return PadicNum(ell, 0, pow(u, ell ** (ndigits - 1), m), ndigits)
 
 
 def smallest_regularizer(ell: int) -> int:
@@ -417,9 +414,8 @@ def _fraction_to_padic_abs(s, ell: int, abs_exp: int) -> PadicNum:
 def one_unit_pow(u: PadicNum, s) -> PadicNum:
     """u^s for u = 1 mod ell and s an ell-adic integer.
 
-    Binomial series sum_k C(s,k) (u-1)^k; terms with k >= ndigits vanish since
-    v(u-1) >= 1 and v(C(s,k)) >= 0.  Worked at padded internal precision so the
-    divisions by k! cost nothing at the claimed precision.
+    For odd ell the one-units mod ell^n form a group of exponent ell^(n-1), so
+    u^s mod ell^n is u^a for any integer a = s mod ell^(n-1): one modular pow.
     """
     if not isinstance(u, PadicNum) or u.unit == 0 or u.valuation != 0:
         raise ValueError("not a one-unit")
@@ -432,31 +428,8 @@ def one_unit_pow(u: PadicNum, s) -> PadicNum:
         if not s.valuation_at_least(0):
             raise ValueError("exponent not integral")
         nd = min(nd, s.abs_prec + 1)  # u^(s + O(ell^A)) known mod ell^(A+1)
-    pad = nd // (ell - 1) + 2
-    K = nd + pad
-    mod = ell ** K
-    # the result is already capped at s.abs_prec + 1 digits, so the
-    # exponent's own digits always suffice
-    sv = _exponent_residue(s, ell, K)
-    t = (u.unit - 1) % ell ** min(nd, u.ndigits)  # v >= 1
-    acc = 0
-    binom_num = 1  # s(s-1)...(s-k+1) mod ell^K
-    kfact_unit, kfact_val = 1, 0
-    tpow = 1
-    for k in range(0, nd + 1):
-        if k > 0:
-            binom_num = binom_num * ((sv - (k - 1)) % mod) % mod
-            kv = _int_valuation(k, ell)
-            kfact_val += kv
-            kfact_unit = kfact_unit * (k // ell ** kv) % mod
-            tpow = tpow * t % mod
-        # C(s,k) = binom_num / k!; the representative is divisible by ell^kfact_val
-        rep = binom_num % mod
-        if rep % ell ** min(kfact_val, K):
-            raise ArithmeticError("internal: binomial numerator not divisible")
-        c = rep // ell ** kfact_val * pow(kfact_unit, -1, mod) % mod
-        acc = (acc + c * tpow) % mod
-    return PadicNum(ell, 0, acc % ell ** nd, nd)
+    a = _exponent_residue(s, ell, nd - 1)
+    return PadicNum(ell, 0, pow(u.unit, a, ell ** nd), nd)
 
 
 def angle_repr(q, n: int, ell: int | None = None) -> int:

@@ -2,12 +2,15 @@ import json
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from elladic import cli
 from elladic.cli import main
 from elladic.measures import bernoulli_measure, tower_to_json
+from elladic.ncseries import ReducedSeries
 
 
 def run_cli(argv, capsys):
@@ -220,6 +223,23 @@ class TestVerify:
         code, doc = run_cli(["verify", suite, "--degree", "0"], capsys)
         assert code == 0 and doc["degree"] == 0
 
+    @pytest.mark.parametrize("index", [0, 10])
+    def test_perturbed_closed_form_fails_the_bch_suite(self, index, monkeypatch):
+        """The one-Y-capped full route still tells a closed form that is off
+        by 10^-6 in one b coefficient, at either end of the degree-10 window."""
+        exact = cli.bch_reduced
+
+        def perturbed(*args):
+            r = exact(*args)
+            b = list(r.b)
+            b[index] += Fraction(1, 10 ** 6)
+            return ReducedSeries(r.degree, r.a, b)
+
+        monkeypatch.setattr(cli, "bch_reduced", perturbed)
+        doc = cli.verify_bch(10, 7)
+        assert not doc["all_pass"]
+        assert {c["discrepancy"] for c in doc["checks"]} == {f"Y*X^{index}"}
+
     @pytest.mark.parametrize("suite", ["bch", "gamma", "inversion", "all"])
     def test_negative_degree_is_structured_error(self, suite, capsys):
         code, doc = run_cli(["verify", suite, "--degree=-1"], capsys)
@@ -330,6 +350,13 @@ REFUSED = [
     (["measure", "integrate", "--in", "tower_rank3.json", "--units", "--bracket", "1,2,3,4"],
      "rank mismatch: a rank-3 tower needs 3 --bracket entries, got 4"),
     (["measure", "pushforward", "--in", TOWER], "pushforward needs --matrix"),
+    (["teichmuller", "--ell", "5", "--u", "2", "--prec=-1"], "nonzero value needs at least one digit"),
+    (["teichmuller", "--ell", "5", "--u", "2", "--prec", "0"], "not a unit"),
+    (["kl", "--ell", "5", "--beta", "2", "--s", "1/0"], "--s must be a rational number, got '1/0'"),
+    (["bernoulli", "--k", "3", "--t", "1/0"], "--t must be a rational number, got '1/0'"),
+    (["verify", "inversion", "--t", "1/0"], "--t must be a rational number, got '1/0'"),
+    (["verify", "gamma", "--chi", "1/0"], "--chi must be a rational number, got '1/0'"),
+    (INTEGRATE + ["--units", "--bracket", "1/0"], "--bracket must be a rational number, got '1/0'"),
 ]
 
 
@@ -339,8 +366,9 @@ NOT_A_TOWER = 'a tower document is a JSON object with integer "ell" and "rank"'
 class TestRefusedInputs:
     """A transform level or degree out of range, a non-prime ell without --c,
     a non-prime zinv modulus entry, an integrand list whose length is not
-    the tower rank, a pushforward without --matrix and a tower file of the
-    wrong shape are one JSON error document, exit 1."""
+    the tower rank, a pushforward without --matrix, a teichmuller --prec
+    below 1, a rational option or tower value with a zero denominator and a
+    tower file of the wrong shape are one JSON error document, exit 1."""
 
     @pytest.mark.parametrize("argv,error", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
     def test_structured_error(self, argv, error, monkeypatch, capsys):
@@ -358,7 +386,8 @@ class TestRefusedInputs:
         ({"ell": 5, "rank": 1, "levels": [[0.5]]},
          '"levels" must be a list of lists of value strings'),
         ({"ell": 5, "rank": 1, "levels": "1"}, '"levels" must be a list of lists of value strings'),
-    ], ids=["list", "string rank", "string ell", "number value", "string levels"])
+        ({"ell": 5, "rank": 1, "levels": [["1/0"]]}, "a tower value must be a rational number, got '1/0'"),
+    ], ids=["list", "string rank", "string ell", "number value", "string levels", "zero denominator"])
     def test_malformed_tower_file(self, doc, error, tmp_path, capsys):
         path = tmp_path / "tower.json"
         path.write_text(json.dumps(doc))

@@ -1,11 +1,16 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private helper is used somewhere in the package.
 
 Each ``src/elladic/*.py`` except ``__init__.py`` (whose imports are its
 re-exports) is parsed with ``ast``; a name bound by ``import`` or
-``from ... import`` that no expression of the module reads is reported.
+``from ... import`` that no expression of the module reads is reported.  A
+module-level private function or class (``_name``) that no code of
+``src/elladic`` outside its own body reads, as a name or an attribute, is
+reported as dead.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,3 +43,32 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_read(tree) -> Counter:
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def dead_private_names(sources) -> list:
+    trees = [ast.parse(source) for source in sources]
+    reads = sum((names_read(tree) for tree in trees), Counter())
+    return sorted(
+        node.name for tree in trees for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and reads[node.name] == names_read(node)[node.name]
+    )
+
+
+def test_checker_reports_a_dead_private_name():
+    sources = [
+        "def _used(): pass\ndef _dead(): return _dead()\nclass _Gone: pass\nx = _used()\n",
+        "import m\ny = m._other()\n",
+        "def _other(): pass\n",
+    ]
+    assert dead_private_names(sources) == ["_Gone", "_dead"]
+
+
+def test_no_dead_private_helper():
+    assert dead_private_names(p.read_text() for p in sorted(SRC.glob("*.py"))) == []

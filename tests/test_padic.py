@@ -63,6 +63,10 @@ class TestTeichmuller:
         with pytest.raises(ValueError, match="not a unit"):
             teichmuller(10, 5, 3)
 
+    def test_rejects_negative_digit_count(self):
+        with pytest.raises(ValueError, match="nonzero value needs at least one digit"):
+            teichmuller(1, 3, -2)
+
 
 class TestUnitDecompose:
     def test_trivial(self):
@@ -146,6 +150,55 @@ class TestOneUnitPow:
         u = PadicNum.from_int(6, 5, 3)
         with pytest.raises(ValueError, match="not integral"):
             one_unit_pow(u, Fraction(1, 5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(PRIMES), st.integers(1, 8),
+           st.integers(-1000, 1000), st.integers(1, 60))
+    def test_root_property(self, data, ell, nd, p, q):
+        """v = u^(p/q) is a one-unit with v^q = u^p mod ell^nd."""
+        assume(q % ell)
+        base = 1 + ell * data.draw(st.integers(0, ell ** (nd - 1) - 1))
+        v = one_unit_pow(PadicNum.from_int(base, ell, nd), Fraction(p, q))
+        assert v.ndigits == nd and v.residue(1) == 1
+        m = ell ** nd
+        assert pow(v.residue(nd), q, m) == pow(base, p, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(PRIMES), st.integers(1, 8), st.integers(0, 8),
+           st.integers(-1000, 1000), st.integers(1, 60))
+    def test_padic_exponent_states_its_digits(self, data, ell, nd, A, p, q):
+        """s + O(ell^A) gives u^s to exactly min(nd, A + 1) digits."""
+        assume(q % ell)
+        s = Fraction(p, q)
+        u = PadicNum.from_int(1 + ell * data.draw(st.integers(0, ell ** nd)), ell, nd)
+        got = one_unit_pow(u, _fraction_to_padic_abs(s, ell, A))
+        assert got.ndigits == min(nd, A + 1)
+        assert got == one_unit_pow(u, s).reduce_digits(got.ndigits)
+
+
+class TestPow:
+    VALUES = [
+        PadicNum(5, 0, 2, 3),
+        PadicNum(5, 2, 7, 4),
+        PadicNum(3, -1, 2, 5),
+        PadicNum(7, 0, 1, 1),
+        PadicNum.zero(5),
+        PadicNum.zero_to_precision(5, 2),
+        PadicNum.zero_to_precision(3, -1),
+    ]
+
+    @pytest.mark.parametrize("k", range(-3, 13))
+    def test_matches_repeated_multiplication(self, k):
+        for x in self.VALUES:
+            if k < 0 and x.unit == 0:
+                with pytest.raises(ZeroDivisionError):
+                    x ** k
+                continue
+            base = x if k >= 0 else x.invert()
+            want = PadicNum.from_int(1, x.ell, x.ndigits or 1)
+            for _ in range(abs(k)):
+                want = want * base
+            assert x ** k == want, (x, k)
 
 
 class TestAngleRepr:
