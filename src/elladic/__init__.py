@@ -16,6 +16,7 @@ from .measures import (
     MeasureTower,
     Word,
     bernoulli_measure,
+    bernoulli_unit_integral,
     congruence_check,
     dilation_pullback,
     dirac_tower,

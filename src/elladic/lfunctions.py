@@ -8,11 +8,15 @@ Evaluation strategies:
 * interpolation route — pick the integer weight k >= 1 with k = beta mod
   (ell-1) and k = s mod ell^M, evaluate the closed Bernoulli expression there.
   Kummer-type congruences make the result correct to M digits (minus the
-  valuation drop of the value itself).  Every family is read off its node
-  by the one helper ``_read_off``.
+  valuation drop of the value itself).  Every family is read off its node,
+  a function of k alone, by the one helper ``_read_off``.
 
-Integer weights s with s = beta mod (ell-1) are evaluated exactly at k = s.
-The twist omega(c)^beta [c]^s shared by the families is built by ``_twist``.
+At an exact weight (an integer s >= 1 with s = beta mod (ell-1)) k = s and
+the value is the node, to ndigits digits, or the exact zero when the node
+vanishes.  The Dirichlet front factor is read at k as -m^(k-1): it differs
+from -omega(m)^beta [m]^s / m by [m]^(s-k) = 1 mod ell^(M+1), past every
+claimed digit.  The twist omega(c)^beta [c]^s of the measure route and the
+Euler-type factors is built by ``_twist``.
 """
 
 from __future__ import annotations
@@ -166,23 +170,20 @@ def interpolation_weight(beta: int, s, ell: int, M: int) -> int:
 
 
 def _read_off(node, beta: int, s, ell: int, M: int, ndigits: int) -> PadicNum:
-    """The interpolated value at 1-s, read off ``node(k, exact)`` at the weight k.
+    """The interpolated value at 1-s, read off ``node(k)`` at the weight k.
 
-    A node is an exact Fraction or a PadicNum.  At an exact weight the value
-    keeps ndigits digits.  Otherwise Kummer-type stability gives M digits,
-    less the valuation drop of the value itself; the branch beta = 0 mod
-    (ell-1) carries the classical simple pole, whose two 1/weight terms cost
-    another v(k) when the weight is divisible by ell.
+    A node is an exact Fraction, encoded with max(ndigits, M) digits (a zero
+    Fraction is the exact zero), or a PadicNum.  At an exact weight the value
+    is the node, to ndigits digits.  Otherwise Kummer-type stability gives M
+    digits, less the valuation drop of the value itself; the branch beta = 0
+    mod (ell-1) carries the classical simple pole, whose two 1/weight terms
+    cost another v(k) when the weight is divisible by ell.
     """
     k = interpolation_weight(beta, s, ell, M)
-    exact = _exact_weight(beta, s, ell)
-    v = node(k, exact)
+    v = node(k)
     if not isinstance(v, PadicNum):
-        # encode a Fraction node once, with the digits either branch keeps;
-        # a zero node is known to vanish to that many digits
-        digits = ndigits if exact else max(ndigits, M)
-        v = PadicNum.from_rational(v, ell, digits) if v else PadicNum.zero_to_precision(ell, digits)
-    if exact:
+        v = PadicNum.from_rational(v, ell, max(ndigits, M))
+    if _exact_weight(beta, s, ell):
         return v.reduce_digits(ndigits)
     prec = M + (min(0, v.valuation) if v.unit else 0)
     if beta % (ell - 1) == 0:
@@ -225,16 +226,14 @@ def kubota_leopoldt(
 
     method "measure": the unit integral of [x]^s x^(-1) omega(x)^beta against the
     Bernoulli measure for c, summed over residues mod ell^K, over omega(c)^beta [c]^s - 1.
-    method "interp": closed Bernoulli value at the interpolation weight.
+    method "interp": the rational node ``kl_node_rational`` at the interpolation
+    weight (omega^(beta-k) is trivial there).
     """
     _check_prime(ell)
     if not 0 <= beta < ell - 1:
         raise ValueError("beta must lie in [0, ell-1)")
     if method == "interp":
-        return _read_off(
-            lambda k, exact: kl_node(k, beta, ell, ndigits if exact else M + 4),
-            beta, s, ell, M, ndigits,
-        )
+        return _read_off(lambda k: kl_node_rational(k, ell), beta, s, ell, M, ndigits)
     if method != "measure":
         raise ValueError("method must be 'measure' or 'interp'")
     if c is None:
@@ -300,7 +299,7 @@ def hurwitz_l(
     beta: int, s, i: int, m: int, ell: int, M: int = 2, ndigits: int = 8
 ) -> PadicNum:
     """Interpolated Hurwitz-type value at 1-s for the pair (i, m)."""
-    return _read_off(lambda k, exact: hurwitz_node(k, i, m, ell), beta, s, ell, M, ndigits)
+    return _read_off(lambda k: hurwitz_node(k, i, m, ell), beta, s, ell, M, ndigits)
 
 
 def classical_dirichlet_special(psi: DirichletCharacter, k: int) -> Fraction:
@@ -319,20 +318,9 @@ def classical_dirichlet_special(psi: DirichletCharacter, k: int) -> Fraction:
     return -Fraction(m) ** (k - 1) * acc / k
 
 
-def _psi_hurwitz_sum(psi: DirichletCharacter, k: int, ell: int, work: int) -> PadicNum:
-    """sum_a psi(a) hurwitz_node(k, a, m), worked to ``work`` digits."""
-    m = psi.modulus
-    acc = PadicNum.zero(ell)
-    for a in range(1, m):
-        if psi.residue(a):
-            acc = acc + psi.value(a, work) * PadicNum.from_rational(
-                hurwitz_node(k, a, m, ell), ell, work
-            )
-    return acc
-
-
 def dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int = 8):
-    """-m^(k-1) sum_a psi(a) hurwitz_node(k, a, m): exact when psi is rational."""
+    """-m^(k-1) sum_a psi(a) hurwitz_node(k, a, m): exact when psi is rational,
+    otherwise worked to ndigits + k + 6 digits."""
     m = psi.modulus
     if psi.is_rational:
         acc = Fraction(0)
@@ -341,8 +329,13 @@ def dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int = 8):
             if va:
                 acc += va * hurwitz_node(k, a, m, ell)
         return -Fraction(m) ** (k - 1) * acc
-    work = ndigits + k + 4
-    acc = _psi_hurwitz_sum(psi, k, ell, work)
+    work = ndigits + k + 6
+    acc = PadicNum.zero(ell)
+    for a in range(1, m):
+        if psi.residue(a):
+            acc = acc + psi.value(a, work) * PadicNum.from_rational(
+                hurwitz_node(k, a, m, ell), ell, work
+            )
     return acc * PadicNum.from_rational(-Fraction(m) ** (k - 1), ell, work)
 
 
@@ -355,8 +348,8 @@ def dirichlet_l(
     epsilon: int | None = None,
     ndigits: int = 8,
 ) -> PadicNum:
-    """Interpolated Dirichlet L-value: -omega(m)^beta [m]^s m^(-1) times the
-    character-weighted Hurwitz sum at the interpolation weight."""
+    """Interpolated Dirichlet L-value: ``dirichlet_node`` at the interpolation
+    weight, whose front factor -m^(k-1) stands for -omega(m)^beta [m]^s / m."""
     if psi.ell != ell:
         raise ValueError("character realized at a different prime")
     if epsilon is None:
@@ -365,15 +358,9 @@ def dirichlet_l(
         raise SigmaDependentError(
             "sigma-dependent: the sign must match the parity of beta"
         )
-    m = psi.modulus
-
-    def node(k, exact):
-        work = ndigits + k + 6
-        acc = _psi_hurwitz_sum(psi, k, ell, work)
-        front = -_twist(m, beta, s, ell, work) * PadicNum.from_rational(Fraction(1, m), ell, work)
-        return front * acc
-
-    return _read_off(node, beta, s, ell, M, ndigits)
+    return _read_off(
+        lambda k: dirichlet_node(psi, k, ell, max(ndigits, M)), beta, s, ell, M, ndigits
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +394,7 @@ def zinv_node(k: int, primes, ell: int) -> Fraction:
 
 def zinv_l(beta: int, s, primes, ell: int, M: int = 2, ndigits: int = 8) -> PadicNum:
     """Definition-route value: the coprime Hurwitz sum at the interpolation weight."""
-    return _read_off(lambda k, exact: zinv_node(k, primes, ell), beta, s, ell, M, ndigits)
+    return _read_off(lambda k: zinv_node(k, primes, ell), beta, s, ell, M, ndigits)
 
 
 def zinv_report(beta: int, s, primes, ell: int, M: int = 2, ndigits: int = 8) -> dict:

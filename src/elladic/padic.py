@@ -341,6 +341,8 @@ def teichmuller(u, ell: int, ndigits: int) -> PadicNum:
     with it mod ell^ndigits: that power is one modular pow.
     """
     _check_prime(ell)
+    if ndigits < 1:
+        raise ValueError("nonzero value needs at least one digit")
     m = ell ** ndigits
     if isinstance(u, PadicNum):
         if u.is_exact_zero or u.unit == 0 or u.valuation != 0:
@@ -349,8 +351,6 @@ def teichmuller(u, ell: int, ndigits: int) -> PadicNum:
     u %= m
     if u % ell == 0:
         raise ValueError("not a unit")
-    if ndigits < 1:
-        raise ValueError("nonzero value needs at least one digit")
     return PadicNum(ell, 0, pow(u, ell ** (ndigits - 1), m), ndigits)
 
 
@@ -399,6 +399,8 @@ def _angle_from_scalar(s, ell: int, k: int) -> int:
 def _exponent_residue(s, ell: int, k: int) -> int:
     """An exponent s mod ell^k; a PadicNum gives only the digits it knows."""
     if isinstance(s, PadicNum):
+        if s.ell != ell:
+            raise ValueError("prime mismatch")
         return s.residue(min(k, s.abs_prec))
     return _angle_from_scalar(s, ell, k)
 
@@ -423,8 +425,6 @@ def one_unit_pow(u: PadicNum, s) -> PadicNum:
     if u.unit % ell != 1:
         raise ValueError("not a one-unit")
     if isinstance(s, PadicNum):
-        if s.is_exact_zero:
-            return PadicNum.from_int(1, ell, nd)
         if not s.valuation_at_least(0):
             raise ValueError("exponent not integral")
         nd = min(nd, s.abs_prec + 1)  # u^(s + O(ell^A)) known mod ell^(A+1)

@@ -294,7 +294,11 @@ class TestReadmeGolden:
     measure routes of the L-function commands (exact and non-exact weights,
     the beta = 0 pole branch, rational and non-rational characters, domain
     errors), recorded before those routes were folded onto one read-off
-    helper and one twist.  ``golden/measures_cli.json`` covers ``measure
+    helper and one twist; its cases ``hurwitz --ell 5 --beta 3 --s 3 --i 1
+    --m 2`` and ``zinv --ell 5 --beta 1 --s 5 --primes 2,3`` were
+    re-recorded when a node that vanishes at an exact weight became the
+    exact zero, which those routes had printed as a zero known to some
+    digits.  ``golden/measures_cli.json`` covers ``measure
     validate``, ``pushforward --out``, ``transform --kind p|f`` and
     ``integrate`` (with and without ``--units``; powers, inverses, Teichmuller
     powers, integer, fractional, negative and ``-`` brackets; several levels;
@@ -351,7 +355,7 @@ REFUSED = [
      "rank mismatch: a rank-3 tower needs 3 --bracket entries, got 4"),
     (["measure", "pushforward", "--in", TOWER], "pushforward needs --matrix"),
     (["teichmuller", "--ell", "5", "--u", "2", "--prec=-1"], "nonzero value needs at least one digit"),
-    (["teichmuller", "--ell", "5", "--u", "2", "--prec", "0"], "not a unit"),
+    (["teichmuller", "--ell", "5", "--u", "2", "--prec", "0"], "nonzero value needs at least one digit"),
     (["kl", "--ell", "5", "--beta", "2", "--s", "1/0"], "--s must be a rational number, got '1/0'"),
     (["bernoulli", "--k", "3", "--t", "1/0"], "--t must be a rational number, got '1/0'"),
     (["verify", "inversion", "--t", "1/0"], "--t must be a rational number, got '1/0'"),

@@ -1,12 +1,14 @@
-"""Every name a package module imports is used in that module, and every
-private helper is used somewhere in the package.
+"""Every name a package module imports is used in that module, every
+private helper is used somewhere in the package, and every public name is
+defined and re-exported.
 
 Each ``src/elladic/*.py`` except ``__init__.py`` (whose imports are its
 re-exports) is parsed with ``ast``; a name bound by ``import`` or
 ``from ... import`` that no expression of the module reads is reported.  A
 module-level private function or class (``_name``) that no code of
 ``src/elladic`` outside its own body reads, as a name or an attribute, is
-reported as dead.
+reported as dead.  A name in a module's ``__all__`` that the module does not
+bind at top level, or that ``__init__.py`` does not import, is reported.
 """
 
 import ast
@@ -72,3 +74,47 @@ def test_checker_reports_a_dead_private_name():
 
 def test_no_dead_private_helper():
     assert dead_private_names(p.read_text() for p in sorted(SRC.glob("*.py"))) == []
+
+
+def module_all(tree) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def top_level_names(tree) -> set:
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Assign):
+            out |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.add(node.target.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out |= {a.asname or a.name.split(".")[0] for a in node.names}
+    return out
+
+
+def missing_public_names(module_source: str, init_source: str) -> tuple:
+    """(names of ``__all__`` the module does not bind, names it lists that
+    the package ``__init__`` does not import)."""
+    tree = ast.parse(module_source)
+    public = set(module_all(tree))
+    return (sorted(public - top_level_names(tree)),
+            sorted(public - top_level_names(ast.parse(init_source))))
+
+
+def test_checker_reports_missing_public_names():
+    module = '__all__ = ["f", "g", "h", "X"]\ndef f(): pass\nfrom x import g\nX: int = 1\n'
+    init = "from .m import f, X\n"
+    assert missing_public_names(module, init) == (["h"], ["g", "h"])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_public_names_defined_and_exported(path):
+    init = (SRC / "__init__.py").read_text()
+    assert missing_public_names(path.read_text(), init) == ([], [])

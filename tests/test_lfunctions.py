@@ -23,13 +23,44 @@ from elladic.lfunctions import (
     zinv_node,
     zinv_report,
 )
-from elladic.padic import _frac_val
+from elladic.padic import PadicNum, _frac_val, one_unit_pow, unit_decompose
 
 F = Fraction
 
 
 def mod4_character(ell=5):
     return DirichletCharacter(4, {1: 1, 3: -1}, ell)
+
+
+def cyclic_character(m, g, r, ell):
+    """The character mod m (cyclic units, generator g) sending g to r mod ell."""
+    order = next(n for n in range(1, m) if pow(g, n, m) == 1)
+    return DirichletCharacter(m, {pow(g, j, m): pow(r, j, ell) for j in range(order)}, ell)
+
+
+# (ell, m, g, r): characters of order 4, 6 and 6, with values off +-1
+NON_RATIONAL = [(5, 13, 2, 2), (7, 9, 2, 3), (13, 7, 3, 4)]
+
+
+def dirichlet_twisted_at_s(psi, beta, s, ell, M, ndigits=8):
+    """Oracle: the character-weighted Hurwitz sum at the interpolation weight
+    k times the front factor -omega(m)^beta [m]^s / m twisted at s itself,
+    worked to ndigits + k + 6 digits and read off like ``dirichlet_l``."""
+    m = psi.modulus
+    k = interpolation_weight(beta, s, ell, M)
+    work = ndigits + k + 6
+    acc = PadicNum.zero(ell)
+    for a in range(1, m):
+        if psi.residue(a):
+            acc = acc + psi.value(a, work) * PadicNum.from_rational(
+                hurwitz_node(k, a, m, ell), ell, work
+            )
+    om, br = unit_decompose(PadicNum.from_int(m, ell, work))
+    v = -(om ** beta) * one_unit_pow(br, s) / m * acc
+    prec = M + (min(0, v.valuation) if v.unit else 0)
+    if beta % (ell - 1) == 0:
+        prec -= _frac_val(k, ell)
+    return v.reduce_abs(prec)
 
 
 class TestWeights:
@@ -108,6 +139,21 @@ class TestKubotaLeopoldt:
                     method="interp", M=2,
                 )
                 assert a.congruent(b), (ell, beta, s, a, b)
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_interp_is_the_teichmuller_weighted_node(self, ell):
+        # at k = beta mod ell-1 the node -(1/k) B_{k, omega^(beta-k)} is the
+        # rational kl_node_rational(k, ell) that the interp route reads off
+        rng = Random(ell)
+        for beta in range(ell - 1):
+            for k in range(beta or ell - 1, 40, ell - 1):
+                got = kubota_leopoldt(beta, k, ell, method="interp")
+                assert got.congruent(kl_node(k, beta, ell)), (beta, k)
+            for _ in range(3):
+                s = F(rng.randint(-30, 30), rng.choice([d for d in (1, 2, 3, 4) if d % ell]))
+                k = interpolation_weight(beta, s, ell, 2)
+                got = kubota_leopoldt(beta, s, ell, method="interp", M=2)
+                assert got.congruent(kl_node(k, beta, ell, 4)), (beta, s)
 
     def test_padic_exponent_input(self):
         from elladic.padic import PadicNum
@@ -244,6 +290,18 @@ class TestDirichlet:
         v = dirichlet_l(psi, 1, 1, 5)
         assert v.congruent(0)
 
+    @pytest.mark.parametrize("ell,m,g,r", NON_RATIONAL)
+    def test_front_factor_read_at_the_weight(self, ell, m, g, r):
+        # -m^(k-1) in place of -omega(m)^beta [m]^s / m changes nothing the
+        # value claims: the two differ by [m]^(s-k) = 1 mod ell^(M+1)
+        psi = cyclic_character(m, g, r, ell)
+        assert not psi.is_rational
+        M = 1 if ell == 13 else 2
+        for beta in (0, 1, 2):
+            for s in (F(1, 3), F(-5, 2), F(7, 4), F(-9, 1)):
+                got = dirichlet_l(psi, beta, s, ell, M)
+                assert got == dirichlet_twisted_at_s(psi, beta, s, ell, M), (beta, s)
+
     def test_wrong_epsilon_flagged(self):
         psi = mod4_character()
         with pytest.raises(SigmaDependentError):
@@ -323,3 +381,25 @@ class TestKummerStability:
                     )
                 drop = max(0, -(va if va is not None else 0))
                 assert dv >= M - drop, (M, ell, beta, k, a, b, dv)
+
+
+class TestExactZero:
+    """At an exact weight the value is the node, so a vanishing node gives
+    the exact zero rather than a zero known to some digits."""
+
+    @pytest.mark.parametrize("value", [
+        lambda: kubota_leopoldt(1, 5, 3, method="interp", M=5),
+        lambda: kubota_leopoldt(3, 7, 5, method="interp"),
+        lambda: hurwitz_l(3, 3, 1, 2, 5),
+        lambda: hurwitz_l(1, 7, 1, 2, 7),
+        lambda: zinv_l(1, 5, [2, 3], 5),
+        lambda: dirichlet_l(mod4_character(5), 2, 2, 5),
+        lambda: dirichlet_l(DirichletCharacter(5, {1: 1, 2: -1, 3: -1, 4: 1}, 7), 1, 7, 7),
+    ], ids=["kl odd beta ell 3", "kl odd beta ell 5", "hurwitz m=2 ell 5", "hurwitz m=2 ell 7",
+            "zinv", "dirichlet odd psi even k", "dirichlet even psi odd k"])
+    def test_vanishing_node_at_exact_weight(self, value):
+        assert value().is_exact_zero
+
+    def test_vanishing_node_at_other_weights_is_zero_to_m_digits(self):
+        v = kubota_leopoldt(1, F(1, 2), 5, method="interp", M=3)
+        assert v.is_zero_to_precision and v.abs_prec == 3

@@ -63,9 +63,12 @@ class TestTeichmuller:
         with pytest.raises(ValueError, match="not a unit"):
             teichmuller(10, 5, 3)
 
-    def test_rejects_negative_digit_count(self):
-        with pytest.raises(ValueError, match="nonzero value needs at least one digit"):
-            teichmuller(1, 3, -2)
+    @pytest.mark.parametrize("nd", [0, -2])
+    def test_rejects_digit_count_below_one(self, nd):
+        # checked before the unit test: mod ell^0 every u reads as a non-unit
+        for u in (1, 2, PadicNum.from_int(2, 5, 3)):
+            with pytest.raises(ValueError, match="nonzero value needs at least one digit"):
+                teichmuller(u, 5, nd)
 
 
 class TestUnitDecompose:
@@ -363,6 +366,25 @@ class TestExponentResidue:
         assert _exponent_residue(s, 5, 4) == 7
         assert _exponent_residue(s, 5, 1) == 2
         assert _exponent_residue(PadicNum.zero(5), 5, 4) == 0
+
+    def test_exponent_of_another_prime_refused(self):
+        from elladic.lfunctions import kubota_leopoldt
+        from elladic.measures import Factor, bernoulli_measure, integrate, restrict
+
+        s7 = PadicNum.from_int(2, 7, 3)
+        tower = restrict(bernoulli_measure(2, 5, 3), "units")
+        calls = [
+            lambda: _exponent_residue(s7, 5, 3),
+            lambda: _exponent_residue(PadicNum.zero(7), 5, 3),
+            lambda: one_unit_pow(PadicNum.from_int(6, 5, 3), s7),
+            lambda: one_unit_pow(PadicNum.from_int(6, 5, 3), PadicNum.zero(7)),
+            lambda: integrate(tower, Factor(inverse=True, bracket=s7), 3),
+            lambda: kubota_leopoldt(2, s7, 5, level=3),
+            lambda: kubota_leopoldt(2, s7, 5, method="interp"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="prime mismatch"):
+                call()
 
     def test_rational_exponent(self):
         assert _exponent_residue(Fraction(1, 2), 5, 3) == angle_repr(Fraction(1, 2), 3, 5)
