@@ -57,8 +57,12 @@ def _parse_s(text: str):
     return int(s) if s.denominator == 1 else s
 
 
-def _parse_csv(s: str, cast=int):
-    return [cast(x) for x in s.split(",") if x != ""]
+def _parse_csv(text: str, option: str) -> list[int]:
+    """A comma-separated list of integers; empty entries are skipped."""
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise ValueError(f"{option} must be comma-separated integers, got '{text}'") from None
 
 
 def _emit(doc: dict) -> None:
@@ -66,14 +70,21 @@ def _emit(doc: dict) -> None:
 
 
 def _parse_psi(spec: str, ell: int) -> DirichletCharacter:
+    """--psi m:a=v,...: the character mod m with value v (mod ell) at each unit a."""
     head, _, body = spec.partition(":")
-    m = int(head)
+    pairs = []
+    try:
+        m = int(head)
+        for item in filter(None, body.split(",")):
+            a, _, v = item.partition("=")
+            pairs.append((int(a), int(v)))
+    except ValueError:
+        raise ValueError(f"--psi must be m:a=v,... in integers, got '{spec}'") from None
     values = {}
-    for item in body.split(","):
-        if not item:
-            continue
-        a, _, v = item.partition("=")
-        values[int(a)] = int(v)
+    for a, v in pairs:
+        if a in values:
+            raise ValueError(f"--psi repeats residue {a}: {a}={values[a]} and {a}={v}")
+        values[a] = v
     return DirichletCharacter(m, values, ell)
 
 
@@ -242,7 +253,7 @@ def _cmd_dirichlet(args) -> dict:
 
 
 def _cmd_zinv(args) -> dict:
-    primes = _parse_csv(args.primes)
+    primes = _parse_csv(args.primes, "--primes")
     s = _parse_s(args.s)
     rep = zinv_report(args.beta, s, primes, args.ell, M=args.prec)
     return {
@@ -266,9 +277,7 @@ def _cmd_measure(args) -> dict:
     if args.action == "pushforward":
         if args.matrix is None:
             raise ValueError("pushforward needs --matrix")
-        rows = [
-            _parse_csv(row) for row in args.matrix.split(";")
-        ]
+        rows = [_parse_csv(row, "--matrix row") for row in args.matrix.split(";")]
         out = pushforward_linear(rows, mu)
         doc = tower_to_json(out)
         if args.outfile:
@@ -277,9 +286,9 @@ def _cmd_measure(args) -> dict:
         return {"action": "pushforward", "matrix": rows, "tower": doc}
     if args.action == "integrate":
         level = args.level if args.level is not None else mu.depth
-        powers = _parse_csv(args.powers) if args.powers else [0] * mu.rank
-        teich = _parse_csv(args.teich) if args.teich else [0] * mu.rank
-        inv = _parse_csv(args.inv) if args.inv else [0] * mu.rank
+        powers = _parse_csv(args.powers, "--powers") if args.powers else [0] * mu.rank
+        teich = _parse_csv(args.teich, "--teich") if args.teich else [0] * mu.rank
+        inv = _parse_csv(args.inv, "--inv") if args.inv else [0] * mu.rank
         brackets = (
             [None if b == "-" else _frac_from_str(b, "--bracket")
              for b in args.bracket.split(",")]
@@ -316,7 +325,8 @@ def _cmd_measure(args) -> dict:
 def _cmd_verify(args) -> dict:
     if args.degree is not None and args.degree < 0:
         raise ValueError("degree must be >= 0")
-    chis = [_frac_from_str(args.chi, "--chi")] if args.chi else None
+    chi = _frac_from_str(args.chi, "--chi") if args.chi else None
+    chis = None if chi is None else [chi]
     t = _frac_from_str(args.t, "--t") if args.t else None
     series_degree = 10 if args.degree is None else args.degree
     inversion_degree = 8 if args.degree is None else args.degree
@@ -325,12 +335,11 @@ def _cmd_verify(args) -> dict:
     elif args.suite == "gamma":
         doc = verify_gamma(series_degree, args.seed, chis)
     elif args.suite == "inversion":
-        doc = verify_inversion(inversion_degree, args.seed,
-                               chi=chis[0] if chis else None, t=t)
+        doc = verify_inversion(inversion_degree, args.seed, chi=chi, t=t)
     elif args.suite == "all":
         parts = [verify_bch(series_degree, args.seed),
                  verify_gamma(series_degree, args.seed, chis),
-                 verify_inversion(min(inversion_degree, 8), args.seed)]
+                 verify_inversion(min(inversion_degree, 8), args.seed, chi=chi, t=t)]
         doc = {"suite": "all", "parts": parts,
                "all_pass": all(p["all_pass"] for p in parts)}
     else:

@@ -13,10 +13,12 @@ Evaluation strategies:
 
 At an exact weight (an integer s >= 1 with s = beta mod (ell-1)) k = s and
 the value is the node, to ndigits digits, or the exact zero when the node
-vanishes.  The Dirichlet front factor is read at k as -m^(k-1): it differs
-from -omega(m)^beta [m]^s / m by [m]^(s-k) = 1 mod ell^(M+1), past every
-claimed digit.  The twist omega(c)^beta [c]^s of the measure route and the
-Euler-type factors is built by ``_twist``.
+vanishes.  The Dirichlet node is the Euler factor 1 - psi(ell) ell^(k-1)
+times the classical value L(1-k, psi), and the exact zero when that factor
+vanishes (k = 1 and psi(ell) = 1).  Its front factor is read at k as
+-m^(k-1): it differs from -omega(m)^beta [m]^s / m by [m]^(s-k) = 1 mod
+ell^(M+1), past every claimed digit.  The twist omega(c)^beta [c]^s of the
+measure route and the Euler-type factors is built by ``_twist``.
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ class DirichletCharacter:
         if modulus % ell == 0:
             raise ValueError("m divisible by ell")
         units = [a for a in range(1, modulus) if math.gcd(a, modulus) == 1]
+        for a, v in values.items():
+            if a not in units:
+                raise ValueError(f"value table entry {a}={v}: {a} is not a unit in [1, {modulus})")
         res = {}
         for a in units:
             if a not in values:
@@ -89,8 +94,6 @@ class DirichletCharacter:
                         "character values outside Z_ell: table is not "
                         "multiplicative into the (ell-1)-st roots of unity"
                     )
-        if res[1] != 1:
-            raise ValueError("character values outside Z_ell: psi(1) must be 1")
         self.modulus = modulus
         self.ell = ell
         self._residues = res
@@ -99,16 +102,10 @@ class DirichletCharacter:
 
     def _is_primitive(self) -> bool:
         m = self.modulus
-        for f in range(1, m):
-            if m % f:
-                continue
-            if all(
-                self._residues[a] == 1
-                for a in self._residues
-                if a % f == 1 % f
-            ):
-                return False
-        return True
+        return not any(
+            all(v == 1 for a, v in self._residues.items() if a % f == 1 % f)
+            for f in range(1, m) if m % f == 0
+        )
 
     @property
     def order(self) -> int:
@@ -277,17 +274,21 @@ def minus_one_l(
 # ---------------------------------------------------------------------------
 
 
-def hurwitz_node(k: int, i: int, m: int, ell: int) -> Fraction:
-    """(1/k) (B_k(<i>/m) - ell^(k-1) B_k(<i/ell>/m)), exact."""
+def _check_node(k: int, m: int, ell: int) -> None:
     _check_prime(ell)
     if m % ell == 0:
         raise ValueError("m divisible by ell")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
+def hurwitz_node(k: int, i: int, m: int, ell: int) -> Fraction:
+    """(1/k) (B_k(<i>/m) - ell^(k-1) B_k(<i/ell>/m)), exact."""
+    _check_node(k, m, ell)
     if not 0 < i < m:
         raise ValueError("index must satisfy 0 < i < m")
     if math.gcd(i, m) != 1:
         raise ValueError("alpha not coprime to m")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     shifted = residue_mod(Fraction(i, ell), m)
     return (
         bernoulli_poly(k, Fraction(i, m))
@@ -302,6 +303,12 @@ def hurwitz_l(
     return _read_off(lambda k: hurwitz_node(k, i, m, ell), beta, s, ell, M, ndigits)
 
 
+def _unit_bernoulli_sum(k: int, m: int, weight):
+    """sum_a weight(a) B_k(a/m) over the units a mod m."""
+    units = (a for a in range(1, m) if math.gcd(a, m) == 1)
+    return sum(weight(a) * bernoulli_poly(k, Fraction(a, m)) for a in units)
+
+
 def classical_dirichlet_special(psi: DirichletCharacter, k: int) -> Fraction:
     """L(1-k, psi) = -(1/k) m^(k-1) sum_a psi(a) B_k(a/m), exact rationals.
 
@@ -310,33 +317,26 @@ def classical_dirichlet_special(psi: DirichletCharacter, k: int) -> Fraction:
     if not psi.is_rational:
         raise ValueError("exact route needs a character with values +-1")
     m = psi.modulus
-    acc = Fraction(0)
-    for a in range(1, m + 1):
-        va = psi.rational_value(a)
-        if va:
-            acc += va * bernoulli_poly(k, Fraction(a, m))
-    return -Fraction(m) ** (k - 1) * acc / k
+    return -Fraction(m) ** (k - 1) * _unit_bernoulli_sum(k, m, psi.rational_value) / k
 
 
 def dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int = 8):
-    """-m^(k-1) sum_a psi(a) hurwitz_node(k, a, m): exact when psi is rational,
-    otherwise worked to ndigits + k + 6 digits."""
+    """(1 - psi(ell) ell^(k-1)) L(1-k, psi), the classical value with its Euler
+    factor at ell removed: exact when psi is rational, otherwise the same sum
+    over Teichmuller values worked to ndigits + k + 6 digits (the exact zero
+    when the factor vanishes, at k = 1 and psi(ell) = 1)."""
     m = psi.modulus
+    _check_node(k, m, ell)
     if psi.is_rational:
-        acc = Fraction(0)
-        for a in range(1, m):
-            va = psi.rational_value(a)
-            if va:
-                acc += va * hurwitz_node(k, a, m, ell)
-        return -Fraction(m) ** (k - 1) * acc
+        return (1 - psi.rational_value(ell) * ell ** (k - 1)) * classical_dirichlet_special(psi, k)
+    if psi.ell != ell:
+        raise ValueError("prime mismatch")
+    if k == 1 and psi.residue(ell) == 1:
+        return PadicNum.zero(ell)
     work = ndigits + k + 6
-    acc = PadicNum.zero(ell)
-    for a in range(1, m):
-        if psi.residue(a):
-            acc = acc + psi.value(a, work) * PadicNum.from_rational(
-                hurwitz_node(k, a, m, ell), ell, work
-            )
-    return acc * PadicNum.from_rational(-Fraction(m) ** (k - 1), ell, work)
+    front = PadicNum.from_rational(-Fraction(m) ** (k - 1) / k, ell, work)
+    euler = 1 - psi.value(ell, work) * ell ** (k - 1)
+    return euler * front * _unit_bernoulli_sum(k, m, lambda a: psi.value(a, work))
 
 
 def dirichlet_l(
@@ -381,15 +381,13 @@ def _zinv_modulus(primes) -> int:
 
 
 def zinv_node(k: int, primes, ell: int) -> Fraction:
-    """Sum of Hurwitz nodes over the residues coprime to prod(primes)."""
+    """Sum of Hurwitz nodes over the residues coprime to m = prod(primes):
+    (1 - ell^(k-1))/k sum_i B_k(i/m), since i -> i/ell permutes those residues."""
     m = _zinv_modulus(primes)
     if any(p == ell for p in primes):
         raise ValueError("primes must differ from ell")
-    acc = Fraction(0)
-    for i in range(1, m):
-        if math.gcd(i, m) == 1:
-            acc += hurwitz_node(k, i, m, ell)
-    return acc
+    _check_node(k, m, ell)
+    return (1 - Fraction(ell) ** (k - 1)) / k * _unit_bernoulli_sum(k, m, lambda a: 1)
 
 
 def zinv_l(beta: int, s, primes, ell: int, M: int = 2, ndigits: int = 8) -> PadicNum:

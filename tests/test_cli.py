@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -240,6 +241,15 @@ class TestVerify:
         assert not doc["all_pass"]
         assert {c["discrepancy"] for c in doc["checks"]} == {f"Y*X^{index}"}
 
+    def test_all_suite_passes_its_options_to_every_part(self, capsys):
+        code, doc = run_cli(["verify", "all", "--degree", "4", "--chi", "3", "--t", "1/3"], capsys)
+        assert code == 0 and doc["suite"] == "all" and doc["all_pass"]
+        bch, gamma, inversion = doc["parts"]
+        assert [p["suite"] for p in doc["parts"]] == ["bch", "gamma", "inversion"]
+        assert [p["degree"] for p in doc["parts"]] == [4, 4, 4]
+        assert [c["name"] for c in gamma["checks"]] == ["chi=3"]
+        assert {(c["chi"], c["t"]) for c in inversion["checks"]} == {("3", "1/3")}
+
     @pytest.mark.parametrize("suite", ["bch", "gamma", "inversion", "all"])
     def test_negative_degree_is_structured_error(self, suite, capsys):
         code, doc = run_cli(["verify", suite, "--degree=-1"], capsys)
@@ -247,18 +257,24 @@ class TestVerify:
         assert doc == {"command": "verify", "error": "degree must be >= 0"}
 
 
+# a child interpreter finds the package in src/ whether or not it is installed
+SRC = str(Path(__file__).parents[1] / "src")
+SRC_ENV = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
 class TestContract:
     def test_unknown_subcommand_exits_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "elladic.cli", "frobnicate"],
-            capture_output=True,
+            capture_output=True, env=SRC_ENV,
         )
         assert proc.returncode == 2
 
     def test_unknown_flag_exits_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "elladic.cli", "bernoulli", "--k", "2", "--zzz"],
-            capture_output=True,
+            capture_output=True, env=SRC_ENV,
         )
         assert proc.returncode == 2
 
@@ -273,7 +289,7 @@ class TestContract:
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "elladic.cli", "bernoulli", "--k", "0"],
-            capture_output=True,
+            capture_output=True, env=SRC_ENV,
             text=True,
         )
         assert proc.returncode == 0
@@ -327,6 +343,7 @@ class TestReadmeGolden:
 TOWER = "tower.json"
 ZINV = ["zinv", "--ell", "5", "--beta", "2", "--s", "2"]
 INTEGRATE = ["measure", "integrate", "--in", TOWER]
+DIRICHLET = ["dirichlet", "--ell", "5", "--beta", "1", "--s", "2"]
 REFUSED = [
     (["measure", "transform", "--in", TOWER, "--level=-1"], "level out of range"),
     (["measure", "transform", "--in", TOWER, "--level", "7"], "level out of range"),
@@ -361,6 +378,15 @@ REFUSED = [
     (["verify", "inversion", "--t", "1/0"], "--t must be a rational number, got '1/0'"),
     (["verify", "gamma", "--chi", "1/0"], "--chi must be a rational number, got '1/0'"),
     (INTEGRATE + ["--units", "--bracket", "1/0"], "--bracket must be a rational number, got '1/0'"),
+    (DIRICHLET + ["--psi", "3:1=1,2=4,5=1"], "value table entry 5=1: 5 is not a unit in [1, 3)"),
+    (DIRICHLET + ["--psi", "3:1=1,2=4,0=3"], "value table entry 0=3: 0 is not a unit in [1, 3)"),
+    (DIRICHLET + ["--psi", "3:1=1,2=4,2=1"], "--psi repeats residue 2: 2=4 and 2=1"),
+    (DIRICHLET + ["--psi", ":1=1"], "--psi must be m:a=v,... in integers, got ':1=1'"),
+    (DIRICHLET + ["--psi", "3:1=1,2"], "--psi must be m:a=v,... in integers, got '3:1=1,2'"),
+    (ZINV + ["--primes", "2,x"], "--primes must be comma-separated integers, got '2,x'"),
+    (INTEGRATE + ["--powers", "1,x"], "--powers must be comma-separated integers, got '1,x'"),
+    (["measure", "pushforward", "--in", TOWER, "--matrix", "a"],
+     "--matrix row must be comma-separated integers, got 'a'"),
 ]
 
 
@@ -371,8 +397,10 @@ class TestRefusedInputs:
     """A transform level or degree out of range, a non-prime ell without --c,
     a non-prime zinv modulus entry, an integrand list whose length is not
     the tower rank, a pushforward without --matrix, a teichmuller --prec
-    below 1, a rational option or tower value with a zero denominator and a
-    tower file of the wrong shape are one JSON error document, exit 1."""
+    below 1, a rational option or tower value with a zero denominator, an
+    integer list option or ``--psi`` that does not parse, a ``--psi`` entry off
+    the units or repeating a residue and a tower file of the wrong shape are
+    one JSON error document, exit 1."""
 
     @pytest.mark.parametrize("argv,error", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
     def test_structured_error(self, argv, error, monkeypatch, capsys):

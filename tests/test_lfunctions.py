@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -40,6 +41,57 @@ def cyclic_character(m, g, r, ell):
 
 # (ell, m, g, r): characters of order 4, 6 and 6, with values off +-1
 NON_RATIONAL = [(5, 13, 2, 2), (7, 9, 2, 3), (13, 7, 3, 4)]
+
+
+def rational_characters(ell, max_modulus=12):
+    """Every primitive character with values +-1 mod m <= max_modulus, m prime to ell."""
+    out = []
+    for m in range(3, max_modulus + 1):
+        units = [a for a in range(2, m) if math.gcd(a, m) == 1]
+        for signs in itertools.product((1, -1), repeat=len(units)):
+            try:
+                out.append(DirichletCharacter(m, {1: 1, **dict(zip(units, signs))}, ell))
+            except ValueError:
+                pass  # not multiplicative, not primitive, or ell divides m
+    return out
+
+
+def non_rational_characters(ell):
+    """The primitive characters off +-1 on the cyclic unit groups mod 3..13."""
+    out = []
+    for m, g in [(3, 2), (4, 3), (5, 2), (7, 3), (9, 2), (11, 2), (13, 2)]:
+        for r in range(2, ell - 1):
+            try:
+                psi = cyclic_character(m, g, r, ell)
+            except ValueError:
+                continue  # r^phi(m) != 1, not primitive, or ell divides m
+            if not psi.is_rational:
+                out.append(psi)
+    return out
+
+
+def zinv_hurwitz_sum(k, primes, ell):
+    """Oracle: the Hurwitz nodes summed one unit at a time."""
+    m = math.prod(primes)
+    return sum(hurwitz_node(k, i, m, ell) for i in range(1, m) if math.gcd(i, m) == 1)
+
+
+def dirichlet_hurwitz_sum(psi, k, ell, ndigits=8):
+    """Oracle: -m^(k-1) sum_a psi(a) hurwitz_node(k, a, m), exact when psi is
+    rational, otherwise worked to ndigits + k + 6 digits."""
+    m = psi.modulus
+    if psi.is_rational:
+        acc = sum(psi.rational_value(a) * hurwitz_node(k, a, m, ell)
+                  for a in range(1, m) if psi.residue(a))
+        return -Fraction(m) ** (k - 1) * acc
+    work = ndigits + k + 6
+    acc = PadicNum.zero(ell)
+    for a in range(1, m):
+        if psi.residue(a):
+            acc = acc + psi.value(a, work) * PadicNum.from_rational(
+                hurwitz_node(k, a, m, ell), ell, work
+            )
+    return acc * PadicNum.from_rational(-Fraction(m) ** (k - 1), ell, work)
 
 
 def dirichlet_twisted_at_s(psi, beta, s, ell, M, ndigits=8):
@@ -268,17 +320,73 @@ class TestDirichlet:
         with pytest.raises(ValueError, match="outside Z_ell"):
             DirichletCharacter(5, {1: 1, 2: 2, 3: 2, 4: -1}, 3)
 
+    @pytest.mark.parametrize("values,error", [
+        ({1: 1, 2: 4, 0: 3, 7: 2}, "value table entry 0=3: 0 is not a unit in [1, 3)"),
+        ({1: 1, 2: 4, 5: 1}, "value table entry 5=1: 5 is not a unit in [1, 3)"),
+        ({1: 1, 2: 4, -1: 4}, "value table entry -1=4: -1 is not a unit in [1, 3)"),
+    ], ids=["zero and seven", "five", "minus one"])
+    def test_entry_off_the_units_is_refused(self, values, error):
+        with pytest.raises(ValueError) as info:
+            DirichletCharacter(3, values, 5)
+        assert str(info.value) == error
+
     def test_classical_value(self):
         psi = mod4_character()
         assert classical_dirichlet_special(psi, 5) == F(5, 2)
         assert classical_dirichlet_special(psi, 1) == F(1, 2)
 
-    def test_node_carries_euler_factor(self):
-        psi = mod4_character()
-        for k in (1, 5, 9):
-            want = (1 - psi.rational_value(5) * F(5) ** (k - 1)) * \
+    @pytest.mark.parametrize("m,values,ell", [
+        (4, {1: 1, 3: -1}, 5),
+        (4, {1: 1, 3: -1}, 7),
+        (3, {1: 1, 2: -1}, 7),
+        (5, {1: 1, 2: -1, 3: -1, 4: 1}, 3),
+        (5, {1: 1, 2: -1, 3: -1, 4: 1}, 11),
+        (8, {1: 1, 3: -1, 5: -1, 7: 1}, 13),
+    ], ids=["mod 4 at 5", "mod 4 at 7", "mod 3 at 7", "mod 5 at 3", "mod 5 at 11", "mod 8 at 13"])
+    def test_node_carries_euler_factor(self, m, values, ell):
+        psi = DirichletCharacter(m, values, ell)
+        for k in (1, 2, 5, 9, 12):
+            want = (1 - psi.rational_value(ell) * F(ell) ** (k - 1)) * \
                 classical_dirichlet_special(psi, k)
-            assert dirichlet_node(psi, k, 5) == want, k
+            assert dirichlet_node(psi, k, ell) == want, k
+
+    # the conductors 3, 4, 5, 7, 8 (two characters), 11 and 12, less those ell divides
+    @pytest.mark.parametrize("ell,count", [(3, 6), (5, 7), (7, 7), (13, 8)])
+    def test_rational_node_is_the_hurwitz_sum(self, ell, count):
+        chars = rational_characters(ell)
+        assert len(chars) == count
+        for psi in chars:
+            for k in range(1, 31):
+                assert dirichlet_node(psi, k, ell) == dirichlet_hurwitz_sum(psi, k, ell), \
+                    (psi.modulus, k)
+
+    @pytest.mark.parametrize("ell", [5, 7, 13])
+    def test_non_rational_node_is_the_hurwitz_sum(self, ell):
+        chars = non_rational_characters(ell)
+        assert chars
+        for psi in chars:
+            for k in range(1, 31):
+                got = dirichlet_node(psi, k, ell)
+                want = dirichlet_hurwitz_sum(psi, k, ell)
+                # the exact zero exactly where the Euler factor vanishes;
+                # elsewhere at least the digits the Hurwitz sum states
+                assert got.is_exact_zero == (k == 1 and psi.residue(ell) == 1)
+                assert got.abs_prec >= want.abs_prec, (psi.modulus, k, got, want)
+                assert got.congruent(want), (psi.modulus, k, got, want)
+
+    def test_node_arguments_checked(self):
+        psi = mod4_character()
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            dirichlet_node(psi, 0, 5)
+        with pytest.raises(ValueError, match="odd prime"):
+            dirichlet_node(psi, 2, 9)
+        with pytest.raises(ValueError, match="m divisible by ell"):
+            dirichlet_node(DirichletCharacter(3, {1: 1, 2: -1}, 5), 2, 3)
+        # realized at 5, read at 3: psi(3) = 1, yet no exact zero at k = 1
+        psi = cyclic_character(13, 2, 2, 5)
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="prime mismatch"):
+                dirichlet_node(psi, k, 3)
 
     def test_interpolated_value(self):
         psi = mod4_character()
@@ -325,6 +433,18 @@ class TestZInverted:
             for p in primes:
                 want *= F(1, p ** (k - 1)) - 1
             assert zinv_node(k, primes, ell) == want, (k, primes)
+
+    @pytest.mark.parametrize("ell", [3, 5, 7, 13])
+    def test_node_is_the_hurwitz_sum(self, ell):
+        for primes in ([2], [3], [2, 3], [2, 5], [2, 3, 7], [11]):
+            if ell in primes:
+                continue
+            for k in range(1, 31):
+                assert zinv_node(k, primes, ell) == zinv_hurwitz_sum(k, primes, ell), (primes, k)
+
+    def test_weight_below_one_refused(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            zinv_node(0, [2], 5)
 
     def test_empty_and_bad_primes(self):
         with pytest.raises(ValueError, match="modulus must exceed 1"):
@@ -395,8 +515,11 @@ class TestExactZero:
         lambda: zinv_l(1, 5, [2, 3], 5),
         lambda: dirichlet_l(mod4_character(5), 2, 2, 5),
         lambda: dirichlet_l(DirichletCharacter(5, {1: 1, 2: -1, 3: -1, 4: 1}, 7), 1, 7, 7),
+        lambda: dirichlet_l(
+            DirichletCharacter(7, {1: 1, 2: 3, 3: 9, 4: 9, 5: 3, 6: 1}, 13), 1, 1, 13),
     ], ids=["kl odd beta ell 3", "kl odd beta ell 5", "hurwitz m=2 ell 5", "hurwitz m=2 ell 7",
-            "zinv", "dirichlet odd psi even k", "dirichlet even psi odd k"])
+            "zinv", "dirichlet odd psi even k", "dirichlet even psi odd k",
+            "dirichlet euler factor zero at k=1"])
     def test_vanishing_node_at_exact_weight(self, value):
         assert value().is_exact_zero
 
