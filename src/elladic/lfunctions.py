@@ -13,9 +13,9 @@ Evaluation strategies:
 
 At an exact weight (an integer s >= 1 with s = beta mod (ell-1)) k = s and
 the value is the node, to ndigits digits, or the exact zero when the node
-vanishes.  The Dirichlet node is the Euler factor 1 - psi(ell) ell^(k-1)
-times the classical value L(1-k, psi), and the exact zero when that factor
-vanishes (k = 1 and psi(ell) = 1).  Its front factor is read at k as
+vanishes.  The kl and Dirichlet nodes are -B_(k,chi)/k, the exact zero when
+chi(-1) != (-1)^k; the Dirichlet node's Euler factor 1 - psi(ell) ell^(k-1)
+is an exact 0 at k = 1 and psi(ell) = 1.  Its front factor is read at k as
 -m^(k-1): it differs from -omega(m)^beta [m]^s / m by [m]^(s-k) = 1 mod
 ell^(M+1), past every claimed digit.  The twist omega(c)^beta [c]^s of the
 measure route and the Euler-type factors is built by ``_twist``.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bernoulli import bernoulli_number, bernoulli_poly, gen_bernoulli
+from .bernoulli import _character_bernoulli, bernoulli_number, bernoulli_poly, gen_bernoulli
 from .measures import bernoulli_unit_integral
 from .padic import PadicNum, is_odd_prime, one_unit_pow, residue_mod, smallest_regularizer, teichmuller, unit_decompose, _angle_from_scalar, _check_prime, _frac_val
 
@@ -196,12 +196,7 @@ def _twist(c: int, beta: int, s, ell: int, K: int) -> PadicNum:
 
 def kl_node(k: int, beta: int, ell: int, ndigits: int = 8) -> PadicNum:
     """Closed special value -(1/k) B_{k, omega^(beta-k)} as an ell-adic number."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    j = (beta - k) % (ell - 1)
-    pad = _frac_val(k, ell) + 1
-    b = gen_bernoulli(k, j, ell, ndigits + pad)
-    return (-b / k).reduce_digits(ndigits)
+    return -gen_bernoulli(k, beta - k, ell, ndigits) / k
 
 
 def kl_node_rational(k: int, ell: int) -> Fraction:
@@ -303,40 +298,24 @@ def hurwitz_l(
     return _read_off(lambda k: hurwitz_node(k, i, m, ell), beta, s, ell, M, ndigits)
 
 
-def _unit_bernoulli_sum(k: int, m: int, weight):
-    """sum_a weight(a) B_k(a/m) over the units a mod m."""
-    units = (a for a in range(1, m) if math.gcd(a, m) == 1)
-    return sum(weight(a) * bernoulli_poly(k, Fraction(a, m)) for a in units)
-
-
 def classical_dirichlet_special(psi: DirichletCharacter, k: int) -> Fraction:
-    """L(1-k, psi) = -(1/k) m^(k-1) sum_a psi(a) B_k(a/m), exact rationals.
-
-    Requires a quadratic-or-trivial character so the sum stays rational.
-    """
+    """L(1-k, psi) = -B_(k,psi)/k exactly, for a character with values +-1."""
     if not psi.is_rational:
         raise ValueError("exact route needs a character with values +-1")
-    m = psi.modulus
-    return -Fraction(m) ** (k - 1) * _unit_bernoulli_sum(k, m, psi.rational_value) / k
+    return -_character_bernoulli(k, psi.modulus, psi.residue, psi.ell, 1) / k
 
 
 def dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int = 8):
-    """(1 - psi(ell) ell^(k-1)) L(1-k, psi), the classical value with its Euler
-    factor at ell removed: exact when psi is rational, otherwise the same sum
-    over Teichmuller values worked to ndigits + k + 6 digits (the exact zero
-    when the factor vanishes, at k = 1 and psi(ell) = 1)."""
-    m = psi.modulus
-    _check_node(k, m, ell)
-    if psi.is_rational:
-        return (1 - psi.rational_value(ell) * ell ** (k - 1)) * classical_dirichlet_special(psi, k)
+    """(1 - psi(ell) ell^(k-1)) L(1-k, psi), the classical value -B_(k,psi)/k with
+    its Euler factor at ell removed: exact when psi is rational, else ndigits
+    digits; the exact zero on a parity mismatch or at k = 1 and psi(ell) = 1."""
+    _check_node(k, psi.modulus, ell)
     if psi.ell != ell:
         raise ValueError("prime mismatch")
-    if k == 1 and psi.residue(ell) == 1:
-        return PadicNum.zero(ell)
-    work = ndigits + k + 6
-    front = PadicNum.from_rational(-Fraction(m) ** (k - 1) / k, ell, work)
-    euler = 1 - psi.value(ell, work) * ell ** (k - 1)
-    return euler * front * _unit_bernoulli_sum(k, m, lambda a: psi.value(a, work))
+    # psi(ell) is exact when it is +-1 (never 0: ell does not divide m)
+    at_ell = psi.rational_value(ell) or psi.value(ell, ndigits)
+    b = _character_bernoulli(k, psi.modulus, psi.residue, ell, ndigits)
+    return (1 - at_ell * ell ** (k - 1)) * -b / k
 
 
 def dirichlet_l(
@@ -387,7 +366,8 @@ def zinv_node(k: int, primes, ell: int) -> Fraction:
     if any(p == ell for p in primes):
         raise ValueError("primes must differ from ell")
     _check_node(k, m, ell)
-    return (1 - Fraction(ell) ** (k - 1)) / k * _unit_bernoulli_sum(k, m, lambda a: 1)
+    total = sum(bernoulli_poly(k, Fraction(a, m)) for a in range(1, m) if math.gcd(a, m) == 1)
+    return (1 - Fraction(ell) ** (k - 1)) / k * total
 
 
 def zinv_l(beta: int, s, primes, ell: int, M: int = 2, ndigits: int = 8) -> PadicNum:

@@ -7,11 +7,13 @@ a tower is determined by its top level.  ``MeasureTower.from_top`` is the one
 construction path: every constructor here computes only its level-``depth``
 table and ``_coarsen`` sums it down to the coarser levels.  A tower given from
 outside, ``MeasureTower(ell, rank, levels)``, is checked: each level is
-coarsened and compared.  Each level is stored as a tuple of integer numerators
-over one denominator ``den``, the lcm of the values' denominators, so every
-level sum adds integers and ``denom_exponent``, the smallest d with every value
-in ``ell**(-d) * Z_(ell)``, is v_ell(den).  Fractions appear only at the
-boundary: ``levels``, ``value``, ``cells``, ``total_mass`` and the JSON codecs.
+coarsened and compared.  Such a tower is never ``units_only``, a flag that only
+``restrict`` sets, through ``from_top``.  Each level is stored as a tuple of
+integer numerators over one denominator ``den``, the lcm of the values'
+denominators, so every level sum adds integers and ``denom_exponent``, the
+smallest d with every value in ``ell**(-d) * Z_(ell)``, is v_ell(den).
+Fractions appear only at the boundary: ``levels``, ``value``, ``cells``,
+``total_mass`` and the JSON codecs.
 
 Cells at level n are indexed by coordinate tuples in ``[0, ell**n)**r``; the
 flat index is ``sum_j c_j * (ell**n)**j`` (first coordinate fastest).
@@ -115,7 +117,7 @@ class MeasureTower:
 
     __slots__ = ("ell", "rank", "depth", "tables", "den", "denom_exponent", "units_only")
 
-    def __init__(self, ell, rank, levels, units_only=False):
+    def __init__(self, ell, rank, levels):
         _check_prime(ell)
         if rank < 1:
             raise ValueError("rank must be >= 1")
@@ -129,7 +131,7 @@ class MeasureTower:
             values.append([Fraction(v) for v in table])
         den = math.lcm(*(v.denominator for table in values for v in table))
         tables = [tuple(v.numerator * (den // v.denominator) for v in t) for t in values]
-        self._store(ell, rank, tables, den, units_only)
+        self._store(ell, rank, tables, den, False)
         self._validate()
 
     @classmethod

@@ -105,6 +105,8 @@ class PadicNum:
         q = Fraction(q)
         if q == 0:
             return cls.zero(ell)
+        if ndigits < 1:
+            raise ValueError("nonzero value needs at least one digit")
         v = _frac_val(q, ell)
         m = ell ** ndigits
         # q is in lowest terms, so the ell-power sits in one of its two parts

@@ -10,6 +10,7 @@ from elladic.bernoulli import (
     bernoulli_poly_coeffs,
     gen_bernoulli,
 )
+from elladic.padic import PadicNum, teichmuller
 
 
 def akiyama_tanigawa(n):
@@ -24,6 +25,21 @@ def akiyama_tanigawa(n):
         out.append(a[0])
     out[1] = -out[1] if n >= 1 else None
     return out
+
+
+def gen_bernoulli_loop(k, j, ell, ndigits):
+    """Oracle: ell^(k-1) sum_a omega(a)^j B_k(a/ell) as a PadicNum loop over
+    the Teichmuller values, worked to ndigits + k + 3 digits."""
+    j %= ell - 1
+    work = ndigits + k + 3
+    acc = PadicNum.zero(ell)
+    for a in range(1, ell):
+        term = PadicNum.from_rational(bernoulli_poly(k, Fraction(a, ell)), ell, work)
+        if j:
+            term = term * teichmuller(a, ell, work) ** j
+        acc = acc + term
+    out = acc * PadicNum.from_int(ell, ell, work) ** (k - 1)
+    return out.reduce_digits(ndigits)
 
 
 class TestBernoulliNumbers:
@@ -52,6 +68,13 @@ class TestBernoulliPolys:
         assert bernoulli_poly(2, Fraction(1, 3)) == Fraction(-1, 18)
         assert bernoulli_poly(2, Fraction(1, 2)) == Fraction(-1, 12)
         assert bernoulli_poly(5, Fraction(1, 4)) == Fraction(-25, 1024)
+
+    @pytest.mark.parametrize("k", [-1, -2, -5])
+    def test_negative_index_refused(self, k):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            bernoulli_poly_coeffs(k)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            bernoulli_poly(k, Fraction(1, 2))
 
     def test_coeffs_consistent(self):
         t = Fraction(3, 7)
@@ -110,3 +133,35 @@ class TestGenBernoulli:
     def test_trivial_twist_closed_form(self, ell, k):
         want = (1 - Fraction(ell) ** (k - 1)) * bernoulli_number(k)
         assert gen_bernoulli(k, 0, ell, 6).congruent(want)
+
+    def test_weight_below_one_refused(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                gen_bernoulli(k, 0, 5, 6)
+
+    @pytest.mark.parametrize("j,k", [(0, 2), (2, 2), (1, 3)], ids=["trivial", "quadratic", "order 4"])
+    def test_digit_count_below_one_refused(self, j, k):
+        for nd in (0, -1):
+            with pytest.raises(ValueError, match="nonzero value needs at least one digit"):
+                gen_bernoulli(k, j, 5, nd)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(0, 11),
+           st.integers(1, 60), st.integers(1, 12))
+    def test_one_character_sum(self, ell, j, k, nd):
+        # the exact zero exactly on a parity mismatch; a +-1-valued omega^j
+        # gives the exact sum, any other exactly nd digits of the loop's value
+        got = gen_bernoulli(k, j, ell, nd)
+        assert got.is_exact_zero == ((-1) ** j != (-1) ** k)
+        if got.is_exact_zero:
+            return
+        signs = {a: pow(a, j, ell) for a in range(1, ell)}
+        if set(signs.values()) <= {1, ell - 1}:
+            exact = Fraction(ell) ** (k - 1) * sum(
+                (1 if r == 1 else -1) * bernoulli_poly(k, Fraction(a, ell))
+                for a, r in signs.items()
+            )
+            assert got == PadicNum.from_rational(exact, ell, nd)
+        else:
+            assert got.ndigits == nd
+            assert got.congruent(gen_bernoulli_loop(k, j, ell, nd)), (ell, j, k, nd)

@@ -314,7 +314,11 @@ class TestReadmeGolden:
     --m 2`` and ``zinv --ell 5 --beta 1 --s 5 --primes 2,3`` were
     re-recorded when a node that vanishes at an exact weight became the
     exact zero, which those routes had printed as a zero known to some
-    digits.  ``golden/measures_cli.json`` covers ``measure
+    digits; its case ``dirichlet --ell 7 --beta 2 --s 8 --psi
+    9:1=1,2=3,4=2,8=6,7=4,5=5`` (an odd character at an even weight) was
+    re-recorded from ``O(7^22)`` to the exact zero when a generalized
+    Bernoulli number of the wrong parity became the exact zero for every
+    character.  ``golden/measures_cli.json`` covers ``measure
     validate``, ``pushforward --out``, ``transform --kind p|f`` and
     ``integrate`` (with and without ``--units``; powers, inverses, Teichmuller
     powers, integer, fractional, negative and ``-`` brackets; several levels;
@@ -375,6 +379,7 @@ REFUSED = [
     (["teichmuller", "--ell", "5", "--u", "2", "--prec", "0"], "nonzero value needs at least one digit"),
     (["kl", "--ell", "5", "--beta", "2", "--s", "1/0"], "--s must be a rational number, got '1/0'"),
     (["bernoulli", "--k", "3", "--t", "1/0"], "--t must be a rational number, got '1/0'"),
+    (["bernoulli", "--k=-1", "--t", "1/2"], "k must be >= 0"),
     (["verify", "inversion", "--t", "1/0"], "--t must be a rational number, got '1/0'"),
     (["verify", "gamma", "--chi", "1/0"], "--chi must be a rational number, got '1/0'"),
     (INTEGRATE + ["--units", "--bracket", "1/0"], "--bracket must be a rational number, got '1/0'"),

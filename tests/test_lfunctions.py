@@ -4,8 +4,9 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from elladic.bernoulli import bernoulli_number
+from elladic.bernoulli import bernoulli_number, gen_bernoulli
 from elladic.lfunctions import (
     DirichletCharacter,
     SigmaDependentError,
@@ -68,6 +69,19 @@ def non_rational_characters(ell):
             if not psi.is_rational:
                 out.append(psi)
     return out
+
+
+# every primitive character the tests build at ell = 3, 5, 7, 11, 13
+CHARACTERS = [
+    (ell, psi) for ell in (3, 5, 7, 11, 13)
+    for psi in rational_characters(ell) + non_rational_characters(ell)
+]
+
+
+def node_vanishes(psi, k, ell):
+    """psi(-1) != (-1)^k, or the Euler factor 1 - psi(ell) ell^(k-1) is 0."""
+    even = psi.residue(-1) == 1
+    return even != (k % 2 == 0) or (k == 1 and psi.residue(ell) == 1)
 
 
 def zinv_hurwitz_sum(k, primes, ell):
@@ -155,6 +169,23 @@ class TestKubotaLeopoldt:
         assert kl_node_rational(2, 5) == F(1, 3)
         assert kl_node_rational(6, 5) == F(781, 63)
         assert kl_node_rational(10, 5) == -(1 - F(5) ** 9) * bernoulli_number(10) / 10
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(0, 11),
+           st.integers(1, 60), st.integers(1, 12))
+    def test_node_keeps_its_digits(self, ell, beta, k, nd):
+        # no pad: dividing by k keeps the nd digits of the Bernoulli number
+        beta %= ell - 1
+        got = kl_node(k, beta, ell, nd)
+        assert got.is_exact_zero == (beta % 2 == 1)
+        if got.is_exact_zero:
+            return
+        assert got.ndigits == nd
+        if (k - beta) % (ell - 1) == 0:
+            assert got == PadicNum.from_rational(kl_node_rational(k, ell), ell, nd)
+        else:
+            padded = -gen_bernoulli(k, beta - k, ell, nd + _frac_val(k, ell) + 1) / k
+            assert got.congruent(padded), (ell, beta, k, nd)
 
     def test_measure_route_values(self):
         v = kubota_leopoldt(2, 2, 5, c=2, level=6)
@@ -335,6 +366,11 @@ class TestDirichlet:
         assert classical_dirichlet_special(psi, 5) == F(5, 2)
         assert classical_dirichlet_special(psi, 1) == F(1, 2)
 
+    def test_classical_value_below_weight_one_refused(self):
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                classical_dirichlet_special(mod4_character(), k)
+
     @pytest.mark.parametrize("m,values,ell", [
         (4, {1: 1, 3: -1}, 5),
         (4, {1: 1, 3: -1}, 7),
@@ -368,11 +404,26 @@ class TestDirichlet:
             for k in range(1, 31):
                 got = dirichlet_node(psi, k, ell)
                 want = dirichlet_hurwitz_sum(psi, k, ell)
-                # the exact zero exactly where the Euler factor vanishes;
-                # elsewhere at least the digits the Hurwitz sum states
-                assert got.is_exact_zero == (k == 1 and psi.residue(ell) == 1)
-                assert got.abs_prec >= want.abs_prec, (psi.modulus, k, got, want)
+                # the exact zero exactly on a parity mismatch or where the
+                # Euler factor vanishes; elsewhere exactly 8 digits
+                assert got.is_exact_zero == node_vanishes(psi, k, ell)
+                if not got.is_exact_zero:
+                    assert got.ndigits == 8, (psi.modulus, k, got)
                 assert got.congruent(want), (psi.modulus, k, got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(CHARACTERS), st.integers(1, 60), st.integers(1, 12))
+    def test_one_character_sum(self, ell_psi, k, nd):
+        ell, psi = ell_psi
+        got = dirichlet_node(psi, k, ell, nd)
+        if psi.is_rational:
+            assert got == dirichlet_hurwitz_sum(psi, k, ell)
+            assert (got == 0) == node_vanishes(psi, k, ell)
+            return
+        assert got.is_exact_zero == node_vanishes(psi, k, ell)
+        if not got.is_exact_zero:
+            assert got.ndigits == nd
+            assert got.congruent(dirichlet_hurwitz_sum(psi, k, ell, nd)), (psi.modulus, k, nd)
 
     def test_node_arguments_checked(self):
         psi = mod4_character()

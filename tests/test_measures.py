@@ -150,6 +150,16 @@ class TestRestrictAndPullback:
         assert list(Eu.levels[1]) == [F(0), F(-1, 2), F(1, 2), F(-1, 2), F(1, 2)]
         assert Eu.units_only
 
+    def test_checked_constructor_takes_no_units_only_claim(self):
+        # the claim went unchecked: the point mass at 0 was silently dropped
+        levels = [[1], [1, 0, 0, 0, 0]]
+        with pytest.raises(TypeError, match="units_only"):
+            MeasureTower(5, 1, levels, units_only=True)
+        mu = MeasureTower(5, 1, levels)
+        assert not mu.units_only
+        with pytest.raises(ValueError, match="integrand undefined on region"):
+            integrate(mu, (Factor(inverse=True),), 1)
+
     def test_unit_restriction_of_dirac(self):
         du = restrict(dirac_tower((3,), 5, 1, 2), "units")
         assert du.levels == dirac_tower((3,), 5, 1, 2).levels

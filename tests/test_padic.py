@@ -350,6 +350,14 @@ class TestValuation:
 
 
 class TestEncoder:
+    @pytest.mark.parametrize("nd", [0, -2])
+    def test_rejects_digit_count_below_one(self, nd):
+        # mod ell^0 a nonzero rational would read as O(ell^v)
+        for q in (Fraction(4, 5), 3, Fraction(-7, 2)):
+            with pytest.raises(ValueError, match="nonzero value needs at least one digit"):
+                PadicNum.from_rational(q, 5, nd)
+        assert PadicNum.from_rational(0, 5, nd).is_exact_zero
+
     @settings(max_examples=100, deadline=None)
     @given(st.data(), st.sampled_from(PRIMES), st.integers(-6, 8))
     def test_exact_absolute_precision(self, data, ell, abs_exp):
