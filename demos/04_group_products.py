@@ -1,15 +1,15 @@
 """Noncommutative series, the one-Y quotient, and the reversal pipeline.
 
-The group product log(e^A e^B) computed on raw words is compared with its
-closed form in the quotient algebra, then the full path-reversal chain is
-run mechanically and found to match its closed form coefficient by
-coefficient -- all in exact rational arithmetic.
+The group product log(e^A e^B) computed on words with at most one Y is
+compared with its closed form in the quotient algebra, then the full
+path-reversal chain is run mechanically and found to match its closed form
+coefficient by coefficient -- all in exact rational arithmetic.
 """
 
 from fractions import Fraction
 
 from elladic import (
-    NcSeries,
+    OneYSeries,
     ReducedSeries,
     bch,
     bch_reduced,
@@ -22,8 +22,8 @@ from elladic.bernoulli import bernoulli_number
 from math import factorial
 
 D = 8
-X = NcSeries.variable("X", D + 1, max_y=1)
-Y = NcSeries.variable("Y", D + 1, max_y=1)
+X = OneYSeries.variable("X", D + 1)
+Y = OneYSeries.variable("Y", D + 1)
 
 print("== the group product on words ==")
 full = bch(X, Y)

@@ -42,6 +42,7 @@ from .transforms import (
 )
 from .ncseries import (
     NcSeries,
+    OneYSeries,
     ReducedSeries,
     bch,
     bch_reduced,

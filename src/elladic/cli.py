@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import factorial
 from random import Random
 
 from .bernoulli import bernoulli_number, bernoulli_poly
@@ -36,7 +37,7 @@ from .measures import (
     tower_to_json,
 )
 from .ncseries import (
-    NcSeries,
+    OneYSeries,
     ReducedSeries,
     bch,
     bch_reduced,
@@ -105,28 +106,23 @@ def _random_poly(rng: Random, degree: int):
     return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(degree + 1)]
 
 
-def _one_y_series(alpha, phi, degree, max_y=None):
-    coeffs = {}
-    if alpha:
-        coeffs["X"] = Fraction(alpha)
-    for k, c in enumerate(phi):
-        if c and 1 + k <= degree:
-            coeffs["Y" + "X" * k] = Fraction(c)
-    return NcSeries(degree, coeffs, max_y)
+def _one_y_series(alpha, phi, degree):
+    """alpha X + Y phi(X), truncated beyond total degree ``degree``."""
+    return OneYSeries.from_tables(degree, [0, alpha], [phi])
 
 
 def verify_bch(degree: int = 10, seed: int = 7, count: int = 20) -> dict:
     """Full group product reduced mod the one-Y quotient vs the closed form.
 
     The full route runs one degree higher so its truncation window covers
-    every Y X^j with j <= degree, and caps words at one Y: the words with two
-    or more Y's form a two-sided ideal that the reduction kills anyway, so
-    the comparison is exact.
+    every Y X^j with j <= degree, and runs on ``OneYSeries``: the words with
+    two or more Y's form a two-sided ideal that the reduction kills anyway,
+    so the comparison is exact.
     """
     rng = Random(seed)
     checks = []
-    x = NcSeries.variable("X", degree + 1, max_y=1)
-    y = NcSeries.variable("Y", degree + 1, max_y=1)
+    x = _one_y_series(1, [], degree + 1)
+    y = _one_y_series(0, [1], degree + 1)
     xy = ReducedSeries.from_series(bch(x, y)).truncate(degree)
     xy_closed = bch_reduced(1, [Fraction(0)], 0, [Fraction(1)], degree)
     checks.append(
@@ -144,8 +140,8 @@ def verify_bch(degree: int = 10, seed: int = 7, count: int = 20) -> dict:
         beta = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.randint(1, 3))
         phi1 = _random_poly(rng, 4)
         phi2 = _random_poly(rng, 4)
-        a = _one_y_series(alpha, phi1, degree + 1, max_y=1)
-        b = _one_y_series(beta, phi2, degree + 1, max_y=1)
+        a = _one_y_series(alpha, phi1, degree + 1)
+        b = _one_y_series(beta, phi2, degree + 1)
         got = ReducedSeries.from_series(bch(a, b)).truncate(degree)
         want = bch_reduced(alpha, phi1, beta, phi2, degree)
         checks.append(
@@ -160,8 +156,6 @@ def verify_gamma(degree: int = 10, seed: int = 7, chis=None) -> dict:
     rng = Random(seed)
     chis = chis or [Fraction(2), Fraction(3), Fraction(1, 2)]
     checks = []
-    from math import factorial
-
     for chi in chis:
         l_even = [
             bernoulli_number(2 * k) / (2 * factorial(2 * k)) * (1 - chi ** (2 * k))

@@ -1,9 +1,13 @@
 """Truncated power series in two non-commuting letters X, Y.
 
-Two layers:
+Three layers:
 
 * ``NcSeries`` — honest non-commutative series over Fraction, with exp/log and
-  the group product bch(A, B) = log(exp A * exp B).
+  the group product bch(A, B) = log(exp A * exp B).  It is the exact oracle.
+* ``OneYSeries`` — the same series modulo the two-sided ideal of words with
+  two or more Y's, held as integer tables over one shared denominator: f[i]
+  for X^i and g[i][j] for X^i Y X^j.  Its exp/log/bch run the same series
+  loops as ``NcSeries``, with the two-Y part of every product dropped.
 * ``ReducedSeries`` — the image in the quotient by the two-sided ideal killing
   every word with two Y's and every word containing a factor X^i Y (i > 0).
   A class is written a(X) + Y*b(X); the induced multiplication is
@@ -16,12 +20,14 @@ they accept any field-like coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import chain
+from math import factorial, gcd, lcm
 
 from .bernoulli import bernoulli_number, bernoulli_poly
 
 __all__ = [
     "NcSeries",
+    "OneYSeries",
     "ReducedSeries",
     "bch",
     "bch_reduced",
@@ -95,7 +101,7 @@ def pinv(f, D):
     if not f[0]:
         raise ValueError("series not invertible: zero constant term")
     out = [Q0] * (D + 1)
-    out[0] = 1 / f[0]
+    out[0] = Q1 / f[0]
     for n in range(1, D + 1):
         s = sum(f[k] * out[n - k] for k in range(1, n + 1))
         out[n] = -s / f[0]
@@ -143,6 +149,11 @@ def bernoulli_kernel(chi, t, D):
 # ---------------------------------------------------------------------------
 
 
+def _check_letters(word: str) -> None:
+    if word.strip("XY"):
+        raise ValueError("letters are X and Y")
+
+
 class NcSeries:
     """Series over words in {X, Y}, truncated beyond total degree ``degree``.
 
@@ -161,6 +172,7 @@ class NcSeries:
         self.coeffs = {}
         if coeffs:
             for w, c in coeffs.items():
+                _check_letters(w)
                 if len(w) <= degree and c:
                     if max_y is not None and w.count("Y") > max_y:
                         continue
@@ -266,8 +278,177 @@ class NcSeries:
         return f"NcSeries[deg<={self.degree}]({body}{more})"
 
 
-def bch(a: NcSeries, b: NcSeries) -> NcSeries:
-    """log(exp(a) * exp(b)), truncated."""
+# ---------------------------------------------------------------------------
+# series with at most one Y, on integer tables
+# ---------------------------------------------------------------------------
+
+
+def _conv(p, q, n):
+    """The first n coefficients of the product of coefficient lists p and q."""
+    out = [0] * n
+    for i, a in enumerate(p[:n]):
+        if a:
+            for j, b in enumerate(q[: n - i], i):
+                out[j] += a * b
+    return out
+
+
+class OneYSeries:
+    """``NcSeries(degree, ..., max_y=1)`` on dense integer tables.
+
+    ``f[i]`` is the numerator of X^i (i <= degree) and ``g[i][j]`` that of
+    X^i Y X^j (i + j + 1 <= degree, so row ``degree`` is empty), all over one
+    positive denominator ``den`` whose gcd with the numerators is 1, so equal
+    series have equal tables.  The product is f1 f2 + f1 g2 + g1 f2: the
+    words of g1 g2 have two Y's and die.
+    """
+
+    __slots__ = ("degree", "den", "f", "g")
+
+    def __init__(self, degree: int, coeffs=None):
+        f = [Q0] * (degree + 1)
+        g = [[Q0] * (degree - i) for i in range(degree + 1)]
+        for w, c in (coeffs or {}).items():
+            _check_letters(w)
+            if len(w) > degree or w.count("Y") > 1:
+                continue
+            i = w.find("Y")
+            if i < 0:
+                f[len(w)] = Fraction(c)
+            else:
+                g[i][len(w) - 1 - i] = Fraction(c)
+        self._fill(degree, f, g)
+
+    @classmethod
+    def from_tables(cls, degree: int, f=(), g=()) -> "OneYSeries":
+        """sum f[i] X^i + sum g[i][j] X^i Y X^j over rational entries; entries
+        beyond the degree window are dropped and missing ones read as 0."""
+        out = cls.__new__(cls)
+        out._fill(degree, f, g)
+        return out
+
+    def _fill(self, degree, f, g):
+        f = [Fraction(c) for c in f[: degree + 1]]
+        g = [[Fraction(c) for c in row[: degree - i]] for i, row in enumerate(g[: degree + 1])]
+        den = lcm(*(c.denominator for c in chain(f, *g)))
+
+        def numerators(row, n):
+            return [c.numerator * (den // c.denominator) for c in row] + [0] * (n - len(row))
+
+        self.degree, self.den = degree, den
+        self.f = numerators(f, degree + 1)
+        self.g = [numerators(g[i] if i < len(g) else [], degree - i) for i in range(degree + 1)]
+
+    @classmethod
+    def _make(cls, degree, den, f, g) -> "OneYSeries":
+        """The series with numerators f, g over den > 0, reduced by one gcd."""
+        d = gcd(den, *f, *chain.from_iterable(g))
+        if d > 1:
+            den //= d
+            f = [c // d for c in f]
+            g = [[c // d for c in row] for row in g]
+        out = cls.__new__(cls)
+        out.degree, out.den, out.f, out.g = degree, den, f, g
+        return out
+
+    @classmethod
+    def variable(cls, name: str, degree: int) -> "OneYSeries":
+        if name not in ("X", "Y"):
+            raise ValueError("letters are X and Y")
+        return cls(degree, {name: Q1})
+
+    @classmethod
+    def one(cls, degree: int) -> "OneYSeries":
+        return cls.from_tables(degree, [Q1])
+
+    def __getitem__(self, word: str) -> Fraction:
+        _check_letters(word)
+        if len(word) > self.degree or word.count("Y") > 1:
+            return Q0
+        i = word.find("Y")
+        return Fraction(self.f[len(word)] if i < 0 else self.g[i][len(word) - 1 - i], self.den)
+
+    @property
+    def constant(self) -> Fraction:
+        return Fraction(self.f[0], self.den)
+
+    def __bool__(self):
+        return any(self.f) or any(map(any, self.g))
+
+    def _check_degree(self, other):
+        if other.degree != self.degree:
+            raise ValueError("degrees differ")
+
+    def __add__(self, other):
+        self._check_degree(other)
+        den = lcm(self.den, other.den)
+        u, v = den // self.den, den // other.den
+        f = [u * a + v * b for a, b in zip(self.f, other.f)]
+        g = [[u * a + v * b for a, b in zip(r, s)] for r, s in zip(self.g, other.g)]
+        return OneYSeries._make(self.degree, den, f, g)
+
+    def __neg__(self):
+        return OneYSeries._make(self.degree, self.den, [-c for c in self.f],
+                                [[-c for c in row] for row in self.g])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c) -> "OneYSeries":
+        c = Fraction(c)
+        p = c.numerator
+        return OneYSeries._make(self.degree, self.den * c.denominator, [p * a for a in self.f],
+                                [[p * a for a in row] for row in self.g])
+
+    def __mul__(self, other):
+        self._check_degree(other)
+        D = self.degree
+        f1, g1, f2, g2 = self.f, self.g, other.f, other.g
+        g = []
+        for i in range(D + 1):
+            row = _conv(f2, g1[i], D - i)  # X^i Y X^j * X^b
+            for a in range(i + 1):  # X^a * X^(i-a) Y X^j
+                c = f1[a]
+                if c:
+                    row = [r + c * v for r, v in zip(row, g2[i - a])]
+            g.append(row)
+        return OneYSeries._make(D, self.den * other.den, _conv(f1, f2, D + 1), g)
+
+    def exp(self) -> "OneYSeries":
+        if self.f[0]:
+            raise ValueError("exp needs zero constant term")
+        acc = term = OneYSeries.one(self.degree)
+        for n in range(1, self.degree + 1):
+            term = (term * self).scale(Fraction(1, n))
+            if not term:
+                break
+            acc = acc + term
+        return acc
+
+    def log(self) -> "OneYSeries":
+        if self.constant != 1:
+            raise ValueError("log needs constant term 1")
+        w = self - OneYSeries.one(self.degree)
+        acc = OneYSeries.from_tables(self.degree)
+        term = OneYSeries.one(self.degree)
+        for n in range(1, self.degree + 1):
+            term = term * w
+            if not term:
+                break
+            acc = acc + term.scale(Fraction((-1) ** (n + 1), n))
+        return acc
+
+    def __eq__(self, other):
+        return (isinstance(other, OneYSeries) and self.den == other.den
+                and self.f == other.f and self.g == other.g)
+
+    def __repr__(self):
+        return f"OneYSeries[deg<={self.degree}](den={self.den}, f={self.f}, g={self.g})"
+
+
+def bch(a, b):
+    """log(exp(a) * exp(b)), truncated; a and b are both ``NcSeries`` or both
+    ``OneYSeries``."""
     if a.constant or b.constant:
         raise ValueError("bch needs zero constant terms")
     return (a.exp() * b.exp()).log()
@@ -287,14 +468,18 @@ class ReducedSeries:
         self.b = ptrim(b or [], degree)
 
     @classmethod
-    def from_series(cls, s: NcSeries) -> "ReducedSeries":
+    def from_series(cls, s) -> "ReducedSeries":
         """Quotient map: words with two Y's or an X-before-Y factor die.
 
-        Survivors are X^j (into a) and Y X^j (into b).  Note the total-degree
-        window of the input: a degree-D NcSeries carries Y X^j only for
-        j <= D-1, so when comparing against the one-variable calculus compute
-        the full route one degree higher and ``truncate``.
+        Survivors are X^j (into a) and Y X^j (into b); of a ``OneYSeries``
+        these are its tables f and g[0].  Note the total-degree window of the
+        input: a degree-D series carries Y X^j only for j <= D-1, so when
+        comparing against the one-variable calculus compute the full route
+        one degree higher and ``truncate``.
         """
+        if isinstance(s, OneYSeries):
+            return cls(s.degree, [Fraction(c, s.den) for c in s.f],
+                       [Fraction(c, s.den) for c in s.g[0]])
         a = [Q0] * (s.degree + 1)
         b = [Q0] * (s.degree + 1)
         for w, c in s.coeffs.items():

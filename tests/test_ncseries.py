@@ -3,10 +3,12 @@ from math import factorial
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elladic.bernoulli import bernoulli_number, bernoulli_poly
 from elladic.ncseries import (
     NcSeries,
+    OneYSeries,
     ReducedSeries,
     bch,
     bch_reduced,
@@ -21,6 +23,7 @@ from elladic.ncseries import (
     p_em1_over,
     p_x_over_em1,
     pcompose,
+    pinv,
     pmul,
     pneg,
     ptrim,
@@ -84,6 +87,83 @@ class TestNcSeries:
         b_cap = one_y(-1, [0, 1, 1], D, max_y=max_y)
         assert (ReducedSeries.from_series(bch(a_full, b_full))
                 == ReducedSeries.from_series(bch(a_cap, b_cap)))
+
+
+def one_y_words(D):
+    """Every word of length <= D with at most one Y."""
+    return (["X" * i for i in range(D + 1)]
+            + ["X" * i + "Y" + "X" * j for i in range(D) for j in range(D - i)])
+
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def one_y_coeffs(draw, max_degree=8):
+    """(D, coeffs, coeffs): two random rational coefficient dicts on every
+    word of length <= D with at most one Y."""
+    D = draw(st.integers(0, max_degree))
+    return D, *({w: draw(rationals) for w in one_y_words(D)} for _ in range(2))
+
+
+class TestOneYSeries:
+    """``OneYSeries`` against the ``NcSeries(..., max_y=1)`` oracle."""
+
+    @staticmethod
+    def same(oracle, got):
+        D = oracle.degree
+        assert OneYSeries(D, oracle.coeffs) == got
+        for w in one_y_words(D) + ["YY", "XYXY"]:
+            assert oracle[w] == got[w]
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_y_coeffs())
+    def test_matches_capped_oracle(self, drawn):
+        D, c1, c2 = drawn
+        a, b = NcSeries(D, c1, max_y=1), NcSeries(D, c2, max_y=1)
+        A, B = OneYSeries(D, c1), OneYSeries(D, c2)
+        self.same(a, A)
+        self.same(a * b, A * B)
+        self.same(a + b, A + B)
+        for s, S, op, needs in ((a, A, "exp", 0), (b, B, "log", 1)):
+            if s.constant != needs:
+                with pytest.raises(ValueError) as oracle_error:
+                    getattr(s, op)()
+                with pytest.raises(ValueError) as error:
+                    getattr(S, op)()
+                assert str(error.value) == str(oracle_error.value)
+        a0, b0 = NcSeries(D, {**c1, "": 0}, max_y=1), NcSeries(D, {**c2, "": 0}, max_y=1)
+        A0, B0 = OneYSeries(D, {**c1, "": 0}), OneYSeries(D, {**c2, "": 0})
+        self.same(a0.exp(), A0.exp())
+        self.same(NcSeries(D, {**c2, "": 1}, max_y=1).log(), OneYSeries(D, {**c2, "": 1}).log())
+        self.same(bch(a0, b0), bch(A0, B0))
+
+    @pytest.mark.parametrize("D", range(7))
+    def test_reduction_matches_uncapped(self, D):
+        rng = Random(D)
+        c1, c2 = ({w: F(rng.randint(-3, 3), rng.randint(1, 3)) for w in one_y_words(D)[1:]}
+                  for _ in range(2))
+        full = bch(NcSeries(D, c1), NcSeries(D, c2))
+        assert (ReducedSeries.from_series(bch(OneYSeries(D, c1), OneYSeries(D, c2)))
+                == ReducedSeries.from_series(full))
+
+    def test_from_tables(self):
+        got = OneYSeries.from_tables(3, [F(1, 2), 0, 3, 4, 5], [[F(-1, 3), 0, 7, 8], [], [2]])
+        want = OneYSeries(3, {"": F(1, 2), "XX": 3, "XXX": 4, "Y": F(-1, 3), "YXX": 7, "XXY": 2})
+        assert got == want
+        assert (got.den, got.f[2], got.g[0][0]) == (6, 18, -2)
+
+    @pytest.mark.parametrize("cls", [NcSeries, OneYSeries])
+    @pytest.mark.parametrize("word", ["Z", "XZ", "x", "Y X"])
+    def test_refuses_other_letters(self, cls, word):
+        with pytest.raises(ValueError, match="letters are X and Y"):
+            cls(3, {word: 1})
+        with pytest.raises(ValueError, match="letters are X and Y"):
+            cls.variable(word, 3)
+
+    def test_getitem_refuses_other_letters(self):
+        with pytest.raises(ValueError, match="letters are X and Y"):
+            OneYSeries.variable("X", 3)["XZ"]
 
 
 class TestReduction:
@@ -246,6 +326,12 @@ class TestInversionPipeline:
             loop = bch_scaled_pair(chi, t, 9)
             assert loop.b == bch_scaled_pair_display(chi, t, 9)
             assert loop.a == ptrim([0, t * (1 - chi)], 9)
+
+
+def test_pinv_keeps_integer_input_exact():
+    out = pinv([1, 1], 3)
+    assert out == [1, -1, 1, -1]
+    assert all(type(c) is Fraction for c in out)
 
 
 class TestGammaZero:
