@@ -11,19 +11,25 @@ Three layers:
 * ``ReducedSeries`` — the image in the quotient by the two-sided ideal killing
   every word with two Y's and every word containing a factor X^i Y (i > 0).
   A class is written a(X) + Y*b(X); the induced multiplication is
-  (a1 + Y b1)(a2 + Y b2) = a1 a2 + Y (b1 a2 + a1(0) b2).
+  (a1 + Y b1)(a2 + Y b2) = a1 a2 + Y (b1 a2 + a1(0) b2).  It holds a and b
+  as integer numerators over one shared denominator, and so do the closed
+  group product, the gamma assembly and the path-reversal chain built on it.
 
-All scalars default to Fraction; the one-variable helpers only use +, *, / so
-they accept any field-like coefficients.
+One-variable series come in two forms.  A Fraction coefficient list serves
+``pmul``/``pinv`` and the li/l helpers.  An integer table ``(nums, den)``, the
+coefficients ``nums[k] / den`` with ``den > 0``, serves the quotient algebra;
+the exponential, (e^X - 1)/X and X/(e^X - 1) series at gamma X are one
+rescaling of a per-degree table of numerators, built on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import factorial, gcd, lcm
 
-from .bernoulli import bernoulli_number, bernoulli_poly
+from .bernoulli import bernoulli_number
 
 __all__ = [
     "NcSeries",
@@ -46,7 +52,7 @@ Q1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# one-variable polynomial helpers (coefficient lists, truncated at degree D)
+# one-variable helpers on Fraction lists, truncated at degree D
 # ---------------------------------------------------------------------------
 
 
@@ -54,19 +60,6 @@ def ptrim(f, D):
     f = list(f[: D + 1])
     f += [Q0] * (D + 1 - len(f))
     return f
-
-
-def padd(f, g, D):
-    f, g = ptrim(f, D), ptrim(g, D)
-    return [a + b for a, b in zip(f, g)]
-
-
-def pneg(f, D):
-    return [-a for a in ptrim(f, D)]
-
-
-def pscale(c, f, D):
-    return [c * a for a in ptrim(f, D)]
 
 
 def pmul(f, g, D):
@@ -78,21 +71,6 @@ def pmul(f, g, D):
         for j in range(0, D + 1 - i):
             if g[j]:
                 out[i + j] += a * g[j]
-    return out
-
-
-def pcompose(f, g, D):
-    """f(g(X)) with g(0) = 0."""
-    g = ptrim(g, D)
-    if g[0]:
-        raise ValueError("inner series must have zero constant term")
-    out = [Q0] * (D + 1)
-    power = [Q1] + [Q0] * D
-    for k, c in enumerate(ptrim(f, D)):
-        if k:
-            power = pmul(power, g, D)
-        if c:
-            out = padd(out, pscale(c, power, D), D)
     return out
 
 
@@ -108,40 +86,115 @@ def pinv(f, D):
     return out
 
 
-def pexp_scalar(gamma, D):
-    """exp(gamma * X)."""
+# ---------------------------------------------------------------------------
+# one-variable series as integer tables (nums, den), den > 0
+# ---------------------------------------------------------------------------
+
+
+def _conv(p, q, n):
+    """The first n coefficients of the product of coefficient lists p and q."""
+    out = [0] * n
+    for i, a in enumerate(p[:n]):
+        if a:
+            for j, b in enumerate(q[: n - i], i):
+                out[j] += a * b
+    return out
+
+
+def _table(coeffs, n):
+    """Rational coefficients as numerators over their least common
+    denominator, truncated or padded with zeros to n entries."""
+    coeffs = [Fraction(c) for c in coeffs][:n]
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs] + [0] * (n - len(coeffs)), den
+
+
+def _fractions(table):
+    nums, den = table
+    return [Fraction(c, den) for c in nums]
+
+
+def _add(x, y):
+    (p, d), (q, e) = x, y
+    g = gcd(d, e)
+    u, v = e // g, d // g
+    return [u * a + v * b for a, b in zip(p, q)], d * u
+
+
+def _scale(x, c):
+    c = Fraction(c)
+    return [c.numerator * a for a in x[0]], x[1] * c.denominator
+
+
+def _mul(x, y, n):
+    return _conv(x[0], y[0], n), x[1] * y[1]
+
+
+def _at(x, gamma):
+    """The table of f(gamma X) for the table x of f: entry k times gamma^k,
+    over the denominator times q^top for gamma = p/q."""
     gamma = Fraction(gamma)
-    return [gamma ** k / factorial(k) for k in range(D + 1)]
+    p, q = gamma.numerator, gamma.denominator
+    top = max(len(x[0]) - 1, 0)
+    out, pk, qk = [], 1, q ** top
+    for c in x[0]:
+        out.append(c * pk * qk)
+        pk *= p
+        qk //= q
+    return out, x[1] * q ** top
+
+
+@cache
+def _factorial_table(n, shift):
+    """Numerators of 1/(k + shift)! for k < n, over (n - 1 + shift)!."""
+    top = factorial(n - 1 + shift)
+    return tuple(top // factorial(k + shift) for k in range(n)), top
+
+
+@cache
+def _bernoulli_table(n):
+    """Numerators of B_k/k! for k < n, over their least common denominator."""
+    nums, den = _table([bernoulli_number(k) / factorial(k) for k in range(n)], n)
+    return tuple(nums), den
+
+
+def pexp_scalar(gamma, D):
+    """exp(gamma * X) up to X^D, as an integer table."""
+    return _at(_factorial_table(D + 1, 0), gamma)
 
 
 def p_em1_over(gamma, D):
-    """(exp(gamma X) - 1)/(gamma X), equal to 1 when gamma = 0."""
-    gamma = Fraction(gamma)
-    return [gamma ** k / factorial(k + 1) for k in range(D + 1)]
+    """(exp(gamma X) - 1)/(gamma X) up to X^D, equal to 1 when gamma = 0."""
+    return _at(_factorial_table(D + 1, 1), gamma)
 
 
 def p_x_over_em1(gamma, D):
-    """gamma X / (exp(gamma X) - 1) = sum B_k (gamma X)^k / k!; 1 when gamma = 0."""
-    gamma = Fraction(gamma)
-    return [bernoulli_number(k) * gamma ** k / factorial(k) for k in range(D + 1)]
+    """gamma X / (exp(gamma X) - 1) = sum B_k (gamma X)^k / k! up to X^D; 1 when
+    gamma = 0."""
+    return _at(_bernoulli_table(D + 1), gamma)
 
 
 def p_div_em1(num, gamma, D):
-    """num / (exp(gamma X) - 1) for num with zero constant term, gamma != 0."""
-    num = ptrim(num, D + 1)
-    if num[0]:
+    """num / (exp(gamma X) - 1) up to X^D, for a table num of D + 2 entries with
+    zero constant term, gamma != 0."""
+    nums, den = num
+    if nums[0]:
         raise ValueError("numerator must vanish at 0")
-    shifted = num[1:]
-    return pscale(1 / Fraction(gamma), pmul(shifted, p_x_over_em1(gamma, D), D), D)
+    return _mul(_scale((nums[1:], den), 1 / Fraction(gamma)), p_x_over_em1(gamma, D), D + 1)
+
+
+def _kernel_table(chi, t, D):
+    """``bernoulli_kernel`` as a table: the coefficients of
+    e^(tX) X/(e^X - 1) = sum B_k(t) X^k/k! minus their chi^k-scaled copy,
+    shifted down by one."""
+    c = _mul(pexp_scalar(t, D + 1), p_x_over_em1(1, D + 1), D + 2)
+    nums, den = _add(c, _scale(_at(c, chi), -1))
+    return nums[1:], den
 
 
 def bernoulli_kernel(chi, t, D):
     """sum_{k>=1} B_k(t) (1 - chi^k) / k! * X^(k-1), truncated at degree D."""
-    chi, t = Fraction(chi), Fraction(t)
-    out = []
-    for k in range(1, D + 2):
-        out.append(bernoulli_poly(k, t) * (1 - chi ** k) / factorial(k))
-    return ptrim(out, D)
+    return _fractions(_kernel_table(chi, t, D))
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +334,6 @@ class NcSeries:
 # ---------------------------------------------------------------------------
 # series with at most one Y, on integer tables
 # ---------------------------------------------------------------------------
-
-
-def _conv(p, q, n):
-    """The first n coefficients of the product of coefficient lists p and q."""
-    out = [0] * n
-    for i, a in enumerate(p[:n]):
-        if a:
-            for j, b in enumerate(q[: n - i], i):
-                out[j] += a * b
-    return out
 
 
 class OneYSeries:
@@ -460,12 +503,40 @@ def bch(a, b):
 
 
 class ReducedSeries:
-    __slots__ = ("degree", "a", "b")
+    """a(X) + Y b(X) up to X^degree in both parts.
+
+    ``an`` and ``bn`` are the numerators of a and b, all over one positive
+    denominator ``den`` whose gcd with them is 1, so equal series have equal
+    tables; ``a`` and ``b`` read them as Fraction lists.
+    """
+
+    __slots__ = ("degree", "den", "an", "bn")
 
     def __init__(self, degree: int, a=None, b=None):
-        self.degree = degree
-        self.a = ptrim(a or [], degree)
-        self.b = ptrim(b or [], degree)
+        nums, den = _table(ptrim(a or [], degree) + ptrim(b or [], degree), 2 * degree + 2)
+        self.degree, self.den = degree, den
+        self.an, self.bn = nums[: degree + 1], nums[degree + 1:]
+
+    @classmethod
+    def _make(cls, degree, den, an, bn) -> "ReducedSeries":
+        """The series with numerators an, bn over den > 0, reduced by one gcd."""
+        d = gcd(den, *an, *bn)
+        if d > 1:
+            den //= d
+            an = [c // d for c in an]
+            bn = [c // d for c in bn]
+        out = cls.__new__(cls)
+        out.degree, out.den, out.an, out.bn = degree, den, an, bn
+        return out
+
+    @classmethod
+    def _of(cls, degree, a=None, b=None) -> "ReducedSeries":
+        """The series with tables a and b of degree + 1 entries; None is 0."""
+        zero = ([0] * (degree + 1), 1)
+        (an, da), (bn, db) = a or zero, b or zero
+        g = gcd(da, db)
+        u, v = db // g, da // g
+        return cls._make(degree, da * u, [u * c for c in an], [v * c for c in bn])
 
     @classmethod
     def from_series(cls, s) -> "ReducedSeries":
@@ -478,8 +549,7 @@ class ReducedSeries:
         one degree higher and ``truncate``.
         """
         if isinstance(s, OneYSeries):
-            return cls(s.degree, [Fraction(c, s.den) for c in s.f],
-                       [Fraction(c, s.den) for c in s.g[0]])
+            return cls._make(s.degree, s.den, list(s.f), s.g[0] + [0])
         a = [Q0] * (s.degree + 1)
         b = [Q0] * (s.degree + 1)
         for w, c in s.coeffs.items():
@@ -489,72 +559,114 @@ class ReducedSeries:
                 b[len(w) - 1] += c
         return cls(s.degree, a, b)
 
+    @property
+    def a(self) -> list:
+        return _fractions((self.an, self.den))
+
+    @property
+    def b(self) -> list:
+        return _fractions((self.bn, self.den))
+
+    def _check_degree(self, other):
+        if other.degree != self.degree:
+            raise ValueError("degrees differ")
+
     def __add__(self, other):
-        D = self.degree
-        return ReducedSeries(D, padd(self.a, other.a, D), padd(self.b, other.b, D))
+        self._check_degree(other)
+        g = gcd(self.den, other.den)
+        u, v = other.den // g, self.den // g
+        return ReducedSeries._make(self.degree, self.den * u,
+                                   [u * x + v * y for x, y in zip(self.an, other.an)],
+                                   [u * x + v * y for x, y in zip(self.bn, other.bn)])
 
     def __neg__(self):
-        D = self.degree
-        return ReducedSeries(D, pneg(self.a, D), pneg(self.b, D))
+        return ReducedSeries._make(self.degree, self.den, [-c for c in self.an],
+                                   [-c for c in self.bn])
 
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c):
-        D = self.degree
+    def scale(self, c) -> "ReducedSeries":
         c = Fraction(c)
-        return ReducedSeries(D, pscale(c, self.a, D), pscale(c, self.b, D))
+        p = c.numerator
+        return ReducedSeries._make(self.degree, self.den * c.denominator,
+                                   [p * x for x in self.an], [p * x for x in self.bn])
 
     def __mul__(self, other):
-        D = self.degree
-        a = pmul(self.a, other.a, D)
-        b = padd(pmul(self.b, other.a, D), pscale(self.a[0], other.b, D), D)
-        return ReducedSeries(D, a, b)
+        self._check_degree(other)
+        n = self.degree + 1
+        b = _conv(self.bn, other.an, n)
+        c = self.an[0]
+        if c:
+            b = [x + c * y for x, y in zip(b, other.bn)]
+        return ReducedSeries._make(self.degree, self.den * other.den,
+                                   _conv(self.an, other.an, n), b)
 
     def exp(self) -> "ReducedSeries":
-        D = self.degree
-        if self.a[0]:
+        if self.an[0]:
             raise ValueError("exp needs zero constant term")
-        # A^n = a^n + Y b a^(n-1), hence exp A = e^a + Y b (e^a - 1)/a
-        ea = [Q0] * (D + 1)
-        power = [Q1] + [Q0] * D
-        tail = [Q0] * (D + 1)  # sum a^n/(n+1)!
-        for n in range(D + 1):
-            if n:
-                power = pmul(power, self.a, D)
-            ea = padd(ea, pscale(Fraction(1, factorial(n)), power, D), D)
-            tail = padd(tail, pscale(Fraction(1, factorial(n + 1)), power, D), D)
-        return ReducedSeries(D, ea, pmul(self.b, tail, D))
+        # A^k = a^k + Y b a^(k-1), hence exp A = e^a + Y b (e^a - 1)/a.  With
+        # a = an/d: sum_k c_k a^k = sum_k c_k d^(D-k) an^k / d^D, here for
+        # c_k = 1/k! (over D!) and 1/(k+1)! (over (D+1)! = (D+1) D!).
+        D, d = self.degree, self.den
+        n = D + 1
+        inv, _ = _factorial_table(n, 0)
+        inv1, top1 = _factorial_table(n, 1)
+        ea, tail, power = [0] * n, [0] * n, [1] + [0] * D
+        for k in range(n):
+            if k:
+                power = _conv(self.an, power, n)
+            w = d ** (D - k)
+            ea = [x + inv[k] * w * y for x, y in zip(ea, power)]
+            tail = [x + inv1[k] * w * y for x, y in zip(tail, power)]
+        return ReducedSeries._make(D, d * top1 * d ** D, [n * d * x for x in ea],
+                                   _conv(self.bn, tail, n))
 
     def log(self) -> "ReducedSeries":
-        D = self.degree
-        if self.a[0] != 1:
+        if self.an[0] != self.den:
             raise ValueError("log needs constant term 1")
-        wa = list(self.a)
-        wa[0] = Q0
-        la = [Q0] * (D + 1)
-        lb_kernel = [Q0] * (D + 1)  # sum (-1)^n wa^n/(n+1)
-        power = [Q1] + [Q0] * D
-        for n in range(D + 1):
-            if n:
-                power = pmul(power, wa, D)
-                la = padd(la, pscale(Fraction((-1) ** (n + 1), n), power, D), D)
-            lb_kernel = padd(lb_kernel, pscale(Fraction((-1) ** n, n + 1), power, D), D)
-        return ReducedSeries(D, la, pmul(self.b, lb_kernel, D))
+        # w = a - 1; log A = log(1 + w) + Y b sum_k (-1)^k w^k/(k+1), both
+        # sums over lcm(1..D+1) d^D as in ``exp``.
+        D, d = self.degree, self.den
+        n = D + 1
+        top = lcm(*range(1, n + 1))
+        wa = [0] + self.an[1:]
+        la, kernel, power = [0] * n, [0] * n, [1] + [0] * D
+        for k in range(n):
+            if k:
+                power = _conv(wa, power, n)
+                c = (-1) ** (k + 1) * (top // k) * d ** (D - k)
+                la = [x + c * y for x, y in zip(la, power)]
+            c = (-1) ** k * (top // (k + 1)) * d ** (D - k)
+            kernel = [x + c * y for x, y in zip(kernel, power)]
+        return ReducedSeries._make(D, d * top * d ** D, [d * x for x in la],
+                                   _conv(self.bn, kernel, n))
 
     def truncate(self, degree: int) -> "ReducedSeries":
         """Forget coefficients beyond X-degree ``degree`` in both parts."""
-        return ReducedSeries(degree, self.a[: degree + 1], self.b[: degree + 1])
+        pad = [0] * (degree - self.degree)
+        return ReducedSeries._make(degree, self.den, (self.an + pad)[: degree + 1],
+                                   (self.bn + pad)[: degree + 1])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ReducedSeries)
-            and self.a == other.a
-            and self.b == other.b
-        )
+        return (isinstance(other, ReducedSeries) and self.den == other.den
+                and self.an == other.an and self.bn == other.bn)
 
     def __repr__(self):
-        return f"ReducedSeries[deg<={self.degree}](a={self.a}, b={self.b})"
+        return f"ReducedSeries[deg<={self.degree}](den={self.den}, a={self.an}, b={self.bn})"
+
+
+def _bch(alpha, phi1, beta, phi2, D) -> ReducedSeries:
+    """``bch_reduced`` for rational alpha, beta and tables phi1, phi2 of D + 1
+    entries."""
+    n, gamma = D + 1, alpha + beta
+    part1 = _mul(_mul(p_em1_over(alpha, D), phi1, n), pexp_scalar(beta, D), n)
+    part2 = _mul(p_em1_over(beta, D), phi2, n)
+    b = _mul(p_x_over_em1(gamma, D), _add(part1, part2), n)
+    a = [0] * n
+    if D >= 1:
+        a[1] = gamma.numerator
+    return ReducedSeries._of(D, (a, gamma.denominator), b)
 
 
 def bch_reduced(alpha, phi1, beta, phi2, degree: int) -> ReducedSeries:
@@ -564,17 +676,9 @@ def bch_reduced(alpha, phi1, beta, phi2, degree: int) -> ReducedSeries:
     * K_(alpha+beta), where E_g = (e^(gX)-1)/(gX) and K_g = gX/(e^(gX)-1),
     both read as 1 at g = 0.
     """
-    D = degree
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    phi1 = ptrim(phi1 if not isinstance(phi1, (int, Fraction)) else [phi1], D)
-    phi2 = ptrim(phi2 if not isinstance(phi2, (int, Fraction)) else [phi2], D)
-    part1 = pmul(pmul(phi1, p_em1_over(alpha, D), D), pexp_scalar(beta, D), D)
-    part2 = pmul(phi2, p_em1_over(beta, D), D)
-    b = pmul(padd(part1, part2, D), p_x_over_em1(alpha + beta, D), D)
-    a = [Q0] * (D + 1)
-    if D >= 1:
-        a[1] = alpha + beta
-    return ReducedSeries(D, a, b)
+    n = degree + 1
+    phi1, phi2 = ([phi] if isinstance(phi, (int, Fraction)) else phi for phi in (phi1, phi2))
+    return _bch(Fraction(alpha), _table(phi1, n), Fraction(beta), _table(phi2, n), degree)
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +694,13 @@ def li_from_l(l_scalar, l_coeffs, degree: int):
     """
     D = degree - 1
     ser = ptrim([Fraction(c) for c in l_coeffs], D)
-    out = pmul(ser, p_em1_over(Fraction(l_scalar), D), D)
-    return out
+    return pmul(ser, _fractions(p_em1_over(l_scalar, D)), D)
 
 
 def l_from_li(l_scalar, li_coeffs, degree: int):
     D = degree - 1
     ser = ptrim([Fraction(c) for c in li_coeffs], D)
-    return pmul(ser, pinv(p_em1_over(Fraction(l_scalar), D), D), D)
+    return pmul(ser, pinv(_fractions(p_em1_over(l_scalar, D)), D), D)
 
 
 # ---------------------------------------------------------------------------
@@ -622,11 +725,12 @@ def gamma_series(chi, l_even, l_odd, degree: int) -> ReducedSeries:
     for k, c in enumerate(l_odd, start=1):
         if 2 * k <= D:
             ell_ser[2 * k] = Fraction(c)
+    ell = _table(ell_ser, D + 1)
     # log S(Z,Y) reduces to Y * L(z_a) with z_a = -X
-    at_z = pcompose(ell_ser, [Q0, Fraction(-1)] + [Q0] * (D - 1), D)
-    mid = [Fraction(chi - 1, 2)] + [Q0] * D
-    step = bch_reduced(0, pneg(at_z, D), 0, mid, D)
-    return bch_reduced(0, step.b, 0, ell_ser, D)
+    at_z = _at(ell, -1)
+    mid = _table([(chi - 1) / 2], D + 1)
+    step = _bch(Q0, _scale(at_z, -1), Q0, mid, D)
+    return _bch(Q0, (step.bn, step.den), Q0, ell, D)
 
 
 def bch_scaled_pair(chi, t, degree: int) -> ReducedSeries:
@@ -637,9 +741,9 @@ def bch_scaled_pair(chi, t, degree: int) -> ReducedSeries:
     """
     D = degree
     chi, t = Fraction(chi), Fraction(t)
-    phi1 = pscale(t, p_x_over_em1(1, D), D)
-    phi2 = pscale(-t * chi, p_x_over_em1(chi, D), D)
-    return bch_reduced(t, phi1, -t * chi, phi2, D)
+    phi1 = _scale(p_x_over_em1(1, D), t)
+    phi2 = _scale(p_x_over_em1(chi, D), -t * chi)
+    return _bch(t, phi1, -t * chi, phi2, D)
 
 
 def bch_scaled_pair_display(chi, t, degree: int):
@@ -648,11 +752,11 @@ def bch_scaled_pair_display(chi, t, degree: int):
     chi, t = Fraction(chi), Fraction(t)
     if chi == 0:
         raise ValueError("chi must be nonzero")
-    e1 = padd(pexp_scalar(t * (1 - chi), D + 1), pneg(pexp_scalar(-t * chi, D + 1), D + 1), D + 1)
+    e1 = _add(pexp_scalar(t * (1 - chi), D + 1), _scale(pexp_scalar(-t * chi, D + 1), -1))
     part1 = p_div_em1(e1, 1, D)
-    e2 = padd(pexp_scalar(-t * chi, D + 1), pneg([Q1], D + 1), D + 1)
-    part2 = p_div_em1(pscale(chi, e2, D + 1), chi, D)
-    return pmul(padd(part1, part2, D), p_x_over_em1(t * (1 - chi), D), D)
+    e2 = _add(pexp_scalar(-t * chi, D + 1), ([-1] + [0] * (D + 1), 1))
+    part2 = p_div_em1(_scale(e2, chi), chi, D)
+    return _fractions(_mul(_add(part1, part2), p_x_over_em1(t * (1 - chi), D), D + 1))
 
 
 def inversion_pipeline(a_coeffs, chi, t, degree: int) -> ReducedSeries:
@@ -664,30 +768,28 @@ def inversion_pipeline(a_coeffs, chi, t, degree: int) -> ReducedSeries:
     in ``inversion_closed_form`` for comparison).
     """
     D = degree
+    n = D + 1
     chi, t = Fraction(chi), Fraction(t)
-    a_poly = ptrim([Fraction(c) for c in a_coeffs], D)
+    a_poly = _table(a_coeffs, n)
 
-    kernel = bernoulli_kernel(chi, 0, D)  # 1/(e^X-1) - chi/(e^(chi X)-1)
-    minus_x = [Q0, Fraction(-1)] + [Q0] * (D - 1)
-    step1 = bch_reduced(0, pcompose(a_poly, minus_x, D), 0, kernel, D)
+    kernel = _kernel_table(chi, 0, D)  # 1/(e^X-1) - chi/(e^(chi X)-1)
+    step1 = _bch(Q0, _at(a_poly, -1), Q0, kernel, D)
 
-    z = ReducedSeries(D, minus_x, pneg(p_x_over_em1(1, D), D))
+    minus_x = ([0, -1] + [0] * D)[:n]
+    z = ReducedSeries._of(D, (minus_x, 1), _scale(p_x_over_em1(1, D), -1))
     conj1 = z.scale(-t).exp() * step1 * z.scale(t).exp()
 
     loop = bch_scaled_pair(chi, t, D)
-    step3 = bch_reduced(0, conj1.b, t * (1 - chi), loop.b, D)
+    step3 = _bch(Q0, (conj1.bn, conj1.den), t * (1 - chi), (loop.bn, loop.den), D)
 
-    ex_neg = ReducedSeries(D, pexp_scalar(-t, D), None)
-    ex_pos = ReducedSeries(D, pexp_scalar(t, D), None)
+    ex_neg = ReducedSeries._of(D, pexp_scalar(-t, D))
+    ex_pos = ReducedSeries._of(D, pexp_scalar(t, D))
     conj2 = ex_neg * step3 * ex_pos
 
-    return bch_reduced(t * (1 - chi), conj2.b, t * (chi - 1), [Q0], D)
+    return _bch(t * (1 - chi), (conj2.bn, conj2.den), t * (chi - 1), ([0] * n, 1), D)
 
 
 def inversion_closed_form(a_coeffs, chi, t, degree: int) -> ReducedSeries:
     """A(-X) + e^(tX)/(e^X - 1) - chi e^(t chi X)/(e^(chi X) - 1), as Y-part."""
-    D = degree
-    a_poly = ptrim([Fraction(c) for c in a_coeffs], D)
-    minus_x = [Q0, Fraction(-1)] + [Q0] * (D - 1)
-    b = padd(pcompose(a_poly, minus_x, D), bernoulli_kernel(chi, t, D), D)
-    return ReducedSeries(D, None, b)
+    b = _add(_at(_table(a_coeffs, degree + 1), -1), _kernel_table(chi, t, degree))
+    return ReducedSeries._of(degree, None, b)

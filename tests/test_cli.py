@@ -241,6 +241,48 @@ class TestVerify:
         assert not doc["all_pass"]
         assert {c["discrepancy"] for c in doc["checks"]} == {f"Y*X^{index}"}
 
+    @pytest.mark.parametrize("index", [0, 8])
+    def test_perturbed_closed_form_fails_the_inversion_suite(self, index, monkeypatch):
+        """The group-product chain and the closed form share their integer
+        tables, yet a closed form off by 10^-6 in Y X^0 or Y X^D is told."""
+        exact = cli.inversion_closed_form
+
+        def perturbed(*args):
+            r = exact(*args)
+            b = r.b
+            b[index] += Fraction(1, 10 ** 6)
+            return ReducedSeries(r.degree, r.a, b)
+
+        monkeypatch.setattr(cli, "inversion_closed_form", perturbed)
+        doc = cli.verify_inversion(8, 7)
+        assert not doc["all_pass"] and not any(c["pass"] for c in doc["checks"])
+        assert {c["discrepancy"] for c in doc["checks"]} == {f"Y*X^{index}"}
+
+    def test_perturbed_display_fails_the_inversion_suite(self, monkeypatch):
+        exact = cli.bch_scaled_pair_display
+
+        def perturbed(*args):
+            b = exact(*args)
+            b[3] += Fraction(1, 10 ** 6)
+            return b
+
+        monkeypatch.setattr(cli, "bch_scaled_pair_display", perturbed)
+        doc = cli.verify_inversion(8, 7)
+        assert not doc["all_pass"] and not any(c["pass"] for c in doc["checks"])
+        assert {c["discrepancy"] for c in doc["checks"]} == {None}
+
+    def test_perturbed_kernel_fails_the_gamma_suite(self, monkeypatch):
+        exact = cli.bernoulli_kernel
+
+        def perturbed(*args):
+            b = exact(*args)
+            b[-1] += Fraction(1, 10 ** 6)
+            return b
+
+        monkeypatch.setattr(cli, "bernoulli_kernel", perturbed)
+        doc = cli.verify_gamma(10, 7)
+        assert not doc["all_pass"] and not any(c["pass"] for c in doc["checks"])
+
     def test_all_suite_passes_its_options_to_every_part(self, capsys):
         code, doc = run_cli(["verify", "all", "--degree", "4", "--chi", "3", "--t", "1/3"], capsys)
         assert code == 0 and doc["suite"] == "all" and doc["all_pass"]
@@ -327,9 +369,14 @@ class TestReadmeGolden:
     before those sums were folded onto one level-sum kernel; its case
     ``integrate --in tower.json --powers 1,1`` was re-recorded when a list
     longer or shorter than the tower rank became a rank-mismatch error.
+    ``golden/verify_cli.json`` covers ``verify bch|gamma|inversion|all`` at
+    degrees 0-12 (gamma also 14 and 16) over seeds 1-3, without options and
+    with ``--chi`` (0, 1, -1 and other rationals) and ``--t`` (0 among
+    them), recorded before the quotient algebra moved to integer tables.
     """
 
-    CASES = [case for name in ("readme_cli.json", "lfunctions_cli.json", "measures_cli.json")
+    CASES = [case for name in ("readme_cli.json", "lfunctions_cli.json", "measures_cli.json",
+                               "verify_cli.json")
              for case in json.loads((GOLDEN / name).read_text())]
 
     @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
