@@ -93,6 +93,8 @@ def _parse_psi(spec: str, ell: int) -> DirichletCharacter:
 
 
 def _first_discrepancy(r1, r2):
+    if r1 == r2:
+        return None
     for i, (x, y) in enumerate(zip(r1.a, r2.a)):
         if x != y:
             return f"X^{i}"
@@ -100,6 +102,11 @@ def _first_discrepancy(r1, r2):
         if x != y:
             return f"Y*X^{i}"
     return None
+
+
+def _check(name, got, want) -> dict:
+    disc = _first_discrepancy(got, want)
+    return {"name": name, "pass": disc is None, "discrepancy": disc}
 
 
 def _random_poly(rng: Random, degree: int):
@@ -125,16 +132,10 @@ def verify_bch(degree: int = 10, seed: int = 7, count: int = 20) -> dict:
     y = _one_y_series(0, [1], degree + 1)
     xy = ReducedSeries.from_series(bch(x, y)).truncate(degree)
     xy_closed = bch_reduced(1, [Fraction(0)], 0, [Fraction(1)], degree)
-    checks.append(
-        {"name": "xy-closed-form", "pass": xy == xy_closed,
-         "discrepancy": _first_discrepancy(xy, xy_closed)}
-    )
+    checks.append(_check("xy-closed-form", xy, xy_closed))
     yx = ReducedSeries.from_series(bch(y, x)).truncate(degree)
     yx_closed = bch_reduced(0, [Fraction(1)], 1, [Fraction(0)], degree)
-    checks.append(
-        {"name": "yx-closed-form", "pass": yx == yx_closed,
-         "discrepancy": _first_discrepancy(yx, yx_closed)}
-    )
+    checks.append(_check("yx-closed-form", yx, yx_closed))
     for i in range(count):
         alpha = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.randint(1, 3))
         beta = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.randint(1, 3))
@@ -144,10 +145,7 @@ def verify_bch(degree: int = 10, seed: int = 7, count: int = 20) -> dict:
         b = _one_y_series(beta, phi2, degree + 1)
         got = ReducedSeries.from_series(bch(a, b)).truncate(degree)
         want = bch_reduced(alpha, phi1, beta, phi2, degree)
-        checks.append(
-            {"name": f"random-{i}", "pass": got == want,
-             "discrepancy": _first_discrepancy(got, want)}
-        )
+        checks.append(_check(f"random-{i}", got, want))
     return {"suite": "bch", "degree": degree, "seed": seed, "checks": checks,
             "all_pass": all(c["pass"] for c in checks)}
 
@@ -346,55 +344,41 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: ``main`` reuses it on every call."""
     ap = argparse.ArgumentParser(prog="elladic")
     sub = ap.add_subparsers(dest="command", required=True)
+    # --json is accepted everywhere and changes nothing: output is always JSON
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
+    l_value = argparse.ArgumentParser(add_help=False, parents=[json_flag])
+    l_value.add_argument("--ell", type=int, required=True)
+    l_value.add_argument("--beta", type=int, required=True)
+    l_value.add_argument("--s", type=str, required=True)
+    l_value.add_argument("--prec", type=int, default=2)
 
-    p = sub.add_parser("bernoulli")
+    p = sub.add_parser("bernoulli", parents=[json_flag])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=str, default=None)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("teichmuller")
+    p = sub.add_parser("teichmuller", parents=[json_flag])
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--prec", type=int, default=8)
-    p.add_argument("--json", action="store_true")
 
     for name in ("kl", "minus-one"):
-        p = sub.add_parser(name)
-        p.add_argument("--ell", type=int, required=True)
-        p.add_argument("--beta", type=int, required=True)
-        p.add_argument("--s", type=str, required=True)
+        p = sub.add_parser(name, parents=[l_value])
         p.add_argument("--c", type=int, default=None)
         p.add_argument("--level", type=int, default=6)
         p.add_argument("--method", choices=["measure", "interp"], default="measure")
-        p.add_argument("--prec", type=int, default=2)
-        p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("hurwitz")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--s", type=str, required=True)
+    p = sub.add_parser("hurwitz", parents=[l_value])
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--prec", type=int, default=2)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("dirichlet")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--s", type=str, required=True)
+    p = sub.add_parser("dirichlet", parents=[l_value])
     p.add_argument("--psi", type=str, required=True)
-    p.add_argument("--prec", type=int, default=2)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("zinv")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--s", type=str, required=True)
+    p = sub.add_parser("zinv", parents=[l_value])
     p.add_argument("--primes", type=str, required=True)
-    p.add_argument("--prec", type=int, default=2)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("measure")
+    p = sub.add_parser("measure", parents=[json_flag])
     p.add_argument("action", choices=["validate", "pushforward", "integrate", "transform"])
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--in", dest="infile", required=True)
@@ -408,15 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inv", type=str, default=None)
     p.add_argument("--bracket", type=str, default=None)
     p.add_argument("--units", action="store_true")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("verify")
+    p = sub.add_parser("verify", parents=[json_flag])
     p.add_argument("suite", choices=["bch", "gamma", "inversion", "all"])
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--chi", type=str, default=None)
     p.add_argument("--t", type=str, default=None)
-    p.add_argument("--json", action="store_true")
 
     return ap
 

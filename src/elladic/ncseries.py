@@ -1,22 +1,25 @@
 """Truncated power series in two non-commuting letters X, Y.
 
-Three layers:
+One oracle and two table series on one core:
 
 * ``NcSeries`` — honest non-commutative series over Fraction, with exp/log and
   the group product bch(A, B) = log(exp A * exp B).  It is the exact oracle.
-* ``OneYSeries`` — the same series modulo the two-sided ideal of words with
-  two or more Y's, held as integer tables over one shared denominator: f[i]
-  for X^i and g[i][j] for X^i Y X^j.  Its exp/log/bch run the same series
-  loops as ``NcSeries``, with the two-Y part of every product dropped.
+* ``_TableSeries`` — the core of the other two: rows of integer numerators
+  over one positive denominator, reduced by one gcd.  It alone reduces, adds,
+  scales and compares tables, and its one power sum sum_k w_k x^k gives exp
+  (w_k = 1/k!) and log (w_k = (-1)^(k+1)/k).  A subclass gives its row
+  shapes and the product of two numerator tables.
+* ``OneYSeries`` — ``NcSeries`` modulo the two-sided ideal of words with two
+  or more Y's: rows f[i] for X^i and g[i][j] for X^i Y X^j; the product is
+  f1 f2 + f1 g2 + g1 f2.
 * ``ReducedSeries`` — the image in the quotient by the two-sided ideal killing
   every word with two Y's and every word containing a factor X^i Y (i > 0).
-  A class is written a(X) + Y*b(X); the induced multiplication is
-  (a1 + Y b1)(a2 + Y b2) = a1 a2 + Y (b1 a2 + a1(0) b2).  It holds a and b
-  as integer numerators over one shared denominator, and so do the closed
-  group product, the gamma assembly and the path-reversal chain built on it.
+  A class is written a(X) + Y*b(X), rows a and b; the induced multiplication
+  is (a1 + Y b1)(a2 + Y b2) = a1 a2 + Y (b1 a2 + a1(0) b2).  The closed group
+  product, the gamma assembly and the path-reversal chain are built on it.
 
 One-variable series come in two forms.  A Fraction coefficient list serves
-``pmul``/``pinv`` and the li/l helpers.  An integer table ``(nums, den)``, the
+``pmul`` and the li/l helpers.  An integer table ``(nums, den)``, the
 coefficients ``nums[k] / den`` with ``den > 0``, serves the quotient algebra;
 the exponential, (e^X - 1)/X and X/(e^X - 1) series at gamma X are one
 rescaling of a per-degree table of numerators, built on first use.
@@ -71,18 +74,6 @@ def pmul(f, g, D):
         for j in range(0, D + 1 - i):
             if g[j]:
                 out[i + j] += a * g[j]
-    return out
-
-
-def pinv(f, D):
-    f = ptrim(f, D)
-    if not f[0]:
-        raise ValueError("series not invertible: zero constant term")
-    out = [Q0] * (D + 1)
-    out[0] = Q1 / f[0]
-    for n in range(1, D + 1):
-        s = sum(f[k] * out[n - k] for k in range(1, n + 1))
-        out[n] = -s / f[0]
     return out
 
 
@@ -332,21 +323,125 @@ class NcSeries:
 
 
 # ---------------------------------------------------------------------------
-# series with at most one Y, on integer tables
+# series on integer tables: rows of numerators over one denominator
 # ---------------------------------------------------------------------------
 
 
-class OneYSeries:
+class _TableSeries:
+    """A series held as ``rows`` of integer numerators over one positive
+    denominator ``den`` whose gcd with them is 1, so equal series have equal
+    tables; ``rows[0][0]`` is the constant term.
+
+    A subclass fixes the row shapes and ``_product``, the product of two
+    numerator tables (over the product of their denominators).  Reduction,
+    sums, scaling, comparison and exp/log live here.
+    """
+
+    __slots__ = ("degree", "den", "rows")
+
+    def _fill(self, degree, rows):
+        """Set the series from rows of rational entries."""
+        nums, self.den = _table(chain.from_iterable(rows), sum(map(len, rows)))
+        nums = iter(nums)
+        self.degree, self.rows = degree, [[next(nums) for _ in row] for row in rows]
+
+    @classmethod
+    def _make(cls, degree, den, rows):
+        """The series with numerator rows over den > 0, reduced by one gcd."""
+        d = gcd(den, *chain.from_iterable(rows))
+        if d > 1:
+            den //= d
+            rows = [[c // d for c in row] for row in rows]
+        out = cls.__new__(cls)
+        out.degree, out.den, out.rows = degree, den, rows
+        return out
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} and {type(other).__name__}")
+        if other.degree != self.degree:
+            raise ValueError("degrees differ")
+
+    def __add__(self, other):
+        self._check(other)
+        g = gcd(self.den, other.den)
+        u, v = other.den // g, self.den // g
+        return self._make(self.degree, self.den * u,
+                          [[u * x + v * y for x, y in zip(r, s)]
+                           for r, s in zip(self.rows, other.rows)])
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = Fraction(c)
+        p = c.numerator
+        return self._make(self.degree, self.den * c.denominator,
+                          [[p * x for x in row] for row in self.rows])
+
+    def __mul__(self, other):
+        self._check(other)
+        return self._make(self.degree, self.den * other.den, self._product(self.rows, other.rows))
+
+    def _power_sum(self, x, weights, wden):
+        """sum_k weights[k]/wden * x^k for k <= degree + 1, x numerator rows
+        over den with zero constant term.
+
+        The sum runs one power past the degree: in the quotient algebra the
+        Y-part of x^(D+1) is Y b a^D, which reaches X^D.  x^k is over den^k,
+        so term k is weighted by den^(D+1-k) and the sum reduced once.
+        """
+        top, d = self.degree + 1, self.den
+        power = [[0] * len(row) for row in x]
+        power[0][0] = 1
+        acc = [[weights[0] * d ** top * c for c in row] for row in power]
+        for k in range(1, top + 1):
+            power = self._product(power, x)
+            if not any(map(any, power)):
+                break
+            w = weights[k] * d ** (top - k)
+            acc = [[s + w * c for s, c in zip(r, q)] for r, q in zip(acc, power)]
+        return self._make(self.degree, wden * d ** top, acc)
+
+    def exp(self):
+        if self.rows[0][0]:
+            raise ValueError("exp needs zero constant term")
+        weights, top = _factorial_table(self.degree + 2, 0)
+        return self._power_sum(self.rows, weights, top)
+
+    def log(self):
+        if self.rows[0][0] != self.den:
+            raise ValueError("log needs constant term 1")
+        n = self.degree + 2
+        top = lcm(*range(1, n))
+        weights = [0] + [(-1) ** (k + 1) * (top // k) for k in range(1, n)]
+        return self._power_sum([[0] + self.rows[0][1:]] + self.rows[1:], weights, top)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.den == other.den and self.rows == other.rows
+
+    def __repr__(self):
+        return f"{type(self).__name__}[deg<={self.degree}](den={self.den}, rows={self.rows})"
+
+
+# ---------------------------------------------------------------------------
+# series with at most one Y
+# ---------------------------------------------------------------------------
+
+
+class OneYSeries(_TableSeries):
     """``NcSeries(degree, ..., max_y=1)`` on dense integer tables.
 
     ``f[i]`` is the numerator of X^i (i <= degree) and ``g[i][j]`` that of
-    X^i Y X^j (i + j + 1 <= degree, so row ``degree`` is empty), all over one
-    positive denominator ``den`` whose gcd with the numerators is 1, so equal
-    series have equal tables.  The product is f1 f2 + f1 g2 + g1 f2: the
-    words of g1 g2 have two Y's and die.
+    X^i Y X^j (i + j + 1 <= degree, so row ``degree`` is empty); the rows are
+    f, g[0], ..., g[degree].  The product is f1 f2 + f1 g2 + g1 f2: the words
+    of g1 g2 have two Y's and die.
     """
 
-    __slots__ = ("degree", "den", "f", "g")
+    __slots__ = ()
 
     def __init__(self, degree: int, coeffs=None):
         f = [Q0] * (degree + 1)
@@ -360,38 +455,15 @@ class OneYSeries:
                 f[len(w)] = Fraction(c)
             else:
                 g[i][len(w) - 1 - i] = Fraction(c)
-        self._fill(degree, f, g)
+        self._fill(degree, [f, *g])
 
     @classmethod
     def from_tables(cls, degree: int, f=(), g=()) -> "OneYSeries":
         """sum f[i] X^i + sum g[i][j] X^i Y X^j over rational entries; entries
         beyond the degree window are dropped and missing ones read as 0."""
         out = cls.__new__(cls)
-        out._fill(degree, f, g)
-        return out
-
-    def _fill(self, degree, f, g):
-        f = [Fraction(c) for c in f[: degree + 1]]
-        g = [[Fraction(c) for c in row[: degree - i]] for i, row in enumerate(g[: degree + 1])]
-        den = lcm(*(c.denominator for c in chain(f, *g)))
-
-        def numerators(row, n):
-            return [c.numerator * (den // c.denominator) for c in row] + [0] * (n - len(row))
-
-        self.degree, self.den = degree, den
-        self.f = numerators(f, degree + 1)
-        self.g = [numerators(g[i] if i < len(g) else [], degree - i) for i in range(degree + 1)]
-
-    @classmethod
-    def _make(cls, degree, den, f, g) -> "OneYSeries":
-        """The series with numerators f, g over den > 0, reduced by one gcd."""
-        d = gcd(den, *f, *chain.from_iterable(g))
-        if d > 1:
-            den //= d
-            f = [c // d for c in f]
-            g = [[c // d for c in row] for row in g]
-        out = cls.__new__(cls)
-        out.degree, out.den, out.f, out.g = degree, den, f, g
+        g = list(g) + [()] * (degree + 1 - len(g))
+        out._fill(degree, [ptrim(f, degree)] + [ptrim(g[i], degree - i - 1) for i in range(degree + 1)])
         return out
 
     @classmethod
@@ -400,93 +472,38 @@ class OneYSeries:
             raise ValueError("letters are X and Y")
         return cls(degree, {name: Q1})
 
-    @classmethod
-    def one(cls, degree: int) -> "OneYSeries":
-        return cls.from_tables(degree, [Q1])
+    @property
+    def f(self) -> list:
+        return self.rows[0]
+
+    @property
+    def g(self) -> list:
+        return self.rows[1:]
 
     def __getitem__(self, word: str) -> Fraction:
         _check_letters(word)
         if len(word) > self.degree or word.count("Y") > 1:
             return Q0
         i = word.find("Y")
-        return Fraction(self.f[len(word)] if i < 0 else self.g[i][len(word) - 1 - i], self.den)
+        return Fraction(self.rows[0][len(word)] if i < 0 else self.rows[1 + i][len(word) - 1 - i],
+                        self.den)
 
     @property
     def constant(self) -> Fraction:
-        return Fraction(self.f[0], self.den)
+        return Fraction(self.rows[0][0], self.den)
 
-    def __bool__(self):
-        return any(self.f) or any(map(any, self.g))
-
-    def _check_degree(self, other):
-        if other.degree != self.degree:
-            raise ValueError("degrees differ")
-
-    def __add__(self, other):
-        self._check_degree(other)
-        den = lcm(self.den, other.den)
-        u, v = den // self.den, den // other.den
-        f = [u * a + v * b for a, b in zip(self.f, other.f)]
-        g = [[u * a + v * b for a, b in zip(r, s)] for r, s in zip(self.g, other.g)]
-        return OneYSeries._make(self.degree, den, f, g)
-
-    def __neg__(self):
-        return OneYSeries._make(self.degree, self.den, [-c for c in self.f],
-                                [[-c for c in row] for row in self.g])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "OneYSeries":
-        c = Fraction(c)
-        p = c.numerator
-        return OneYSeries._make(self.degree, self.den * c.denominator, [p * a for a in self.f],
-                                [[p * a for a in row] for row in self.g])
-
-    def __mul__(self, other):
-        self._check_degree(other)
+    def _product(self, p, q):
         D = self.degree
-        f1, g1, f2, g2 = self.f, self.g, other.f, other.g
-        g = []
+        f1, f2 = p[0], q[0]
+        rows = [_conv(f1, f2, D + 1)]
         for i in range(D + 1):
-            row = _conv(f2, g1[i], D - i)  # X^i Y X^j * X^b
+            row = _conv(f2, p[1 + i], D - i)  # X^i Y X^j * X^b
             for a in range(i + 1):  # X^a * X^(i-a) Y X^j
                 c = f1[a]
                 if c:
-                    row = [r + c * v for r, v in zip(row, g2[i - a])]
-            g.append(row)
-        return OneYSeries._make(D, self.den * other.den, _conv(f1, f2, D + 1), g)
-
-    def exp(self) -> "OneYSeries":
-        if self.f[0]:
-            raise ValueError("exp needs zero constant term")
-        acc = term = OneYSeries.one(self.degree)
-        for n in range(1, self.degree + 1):
-            term = (term * self).scale(Fraction(1, n))
-            if not term:
-                break
-            acc = acc + term
-        return acc
-
-    def log(self) -> "OneYSeries":
-        if self.constant != 1:
-            raise ValueError("log needs constant term 1")
-        w = self - OneYSeries.one(self.degree)
-        acc = OneYSeries.from_tables(self.degree)
-        term = OneYSeries.one(self.degree)
-        for n in range(1, self.degree + 1):
-            term = term * w
-            if not term:
-                break
-            acc = acc + term.scale(Fraction((-1) ** (n + 1), n))
-        return acc
-
-    def __eq__(self, other):
-        return (isinstance(other, OneYSeries) and self.den == other.den
-                and self.f == other.f and self.g == other.g)
-
-    def __repr__(self):
-        return f"OneYSeries[deg<={self.degree}](den={self.den}, f={self.f}, g={self.g})"
+                    row = [r + c * v for r, v in zip(row, q[1 + i - a])]
+            rows.append(row)
+        return rows
 
 
 def bch(a, b):
@@ -502,32 +519,18 @@ def bch(a, b):
 # ---------------------------------------------------------------------------
 
 
-class ReducedSeries:
+class ReducedSeries(_TableSeries):
     """a(X) + Y b(X) up to X^degree in both parts.
 
-    ``an`` and ``bn`` are the numerators of a and b, all over one positive
-    denominator ``den`` whose gcd with them is 1, so equal series have equal
-    tables; ``a`` and ``b`` read them as Fraction lists.
+    The rows are ``an`` and ``bn``, the numerators of a and b; ``a`` and
+    ``b`` read them as Fraction lists.  The product is
+    (a1 + Y b1)(a2 + Y b2) = a1 a2 + Y (b1 a2 + a1(0) b2).
     """
 
-    __slots__ = ("degree", "den", "an", "bn")
+    __slots__ = ()
 
     def __init__(self, degree: int, a=None, b=None):
-        nums, den = _table(ptrim(a or [], degree) + ptrim(b or [], degree), 2 * degree + 2)
-        self.degree, self.den = degree, den
-        self.an, self.bn = nums[: degree + 1], nums[degree + 1:]
-
-    @classmethod
-    def _make(cls, degree, den, an, bn) -> "ReducedSeries":
-        """The series with numerators an, bn over den > 0, reduced by one gcd."""
-        d = gcd(den, *an, *bn)
-        if d > 1:
-            den //= d
-            an = [c // d for c in an]
-            bn = [c // d for c in bn]
-        out = cls.__new__(cls)
-        out.degree, out.den, out.an, out.bn = degree, den, an, bn
-        return out
+        self._fill(degree, [ptrim(a or [], degree), ptrim(b or [], degree)])
 
     @classmethod
     def _of(cls, degree, a=None, b=None) -> "ReducedSeries":
@@ -536,7 +539,7 @@ class ReducedSeries:
         (an, da), (bn, db) = a or zero, b or zero
         g = gcd(da, db)
         u, v = db // g, da // g
-        return cls._make(degree, da * u, [u * c for c in an], [v * c for c in bn])
+        return cls._make(degree, da * u, [[u * c for c in an], [v * c for c in bn]])
 
     @classmethod
     def from_series(cls, s) -> "ReducedSeries":
@@ -549,7 +552,7 @@ class ReducedSeries:
         one degree higher and ``truncate``.
         """
         if isinstance(s, OneYSeries):
-            return cls._make(s.degree, s.den, list(s.f), s.g[0] + [0])
+            return cls._make(s.degree, s.den, [list(s.rows[0]), s.rows[1] + [0]])
         a = [Q0] * (s.degree + 1)
         b = [Q0] * (s.degree + 1)
         for w, c in s.coeffs.items():
@@ -560,6 +563,14 @@ class ReducedSeries:
         return cls(s.degree, a, b)
 
     @property
+    def an(self) -> list:
+        return self.rows[0]
+
+    @property
+    def bn(self) -> list:
+        return self.rows[1]
+
+    @property
     def a(self) -> list:
         return _fractions((self.an, self.den))
 
@@ -567,93 +578,18 @@ class ReducedSeries:
     def b(self) -> list:
         return _fractions((self.bn, self.den))
 
-    def _check_degree(self, other):
-        if other.degree != self.degree:
-            raise ValueError("degrees differ")
-
-    def __add__(self, other):
-        self._check_degree(other)
-        g = gcd(self.den, other.den)
-        u, v = other.den // g, self.den // g
-        return ReducedSeries._make(self.degree, self.den * u,
-                                   [u * x + v * y for x, y in zip(self.an, other.an)],
-                                   [u * x + v * y for x, y in zip(self.bn, other.bn)])
-
-    def __neg__(self):
-        return ReducedSeries._make(self.degree, self.den, [-c for c in self.an],
-                                   [-c for c in self.bn])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "ReducedSeries":
-        c = Fraction(c)
-        p = c.numerator
-        return ReducedSeries._make(self.degree, self.den * c.denominator,
-                                   [p * x for x in self.an], [p * x for x in self.bn])
-
-    def __mul__(self, other):
-        self._check_degree(other)
+    def _product(self, p, q):
         n = self.degree + 1
-        b = _conv(self.bn, other.an, n)
-        c = self.an[0]
+        b = _conv(p[1], q[0], n)
+        c = p[0][0]
         if c:
-            b = [x + c * y for x, y in zip(b, other.bn)]
-        return ReducedSeries._make(self.degree, self.den * other.den,
-                                   _conv(self.an, other.an, n), b)
-
-    def exp(self) -> "ReducedSeries":
-        if self.an[0]:
-            raise ValueError("exp needs zero constant term")
-        # A^k = a^k + Y b a^(k-1), hence exp A = e^a + Y b (e^a - 1)/a.  With
-        # a = an/d: sum_k c_k a^k = sum_k c_k d^(D-k) an^k / d^D, here for
-        # c_k = 1/k! (over D!) and 1/(k+1)! (over (D+1)! = (D+1) D!).
-        D, d = self.degree, self.den
-        n = D + 1
-        inv, _ = _factorial_table(n, 0)
-        inv1, top1 = _factorial_table(n, 1)
-        ea, tail, power = [0] * n, [0] * n, [1] + [0] * D
-        for k in range(n):
-            if k:
-                power = _conv(self.an, power, n)
-            w = d ** (D - k)
-            ea = [x + inv[k] * w * y for x, y in zip(ea, power)]
-            tail = [x + inv1[k] * w * y for x, y in zip(tail, power)]
-        return ReducedSeries._make(D, d * top1 * d ** D, [n * d * x for x in ea],
-                                   _conv(self.bn, tail, n))
-
-    def log(self) -> "ReducedSeries":
-        if self.an[0] != self.den:
-            raise ValueError("log needs constant term 1")
-        # w = a - 1; log A = log(1 + w) + Y b sum_k (-1)^k w^k/(k+1), both
-        # sums over lcm(1..D+1) d^D as in ``exp``.
-        D, d = self.degree, self.den
-        n = D + 1
-        top = lcm(*range(1, n + 1))
-        wa = [0] + self.an[1:]
-        la, kernel, power = [0] * n, [0] * n, [1] + [0] * D
-        for k in range(n):
-            if k:
-                power = _conv(wa, power, n)
-                c = (-1) ** (k + 1) * (top // k) * d ** (D - k)
-                la = [x + c * y for x, y in zip(la, power)]
-            c = (-1) ** k * (top // (k + 1)) * d ** (D - k)
-            kernel = [x + c * y for x, y in zip(kernel, power)]
-        return ReducedSeries._make(D, d * top * d ** D, [d * x for x in la],
-                                   _conv(self.bn, kernel, n))
+            b = [x + c * y for x, y in zip(b, q[1])]
+        return [_conv(p[0], q[0], n), b]
 
     def truncate(self, degree: int) -> "ReducedSeries":
         """Forget coefficients beyond X-degree ``degree`` in both parts."""
         pad = [0] * (degree - self.degree)
-        return ReducedSeries._make(degree, self.den, (self.an + pad)[: degree + 1],
-                                   (self.bn + pad)[: degree + 1])
-
-    def __eq__(self, other):
-        return (isinstance(other, ReducedSeries) and self.den == other.den
-                and self.an == other.an and self.bn == other.bn)
-
-    def __repr__(self):
-        return f"ReducedSeries[deg<={self.degree}](den={self.den}, a={self.an}, b={self.bn})"
+        return ReducedSeries._make(degree, self.den, [(row + pad)[: degree + 1] for row in self.rows])
 
 
 def _bch(alpha, phi1, beta, phi2, D) -> ReducedSeries:
@@ -700,7 +636,7 @@ def li_from_l(l_scalar, l_coeffs, degree: int):
 def l_from_li(l_scalar, li_coeffs, degree: int):
     D = degree - 1
     ser = ptrim([Fraction(c) for c in li_coeffs], D)
-    return pmul(ser, pinv(_fractions(p_em1_over(l_scalar, D)), D), D)
+    return pmul(ser, _fractions(p_x_over_em1(l_scalar, D)), D)
 
 
 # ---------------------------------------------------------------------------

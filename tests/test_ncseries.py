@@ -23,7 +23,6 @@ from elladic.ncseries import (
     p_em1_over,
     p_x_over_em1,
     pexp_scalar,
-    pinv,
     pmul,
     ptrim,
 )
@@ -223,6 +222,27 @@ class TestReducedTables:
             x + y if op == "+" else x * y
 
 
+class TestTableCore:
+    """The integer-table core that ``OneYSeries`` and ``ReducedSeries`` share."""
+
+    def test_refuses_the_other_table_class(self):
+        one_y, reduced = OneYSeries.variable("X", 3), ReducedSeries(3, [0, 1])
+        for x, y in ((one_y, reduced), (reduced, one_y)):
+            with pytest.raises(TypeError, match="cannot combine"):
+                x + y
+            with pytest.raises(TypeError, match="cannot combine"):
+                x * y
+        assert one_y != reduced
+
+    @pytest.mark.parametrize("D", range(6))
+    def test_exp_log_reach_the_top_power(self, D):
+        """exp(X + Y) = e^X + Y (e^X - 1)/X: its Y X^D coefficient 1/(D+1)!
+        comes from the (D+1)-th power, one past the degree."""
+        s = ReducedSeries(D, [0, 1], [1])
+        assert s.exp().b == [F(1, factorial(k + 1)) for k in range(D + 1)]
+        assert s.exp().log() == s
+
+
 nonzero_rationals = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 5))
 
 
@@ -400,12 +420,6 @@ class TestInversionPipeline:
             loop = bch_scaled_pair(chi, t, 9)
             assert loop.b == bch_scaled_pair_display(chi, t, 9)
             assert loop.a == ptrim([0, t * (1 - chi)], 9)
-
-
-def test_pinv_keeps_integer_input_exact():
-    out = pinv([1, 1], 3)
-    assert out == [1, -1, 1, -1]
-    assert all(type(c) is Fraction for c in out)
 
 
 class TestGammaZero:
