@@ -1,14 +1,19 @@
 """Truncated power series in two non-commuting letters X, Y.
 
-One oracle and two table series on one core:
+One oracle and three table series on one core:
 
 * ``NcSeries`` — honest non-commutative series over Fraction, with exp/log and
   the group product bch(A, B) = log(exp A * exp B).  It is the exact oracle.
-* ``_TableSeries`` — the core of the other two: rows of integer numerators
+* ``_TableSeries`` — the core of the other three: rows of integer numerators
   over one positive denominator, reduced by one gcd.  It alone reduces, adds,
-  scales and compares tables, and its one power sum sum_k w_k x^k gives exp
-  (w_k = 1/k!) and log (w_k = (-1)^(k+1)/k).  A subclass gives its row
-  shapes and the product of two numerator tables.
+  scales, compares and stacks tables, and its one power sum sum_k w_k x^k
+  gives exp (w_k = 1/k!) and log (w_k = (-1)^(k+1)/k).  A subclass gives its
+  row shapes and the product of two numerator tables.
+* ``_Poly`` — a one-variable series f(X), one row left unreduced; the product
+  is the truncated convolution.  Every closed form in X is one: e^(gamma X),
+  (e^(gamma X) - 1)/(gamma X) and gamma X/(e^(gamma X) - 1) are one rescaling
+  ``at(gamma)`` of a cached per-degree series, and the Bernoulli kernel is
+  built from them.
 * ``OneYSeries`` — ``NcSeries`` modulo the two-sided ideal of words with two
   or more Y's: rows f[i] for X^i and g[i][j] for X^i Y X^j; the product is
   f1 f2 + f1 g2 + g1 f2.
@@ -16,20 +21,15 @@ One oracle and two table series on one core:
   every word with two Y's and every word containing a factor X^i Y (i > 0).
   A class is written a(X) + Y*b(X), rows a and b; the induced multiplication
   is (a1 + Y b1)(a2 + Y b2) = a1 a2 + Y (b1 a2 + a1(0) b2).  The closed group
-  product, the gamma assembly and the path-reversal chain are built on it.
-
-One-variable series come in two forms.  A Fraction coefficient list serves
-``pmul`` and the li/l helpers.  An integer table ``(nums, den)``, the
-coefficients ``nums[k] / den`` with ``den > 0``, serves the quotient algebra;
-the exponential, (e^X - 1)/X and X/(e^X - 1) series at gamma X are one
-rescaling of a per-degree table of numerators, built on first use.
+  product, the gamma assembly and the path-reversal chain are built on it,
+  with a and b as ``_Poly``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 from math import factorial, gcd, lcm
 
 from .bernoulli import bernoulli_number
@@ -52,140 +52,6 @@ __all__ = [
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
-
-
-# ---------------------------------------------------------------------------
-# one-variable helpers on Fraction lists, truncated at degree D
-# ---------------------------------------------------------------------------
-
-
-def ptrim(f, D):
-    f = list(f[: D + 1])
-    f += [Q0] * (D + 1 - len(f))
-    return f
-
-
-def pmul(f, g, D):
-    f, g = ptrim(f, D), ptrim(g, D)
-    out = [Q0] * (D + 1)
-    for i, a in enumerate(f):
-        if not a:
-            continue
-        for j in range(0, D + 1 - i):
-            if g[j]:
-                out[i + j] += a * g[j]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# one-variable series as integer tables (nums, den), den > 0
-# ---------------------------------------------------------------------------
-
-
-def _conv(p, q, n):
-    """The first n coefficients of the product of coefficient lists p and q."""
-    out = [0] * n
-    for i, a in enumerate(p[:n]):
-        if a:
-            for j, b in enumerate(q[: n - i], i):
-                out[j] += a * b
-    return out
-
-
-def _table(coeffs, n):
-    """Rational coefficients as numerators over their least common
-    denominator, truncated or padded with zeros to n entries."""
-    coeffs = [Fraction(c) for c in coeffs][:n]
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs] + [0] * (n - len(coeffs)), den
-
-
-def _fractions(table):
-    nums, den = table
-    return [Fraction(c, den) for c in nums]
-
-
-def _add(x, y):
-    (p, d), (q, e) = x, y
-    g = gcd(d, e)
-    u, v = e // g, d // g
-    return [u * a + v * b for a, b in zip(p, q)], d * u
-
-
-def _scale(x, c):
-    c = Fraction(c)
-    return [c.numerator * a for a in x[0]], x[1] * c.denominator
-
-
-def _mul(x, y, n):
-    return _conv(x[0], y[0], n), x[1] * y[1]
-
-
-def _at(x, gamma):
-    """The table of f(gamma X) for the table x of f: entry k times gamma^k,
-    over the denominator times q^top for gamma = p/q."""
-    gamma = Fraction(gamma)
-    p, q = gamma.numerator, gamma.denominator
-    top = max(len(x[0]) - 1, 0)
-    out, pk, qk = [], 1, q ** top
-    for c in x[0]:
-        out.append(c * pk * qk)
-        pk *= p
-        qk //= q
-    return out, x[1] * q ** top
-
-
-@cache
-def _factorial_table(n, shift):
-    """Numerators of 1/(k + shift)! for k < n, over (n - 1 + shift)!."""
-    top = factorial(n - 1 + shift)
-    return tuple(top // factorial(k + shift) for k in range(n)), top
-
-
-@cache
-def _bernoulli_table(n):
-    """Numerators of B_k/k! for k < n, over their least common denominator."""
-    nums, den = _table([bernoulli_number(k) / factorial(k) for k in range(n)], n)
-    return tuple(nums), den
-
-
-def pexp_scalar(gamma, D):
-    """exp(gamma * X) up to X^D, as an integer table."""
-    return _at(_factorial_table(D + 1, 0), gamma)
-
-
-def p_em1_over(gamma, D):
-    """(exp(gamma X) - 1)/(gamma X) up to X^D, equal to 1 when gamma = 0."""
-    return _at(_factorial_table(D + 1, 1), gamma)
-
-
-def p_x_over_em1(gamma, D):
-    """gamma X / (exp(gamma X) - 1) = sum B_k (gamma X)^k / k! up to X^D; 1 when
-    gamma = 0."""
-    return _at(_bernoulli_table(D + 1), gamma)
-
-
-def p_div_em1(num, gamma, D):
-    """num / (exp(gamma X) - 1) up to X^D, for a table num of D + 2 entries with
-    zero constant term, gamma != 0."""
-    nums, den = num
-    if nums[0]:
-        raise ValueError("numerator must vanish at 0")
-    return _mul(_scale((nums[1:], den), 1 / Fraction(gamma)), p_x_over_em1(gamma, D), D + 1)
-
-
-def _kernel_table(chi, t, D):
-    """``bernoulli_kernel`` as a table: the coefficients of
-    e^(tX) X/(e^X - 1) = sum B_k(t) X^k/k! minus their chi^k-scaled copy,
-    shifted down by one."""
-    c = _mul(pexp_scalar(t, D + 1), p_x_over_em1(1, D + 1), D + 2)
-    nums, den = _add(c, _scale(_at(c, chi), -1))
-    return nums[1:], den
-
-
-def bernoulli_kernel(chi, t, D):
-    """sum_{k>=1} B_k(t) (1 - chi^k) / k! * X^(k-1), truncated at degree D."""
-    return _fractions(_kernel_table(chi, t, D))
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +193,43 @@ class NcSeries:
 # ---------------------------------------------------------------------------
 
 
+def _rational(c):
+    """c as an int or Fraction, rebuilt only if it is neither: ``Fraction(c)``
+    costs an abstract-class check, a large share of a small table operation."""
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
+
+
+def _conv(p, q, n):
+    """The first n coefficients of the product of coefficient lists p and q."""
+    out = [0] * n
+    for i, a in enumerate(p[:n]):
+        if a:
+            for j, b in enumerate(q[: n - i], i):
+                out[j] += a * b
+    return out
+
+
 class _TableSeries:
     """A series held as ``rows`` of integer numerators over one positive
     denominator ``den`` whose gcd with them is 1, so equal series have equal
-    tables; ``rows[0][0]`` is the constant term.
+    tables (``_Poly`` alone skips the gcd); ``rows[0][0]`` is the constant
+    term.
 
     A subclass fixes the row shapes and ``_product``, the product of two
     numerator tables (over the product of their denominators).  Reduction,
-    sums, scaling, comparison and exp/log live here.
+    sums, scaling, comparison, stacking and exp/log live here.
     """
 
     __slots__ = ("degree", "den", "rows")
 
-    def _fill(self, degree, rows):
-        """Set the series from rows of rational entries."""
-        nums, self.den = _table(chain.from_iterable(rows), sum(map(len, rows)))
-        nums = iter(nums)
-        self.degree, self.rows = degree, [[next(nums) for _ in row] for row in rows]
+    def _fill(self, degree, rows, widths):
+        """Set the series from rows of rational entries, each cut at or
+        padded with zeros to its width."""
+        rows = [(list(map(_rational, islice(row, max(n, 0)))), n) for row, n in zip(rows, widths)]
+        self.degree = degree
+        self.den = den = lcm(*(c.denominator for row, _ in rows for c in row))
+        self.rows = [[c.numerator * (den // c.denominator) for c in row] + [0] * (n - len(row))
+                     for row, n in rows]
 
     @classmethod
     def _make(cls, degree, den, rows):
@@ -355,6 +241,21 @@ class _TableSeries:
         out = cls.__new__(cls)
         out.degree, out.den, out.rows = degree, den, rows
         return out
+
+    @classmethod
+    def _stack(cls, *parts):
+        """The series whose rows are those of the series ``parts``, in order,
+        over their least common denominator."""
+        den, rows = lcm(*(p.den for p in parts)), []
+        for p in parts:
+            u = den // p.den
+            rows += [[u * c for c in row] for row in p.rows]
+        return cls._make(parts[0].degree, den, rows)
+
+    def _row(self, i):
+        """Row i as a one-variable series."""
+        row = self.rows[i]
+        return _Poly._make(len(row) - 1, self.den, [row])
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -377,7 +278,7 @@ class _TableSeries:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _rational(c)
         p = c.numerator
         return self._make(self.degree, self.den * c.denominator,
                           [[p * x for x in row] for row in self.rows])
@@ -409,8 +310,8 @@ class _TableSeries:
     def exp(self):
         if self.rows[0][0]:
             raise ValueError("exp needs zero constant term")
-        weights, top = _factorial_table(self.degree + 2, 0)
-        return self._power_sum(self.rows, weights, top)
+        w = _factorial_table(self.degree + 2, 0)
+        return self._power_sum(self.rows, w.rows[0], w.den)
 
     def log(self):
         if self.rows[0][0] != self.den:
@@ -425,6 +326,106 @@ class _TableSeries:
 
     def __repr__(self):
         return f"{type(self).__name__}[deg<={self.degree}](den={self.den}, rows={self.rows})"
+
+
+# ---------------------------------------------------------------------------
+# one-variable series
+# ---------------------------------------------------------------------------
+
+
+class _Poly(_TableSeries):
+    """f(X) up to X^degree: one row of degree + 1 numerators, not reduced (a
+    gcd after each product made the inversion chain about a fifth slower);
+    ``_stack`` reduces it into a ``ReducedSeries``, and ``==`` cross-multiplies.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, degree: int, coeffs=()):
+        self._fill(degree, [coeffs], [degree + 1])
+
+    @classmethod
+    def _make(cls, degree, den, rows):
+        out = cls.__new__(cls)
+        out.degree, out.den, out.rows = degree, den, rows
+        return out
+
+    def __eq__(self, other):
+        return (type(other) is _Poly
+                and [c * other.den for c in self.rows[0]] == [c * self.den for c in other.rows[0]])
+
+    def _product(self, p, q):
+        return [_conv(p[0], q[0], self.degree + 1)]
+
+    @property
+    def coeffs(self) -> list:
+        return [Fraction(c, self.den) for c in self.rows[0]]
+
+    def at(self, gamma) -> "_Poly":
+        """f(gamma X): entry k times gamma^k, over the denominator times
+        q^degree for gamma = p/q."""
+        gamma = _rational(gamma)
+        p, q = gamma.numerator, gamma.denominator
+        top = max(self.degree, 0)
+        row, pk, qk = [], 1, q ** top
+        for c in self.rows[0]:
+            row.append(c * pk * qk)
+            pk *= p
+            qk //= q
+        return self._make(self.degree, self.den * q ** top, [row])
+
+    def div_x(self) -> "_Poly":
+        """f(X)/X, one degree lower, for f vanishing at 0."""
+        if self.rows[0][0]:
+            raise ValueError("numerator must vanish at 0")
+        return self._make(self.degree - 1, self.den, [self.rows[0][1:]])
+
+
+@cache
+def _factorial_table(n, shift):
+    """sum X^k/(k + shift)! for k < n, over (n - 1 + shift)!."""
+    top = factorial(n - 1 + shift)
+    return _Poly._make(n - 1, top, [[top // factorial(k + shift) for k in range(n)]])
+
+
+@cache
+def _bernoulli_table(n):
+    """sum B_k X^k/k! for k < n."""
+    return _Poly(n - 1, [bernoulli_number(k) / factorial(k) for k in range(n)])
+
+
+def pexp_scalar(gamma, D):
+    """exp(gamma * X) up to X^D."""
+    return _factorial_table(D + 1, 0).at(gamma)
+
+
+def p_em1_over(gamma, D):
+    """(exp(gamma X) - 1)/(gamma X) up to X^D, equal to 1 when gamma = 0."""
+    return _factorial_table(D + 1, 1).at(gamma)
+
+
+def p_x_over_em1(gamma, D):
+    """gamma X / (exp(gamma X) - 1) = sum B_k (gamma X)^k / k! up to X^D; 1 when
+    gamma = 0."""
+    return _bernoulli_table(D + 1).at(gamma)
+
+
+def p_div_em1(num, gamma):
+    """num / (exp(gamma X) - 1), one degree below num, for num with zero
+    constant term and gamma != 0."""
+    return num.div_x().scale(1 / Fraction(gamma)) * p_x_over_em1(gamma, num.degree - 1)
+
+
+def _kernel_table(chi, t, D):
+    """``bernoulli_kernel`` as a series: e^(tX) X/(e^X - 1) = sum B_k(t) X^k/k!
+    minus its chi^k-scaled copy, divided by X."""
+    c = pexp_scalar(t, D + 1) * p_x_over_em1(1, D + 1)
+    return (c - c.at(chi)).div_x()
+
+
+def bernoulli_kernel(chi, t, D):
+    """sum_{k>=1} B_k(t) (1 - chi^k) / k! * X^(k-1), truncated at degree D."""
+    return _kernel_table(chi, t, D).coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +456,7 @@ class OneYSeries(_TableSeries):
                 f[len(w)] = Fraction(c)
             else:
                 g[i][len(w) - 1 - i] = Fraction(c)
-        self._fill(degree, [f, *g])
+        self._fill(degree, [f, *g], [degree + 1, *range(degree, -1, -1)])
 
     @classmethod
     def from_tables(cls, degree: int, f=(), g=()) -> "OneYSeries":
@@ -463,7 +464,7 @@ class OneYSeries(_TableSeries):
         beyond the degree window are dropped and missing ones read as 0."""
         out = cls.__new__(cls)
         g = list(g) + [()] * (degree + 1 - len(g))
-        out._fill(degree, [ptrim(f, degree)] + [ptrim(g[i], degree - i - 1) for i in range(degree + 1)])
+        out._fill(degree, [f, *g], [degree + 1, *range(degree, -1, -1)])
         return out
 
     @classmethod
@@ -530,16 +531,7 @@ class ReducedSeries(_TableSeries):
     __slots__ = ()
 
     def __init__(self, degree: int, a=None, b=None):
-        self._fill(degree, [ptrim(a or [], degree), ptrim(b or [], degree)])
-
-    @classmethod
-    def _of(cls, degree, a=None, b=None) -> "ReducedSeries":
-        """The series with tables a and b of degree + 1 entries; None is 0."""
-        zero = ([0] * (degree + 1), 1)
-        (an, da), (bn, db) = a or zero, b or zero
-        g = gcd(da, db)
-        u, v = db // g, da // g
-        return cls._make(degree, da * u, [[u * c for c in an], [v * c for c in bn]])
+        self._fill(degree, [a or [], b or []], [degree + 1] * 2)
 
     @classmethod
     def from_series(cls, s) -> "ReducedSeries":
@@ -572,11 +564,11 @@ class ReducedSeries(_TableSeries):
 
     @property
     def a(self) -> list:
-        return _fractions((self.an, self.den))
+        return self._row(0).coeffs
 
     @property
     def b(self) -> list:
-        return _fractions((self.bn, self.den))
+        return self._row(1).coeffs
 
     def _product(self, p, q):
         n = self.degree + 1
@@ -587,22 +579,29 @@ class ReducedSeries(_TableSeries):
         return [_conv(p[0], q[0], n), b]
 
     def truncate(self, degree: int) -> "ReducedSeries":
-        """Forget coefficients beyond X-degree ``degree`` in both parts."""
-        pad = [0] * (degree - self.degree)
-        return ReducedSeries._make(degree, self.den, [(row + pad)[: degree + 1] for row in self.rows])
+        """Forget coefficients beyond X-degree ``degree`` in both parts; the
+        coefficients above the series' own degree are unknown, so a higher
+        ``degree`` is refused."""
+        if degree > self.degree:
+            raise ValueError(f"cannot truncate a degree-{self.degree} series to degree {degree}")
+        return ReducedSeries._make(degree, self.den, [row[: degree + 1] for row in self.rows])
 
 
-def _bch(alpha, phi1, beta, phi2, D) -> ReducedSeries:
-    """``bch_reduced`` for rational alpha, beta and tables phi1, phi2 of D + 1
-    entries."""
-    n, gamma = D + 1, alpha + beta
-    part1 = _mul(_mul(p_em1_over(alpha, D), phi1, n), pexp_scalar(beta, D), n)
-    part2 = _mul(p_em1_over(beta, D), phi2, n)
-    b = _mul(p_x_over_em1(gamma, D), _add(part1, part2), n)
-    a = [0] * n
-    if D >= 1:
-        a[1] = gamma.numerator
-    return ReducedSeries._of(D, (a, gamma.denominator), b)
+def _bch(alpha, phi1, beta, phi2) -> ReducedSeries:
+    """``bch_reduced`` for rational alpha, beta and one-variable series phi1,
+    phi2 of one degree.  E_0 = e^0 = K_0 = 1, so a zero scalar skips its
+    factors; most calls of the gamma assembly and the inversion chain have
+    one."""
+    D, gamma = phi1.degree, alpha + beta
+    if alpha:
+        phi1 = phi1 * p_em1_over(alpha, D)
+    if beta:
+        phi1 = phi1 * pexp_scalar(beta, D)
+        phi2 = phi2 * p_em1_over(beta, D)
+    b = phi1 + phi2
+    if gamma:
+        b = b * p_x_over_em1(gamma, D)
+    return ReducedSeries._stack(_Poly(D, [0, gamma]), b)
 
 
 def bch_reduced(alpha, phi1, beta, phi2, degree: int) -> ReducedSeries:
@@ -612,9 +611,8 @@ def bch_reduced(alpha, phi1, beta, phi2, degree: int) -> ReducedSeries:
     * K_(alpha+beta), where E_g = (e^(gX)-1)/(gX) and K_g = gX/(e^(gX)-1),
     both read as 1 at g = 0.
     """
-    n = degree + 1
     phi1, phi2 = ([phi] if isinstance(phi, (int, Fraction)) else phi for phi in (phi1, phi2))
-    return _bch(Fraction(alpha), _table(phi1, n), Fraction(beta), _table(phi2, n), degree)
+    return _bch(Fraction(alpha), _Poly(degree, phi1), Fraction(beta), _Poly(degree, phi2))
 
 
 # ---------------------------------------------------------------------------
@@ -629,14 +627,12 @@ def li_from_l(l_scalar, l_coeffs, degree: int):
     (exp(l X) - 1)/(l X); the coefficient of X^(n-1) is li_n.
     """
     D = degree - 1
-    ser = ptrim([Fraction(c) for c in l_coeffs], D)
-    return pmul(ser, _fractions(p_em1_over(l_scalar, D)), D)
+    return (_Poly(D, l_coeffs) * p_em1_over(l_scalar, D)).coeffs
 
 
 def l_from_li(l_scalar, li_coeffs, degree: int):
     D = degree - 1
-    ser = ptrim([Fraction(c) for c in li_coeffs], D)
-    return pmul(ser, _fractions(p_x_over_em1(l_scalar, D)), D)
+    return (_Poly(D, li_coeffs) * p_x_over_em1(l_scalar, D)).coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -661,12 +657,10 @@ def gamma_series(chi, l_even, l_odd, degree: int) -> ReducedSeries:
     for k, c in enumerate(l_odd, start=1):
         if 2 * k <= D:
             ell_ser[2 * k] = Fraction(c)
-    ell = _table(ell_ser, D + 1)
+    ell = _Poly(D, ell_ser)
     # log S(Z,Y) reduces to Y * L(z_a) with z_a = -X
-    at_z = _at(ell, -1)
-    mid = _table([(chi - 1) / 2], D + 1)
-    step = _bch(Q0, _scale(at_z, -1), Q0, mid, D)
-    return _bch(Q0, (step.bn, step.den), Q0, ell, D)
+    step = _bch(Q0, ell.at(-1).scale(-1), Q0, _Poly(D, [(chi - 1) / 2]))
+    return _bch(Q0, step._row(1), Q0, ell)
 
 
 def bch_scaled_pair(chi, t, degree: int) -> ReducedSeries:
@@ -677,9 +671,9 @@ def bch_scaled_pair(chi, t, degree: int) -> ReducedSeries:
     """
     D = degree
     chi, t = Fraction(chi), Fraction(t)
-    phi1 = _scale(p_x_over_em1(1, D), t)
-    phi2 = _scale(p_x_over_em1(chi, D), -t * chi)
-    return _bch(t, phi1, -t * chi, phi2, D)
+    phi1 = p_x_over_em1(1, D).scale(t)
+    phi2 = p_x_over_em1(chi, D).scale(-t * chi)
+    return _bch(t, phi1, -t * chi, phi2)
 
 
 def bch_scaled_pair_display(chi, t, degree: int):
@@ -688,11 +682,10 @@ def bch_scaled_pair_display(chi, t, degree: int):
     chi, t = Fraction(chi), Fraction(t)
     if chi == 0:
         raise ValueError("chi must be nonzero")
-    e1 = _add(pexp_scalar(t * (1 - chi), D + 1), _scale(pexp_scalar(-t * chi, D + 1), -1))
-    part1 = p_div_em1(e1, 1, D)
-    e2 = _add(pexp_scalar(-t * chi, D + 1), ([-1] + [0] * (D + 1), 1))
-    part2 = p_div_em1(_scale(e2, chi), chi, D)
-    return _fractions(_mul(_add(part1, part2), p_x_over_em1(t * (1 - chi), D), D + 1))
+    e = pexp_scalar(-t * chi, D + 1)
+    part1 = p_div_em1(pexp_scalar(t * (1 - chi), D + 1) - e, 1)
+    part2 = p_div_em1((e - _Poly(D + 1, [1])).scale(chi), chi)
+    return ((part1 + part2) * p_x_over_em1(t * (1 - chi), D)).coeffs
 
 
 def inversion_pipeline(a_coeffs, chi, t, degree: int) -> ReducedSeries:
@@ -704,28 +697,26 @@ def inversion_pipeline(a_coeffs, chi, t, degree: int) -> ReducedSeries:
     in ``inversion_closed_form`` for comparison).
     """
     D = degree
-    n = D + 1
     chi, t = Fraction(chi), Fraction(t)
-    a_poly = _table(a_coeffs, n)
+    zero = _Poly(D)
 
     kernel = _kernel_table(chi, 0, D)  # 1/(e^X-1) - chi/(e^(chi X)-1)
-    step1 = _bch(Q0, _at(a_poly, -1), Q0, kernel, D)
+    step1 = _bch(Q0, _Poly(D, a_coeffs).at(-1), Q0, kernel)
 
-    minus_x = ([0, -1] + [0] * D)[:n]
-    z = ReducedSeries._of(D, (minus_x, 1), _scale(p_x_over_em1(1, D), -1))
+    z = ReducedSeries._stack(_Poly(D, [0, -1]), p_x_over_em1(1, D).scale(-1))
     conj1 = z.scale(-t).exp() * step1 * z.scale(t).exp()
 
     loop = bch_scaled_pair(chi, t, D)
-    step3 = _bch(Q0, (conj1.bn, conj1.den), t * (1 - chi), (loop.bn, loop.den), D)
+    step3 = _bch(Q0, conj1._row(1), t * (1 - chi), loop._row(1))
 
-    ex_neg = ReducedSeries._of(D, pexp_scalar(-t, D))
-    ex_pos = ReducedSeries._of(D, pexp_scalar(t, D))
+    ex_neg = ReducedSeries._stack(pexp_scalar(-t, D), zero)
+    ex_pos = ReducedSeries._stack(pexp_scalar(t, D), zero)
     conj2 = ex_neg * step3 * ex_pos
 
-    return _bch(t * (1 - chi), (conj2.bn, conj2.den), t * (chi - 1), ([0] * n, 1), D)
+    return _bch(t * (1 - chi), conj2._row(1), t * (chi - 1), zero)
 
 
 def inversion_closed_form(a_coeffs, chi, t, degree: int) -> ReducedSeries:
     """A(-X) + e^(tX)/(e^X - 1) - chi e^(t chi X)/(e^(chi X) - 1), as Y-part."""
-    b = _add(_at(_table(a_coeffs, degree + 1), -1), _kernel_table(chi, t, degree))
-    return ReducedSeries._of(degree, None, b)
+    b = _Poly(degree, a_coeffs).at(-1) + _kernel_table(chi, t, degree)
+    return ReducedSeries._stack(_Poly(degree), b)

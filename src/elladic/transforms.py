@@ -25,8 +25,8 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial, lcm, prod
 
-from .measures import MeasureTower, _moment_sums
-from .ncseries import pmul
+from .measures import MeasureTower, _encode, _moment_sums
+from .ncseries import _Poly
 
 __all__ = [
     "IwasawaSeries",
@@ -121,11 +121,12 @@ def p_series_to_f(series: IwasawaSeries, degree: int) -> IwasawaSeries:
     if series.kind != "binomial":
         raise ValueError("input must be binomial-kind")
     r = series.rank
-    em1 = [Fraction(0)] + [Fraction(1, factorial(k)) for k in range(1, degree + 1)]
+    em1 = _Poly(degree, [0] + [Fraction(1, factorial(k)) for k in range(1, degree + 1)])
     # per-variable powers of (e^X - 1), truncated at the total degree
-    pow_table = [[Fraction(1)] + [Fraction(0)] * degree]
+    powers = [_Poly(degree, [1])]
     for _ in range(degree):
-        pow_table.append(pmul(pow_table[-1], em1, degree))
+        powers.append(powers[-1] * em1)
+    pow_table = [p.coeffs for p in powers]
     out: dict[tuple, Fraction] = {}
 
     def spread(j, index, partial_coeff, exps):
@@ -176,6 +177,5 @@ def measure_from_p_series(series: IwasawaSeries, ell: int, depth: int) -> Measur
         # the cell (i_1, ..., i_r) gets c times the product of row entries
         rows = [[(i, t) for i, t in enumerate(tables[k]) if t] for k in index]
         for cell in product(*rows):
-            flat = sum(i * m ** j for j, (i, _) in enumerate(cell))
-            top[flat] += c * prod(t for _, t in cell)
+            top[_encode([i for i, _ in cell], m)] += c * prod(t for _, t in cell)
     return MeasureTower.from_top(ell, r, depth, top, den)

@@ -12,10 +12,27 @@ from fractions import Fraction
 from math import factorial
 
 from elladic.bernoulli import bernoulli_number, bernoulli_poly
-from elladic.ncseries import pmul, ptrim
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
+
+
+def ptrim(f, D):
+    f = list(f[: D + 1])
+    f += [Q0] * (D + 1 - len(f))
+    return f
+
+
+def pmul(f, g, D):
+    f, g = ptrim(f, D), ptrim(g, D)
+    out = [Q0] * (D + 1)
+    for i, a in enumerate(f):
+        if not a:
+            continue
+        for j in range(0, D + 1 - i):
+            if g[j]:
+                out[i + j] += a * g[j]
+    return out
 
 
 def padd(f, g, D):

@@ -10,6 +10,7 @@ from elladic.ncseries import (
     NcSeries,
     OneYSeries,
     ReducedSeries,
+    _Poly,
     bch,
     bch_reduced,
     bch_scaled_pair,
@@ -23,18 +24,12 @@ from elladic.ncseries import (
     p_em1_over,
     p_x_over_em1,
     pexp_scalar,
-    pmul,
-    ptrim,
 )
 
 import quotient_oracle as oracle
+from quotient_oracle import pmul, ptrim
 
 F = Fraction
-
-
-def fractions(table):
-    nums, den = table
-    return [F(c, den) for c in nums]
 
 
 def one_y(alpha, phi, degree, max_y=None):
@@ -210,6 +205,14 @@ class TestReducedTables:
         assert zero == ReducedSeries(3)
         assert (s.scale(4).truncate(1).den, s.scale(4).truncate(1).an) == (3, [6, 0])
 
+    def test_truncate_refuses_a_higher_degree(self):
+        """A degree-3 series does not know its X^4 coefficients, so it cannot
+        be read as a degree-4 one."""
+        s = ReducedSeries(3, [0, 1], [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="cannot truncate"):
+            s.truncate(4)
+        assert s.truncate(3) == s
+
     @pytest.mark.parametrize("op", ["+", "*"])
     @pytest.mark.parametrize("swap", [False, True])
     def test_refuses_different_degrees(self, op, swap):
@@ -263,7 +266,7 @@ class TestIntegerRouteMatchesOracle:
         a, b = (data.draw(st.lists(rationals, min_size=D + 1, max_size=D + 1)) for _ in range(2))
         for table, series in ((pexp_scalar, oracle.pexp_scalar), (p_em1_over, oracle.p_em1_over),
                               (p_x_over_em1, oracle.p_x_over_em1)):
-            assert fractions(table(t, D)) == series(t, D)
+            assert table(t, D).coeffs == series(t, D)
         assert bernoulli_kernel(chi, t, D) == oracle.bernoulli_kernel(chi, t, D)
         self.same(bch_reduced(t, a, chi, b, D), oracle.bch_reduced(t, a, chi, b, D))
         self.same(gamma_series(chi, a[::2], b[1::2], D), oracle.gamma_series(chi, a[::2], b[1::2], D))
@@ -287,6 +290,35 @@ class TestIntegerRouteMatchesOracle:
         for s, op in ((x1, "exp"), (x0, "log")):
             with pytest.raises(ValueError, match=f"{op} needs"):
                 getattr(s, op)()
+
+
+class TestPoly:
+    """The one-variable table series and the li/l helpers equal the Fraction
+    lists of ``quotient_oracle`` coefficient by coefficient."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 14), rationals, rationals, st.data())
+    def test_matches_fraction_lists(self, D, c, gamma, data):
+        f, g = (data.draw(st.lists(rationals, max_size=D + 3)) for _ in range(2))
+        p, q = _Poly(D, f), _Poly(D, g)
+        assert p.coeffs == ptrim(f, D)
+        assert _Poly(D, map(str, f)) == p
+        assert (p == q) == (ptrim(f, D) == ptrim(g, D))
+        assert (p + q).coeffs == oracle.padd(f, g, D)
+        assert (p - q).coeffs == oracle.padd(f, oracle.pneg(g, D), D)
+        assert (p * q).coeffs == pmul(f, g, D)
+        assert p * q == _Poly(D, pmul(f, g, D))
+        assert p.scale(c).coeffs == oracle.pscale(c, f, D)
+        assert p.at(gamma).coeffs == oracle.pcompose(f, [0, gamma], D)
+        shifted = _Poly(D, [0] + f[1:]).div_x()
+        assert (shifted.degree, shifted.coeffs) == (D - 1, ptrim(f, D)[1:])
+        with pytest.raises(ValueError, match="must vanish at 0"):
+            _Poly(D, [1] + f[1:]).div_x()
+
+        assert li_from_l(gamma, f, D) == pmul(ptrim(f, D - 1), oracle.p_em1_over(gamma, D - 1), D - 1)
+        assert l_from_li(gamma, f, D) == pmul(ptrim(f, D - 1), oracle.p_x_over_em1(gamma, D - 1), D - 1)
+        if D == 0:
+            assert li_from_l(gamma, f, D) == l_from_li(gamma, f, D) == []
 
 
 class TestBchReduced:
@@ -426,5 +458,5 @@ class TestGammaZero:
     @pytest.mark.parametrize("D", [0, 1, 5])
     def test_series_are_one(self, D):
         # (e^(gamma X) - 1)/(gamma X) and its inverse are 1 at gamma = 0
-        assert fractions(p_em1_over(0, D)) == [1] + [0] * D
-        assert fractions(p_x_over_em1(0, D)) == [1] + [0] * D
+        assert p_em1_over(0, D).coeffs == [1] + [0] * D
+        assert p_x_over_em1(0, D).coeffs == [1] + [0] * D

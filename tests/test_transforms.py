@@ -1,8 +1,10 @@
 from fractions import Fraction
-from math import comb, factorial
+from itertools import product
+from math import comb, factorial, prod
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elladic.measures import (
     bernoulli_measure,
@@ -19,6 +21,8 @@ from elladic.transforms import (
     p_series_to_f,
     p_transform,
 )
+
+from quotient_oracle import pmul
 
 F = Fraction
 
@@ -75,6 +79,34 @@ class TestFTransform:
         ):
             P = p_transform(mu, 8)
             assert p_series_to_f(P, 8) == f_transform(mu, 8)
+
+
+def p_series_to_f_reference(series, degree):
+    """The X-form of a binomial-kind series on Fraction lists: each A^n
+    becomes prod_j (e^(X_j) - 1)^(n_j), expanded term by term."""
+    em1 = [F(0)] + [F(1, factorial(k)) for k in range(1, degree + 1)]
+    powers = [[F(1)] + [F(0)] * degree]
+    for _ in range(degree):
+        powers.append(pmul(powers[-1], em1, degree))
+    out = {}
+    for index, c in series.coeffs.items():
+        if sum(index) > degree:
+            continue
+        for exps in product(range(degree + 1), repeat=series.rank):
+            if sum(exps) <= degree:
+                out[exps] = out.get(exps, F(0)) + c * prod(powers[n][k] for n, k in zip(index, exps))
+    return IwasawaSeries(series.rank, "exp", degree, out)
+
+
+class TestPSeriesToFMatchesFractionLists:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2), st.integers(0, 14), st.data())
+    def test_matches_reference(self, rank, degree, data):
+        rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+        indices = st.tuples(*[st.integers(0, degree + 2)] * rank)
+        coeffs = data.draw(st.dictionaries(indices, rationals, max_size=8))
+        series = IwasawaSeries(rank, "binomial", degree, coeffs)
+        assert p_series_to_f(series, degree) == p_series_to_f_reference(series, degree)
 
 
 class TestTowerReconstruction:
