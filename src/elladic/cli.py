@@ -181,10 +181,10 @@ def verify_inversion(degree: int = 8, seed: int = 7, count: int = 10,
         a = _random_poly(rng, degree)
         ci = Fraction(chi) if chi is not None else Fraction(rng.choice([2, 3, -1, 5]), rng.choice([1, 2]))
         ti = Fraction(t) if t is not None else Fraction(rng.randint(1, 5), rng.choice([2, 3, 7]))
-        got = inversion_pipeline(a, ci, ti, degree)
+        loop = bch_scaled_pair(ci, ti, degree)
+        got = inversion_pipeline(a, ci, ti, degree, loop)
         want = inversion_closed_form(a, ci, ti, degree)
         disc = _first_discrepancy(got, want)
-        loop = bch_scaled_pair(ci, ti, degree)
         disp_ok = ci == 0 or loop._row(1) == _Poly(degree, bch_scaled_pair_display(ci, ti, degree))
         checks.append(
             {"name": f"random-{i}", "chi": _frac_str(ci), "t": _frac_str(ti),

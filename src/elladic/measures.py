@@ -13,17 +13,20 @@ integer numerators over one denominator ``den``, the lcm of the values'
 denominators, so every level sum adds integers and ``denom_exponent``, the
 smallest d with every value in ``ell**(-d) * Z_(ell)``, is v_ell(den).
 Fractions appear only at the boundary: ``levels``, ``value``, ``cells``,
-``total_mass`` and the JSON codecs.
+``total_mass`` and the level sums' results.  Tower files are read without
+them, each ASCII ``n`` or ``n/d`` value straight into an integer pair.
 
 Cells at level n are indexed by coordinate tuples in ``[0, ell**n)**r``; the
 flat index is ``sum_j c_j * (ell**n)**j`` (first coordinate fastest).
 
 Every integral against a tower is a level sum
-``sum_x f(x) * mu(x + ell**n Z_ell**r)`` over the nonzero cells x of level n,
-and ``_moment_sums`` is the one loop that computes such sums: ``integrate``,
-the word integrals and the P/F transforms of ``transforms`` differ only in f.
-The one integral that is not, ``bernoulli_unit_integral``, needs no tower: the
-Bernoulli measure's values are closed-form integers plus (c-1)/2, summed mod ell^K.
+``sum_x f(x) * mu(x + ell**n Z_ell**r)`` over the cells x of level n.
+``_moment_sums`` contracts such a sum one axis at a time when
+``f(x) = prod_j w(x_j, n_j)``: ``integrate`` and the P/F transforms of
+``transforms`` differ only in w.  The word integrands couple neighbouring
+coordinates, so ``raw_word_integral`` sums cell by cell.  The one integral
+that needs no tower, ``bernoulli_unit_integral``, sums the Bernoulli
+measure's closed-form values (integers plus (c-1)/2) mod ell^K.
 
 Riemann sums against the closed integrand family (powers, unit inverses,
 Teichmuller powers, one-unit powers) return ell-adic values carrying the
@@ -39,9 +42,11 @@ additions, so any evaluation order gives identical results.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from random import Random
 
 from .padic import (
@@ -95,21 +100,29 @@ def _encode(coords, m: int) -> int:
     return idx
 
 
+def _fraction_pairs(table) -> list:
+    return [(q.numerator, q.denominator) for q in map(Fraction, table)]
+
+
 def _coarsen(table, ell: int, rank: int, n: int) -> list:
-    """The level n-1 table under a level-n table: each cell sums its children."""
+    """The level n-1 table under a level-n table: each cell sums its children.
+
+    Axis j (slowest first) folds coordinate c onto c mod ell^(n-1): in each
+    block of ell * slab cells the ell slabs are summed position by position.
+    """
     small = ell ** (n - 1)
-    out = [0] * (small ** rank)
-    if rank == 1:
-        # the flat index is the coordinate, so the parent is idx mod ell^(n-1)
-        for idx, v in enumerate(table):
-            if v:
-                out[idx % small] += v
-        return out
-    m = small * ell
-    for idx, v in enumerate(table):
-        if v:
-            out[_encode(tuple(c % small for c in _decode(idx, m, rank)), small)] += v
-    return out
+    big = small * ell
+    for j in reversed(range(rank)):
+        slab = small * big ** j
+        block = ell * slab
+        folded = []
+        for start in range(0, len(table), block):
+            # the slabs as a list: a tuple grown from a generator is resized,
+            # and the tuple free lists would keep every odd size it leaves
+            folded += map(sum, zip(*[table[i:i + slab]
+                                     for i in range(start, start + block, slab)]))
+        table = folded
+    return table
 
 
 class MeasureTower:
@@ -117,7 +130,9 @@ class MeasureTower:
 
     __slots__ = ("ell", "rank", "depth", "tables", "den", "denom_exponent", "units_only")
 
-    def __init__(self, ell, rank, levels):
+    def __init__(self, ell, rank, levels, pairs=_fraction_pairs):
+        """``pairs`` makes a level's (numerator, denominator) pairs, through
+        ``Fraction`` unless the values were read into pairs already."""
         _check_prime(ell)
         if rank < 1:
             raise ValueError("rank must be >= 1")
@@ -128,9 +143,10 @@ class MeasureTower:
             size = ell ** (rank * n)
             if len(table) != size:
                 raise ValueError(f"level {n} must have {size} cells, got {len(table)}")
-            values.append([Fraction(v) for v in table])
-        den = math.lcm(*(v.denominator for table in values for v in table))
-        tables = [tuple(v.numerator * (den // v.denominator) for v in t) for t in values]
+            values.append(pairs(table))
+        den = math.lcm(*{d for t in values for _, d in t})
+        # a list first, as in _coarsen
+        tables = [tuple([a * (den // d) for a, d in t]) for t in values]
         self._store(ell, rank, tables, den, False)
         self._validate()
 
@@ -208,21 +224,32 @@ class MeasureTower:
 
 
 def _moment_sums(mu: MeasureTower, indices, level: int, weight):
-    """Yield (n, sum over level cells x of weight(x, n) * mu(x)) for each index
-    n whose sum is nonzero; x is the cell's coordinate tuple and the integer
-    weights are summed against the numerators, divided by ``den`` once."""
+    """Yield (n, sum over level cells x of prod_j weight(x_j, n_j) * mu(x))
+    for each index tuple n whose sum is nonzero, divided by ``den`` once.
+
+    Axis j (slowest first) is contracted against the row weight(c, n_j),
+    leaving a table over the axes before j for each needed suffix n[j:].
+    """
     if not 0 <= level <= mu.depth:
         raise ValueError("level out of range")
+    indices = list(indices)
     m = mu.ell ** level
-    cells = [
-        (_decode(idx, m, mu.rank), v) for idx, v in enumerate(mu.tables[level]) if v
-    ]
+    rows = {}
+    partial = {(): mu.tables[level]}
+    for j in reversed(range(mu.rank)):
+        size = m ** j
+        contracted = {}
+        for n in indices:
+            suffix, e = n[j:], n[j]
+            if suffix in contracted:
+                continue
+            if e not in rows:
+                rows[e] = [weight(c, e) for c in range(m)]
+            row, table = rows[e], partial[n[j + 1:]]
+            contracted[suffix] = [sum(map(mul, row, table[i::size])) for i in range(size)]
+        partial = contracted
     for n in indices:
-        acc = 0
-        for x, v in cells:
-            w = weight(x, n)
-            if w:
-                acc += w * v
+        acc = partial[n][0]
         if acc:
             yield n, Fraction(acc, mu.den)
 
@@ -530,23 +557,23 @@ def integrate(mu: MeasureTower, integrand, level: int | None = None) -> PadicNum
     prec, K, folded = _precision_plan(ell, terms, level, mu.denom_exponent)
     modK = ell ** K
 
-    # omega(u) mod ell^K by u mod ell; index 0 is read only when no factor
+    # omega(u)^b mod ell^K by u mod ell; index 0 is read only when no factor
     # needs units, and then every b is 0
     omega = [0] * ell
     if needs_units:
         omega[1:] = [teichmuller(u, ell, K).residue(K) for u in range(1, ell)]
-    tables = [[(a, [pow(w, b, modK) for w in omega]) for a, b in fs] for fs in folded]
+    omega_pow = {b: [pow(w, b, modK) for w in omega] for fs in folded for _, b in fs}
 
-    def weight(x, t):
-        if needs_units and not all(c % ell for c in x):
+    def weight(c, key):
+        a, b = key
+        u = c % ell
+        if needs_units and not u:
             return 0
-        val = 1
-        for c, (a, omega_b) in zip(x, tables[t]):
-            val = val * pow(c, a, modK) * omega_b[c % ell] % modK
-        return val
+        return pow(c, a, modK) * omega_pow[b][u] % modK
 
-    sums = _moment_sums(mu, range(len(terms)), level, weight)
-    total = sum((terms[t][0] * acc for t, acc in sums), Fraction(0))
+    keys = [tuple(fs) for fs in folded]
+    sums = dict(_moment_sums(mu, keys, level, weight))
+    total = sum((c * sums.get(k, 0) for (c, _), k in zip(terms, keys)), Fraction(0))
     return _fraction_to_padic_abs(total, ell, prec)
 
 
@@ -583,8 +610,14 @@ def raw_word_integral(mu: MeasureTower, word: Word, level: int | None = None):
         raise ValueError("rank mismatch")
     if level is None:
         level = mu.depth
-    sums = _moment_sums(mu, [word.exponents], level, _word_poly)
-    return sum((acc for _, acc in sums), Fraction(0)), level - mu.denom_exponent
+    if not 0 <= level <= mu.depth:
+        raise ValueError("level out of range")
+    # the word polynomial couples neighbouring coordinates, so it is summed
+    # cell by cell rather than contracted one axis at a time
+    m = mu.ell ** level
+    acc = sum(_word_poly(_decode(idx, m, mu.rank), word.exponents) * v
+              for idx, v in enumerate(mu.tables[level]) if v)
+    return Fraction(acc, mu.den), level - mu.denom_exponent
 
 
 def word_coefficient(mu: MeasureTower, word: Word, level: int | None = None) -> PadicNum:
@@ -666,8 +699,14 @@ def congruence_check(mu: MeasureTower, w: Word, v: Word, M: int) -> CongruenceRe
 # -- serialization ----------------------------------------------------------------
 
 
+def _value_str(v: int, den: int) -> str:
+    """v/den (den > 0) in lowest terms, as ``n`` or ``n/d``."""
+    g = math.gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
+
+
 def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return _value_str(q.numerator, q.denominator)
 
 
 def _frac_from_str(text: str, name: str) -> Fraction:
@@ -684,16 +723,35 @@ def tower_to_json(mu: MeasureTower) -> dict:
         "rank": mu.rank,
         "depth": mu.depth,
         "denom_exponent": mu.denom_exponent,
-        "levels": [[_frac_str(v) for v in table] for table in mu.levels],
+        "levels": [[_value_str(v, mu.den) for v in t] for t in mu.tables],
     }
+
+
+# an ASCII integer or n/d, in lowest terms or not; other spellings go through Fraction
+_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _value_pair(text: str) -> tuple:
+    """A tower value string as a reduced (numerator, denominator) pair."""
+    match = _RATIONAL.fullmatch(text)
+    try:
+        num, den = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
+    except ValueError:  # beyond int()'s digit limit: Fraction says so
+        num = den = 0
+    if den:
+        g = math.gcd(num, den)
+        return num // g, den // g
+    q = _frac_from_str(text, "a tower value")
+    return q.numerator, q.denominator
 
 
 def tower_from_json(doc: dict) -> MeasureTower:
     if not isinstance(doc, dict) or any(type(doc.get(k)) is not int for k in ("ell", "rank")):
         raise ValueError('a tower document is a JSON object with integer "ell" and "rank"')
-    levels = doc["levels"]
+    levels = doc.get("levels")
     if not isinstance(levels, list) or not all(
             isinstance(t, list) and all(isinstance(v, str) for v in t) for t in levels):
         raise ValueError('"levels" must be a list of lists of value strings')
-    levels = [[_frac_from_str(v, "a tower value") for v in table] for table in levels]
-    return MeasureTower(doc["ell"], doc["rank"], levels)
+    # every value is read before the shape is checked
+    levels = [[_value_pair(v) for v in table] for table in levels]
+    return MeasureTower(doc["ell"], doc["rank"], levels, list)

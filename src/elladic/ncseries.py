@@ -688,13 +688,14 @@ def bch_scaled_pair_display(chi, t, degree: int):
     return ((part1 + part2) * p_x_over_em1(t * (1 - chi), D)).coeffs
 
 
-def inversion_pipeline(a_coeffs, chi, t, degree: int) -> ReducedSeries:
+def inversion_pipeline(a_coeffs, chi, t, degree: int, loop=None) -> ReducedSeries:
     """Mechanical group-product chain computing the reversed-path log series.
 
     a_coeffs are the coefficients of A(X) = sum a_k X^(k-1); chi and t are
     rational scalars.  All conjugations and group products are carried out in
     the quotient algebra; nothing is taken from the closed form (which lives
-    in ``inversion_closed_form`` for comparison).
+    in ``inversion_closed_form`` for comparison).  ``loop`` is
+    ``bch_scaled_pair(chi, t, degree)`` when the caller has it already.
     """
     D = degree
     chi, t = Fraction(chi), Fraction(t)
@@ -706,7 +707,8 @@ def inversion_pipeline(a_coeffs, chi, t, degree: int) -> ReducedSeries:
     z = ReducedSeries._stack(_Poly(D, [0, -1]), p_x_over_em1(1, D).scale(-1))
     conj1 = z.scale(-t).exp() * step1 * z.scale(t).exp()
 
-    loop = bch_scaled_pair(chi, t, D)
+    if loop is None:
+        loop = bch_scaled_pair(chi, t, D)
     step3 = _bch(Q0, conj1._row(1), t * (1 - chi), loop._row(1))
 
     ex_neg = ReducedSeries._stack(pexp_scalar(-t, D), zero)

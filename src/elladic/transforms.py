@@ -9,9 +9,10 @@ Two commutative series are attached to a measure on (Z_ell)^r:
 
 The X-form is the A-form composed with A_j = exp(X_j) - 1.  Coefficients are
 computed as exact level sums through the one level-sum kernel of
-``measures`` (``_moment_sums``), with weight prod_j C(x_j, n_j) or
-prod_j x_j^(n_j); such a sum approximates the true coefficient to
-``level - denom_exponent - v(n!)`` digits.
+``measures`` (``_moment_sums``), whose weight is given per coordinate:
+C(x_j, n_j) (``comb``) or x_j^(n_j) (``pow``), multiplied over j by
+contracting one axis at a time; such a sum approximates the true
+coefficient to ``level - denom_exponent - v(n!)`` digits.
 
 Because the cells at level n biject with the basis (1+A)^i, 0 <= i < ell^n, of
 the length-ell^n group ring, an A-form polynomial can be folded back into a
@@ -100,7 +101,7 @@ def p_transform(
     if level is None:
         level = mu.depth
     indices = _multi_indices(mu.rank, degree, total)
-    coeffs = dict(_moment_sums(mu, indices, level, lambda x, n: prod(map(comb, x, n))))
+    coeffs = dict(_moment_sums(mu, indices, level, comb))
     return IwasawaSeries(mu.rank, "binomial", degree, coeffs)
 
 
@@ -111,7 +112,7 @@ def f_transform(
     if level is None:
         level = mu.depth
     indices = _multi_indices(mu.rank, degree, True)
-    sums = _moment_sums(mu, indices, level, lambda x, n: prod(map(pow, x, n)))
+    sums = _moment_sums(mu, indices, level, pow)
     coeffs = {n: acc / prod(map(factorial, n)) for n, acc in sums}
     return IwasawaSeries(mu.rank, "exp", degree, coeffs)
 

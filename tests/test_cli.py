@@ -373,10 +373,18 @@ class TestReadmeGolden:
     degrees 0-12 (gamma also 14 and 16) over seeds 1-3, without options and
     with ``--chi`` (0, 1, -1 and other rationals) and ``--t`` (0 among
     them), recorded before the quotient algebra moved to integer tables.
+    ``golden/towers_cli.json`` covers ``measure validate``, ``pushforward``
+    (with and without ``--out``), ``integrate`` (with and without
+    ``--units``, ``--teich``, ``--inv`` and ``--bracket``; one domain error
+    per tower) and ``transform --kind p|f`` at every level, on one tower file
+    per benchmark tower shape (``golden/tower_ell*_rank*.json``: rank 1-3,
+    ell 3-7), ``tower_ell5_rank2.json`` spelling its values unreduced, signed,
+    padded and as decimals; it was recorded before the tower files were read
+    into integer tables and the moments contracted one axis at a time.
     """
 
     CASES = [case for name in ("readme_cli.json", "lfunctions_cli.json", "measures_cli.json",
-                               "verify_cli.json")
+                               "verify_cli.json", "towers_cli.json")
              for case in json.loads((GOLDEN / name).read_text())]
 
     @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
@@ -470,13 +478,29 @@ class TestRefusedInputs:
         ({"ell": 5, "rank": 1, "levels": [[0.5]]},
          '"levels" must be a list of lists of value strings'),
         ({"ell": 5, "rank": 1, "levels": "1"}, '"levels" must be a list of lists of value strings'),
+        ({"ell": 5, "rank": 1}, '"levels" must be a list of lists of value strings'),
         ({"ell": 5, "rank": 1, "levels": [["1/0"]]}, "a tower value must be a rational number, got '1/0'"),
-    ], ids=["list", "string rank", "string ell", "number value", "string levels", "zero denominator"])
+        ({"ell": 5, "rank": 1, "levels": [["1/-2"]]},
+         "a tower value must be a rational number, got '1/-2'"),
+        ({"ell": 5, "rank": 1, "levels": [["2/4"]]}, None),
+        ({"ell": 5, "rank": 1, "levels": [["0.5"]]}, None),
+        ({"ell": 5, "rank": 1, "levels": [["1e1"]]}, None),
+        ({"ell": 5, "rank": 1, "levels": [[" 1_0 "]]}, None),
+    ], ids=["list", "string rank", "string ell", "number value", "string levels", "no levels",
+            "zero denominator", "negative denominator", "unreduced", "decimal", "exponent",
+            "padded underscore"])
     def test_malformed_tower_file(self, doc, error, tmp_path, capsys):
+        """Every spelling that ``Fraction`` reads is a tower value: ``None``
+        marks a file that validates."""
         path = tmp_path / "tower.json"
         path.write_text(json.dumps(doc))
         code = main(["measure", "validate", "--in", str(path)])
         out = capsys.readouterr().out
-        assert code == 1
         assert out.count("\n") == 1
-        assert json.loads(out) == {"command": "measure", "error": error}
+        if error is None:
+            assert code == 0
+            assert json.loads(out) == {"action": "validate", "valid": True,
+                                       "denom_exponent": 0, "depth": 0, "rank": 1}
+        else:
+            assert code == 1
+            assert json.loads(out) == {"command": "measure", "error": error}

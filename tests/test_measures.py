@@ -29,9 +29,13 @@ from elladic.measures import (
     word_coefficient,
     zero_tower,
     _coarsen,
+    _moment_sums,
+    _precision_plan,
 )
-from elladic.padic import PadicNum, residue_mod, teichmuller, _frac_val
+from elladic.padic import PadicNum, residue_mod, teichmuller, _frac_val, _fraction_to_padic_abs
 from elladic.transforms import IwasawaSeries, f_transform, measure_from_p_series, p_transform
+
+import tower_oracle
 
 F = Fraction
 
@@ -510,7 +514,7 @@ class TestSerialization:
 
 def assert_coarsens(mu):
     for n in range(mu.depth):
-        assert tuple(_coarsen(mu.levels[n + 1], mu.ell, mu.rank, n + 1)) == mu.levels[n]
+        assert tuple(tower_oracle.coarsen(mu.levels[n + 1], mu.ell, mu.rank, n + 1)) == mu.levels[n]
     # denom_exponent is read off the top level; every level must agree with it
     every_level = max((max(0, -_frac_val(v, mu.ell)) for t in mu.levels for v in t if v), default=0)
     assert mu.denom_exponent == every_level
@@ -749,3 +753,190 @@ class TestBernoulliUnitIntegral:
             restrict(bernoulli_measure(*args), "units")
         with pytest.raises(ValueError, match=error):
             bernoulli_unit_integral(*args, 0, 1)
+
+
+# -- the axis-wise tower kernels against the cell-by-cell oracle ----------------
+
+ALL_ELLS = st.sampled_from([3, 5, 7])
+
+
+@st.composite
+def shapes(draw, min_level=0, cells=2500):
+    """(ell, rank, level) for rank 1-3 and ell 3-7 with at most ``cells`` cells."""
+    ell, rank = draw(ALL_ELLS), draw(st.integers(1, 3))
+    top = max(n for n in range(8) if ell ** (rank * n) <= cells)
+    return ell, rank, draw(st.integers(min_level, top))
+
+
+def random_table(seed, size, zeros=0.25):
+    rng = Random(seed)
+    return [0 if rng.random() < zeros else rng.randint(-99, 99) for _ in range(size)]
+
+
+@st.composite
+def kernel_towers(draw):
+    """A tower from a random top table; its depth is the level summed."""
+    ell, rank, depth = draw(shapes())
+    top = random_table(draw(st.integers(0, 10 ** 6)), ell ** (rank * depth))
+    den = draw(st.sampled_from([1, 2, ell, 6 * ell ** 2]))
+    return MeasureTower.from_top(ell, rank, depth, top, den)
+
+
+def cell_weight(weight):
+    """The whole-cell weight that ``weight`` makes one coordinate at a time."""
+    return lambda x, n: math.prod(map(weight, x, n))
+
+
+class TestMomentContraction:
+    """``_moment_sums`` against the cell loop that calls a whole-cell weight."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_towers(), st.data())
+    def test_comb_and_pow(self, mu, data):
+        level = data.draw(st.integers(0, mu.depth))
+        degree = data.draw(st.integers(0, 4))
+        box = list(product(range(degree + 1), repeat=mu.rank))
+        indices = data.draw(st.lists(st.sampled_from(box), max_size=12))
+        for weight in (math.comb, pow):
+            got = list(_moment_sums(mu, indices, level, weight))
+            want = tower_oracle.moment_sums(mu, indices, level, cell_weight(weight))
+            assert got == [(n, want[n]) for n in indices if n in want]
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_towers(), st.booleans(), st.data())
+    def test_folded_unit_factor(self, mu, units, data):
+        """x^a * omega(x)^b mod ell^K per coordinate, zero off the units when
+        they are needed, as ``integrate`` folds its factors."""
+        ell = mu.ell
+        level = data.draw(st.integers(1 if units else 0, mu.depth)) if mu.depth else 0
+        modK = ell ** (level + 4)
+        omega = [0] + [teichmuller(u, ell, level + 4).residue(level + 4) for u in range(1, ell)]
+
+        def weight(c, key):
+            a, b = key
+            if units and not c % ell:
+                return 0
+            return pow(c, a, modK) * pow(omega[c % ell], b, modK) % modK
+
+        key = st.tuples(st.integers(-2, 5) if units else st.integers(0, 5),
+                        st.integers(0, ell - 2) if units else st.just(0))
+        indices = data.draw(st.lists(st.tuples(*[key] * mu.rank), min_size=1, max_size=4))
+        got = list(_moment_sums(mu, indices, level, weight))
+        want = tower_oracle.moment_sums(mu, indices, level, cell_weight(weight))
+        assert got == [(n, want[n]) for n in indices if n in want]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), ALL_ELLS)
+    def test_integrate_matches_the_cell_loop_bytes(self, data, ell):
+        """The per-cell products reduced mod ell^K, as the cell loop reduced
+        them, give the same ell-adic value as the unreduced contraction."""
+        mu = data.draw(towers(ell, min_depth=1))
+        mu = restrict(mu, "units") if data.draw(st.booleans()) else mu
+        level = data.draw(st.integers(1, mu.depth))
+        fs = data.draw(st.tuples(*[factors(ell)] * mu.rank))
+        # a bracket exponent must be an ell-adic integer
+        assume(not any(isinstance(f.bracket, F) and f.bracket.denominator % ell == 0 for f in fs))
+        if not mu.units_only:
+            fs = tuple(Factor(power=f.power) for f in fs)
+        got = integrate(mu, fs, level)
+        prec, K, [folded] = _precision_plan(ell, [(1, fs)], level, mu.denom_exponent)
+        modK = ell ** K
+        omega = [0] + [teichmuller(u, ell, K).residue(K) for u in range(1, ell)]
+
+        def reduced(x, _):
+            if mu.units_only and not all(c % ell for c in x):
+                return 0
+            return math.prod(pow(c, a, modK) * pow(omega[c % ell], b, modK)
+                             for c, (a, b) in zip(x, folded)) % modK
+
+        total = tower_oracle.moment_sums(mu, [0], level, reduced).get(0, 0)
+        assert got.to_json() == _fraction_to_padic_abs(F(total), ell, prec).to_json()
+
+
+class TestCoarsenFold:
+    @settings(max_examples=80, deadline=None)
+    @given(shapes(min_level=1), st.integers(0, 10 ** 6))
+    def test_fold_matches_the_cell_loop(self, shape, seed):
+        ell, rank, n = shape
+        table = random_table(seed, ell ** (rank * n))
+        assert _coarsen(table, ell, rank, n) == tower_oracle.coarsen(table, ell, rank, n)
+
+
+def decimal_str(q):
+    """q as a finite decimal string, or None when its denominator has a prime
+    other than 2 and 5."""
+    d, k = q.denominator, 0
+    while d % 10 ** k and k < 8:
+        k += 1
+    if d * (10 ** k // d) != 10 ** k:
+        return None
+    digits = str(abs(q.numerator) * (10 ** k // d)).rjust(k + 1, "0")
+    sign = "-" if q < 0 else ""
+    return f"{sign}{digits[:-k]}.{digits[-k:]}" if k else f"{sign}{digits}.0"
+
+
+@st.composite
+def spellings(draw, q):
+    """One spelling of the rational q: reduced, unreduced, signed, padded,
+    decimal, with an exponent or an underscore, in non-ASCII digits, or bad."""
+    kind = draw(st.sampled_from(["reduced", "unreduced", "signed", "padded", "decimal",
+                                 "exponent", "underscore", "arabic", "bad"]))
+    plain = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    if kind == "unreduced":
+        k = draw(st.integers(2, 12))
+        return f"{q.numerator * k}/{q.denominator * k}"
+    if kind == "signed":
+        return plain if q < 0 else "+" + plain
+    if kind == "padded":
+        return draw(st.sampled_from([" ", "\t", "  "])) + plain + draw(st.sampled_from(["", " ", "\n"]))
+    if kind == "decimal":
+        return decimal_str(q) or plain
+    if kind == "exponent" and q.denominator == 1:
+        return f"{q.numerator}e0" if q.numerator % 10 else f"{q.numerator // 10}e1"
+    if kind == "underscore" and q.denominator == 1 and abs(q.numerator) >= 10:
+        return plain[:-1] + "_" + plain[-1]
+    if kind == "arabic":
+        return plain.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+    if kind == "bad":
+        return draw(st.sampled_from(["1/0", "1/-2", "x", "", "1//2", "0x1", "1.2.3", "- 1"]))
+    return plain
+
+
+@st.composite
+def tower_docs(draw):
+    """A tower document: a coherent tower written with random spellings, and
+    at times a perturbed value, a dropped cell or a non-prime ell."""
+    ell, rank, depth = draw(shapes(cells=400))
+    top = random_table(draw(st.integers(0, 10 ** 6)), ell ** (rank * depth))
+    mu = MeasureTower.from_top(ell, rank, depth, top, draw(st.sampled_from([1, 2, ell, 4 * ell])))
+    levels = [[draw(spellings(q)) if draw(st.integers(0, 9)) == 0 else
+               (str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}")
+               for q in t] for t in mu.levels]
+    fault = draw(st.sampled_from(["none"] * 4 + ["perturb", "drop", "ell"]))
+    if fault == "perturb" and depth:
+        levels[0][0] = str(mu.levels[0][0] + 1)
+    elif fault == "drop":
+        levels[-1].pop()
+    elif fault == "ell":
+        ell = 9
+    return {"ell": ell, "rank": rank, "levels": levels}
+
+
+def read(reader, doc):
+    try:
+        mu = reader(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return mu.ell, mu.rank, mu.depth, mu.tables, mu.den, mu.denom_exponent, mu.units_only
+
+
+class TestIntegerReader:
+    @settings(max_examples=150, deadline=None)
+    @given(tower_docs())
+    @example({"ell": 5, "rank": 1, "levels": [["2/4"]]})
+    @example({"ell": 5, "rank": 1, "levels": [["3/6"], ["1/2", "0", "0", "0", "0"]]})
+    @example({"ell": 3, "rank": 1, "levels": [["1/3"], ["1e0", "-0.5", "-1/6"]]})
+    @example({"ell": 5, "rank": 1, "levels": [[" 1_0 ", "1"]]})
+    @example({"ell": 5, "rank": 1, "levels": [["9" * 4400]]})
+    def test_matches_the_fraction_reader(self, doc):
+        assert read(tower_from_json, doc) == read(tower_oracle.tower_from_json, doc)
