@@ -6,10 +6,11 @@ from .padic import (
     is_odd_prime,
     one_unit_pow,
     residue_mod,
+    smallest_regularizer,
     teichmuller,
     unit_decompose,
 )
-from .bernoulli import bernoulli_number, bernoulli_poly, bernoulli_poly_coeffs, gen_bernoulli
+from .bernoulli import bernoulli_number, bernoulli_poly, gen_bernoulli
 from .measures import (
     CongruenceReport,
     Factor,
@@ -68,7 +69,6 @@ from .lfunctions import (
     kl_node_rational,
     kubota_leopoldt,
     minus_one_l,
-    smallest_regularizer,
     zinv_l,
     zinv_node,
     zinv_report,

@@ -1,7 +1,20 @@
-"""Bernoulli numbers and polynomials as exact rationals.
+"""Bernoulli numbers and polynomials as exact rationals, computed on integers.
 
 Conventions: the generating function ``X exp(tX) / (exp X - 1)`` defines
 ``B_k(t)``; in particular ``B_k = B_k(0)`` and ``B_1 = -1/2``.
+
+One integer table holds B_0, ..., B_(n-1) as numerators S_j over one common
+denominator D (``_table``).  It is built from the tangent numbers in integer
+arithmetic only (Knuth and Buckholtz, Math. Comp. 21, 1967), and rebuilt at
+least an eighth longer when a larger index is asked for.
+
+One integer kernel, ``_bernoulli_sums``, computes every sum of B_k(a/f) the
+package reads.  It uses the identity f^k D B_k(a/f) = sum_j C(k,j) S_j f^j
+a^(k-j).  That is a polynomial in a with integer coefficients.  Each
+coefficient is made once per call and fed at once to every point's Horner
+pass, so no coefficient row is kept.
+``bernoulli_poly``, the class sums of ``_character_bernoulli``, and the
+Hurwitz and Z[1/m] nodes of ``lfunctions`` all go through it.
 
 Generalized Bernoulli numbers B_(k,chi) all come from one character sum,
 ``_character_bernoulli``.  Twisted Bernoulli numbers attached to powers of the
@@ -13,56 +26,91 @@ carries the Euler factor ``1 - ell**(k-1)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import islice
+from math import gcd, lcm
 
 from .padic import PadicNum, _fraction_to_padic_abs, teichmuller
 
 __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
-    "bernoulli_poly_coeffs",
     "gen_bernoulli",
 ]
 
-# Memo table for B_0, B_1, ...  Concurrent readers are safe: entries are
-# immutable Fractions and insertion of an already-present index is idempotent.
-_BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
+# (D, [S_0, S_1, ...]) with B_j = S_j / D.  It is replaced as one tuple, so a
+# concurrent reader never pairs a denominator with another table's numerators;
+# two racing growths may leave the shorter table, which only costs a rebuild.
+_TABLE: tuple[int, list[int]] = (1, [1])
+
+
+def _build(n: int) -> tuple[int, list[int]]:
+    """(D, S) for B_0..B_(n-1): B_(2i) = (-1)^(i-1) 2i T_i / (4^i (4^i - 1))
+    from the tangent numbers T_1, T_2, ... = 1, 2, 16, ..., and B_j = 0 at odd
+    j > 1; D is the lcm of the reduced denominators (2 for B_1 among them)."""
+    half = (n - 1) // 2
+    t = [0] * (half + 1)
+    if half:
+        t[1] = 1
+    for i in range(2, half + 1):
+        t[i] = (i - 1) * t[i - 1]
+    for i in range(2, half + 1):
+        for j in range(i, half + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    dens = [4 ** i * (4 ** i - 1) for i in range(half + 1)]
+    d = lcm(2, *(dens[i] // gcd(2 * i * t[i], dens[i]) for i in range(1, half + 1)))
+    s = [d, -d // 2]
+    for i in range(1, half + 1):
+        s += [(-1) ** (i - 1) * 2 * i * t[i] * d // dens[i], 0]
+        t[i] = 0  # drop each tangent number once read: the build holds about one table
+    del s[n:]
+    return d, s
+
+
+def _table(k: int) -> tuple[int, list[int]]:
+    """The table, grown to hold index k."""
+    global _TABLE
+    table = _TABLE
+    if k >= len(table[1]):
+        table = _TABLE = _build(max(k + 1, len(table[1]) * 9 // 8))
+    return table
+
+
+def _bernoulli_sums(k: int, f: int, groups) -> list[Fraction]:
+    """[sum over a in g of B_k(a/f) for g in groups], exact, for k >= 0 and
+    f >= 1; a point may be any integer.  The even-j terms of f^k D B_k(a/f)
+    form a^(k mod 2) times a polynomial in a^2, read by one Horner pass over
+    all points at once, each coefficient made once and dropped once used;
+    the j = 1 term is k S_1 f a^(k-1)."""
+    d, s = _table(k)
+    points = [a for g in groups for a in g]
+    squares, accs = [a * a for a in points], [0] * len(points)
+    binom, fpow, f2 = 1, 1, f * f
+    for j in range(0, k + 1, 2):
+        c = binom * s[j] * fpow
+        accs = [acc * x + c for acc, x in zip(accs, squares)]
+        binom = binom * (k - j) * (k - j - 1) // ((j + 1) * (j + 2))
+        fpow *= f2
+    if k:
+        odd = k * s[1] * f
+        accs = [(acc * a if k % 2 else acc) + odd * a ** (k - 1) for acc, a in zip(accs, points)]
+    values, den = iter(accs), d * f ** k
+    return [Fraction(sum(islice(values, len(g))), den) for g in groups]
 
 
 def bernoulli_number(k: int) -> Fraction:
-    """B_k via the defining recurrence sum_{j<=m} C(m+1, j) B_j = 0."""
+    """B_k, read from the integer table."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    cache = _BERNOULLI_CACHE
-    while len(cache) <= k:
-        m = len(cache)
-        if m > 1 and m % 2 == 1:
-            cache.append(Fraction(0))
-            continue
-        s = Fraction(0)
-        for j in range(m):
-            if cache[j]:
-                s += comb(m + 1, j) * cache[j]
-        cache.append(-s / (m + 1))
-    return cache[k]
-
-
-def bernoulli_poly_coeffs(k: int) -> list[Fraction]:
-    """Coefficients c_0..c_k of B_k(t) = sum_j c_j t^j."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    coeffs = [Fraction(0)] * (k + 1)
-    for j in range(k + 1):
-        coeffs[k - j] = comb(k, j) * bernoulli_number(j)
-    return coeffs
+    d, s = _table(k)
+    return Fraction(s[k], d)
 
 
 def bernoulli_poly(k: int, t) -> Fraction:
+    """B_k(t) for a rational t."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     t = Fraction(t)
-    acc = Fraction(0)
-    for c in reversed(bernoulli_poly_coeffs(k)):
-        acc = acc * t + c
-    return acc
+    return _bernoulli_sums(k, t.denominator, [[t.numerator]])[0]
 
 
 def _character_bernoulli(k: int, f: int, residue, ell: int, ndigits: int):
@@ -78,10 +126,11 @@ def _character_bernoulli(k: int, f: int, residue, ell: int, ndigits: int):
     rational = {residue(a) for a in range(1, f)} <= {0, 1, ell - 1}
     if (residue(f - 1) == 1) != (k % 2 == 0):
         return Fraction(0) if rational else PadicNum.zero(ell)
-    classes: dict[int, Fraction] = {}
+    points: dict[int, list[int]] = {}
     for a in range(1, (f + 1) // 2):
         if r := residue(a):
-            classes[r] = classes.get(r, 0) + bernoulli_poly(k, Fraction(a, f))
+            points.setdefault(r, []).append(a)
+    classes = dict(zip(points, _bernoulli_sums(k, f, points.values())))
     scale = 2 * Fraction(f) ** (k - 1)
     if rational:
         return scale * (classes.get(1, 0) - classes.get(ell - 1, 0))

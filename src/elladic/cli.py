@@ -23,7 +23,6 @@ from .lfunctions import (
     hurwitz_l,
     kubota_leopoldt,
     minus_one_l,
-    smallest_regularizer,
     zinv_report,
 )
 from .measures import (
@@ -49,7 +48,7 @@ from .ncseries import (
     inversion_closed_form,
     inversion_pipeline,
 )
-from .padic import teichmuller
+from .padic import smallest_regularizer, teichmuller
 from .transforms import f_transform, p_transform
 
 

@@ -26,14 +26,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bernoulli import _character_bernoulli, bernoulli_number, bernoulli_poly, gen_bernoulli
+from .bernoulli import _bernoulli_sums, _character_bernoulli, bernoulli_number, gen_bernoulli
 from .measures import bernoulli_unit_integral
 from .padic import PadicNum, is_odd_prime, one_unit_pow, residue_mod, smallest_regularizer, teichmuller, unit_decompose, _angle_from_scalar, _check_prime, _frac_val
 
 __all__ = [
     "SigmaDependentError",
     "DirichletCharacter",
-    "smallest_regularizer",
     "interpolation_weight",
     "kl_node",
     "kl_node_rational",
@@ -284,11 +283,8 @@ def hurwitz_node(k: int, i: int, m: int, ell: int) -> Fraction:
         raise ValueError("index must satisfy 0 < i < m")
     if math.gcd(i, m) != 1:
         raise ValueError("alpha not coprime to m")
-    shifted = residue_mod(Fraction(i, ell), m)
-    return (
-        bernoulli_poly(k, Fraction(i, m))
-        - Fraction(ell) ** (k - 1) * bernoulli_poly(k, Fraction(shifted, m))
-    ) / k
+    b, b_shifted = _bernoulli_sums(k, m, [[i], [residue_mod(Fraction(i, ell), m)]])
+    return (b - Fraction(ell) ** (k - 1) * b_shifted) / k
 
 
 def hurwitz_l(
@@ -366,7 +362,7 @@ def zinv_node(k: int, primes, ell: int) -> Fraction:
     if any(p == ell for p in primes):
         raise ValueError("primes must differ from ell")
     _check_node(k, m, ell)
-    total = sum(bernoulli_poly(k, Fraction(a, m)) for a in range(1, m) if math.gcd(a, m) == 1)
+    [total] = _bernoulli_sums(k, m, [[a for a in range(1, m) if math.gcd(a, m) == 1]])
     return (1 - Fraction(ell) ** (k - 1)) / k * total
 
 

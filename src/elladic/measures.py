@@ -513,7 +513,9 @@ def _normalize_integrand(integrand, rank):
 def _precision_plan(ell: int, terms, level: int, denom_exponent: int):
     """(prec, K, folded) of a level sum: the guaranteed absolute precision
     ``level - denom_exponent - (#inverse factors)``, capped by the stated
-    precision of any ell-adic bracket exponent; the work precision K; and per
+    precision of any ell-adic bracket exponent, then moved by the least
+    valuation of a nonzero term coefficient (a coefficient c scales a term's
+    error by |c|); the work precision K; and per
     factor the single power x^a * omega(x)^b mod ell^K it folds into, since
     [x] = x * omega(x)^(-1): a = power - inverse + s, b = (teich - s) mod (ell - 1).
     """
@@ -523,7 +525,8 @@ def _precision_plan(ell: int, terms, level: int, denom_exponent: int):
         for f in fs:
             if isinstance(f.bracket, PadicNum) and not f.bracket.is_exact_zero:
                 cap = min(cap, f.bracket.abs_prec + 1)
-    prec = min(level - n_inv, cap) - denom_exponent
+    shift = min((_frac_val(c, ell) for c, _ in terms if c), default=0)
+    prec = min(level - n_inv, cap) - denom_exponent + shift
     K = max(level, prec) + denom_exponent + 3
 
     def fold(f):

@@ -3,15 +3,15 @@
 This is the exact reference that ``elladic.ncseries`` is checked against:
 the same series, group products, gamma assembly, inversion chain, scaled
 pair, display formula and Bernoulli kernel, written coefficient by
-coefficient in Fraction arithmetic, with B_k(t) read from ``bernoulli_poly``
-one weight at a time.  The package computes them on integer numerators over
-one denominator instead.
+coefficient in Fraction arithmetic, with B_k(t) read from the Fraction
+``bernoulli_oracle.bernoulli_poly`` one weight at a time.  The package
+computes them on integer numerators over one denominator instead.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from elladic.bernoulli import bernoulli_number, bernoulli_poly
+from bernoulli_oracle import bernoulli_number, bernoulli_poly
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)

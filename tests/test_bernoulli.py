@@ -1,15 +1,21 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import bernoulli_oracle as oracle
+from bernoulli_oracle import bernoulli_poly_coeffs
+from elladic import bernoulli
 from elladic.bernoulli import (
+    _bernoulli_sums,
+    _character_bernoulli,
     bernoulli_number,
     bernoulli_poly,
-    bernoulli_poly_coeffs,
     gen_bernoulli,
 )
+from elladic.lfunctions import hurwitz_node, zinv_node
 from elladic.padic import PadicNum, teichmuller
 
 
@@ -29,12 +35,13 @@ def akiyama_tanigawa(n):
 
 def gen_bernoulli_loop(k, j, ell, ndigits):
     """Oracle: ell^(k-1) sum_a omega(a)^j B_k(a/ell) as a PadicNum loop over
-    the Teichmuller values, worked to ndigits + k + 3 digits."""
+    the Teichmuller values, worked to ndigits + k + 3 digits, with B_k(a/ell)
+    from the Fraction oracle."""
     j %= ell - 1
     work = ndigits + k + 3
     acc = PadicNum.zero(ell)
     for a in range(1, ell):
-        term = PadicNum.from_rational(bernoulli_poly(k, Fraction(a, ell)), ell, work)
+        term = PadicNum.from_rational(oracle.bernoulli_poly(k, Fraction(a, ell)), ell, work)
         if j:
             term = term * teichmuller(a, ell, work) ** j
         acc = acc + term
@@ -165,3 +172,126 @@ class TestGenBernoulli:
         else:
             assert got.ndigits == nd
             assert got.congruent(gen_bernoulli_loop(k, j, ell, nd)), (ell, j, k, nd)
+
+
+@functools.cache
+def akiyama_tanigawa_table():
+    return akiyama_tanigawa(400)
+
+
+def oracle_sum(k, f, points):
+    """sum over the points a of B_k(a/f), each from the Fraction oracle."""
+    return sum((oracle.bernoulli_poly(k, Fraction(a, f)) for a in points), Fraction(0))
+
+
+def characters():
+    """(f, residues, ell): a character mod f by its residues mod ell (0 off
+    the units).  The Teichmuller powers mod ell that ``gen_bernoulli`` uses,
+    every character of each prime modulus f != ell with values among the
+    (ell-1)-st roots of unity, and the odd character mod 4."""
+    primes = [3, 5, 7, 11, 13]
+    out = []
+    for ell in primes:
+        out += [(ell, {a: pow(a, j, ell) for a in range(1, ell)}, ell) for j in range(ell - 1)]
+        out.append((4, {1: 1, 3: ell - 1}, ell))
+        for f in primes:
+            if f == ell:
+                continue
+            g = next(g for g in range(2, f) if len({pow(g, i, f) for i in range(f - 1)}) == f - 1)
+            for r in range(2, ell):
+                if pow(r, f - 1, ell) == 1:
+                    out.append((f, {pow(g, i, f): pow(r, i, ell) for i in range(f - 1)}, ell))
+    return out
+
+
+CHARACTERS = characters()
+
+
+class TestIntegerTable:
+    """The tangent-number table against the Fraction recurrence and
+    Akiyama-Tanigawa, read from a table of any length."""
+
+    def test_every_index_to_400(self):
+        at = akiyama_tanigawa_table()
+        for k in range(401):
+            assert bernoulli_number(k) == oracle.bernoulli_number(k) == at[k], k
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 330), st.integers(-1, 70))
+    def test_read_at_and_past_the_table_length(self, n, step):
+        # a table of n entries asked for index n - 1 (the last it holds), n
+        # (the first it lacks), n + 1 and further on
+        k = min(n + step, 400)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bernoulli, "_TABLE", bernoulli._build(n))
+            got = bernoulli_number(k)
+            grown = len(bernoulli._TABLE[1])
+        assert got == oracle.bernoulli_number(k) == akiyama_tanigawa_table()[k]
+        assert grown == (n if k < n else max(k + 1, n * 9 // 8))
+
+
+class TestKernel:
+    """One integer kernel for every sum of B_k(a/f), against the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 200), st.integers(1, 30),
+           st.lists(st.lists(st.integers(-40, 70), max_size=3), min_size=1, max_size=3))
+    @example(0, 1, [[0]])
+    @example(1, 7, [[0, -3, 9], []])
+    @example(2, 30, [[-30, 30, 31]])
+    def test_group_sums(self, k, f, groups):
+        # points may be 0, negative or at least f
+        assert _bernoulli_sums(k, f, groups) == [oracle_sum(k, f, g) for g in groups]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 200), st.fractions(max_denominator=40).filter(lambda t: abs(t) < 9))
+    def test_bernoulli_poly(self, k, t):
+        assert bernoulli_poly(k, t) == oracle.bernoulli_poly(k, t)
+
+
+class TestNodes:
+    """Each reader of the kernel against values built from the oracle."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(CHARACTERS), st.integers(1, 120), st.integers(1, 8))
+    def test_character_bernoulli(self, char, k, nd):
+        f, residues, ell = char
+        residue = lambda a: residues.get(a % f, 0)  # noqa: E731
+        got = _character_bernoulli(k, f, residue, ell, nd)
+        classes = {}
+        for a in range(1, f):
+            if r := residue(a):
+                classes[r] = classes.get(r, 0) + oracle.bernoulli_poly(k, Fraction(a, f))
+        scale = Fraction(f) ** (k - 1)
+        if set(classes) <= {1, ell - 1}:
+            assert got == scale * (classes.get(1, 0) - classes.get(ell - 1, 0))
+            return
+        work = nd + k + 4
+        want = PadicNum.zero(ell)
+        for r, t in classes.items():
+            want = want + PadicNum.from_rational(scale * t, ell, work) * teichmuller(r, ell, work)
+        if got.is_exact_zero:
+            assert residue(f - 1) == 1 if k % 2 else residue(f - 1) == ell - 1
+            assert want.unit == 0
+        else:
+            assert got.ndigits == nd
+            assert got.congruent(want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(2, 30), st.integers(1, 150), st.data())
+    def test_hurwitz_node(self, ell, m, k, data):
+        assume(m % ell)
+        i = data.draw(st.sampled_from([a for a in range(1, m) if math.gcd(a, m) == 1]))
+        shifted = i * pow(ell, -1, m) % m
+        want = (oracle_sum(k, m, [i]) - Fraction(ell) ** (k - 1) * oracle_sum(k, m, [shifted])) / k
+        assert hurwitz_node(k, i, m, ell) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 11, 13]),
+           st.lists(st.sampled_from([2, 3, 5, 7, 11]), min_size=1, max_size=3, unique=True),
+           st.integers(1, 120))
+    def test_zinv_node(self, ell, primes, k):
+        assume(ell not in primes)
+        m = math.prod(primes)
+        units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+        assert zinv_node(k, primes, ell) == (1 - Fraction(ell) ** (k - 1)) / k * oracle_sum(k, m, units)

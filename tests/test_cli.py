@@ -381,10 +381,17 @@ class TestReadmeGolden:
     ell 3-7), ``tower_ell5_rank2.json`` spelling its values unreduced, signed,
     padded and as decimals; it was recorded before the tower files were read
     into integer tables and the moments contracted one axis at a time.
+    ``golden/bernoulli_cli.json`` covers ``bernoulli --k`` for k across
+    0-600, with and without ``--t`` (0, 1/2, -3/7, 22/5 and 5), and the
+    interpolation routes of ``kl --method interp``, ``hurwitz``,
+    ``dirichlet`` (rational and non-rational characters) and ``zinv`` at
+    weights 170-1000 and ell 3-13, with exact and non-exact s; it was
+    recorded before the Bernoulli numbers moved to an integer tangent-number
+    table and every B_k(a/f) sum to one integer kernel.
     """
 
     CASES = [case for name in ("readme_cli.json", "lfunctions_cli.json", "measures_cli.json",
-                               "verify_cli.json", "towers_cli.json")
+                               "verify_cli.json", "towers_cli.json", "bernoulli_cli.json")
              for case in json.loads((GOLDEN / name).read_text())]
 
     @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])

@@ -20,12 +20,11 @@ from elladic.lfunctions import (
     kl_node_rational,
     kubota_leopoldt,
     minus_one_l,
-    smallest_regularizer,
     zinv_l,
     zinv_node,
     zinv_report,
 )
-from elladic.padic import PadicNum, _frac_val, one_unit_pow, unit_decompose
+from elladic.padic import PadicNum, _frac_val, one_unit_pow, smallest_regularizer, unit_decompose
 
 F = Fraction
 

@@ -344,6 +344,20 @@ class TestPrecisionStability:
             for a, b in zip(values, values[1:]):
                 assert a.congruent(b), (f, a, b)
 
+    @pytest.mark.parametrize("c", [F(1, 5 ** 4), F(3, 5), F(7, 125), F(25), F(2, 3)])
+    def test_coefficient_valuation_moves_the_precision(self, c):
+        # a term coefficient c scales that term's error by |c|: the claim
+        # moves by the least v(c), and every level agrees with the next
+        E = bernoulli_measure(2, 5, 6)
+        alone = [(c, (Factor(power=1),))]
+        mixed = alone + [(F(1), (Factor(power=2),))]
+        v = _frac_val(c, 5)
+        for integrand, shift in ((alone, v), (mixed, min(v, 0))):
+            values = [integrate(E, integrand, n) for n in range(2, 7)]
+            assert [x.abs_prec for x in values] == [n + shift for n in range(2, 7)]
+            for a, b in zip(values, values[1:]):
+                assert a.congruent(b), (c, a, b)
+
     def test_synthetic_towers_stable_under_refinement(self):
         for seed in range(5):
             mu = random_bounded_tower(3, 1, 5, denom_exponent=1, seed=seed)
