@@ -3,8 +3,9 @@
 Evaluation strategies:
 
 * measure route — regularized unit-group integral against the Bernoulli
-  measure for the zeta-type family, summed as integers mod ell^K over the
-  units of one level with no tower built (``bernoulli_unit_integral``);
+  measure for the zeta-type family, summed as integers mod ell^level over
+  half the units of one level with no tower built (``bernoulli_unit_integral``:
+  the x -> -x symmetry gives the other half, so the digits are the same);
 * interpolation route — pick the integer weight k >= 1 with k = beta mod
   (ell-1) and k = s mod ell^M, evaluate the closed Bernoulli expression there.
   Kummer-type congruences make the result correct to M digits (minus the

@@ -26,7 +26,13 @@ Every integral against a tower is a level sum
 ``transforms`` differ only in w.  The word integrands couple neighbouring
 coordinates, so ``raw_word_integral`` sums cell by cell.  The one integral
 that needs no tower, ``bernoulli_unit_integral``, sums the Bernoulli
-measure's closed-form values (integers plus (c-1)/2) mod ell^K.
+measure's closed-form values (integers plus (c-1)/2) mod ell^level, over
+half the units: the measure is odd under x -> -x and the integrand even or
+odd with beta, so the other half repeats the first (even beta) or cancels it
+(odd beta), and the claimed ``level - 1`` digits are the same.  The
+measure's half row depends only on (c, ell, level) and is cached; each
+request sums it in blocks of about sqrt(units).  It and
+``bernoulli_measure`` refuse more than ``_CELL_BUDGET`` cells.
 
 Riemann sums against the closed integrand family (powers, unit inverses,
 Teichmuller powers, one-unit powers) return ell-adic values carrying the
@@ -41,6 +47,7 @@ additions, so any evaluation order gives identical results.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -257,12 +264,21 @@ def _moment_sums(mu: MeasureTower, indices, level: int, weight):
 # -- constructors -------------------------------------------------------------
 
 
+# The most cells ell^depth that ``bernoulli_measure`` builds and
+# ``bernoulli_unit_integral`` sums.  A deeper request is refused before any
+# work: at ell = 5 and level 40 it would otherwise run until it is killed.
+_CELL_BUDGET = 10 ** 6
+
+
 def _check_bernoulli(c: int, ell: int, depth: int) -> None:
     _check_prime(ell)
     if c % ell == 0:
         raise ValueError("not a unit: c must be coprime to ell")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    # ell^64 is past the budget for every ell and cheap, unlike a huge ell^depth
+    if ell ** min(depth, 64) > _CELL_BUDGET:
+        raise ValueError(f"depth too large: ell^depth must be at most {_CELL_BUDGET} cells")
 
 
 def bernoulli_measure(c: int, ell: int, depth: int) -> MeasureTower:
@@ -277,29 +293,74 @@ def bernoulli_measure(c: int, ell: int, depth: int) -> MeasureTower:
     return MeasureTower.from_top(ell, 1, depth, top, 2 * m)
 
 
+@functools.lru_cache(maxsize=64)
+def _unit_row(c: int, ell: int, level: int) -> tuple:
+    """(v_0, ..., v_(n/2-1)) for n = phi(ell^level): v_j is twice the measure
+    of the unit g^j mod ell^level, for g = ``smallest_regularizer(ell)``.
+
+    With m = ell^level and y = <c^(-1) x>, c*y = x mod m, so
+    2(x - c*y)/m + c - 1 = c - 1 - 2*floor(c*y/m).  The row depends on
+    neither beta nor s; ``bernoulli_unit_integral`` sums it against each
+    request's weights.  64 rows cover the 33 keys of the lvalue-measure
+    benchmark (11 (ell, level) classes, 3 regularisers each).  At the cell
+    budget a row has at most 5*10^5 entries, so the cache holds at most
+    64 * 5*10^5 = 3.2*10^7 entries: about 256 MiB of tuple slots, plus an
+    int object for each entry outside CPython's small ints [-5, 256]
+    (|v_j| < |c|).
+    """
+    m = ell ** level
+    g = smallest_regularizer(ell)
+    y, row = pow(c, -1, m), []
+    for _ in range((m - m // ell) // 2):
+        row.append(c - 1 - 2 * (c * y // m))
+        y = y * g % m
+    return tuple(row)
+
+
 def bernoulli_unit_integral(c: int, ell: int, level: int, beta: int, s) -> PadicNum:
     """``integrate(restrict(bernoulli_measure(c, ell, level), "units"),
     Factor(inverse=True, teich=beta, bracket=s), level)``, without the tower.
 
-    At a unit x of level n the measure is (x - c*<c^(-1) x>)/ell^n + (c-1)/2,
-    so twice the sum is an integer, wanted mod ell^K.  The units are g^j for
-    g = ``smallest_regularizer(ell)`` (c need not generate), weighted r^j: the
-    integrand at g^j, within ell^n of its value at g^j mod ell^n and so exact
-    to the claimed ``level - 1`` digits.
+    At a unit x of the given level the measure is v(x)/2 for the integer
+    v(x) = 2(x - c*<c^(-1) x>)/m + c - 1, m = ell^level.  The units are g^j,
+    j < n = phi(m), for g = ``smallest_regularizer(ell)`` (c need not
+    generate), weighted r^j: the integrand w = x^a * omega(x)^b at g^j,
+    within ell^level of its value at g^j mod m and so exact to the claimed
+    ``prec <= level - 1`` digits.  The value is therefore wanted only mod m,
+    and the x -> -x symmetry halves the sum there:
+
+    * v(m - x) = -v(x) exactly, as <c^(-1)(m - x)> = m - <c^(-1) x>;
+    * w(-x) = (-1)^(a+b) w(x) = (-1)^(beta+1) w(x), as a + b = beta - 1
+      mod 2 (``_precision_plan`` folds b mod the even ell - 1);
+    * g generates the units mod m, so g^(n/2) = -1 mod m.
+
+    The full sum of v_j r^j is thus (1 + (-1)^beta) times the sum over
+    j < n/2, mod m.  Odd beta gives zero to ``prec`` digits with no sum.
+    Even beta gives twice the half sum, and the integral, half the sum of
+    v, is the half sum itself, with the same digits as the sum over every
+    unit.  The half sum is a Horner sum, over the row
+    ``_unit_row(c, ell, level)``, of blocks of about sqrt(n/2) units, each
+    block one C-level sum of products against r^0 ... r^(size-1).
     """
     _check_bernoulli(c, ell, level)
     if level < 1:
         raise ValueError("region not expressible at available depth")
     factor = Factor(inverse=True, teich=beta, bracket=s)
-    prec, K, [[(a, b)]] = _precision_plan(ell, [(1, (factor,))], level, 0)
-    modK, m = ell ** K, ell ** level
+    prec, _, [[(a, b)]] = _precision_plan(ell, [(1, (factor,))], level, 0)
+    if beta % 2:
+        return _fraction_to_padic_abs(Fraction(0), ell, prec)
+    m, row = ell ** level, _unit_row(c, ell, level)
     g = smallest_regularizer(ell)
-    r = pow(g, a, modK) * pow(teichmuller(g, ell, K).residue(K), b, modK) % modK
-    x, y, w, total = 1, pow(c, -1, m), 1, 0
-    for _ in range(m - m // ell):
-        total += w * (2 * ((x - c * y) // m) + c - 1)
-        x, y, w = x * g % m, y * g % m, w * r % modK
-    return _fraction_to_padic_abs(Fraction(total % modK, 2), ell, prec)
+    r = pow(g, a, m) * pow(teichmuller(g, ell, level).residue(level), b, m) % m
+    size = math.isqrt(len(row))
+    powers = [1]
+    for _ in range(size):
+        powers.append(powers[-1] * r % m)
+    r_size = powers.pop()
+    total = 0
+    for q in reversed(range(0, len(row), size)):
+        total = (total * r_size + sum(map(mul, row[q:q + size], powers))) % m
+    return _fraction_to_padic_abs(Fraction(total), ell, prec)
 
 
 def dirac_tower(point, ell: int, rank: int, depth: int) -> MeasureTower:

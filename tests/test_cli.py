@@ -388,10 +388,18 @@ class TestReadmeGolden:
     weights 170-1000 and ell 3-13, with exact and non-exact s; it was
     recorded before the Bernoulli numbers moved to an integer tangent-number
     table and every B_k(a/f) sum to one integer kernel.
+    ``golden/measure_route_cli.json`` covers ``kl`` and ``minus-one --method
+    measure`` at ell 3-13 (levels 1-6 at ell 3-7, 1-5 at ell 11 and 13, and
+    ``--level 8`` at ell 5), every beta (odd beta, whose value vanishes, included), integer and
+    fractional s, the default, explicit, negative, degenerate and non-unit
+    c, several ``--prec`` and the domain errors; it was recorded before the
+    unit integral summed half the units over one cached row per (c, ell,
+    level).
     """
 
     CASES = [case for name in ("readme_cli.json", "lfunctions_cli.json", "measures_cli.json",
-                               "verify_cli.json", "towers_cli.json", "bernoulli_cli.json")
+                               "verify_cli.json", "towers_cli.json", "bernoulli_cli.json",
+                               "measure_route_cli.json")
              for case in json.loads((GOLDEN / name).read_text())]
 
     @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
@@ -419,6 +427,12 @@ REFUSED = [
      "degree must be >= 0"),
     (["kl", "--ell", "9", "--beta", "0", "--s", "1"], "ell must be an odd prime >= 3, got 9"),
     (["kl", "--ell", "4", "--beta", "0", "--s", "1"], "ell must be an odd prime >= 3, got 4"),
+    (["kl", "--ell", "5", "--beta", "0", "--s", "2", "--level", "40"],
+     "depth too large: ell^depth must be at most 1000000 cells"),
+    (["kl", "--ell", "5", "--beta", "1", "--s", "2", "--level", "40"],
+     "depth too large: ell^depth must be at most 1000000 cells"),
+    (["minus-one", "--ell", "5", "--beta", "2", "--s", "2", "--level", "40"],
+     "depth too large: ell^depth must be at most 1000000 cells"),
     (ZINV + ["--primes", "1"], "every entry of primes must be a prime, got 1"),
     (ZINV + ["--primes", "4"], "every entry of primes must be a prime, got 4"),
     (ZINV + ["--primes=-3"], "every entry of primes must be a prime, got -3"),
@@ -462,6 +476,7 @@ NOT_A_TOWER = 'a tower document is a JSON object with integer "ell" and "rank"'
 
 class TestRefusedInputs:
     """A transform level or degree out of range, a non-prime ell without --c,
+    a measure-route level past the cell budget,
     a non-prime zinv modulus entry, an integrand list whose length is not
     the tower rank, a pushforward without --matrix, a teichmuller --prec
     below 1, a rational option or tower value with a zero denominator, an

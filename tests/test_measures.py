@@ -31,10 +31,12 @@ from elladic.measures import (
     _coarsen,
     _moment_sums,
     _precision_plan,
+    _unit_row,
 )
 from elladic.padic import PadicNum, residue_mod, teichmuller, _frac_val, _fraction_to_padic_abs
 from elladic.transforms import IwasawaSeries, f_transform, measure_from_p_series, p_transform
 
+import measure_oracle
 import tower_oracle
 
 F = Fraction
@@ -718,16 +720,12 @@ class TestLevelSumOracle:
         assert prec == level - mu.denom_exponent
 
 
-def regularisers(ell):
-    """Every valid regulariser below 60: a unit c with c^(ell-1) != 1 mod ell^2."""
-    return [c for c in range(2, 60) if c % ell and pow(c, ell - 1, ell * ell) != 1]
-
-
 @st.composite
 def unit_integrals(draw):
-    """(ell, level, c, beta, s) with at most 3125 cells at the top level."""
-    ell = draw(st.sampled_from([3, 5, 7, 11]))
-    level = draw(st.integers(1, max(n for n in range(1, 6) if ell ** n <= 3125)))
+    """(ell, level, c, beta, s) for ell 3-13, levels 1-6 and at most 15625
+    cells at the top level; c is any unit in [-9, 60), regular or not."""
+    ell = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    level = draw(st.integers(1, max(n for n in range(1, 7) if ell ** n <= 15625)))
     kind = draw(st.sampled_from(["int", "fraction", "padic"]))
     if kind == "int":
         s = draw(st.integers(-9, 9))
@@ -735,38 +733,65 @@ def unit_integrals(draw):
         s = F(draw(st.integers(-9, 9)), draw(st.sampled_from([d for d in (2, 3, 4, 7) if d % ell])))
     else:
         s = PadicNum.from_int(draw(st.integers(-50, 50)), ell, draw(st.integers(1, 6)))
-    return (ell, level, draw(st.sampled_from(regularisers(ell))),
-            draw(st.integers(0, ell - 2)), s)
+    c = draw(st.integers(-9, 59).filter(lambda c: c % ell))
+    return ell, level, c, draw(st.integers(0, ell - 2)), s
 
 
 class TestBernoulliUnitIntegral:
-    """The residue sum is the tower route's integral, as the same PadicNum."""
+    """The half-unit block sum is the unit-by-unit oracle's sum and the tower
+    route's integral, as the same PadicNum."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(unit_integrals())
     # regularisers that do not generate the units mod ell
     @example((3, 5, 4, 1, F(-3, 2)))
     @example((5, 4, 4, 2, 3))
     @example((7, 3, 9, 1, F(1, 2)))
     @example((11, 2, 4, 4, PadicNum.from_int(7, 11, 1)))
+    # a one-unit half row, and a half row that is not a whole number of blocks
+    @example((3, 1, 2, 0, F(1, 2)))
+    @example((13, 3, 2, 6, PadicNum.from_int(-5, 13, 4)))
     def test_equals_tower_route(self, case):
         ell, level, c, beta, s = case
         mu = restrict(bernoulli_measure(c, ell, level), "units")
         want = integrate(mu, (Factor(inverse=True, teich=beta, bracket=s),), level)
         got = bernoulli_unit_integral(c, ell, level, beta, s)
         assert got.to_json() == want.to_json()
+        assert got.to_json() == measure_oracle.bernoulli_unit_integral(c, ell, level, beta, s).to_json()
+
+    @pytest.mark.parametrize("ell,level,c", [(5, 4, 2), (7, 3, 10), (11, 2, -4)])
+    def test_cached_row_keeps_no_request_state(self, ell, level, c):
+        """Two requests on one (c, ell, level) row, in both orders and from
+        a cold cache each time, give the oracle's values."""
+        first, second = (0, 3), (2, F(-1, 2))
+        want = {req: measure_oracle.bernoulli_unit_integral(c, ell, level, *req).to_json()
+                for req in (first, second)}
+        for order in ((first, second), (second, first)):
+            _unit_row.cache_clear()
+            for req in order:
+                assert bernoulli_unit_integral(c, ell, level, *req).to_json() == want[req]
 
     @pytest.mark.parametrize("args,error", [
         ((5, 5, 2), "not a unit"),
         ((2, 5, -1), "depth must be >= 0"),
         ((2, 5, 0), "region not expressible at available depth"),
         ((2, 9, 2), "ell must be an odd prime"),
+        ((2, 5, 9), "depth too large: ell\\^depth must be at most 1000000 cells"),
+        ((2, 5, 40), "depth too large"),
+        ((2, 3, 10 ** 9), "depth too large"),
     ])
     def test_refusals_match_tower_route(self, args, error):
         with pytest.raises(ValueError, match=error):
             restrict(bernoulli_measure(*args), "units")
-        with pytest.raises(ValueError, match=error):
-            bernoulli_unit_integral(*args, 0, 1)
+        for beta in (0, 1):
+            with pytest.raises(ValueError, match=error):
+                bernoulli_unit_integral(*args, beta, 1)
+
+    def test_level_8_equals_oracle(self):
+        """The deepest request of the goldens and tests, 5^8 cells, whose half
+        row ends in a short block."""
+        want = measure_oracle.bernoulli_unit_integral(3, 5, 8, 2, F(1, 3))
+        assert bernoulli_unit_integral(3, 5, 8, 2, F(1, 3)).to_json() == want.to_json()
 
 
 # -- the axis-wise tower kernels against the cell-by-cell oracle ----------------
