@@ -36,14 +36,13 @@ from .measures import (
     tower_to_json,
 )
 from .ncseries import (
-    OneYSeries,
     ReducedSeries,
+    _display_table,
+    _kernel_table,
     _Poly,
     bch,
     bch_reduced,
     bch_scaled_pair,
-    bch_scaled_pair_display,
-    bernoulli_kernel,
     gamma_series,
     inversion_closed_form,
     inversion_pipeline,
@@ -113,37 +112,26 @@ def _random_poly(rng: Random, degree: int):
     return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(degree + 1)]
 
 
-def _one_y_series(alpha, phi, degree):
-    """alpha X + Y phi(X), truncated beyond total degree ``degree``."""
-    return OneYSeries.from_tables(degree, [0, alpha], [phi])
-
-
 def verify_bch(degree: int = 10, seed: int = 7, count: int = 20) -> dict:
-    """Full group product reduced mod the one-Y quotient vs the closed form.
+    """log(e^A e^B) by exp and log power sums vs the closed form
+    ``bch_reduced``, for A = alpha X + Y phi1(X) and B = beta X + Y phi2(X).
 
-    The full route runs one degree higher so its truncation window covers
-    every Y X^j with j <= degree, and runs on ``OneYSeries``: the words with
-    two or more Y's form a two-sided ideal that the reduction kills anyway,
-    so the comparison is exact.
+    The power sums run on ``ReducedSeries`` at ``degree``, where the check
+    reads them: the quotient map and the X-degree window form an algebra map,
+    which commutes with the truncated exp and log.  The closed form shares
+    only the table core: one-variable products and ``_stack``.
     """
     rng = Random(seed)
-    checks = []
-    x = _one_y_series(1, [], degree + 1)
-    y = _one_y_series(0, [1], degree + 1)
-    xy = ReducedSeries.from_series(bch(x, y)).truncate(degree)
-    xy_closed = bch_reduced(1, [Fraction(0)], 0, [Fraction(1)], degree)
-    checks.append(_check("xy-closed-form", xy, xy_closed))
-    yx = ReducedSeries.from_series(bch(y, x)).truncate(degree)
-    yx_closed = bch_reduced(0, [Fraction(1)], 1, [Fraction(0)], degree)
-    checks.append(_check("yx-closed-form", yx, yx_closed))
+    x = ReducedSeries(degree, [0, 1])
+    y = ReducedSeries(degree, None, [1])
+    checks = [_check("xy-closed-form", bch(x, y), bch_reduced(1, [0], 0, [1], degree)),
+              _check("yx-closed-form", bch(y, x), bch_reduced(0, [1], 1, [0], degree))]
     for i in range(count):
         alpha = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.randint(1, 3))
         beta = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.randint(1, 3))
         phi1 = _random_poly(rng, 4)
         phi2 = _random_poly(rng, 4)
-        a = _one_y_series(alpha, phi1, degree + 1)
-        b = _one_y_series(beta, phi2, degree + 1)
-        got = ReducedSeries.from_series(bch(a, b)).truncate(degree)
+        got = bch(ReducedSeries(degree, [0, alpha], phi1), ReducedSeries(degree, [0, beta], phi2))
         want = bch_reduced(alpha, phi1, beta, phi2, degree)
         checks.append(_check(f"random-{i}", got, want))
     return {"suite": "bch", "degree": degree, "seed": seed, "checks": checks,
@@ -161,7 +149,7 @@ def verify_gamma(degree: int = 10, seed: int = 7, chis=None) -> dict:
         ]
         l_odd = [Fraction(rng.randint(-5, 5)) for _ in range(degree // 2 + 1)]
         out = gamma_series(chi, l_even, l_odd, degree)
-        ok = out == ReducedSeries(degree, None, bernoulli_kernel(chi, 0, degree))
+        ok = out == ReducedSeries._stack(_Poly(degree), _kernel_table(chi, 0, degree))
         b = out._row(1)
         for trial in range(5):
             other_odd = [Fraction(rng.randint(-5, 5)) for _ in range(degree // 2 + 1)]
@@ -184,7 +172,7 @@ def verify_inversion(degree: int = 8, seed: int = 7, count: int = 10,
         got = inversion_pipeline(a, ci, ti, degree, loop)
         want = inversion_closed_form(a, ci, ti, degree)
         disc = _first_discrepancy(got, want)
-        disp_ok = ci == 0 or loop._row(1) == _Poly(degree, bch_scaled_pair_display(ci, ti, degree))
+        disp_ok = ci == 0 or loop._row(1) == _display_table(ci, ti, degree)
         checks.append(
             {"name": f"random-{i}", "chi": _frac_str(ci), "t": _frac_str(ti),
              "pass": disc is None and disp_ok, "discrepancy": disc}

@@ -22,7 +22,9 @@ One oracle and three table series on one core:
   A class is written a(X) + Y*b(X), rows a and b; the induced multiplication
   is (a1 + Y b1)(a2 + Y b2) = a1 a2 + Y (b1 a2 + a1(0) b2).  The closed group
   product, the gamma assembly and the path-reversal chain are built on it,
-  with a and b as ``_Poly``.
+  with a and b as ``_Poly``; ``verify bch`` runs the mechanical
+  log(e^A e^B) on it too, since the quotient map and the X-degree window
+  commute with the truncated exp and log power sums.
 """
 
 from __future__ import annotations
@@ -251,6 +253,10 @@ class _TableSeries:
             u = den // p.den
             rows += [[u * c for c in row] for row in p.rows]
         return cls._make(parts[0].degree, den, rows)
+
+    @property
+    def constant(self) -> Fraction:
+        return Fraction(self.rows[0][0], self.den)
 
     def _row(self, i):
         """Row i as a one-variable series."""
@@ -489,10 +495,6 @@ class OneYSeries(_TableSeries):
         return Fraction(self.rows[0][len(word)] if i < 0 else self.rows[1 + i][len(word) - 1 - i],
                         self.den)
 
-    @property
-    def constant(self) -> Fraction:
-        return Fraction(self.rows[0][0], self.den)
-
     def _product(self, p, q):
         D = self.degree
         f1, f2 = p[0], q[0]
@@ -508,8 +510,8 @@ class OneYSeries(_TableSeries):
 
 
 def bch(a, b):
-    """log(exp(a) * exp(b)), truncated; a and b are both ``NcSeries`` or both
-    ``OneYSeries``."""
+    """log(exp(a) * exp(b)), truncated; a and b are both ``NcSeries``, both
+    ``OneYSeries`` or both ``ReducedSeries``, of one degree."""
     if a.constant or b.constant:
         raise ValueError("bch needs zero constant terms")
     return (a.exp() * b.exp()).log()
@@ -676,8 +678,8 @@ def bch_scaled_pair(chi, t, degree: int) -> ReducedSeries:
     return _bch(t, phi1, -t * chi, phi2)
 
 
-def bch_scaled_pair_display(chi, t, degree: int):
-    """The multi-line closed expression for the same series (b-part only)."""
+def _display_table(chi, t, degree: int) -> _Poly:
+    """``bch_scaled_pair_display`` as a one-variable series."""
     D = degree
     chi, t = Fraction(chi), Fraction(t)
     if chi == 0:
@@ -685,7 +687,12 @@ def bch_scaled_pair_display(chi, t, degree: int):
     e = pexp_scalar(-t * chi, D + 1)
     part1 = p_div_em1(pexp_scalar(t * (1 - chi), D + 1) - e, 1)
     part2 = p_div_em1((e - _Poly(D + 1, [1])).scale(chi), chi)
-    return ((part1 + part2) * p_x_over_em1(t * (1 - chi), D)).coeffs
+    return (part1 + part2) * p_x_over_em1(t * (1 - chi), D)
+
+
+def bch_scaled_pair_display(chi, t, degree: int):
+    """The multi-line closed expression for the same series (b-part only)."""
+    return _display_table(chi, t, degree).coeffs
 
 
 def inversion_pipeline(a_coeffs, chi, t, degree: int, loop=None) -> ReducedSeries:

@@ -11,7 +11,7 @@ import pytest
 from elladic import cli
 from elladic.cli import main
 from elladic.measures import bernoulli_measure, tower_to_json
-from elladic.ncseries import ReducedSeries
+from elladic.ncseries import ReducedSeries, _conv, _Poly
 
 
 def run_cli(argv, capsys):
@@ -226,8 +226,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("index", [0, 10])
     def test_perturbed_closed_form_fails_the_bch_suite(self, index, monkeypatch):
-        """The one-Y-capped full route still tells a closed form that is off
-        by 10^-6 in one b coefficient, at either end of the degree-10 window."""
+        """The power sums in the quotient algebra tell a closed form that is
+        off by 10^-6 in one b coefficient, at either end of the degree-10
+        window."""
         exact = cli.bch_reduced
 
         def perturbed(*args):
@@ -241,17 +242,28 @@ class TestVerify:
         assert not doc["all_pass"]
         assert {c["discrepancy"] for c in doc["checks"]} == {f"Y*X^{index}"}
 
+    def test_product_without_constant_term_fails_the_bch_suite(self, monkeypatch):
+        """A quotient product that drops a1(0) b2 from (a1 + Y b1)(a2 + Y b2)
+        breaks the mechanical route of the bch suite, which the closed form
+        does not use."""
+
+        def broken(self, p, q):
+            n = self.degree + 1
+            return [_conv(p[0], q[0], n), _conv(p[1], q[0], n)]
+
+        monkeypatch.setattr(ReducedSeries, "_product", broken)
+        doc = cli.verify_bch(10, 7)
+        assert not doc["all_pass"] and not any(c["pass"] for c in doc["checks"])
+        assert {c["discrepancy"] for c in doc["checks"]} == {"Y*X^0"}
+
     @pytest.mark.parametrize("index", [0, 8])
     def test_perturbed_closed_form_fails_the_inversion_suite(self, index, monkeypatch):
         """The group-product chain and the closed form share their integer
         tables, yet a closed form off by 10^-6 in Y X^0 or Y X^D is told."""
         exact = cli.inversion_closed_form
 
-        def perturbed(*args):
-            r = exact(*args)
-            b = r.b
-            b[index] += Fraction(1, 10 ** 6)
-            return ReducedSeries(r.degree, r.a, b)
+        def perturbed(a, chi, t, D):
+            return exact(a, chi, t, D) + ReducedSeries(D, None, [0] * index + [Fraction(1, 10 ** 6)])
 
         monkeypatch.setattr(cli, "inversion_closed_form", perturbed)
         doc = cli.verify_inversion(8, 7)
@@ -259,27 +271,23 @@ class TestVerify:
         assert {c["discrepancy"] for c in doc["checks"]} == {f"Y*X^{index}"}
 
     def test_perturbed_display_fails_the_inversion_suite(self, monkeypatch):
-        exact = cli.bch_scaled_pair_display
+        exact = cli._display_table
 
-        def perturbed(*args):
-            b = exact(*args)
-            b[3] += Fraction(1, 10 ** 6)
-            return b
+        def perturbed(chi, t, D):
+            return exact(chi, t, D) + _Poly(D, [0, 0, 0, Fraction(1, 10 ** 6)])
 
-        monkeypatch.setattr(cli, "bch_scaled_pair_display", perturbed)
+        monkeypatch.setattr(cli, "_display_table", perturbed)
         doc = cli.verify_inversion(8, 7)
         assert not doc["all_pass"] and not any(c["pass"] for c in doc["checks"])
         assert {c["discrepancy"] for c in doc["checks"]} == {None}
 
     def test_perturbed_kernel_fails_the_gamma_suite(self, monkeypatch):
-        exact = cli.bernoulli_kernel
+        exact = cli._kernel_table
 
-        def perturbed(*args):
-            b = exact(*args)
-            b[-1] += Fraction(1, 10 ** 6)
-            return b
+        def perturbed(chi, t, D):
+            return exact(chi, t, D) + _Poly(D, [0] * D + [Fraction(1, 10 ** 6)])
 
-        monkeypatch.setattr(cli, "bernoulli_kernel", perturbed)
+        monkeypatch.setattr(cli, "_kernel_table", perturbed)
         doc = cli.verify_gamma(10, 7)
         assert not doc["all_pass"] and not any(c["pass"] for c in doc["checks"])
 

@@ -249,6 +249,32 @@ class TestTableCore:
 nonzero_rationals = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 5))
 
 
+class TestBchInTheQuotient:
+    """``bch`` on ``ReducedSeries`` at degree D is the image of ``bch`` on one-Y
+    series of total degree D + 1: the quotient map and the X-degree window
+    commute with the truncated exp and log, which ``verify bch`` relies on."""
+
+    scalars = st.one_of(st.just(F(0)), nonzero_rationals)
+    phis = st.lists(rationals, max_size=5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 9), scalars, scalars, phis, phis)
+    def test_is_the_image_of_the_one_y_product(self, D, alpha, beta, phi1, phi2):
+        got = bch(ReducedSeries(D, [0, alpha], phi1), ReducedSeries(D, [0, beta], phi2))
+        one_y_route = bch(OneYSeries.from_tables(D + 1, [0, alpha], [phi1]),
+                          OneYSeries.from_tables(D + 1, [0, beta], [phi2]))
+        assert got == ReducedSeries.from_series(one_y_route).truncate(D)
+        oracle_route = bch(one_y(alpha, phi1, D + 1, max_y=1), one_y(beta, phi2, D + 1, max_y=1))
+        assert got == ReducedSeries.from_series(oracle_route).truncate(D)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 9), nonzero_rationals, scalars, phis, phis, st.booleans())
+    def test_refuses_a_constant_term(self, D, c, alpha, phi1, phi2, second):
+        a, b = ReducedSeries(D, [c, alpha], phi1), ReducedSeries(D, [0, alpha], phi2)
+        with pytest.raises(ValueError, match="bch needs zero constant terms"):
+            bch(b, a) if second else bch(a, b)
+
+
 class TestIntegerRouteMatchesOracle:
     """The integer-table quotient algebra equals the Fraction one of
     ``quotient_oracle`` coefficient by coefficient."""
