@@ -24,7 +24,8 @@ One oracle and three table series on one core:
   product, the gamma assembly and the path-reversal chain are built on it,
   with a and b as ``_Poly``; ``verify bch`` runs the mechanical
   log(e^A e^B) on it too, since the quotient map and the X-degree window
-  commute with the truncated exp and log power sums.
+  commute with the truncated exp and log power sums.  Its power sum takes
+  one convolution per power: x^k = a^k + Y b a^(k-1) when a(0) = 0.
 """
 
 from __future__ import annotations
@@ -297,9 +298,8 @@ class _TableSeries:
         """sum_k weights[k]/wden * x^k for k <= degree + 1, x numerator rows
         over den with zero constant term.
 
-        The sum runs one power past the degree: in the quotient algebra the
-        Y-part of x^(D+1) is Y b a^D, which reaches X^D.  x^k is over den^k,
-        so term k is weighted by den^(D+1-k) and the sum reduced once.
+        x^k is over den^k, so term k is weighted by den^(D+1-k) and the sum
+        reduced once; the loop stops at the first power that vanishes.
         """
         top, d = self.degree + 1, self.den
         power = [[0] * len(row) for row in x]
@@ -579,6 +579,31 @@ class ReducedSeries(_TableSeries):
         if c:
             b = [x + c * y for x, y in zip(b, q[1])]
         return [_conv(p[0], q[0], n), b]
+
+    def _power_sum(self, x, weights, wden):
+        """``_TableSeries._power_sum`` at one convolution per power.
+
+        For x = a + Y b with a(0) = 0 and k >= 1, x^k = a^k + Y b a^(k-1):
+        the a1(0) b2 term of x^(k-1) * x vanishes.  So the sum is
+        sum_k w_k a^k + Y b * sum_(k>=1) w_k a^(k-1).  a^(D+1) vanishes up to
+        X^D, but the sum runs one power past the degree, since the Y-part of
+        x^(D+1) is Y b a^D, which reaches X^D.  The weights den^(D+1-k) and
+        the one reduce are those of the generic sum, so the tables are too.
+        """
+        n, d = self.degree + 1, self.den
+        a, b = x
+        acc = [weights[0] * d ** n] + [0] * (n - 1)
+        tail = [weights[1] * d ** (n - 1)] + [0] * (n - 1)
+        power = a
+        for k in range(1, n):
+            if k > 1:
+                power = _conv(power, a, n)
+            if not any(power):
+                break
+            w, v = weights[k] * d ** (n - k), weights[k + 1] * d ** (n - k - 1)
+            acc = [s + w * c for s, c in zip(acc, power)]
+            tail = [s + v * c for s, c in zip(tail, power)]
+        return self._make(self.degree, wden * d ** n, [acc, _conv(b, tail, n)])
 
     def truncate(self, degree: int) -> "ReducedSeries":
         """Forget coefficients beyond X-degree ``degree`` in both parts; the

@@ -245,7 +245,10 @@ class TestVerify:
     def test_product_without_constant_term_fails_the_bch_suite(self, monkeypatch):
         """A quotient product that drops a1(0) b2 from (a1 + Y b1)(a2 + Y b2)
         breaks the mechanical route of the bch suite, which the closed form
-        does not use."""
+        does not use.  The exp and log power sums do not run through the
+        product, so the term is read only in e^A e^B, where a1(0) = 1 and b2
+        is the Y-part of e^B: every check fails but ``yx-closed-form``, whose
+        B = X has none."""
 
         def broken(self, p, q):
             n = self.degree + 1
@@ -253,8 +256,10 @@ class TestVerify:
 
         monkeypatch.setattr(ReducedSeries, "_product", broken)
         doc = cli.verify_bch(10, 7)
-        assert not doc["all_pass"] and not any(c["pass"] for c in doc["checks"])
-        assert {c["discrepancy"] for c in doc["checks"]} == {"Y*X^0"}
+        passed = [c["name"] for c in doc["checks"] if c["pass"]]
+        assert not doc["all_pass"] and passed == ["yx-closed-form"]
+        assert ({c["discrepancy"] for c in doc["checks"] if not c["pass"]}
+                == {"Y*X^0", "Y*X^1"})
 
     @pytest.mark.parametrize("index", [0, 8])
     def test_perturbed_closed_form_fails_the_inversion_suite(self, index, monkeypatch):
@@ -280,6 +285,31 @@ class TestVerify:
         doc = cli.verify_inversion(8, 7)
         assert not doc["all_pass"] and not any(c["pass"] for c in doc["checks"])
         assert {c["discrepancy"] for c in doc["checks"]} == {None}
+
+    def test_inversion_builds_each_loop_once(self, monkeypatch):
+        """With --chi and --t every check shares one (chi, t): its loop and
+        display check are computed once, not once per check."""
+        calls = {"bch_scaled_pair": 0, "_display_table": 0}
+
+        def counted(name):
+            exact = getattr(cli, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return exact(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        doc = cli.verify_inversion(9, 7, chi=3, t="2/7")
+        assert doc["all_pass"] and len(doc["checks"]) == 10
+        assert calls == {"bch_scaled_pair": 1, "_display_table": 1}
+
+    def test_series_of_different_degrees_never_pass(self):
+        """Series whose common coefficients agree but whose degrees differ are
+        unequal, and the check says where."""
+        doc = cli._check("x", ReducedSeries(3, [0, 1], [1]), ReducedSeries(4, [0, 1], [1]))
+        assert doc == {"name": "x", "pass": False, "discrepancy": "degree 3 vs 4"}
 
     def test_perturbed_kernel_fails_the_gamma_suite(self, monkeypatch):
         exact = cli._kernel_table
@@ -380,7 +410,12 @@ class TestReadmeGolden:
     ``golden/verify_cli.json`` covers ``verify bch|gamma|inversion|all`` at
     degrees 0-12 (gamma also 14 and 16) over seeds 1-3, without options and
     with ``--chi`` (0, 1, -1 and other rationals) and ``--t`` (0 among
-    them), recorded before the quotient algebra moved to integer tables.
+    them), recorded before the quotient algebra moved to integer tables;
+    its cases ``verify bch`` at degrees 11-16 (seeds 4 and 1-3) and ``verify
+    inversion`` at degrees 13-16 (without options, with ``--chi``, with
+    ``--t`` and with both) were added before the quotient power sum took one
+    convolution per power and ``verify inversion`` built each (chi, t) pair's
+    loop once, using ``golden/record.py``.
     ``golden/towers_cli.json`` covers ``measure validate``, ``pushforward``
     (with and without ``--out``), ``integrate`` (with and without
     ``--units``, ``--teich``, ``--inv`` and ``--bracket``; one domain error

@@ -11,6 +11,7 @@ from elladic.ncseries import (
     OneYSeries,
     ReducedSeries,
     _Poly,
+    _TableSeries,
     bch,
     bch_reduced,
     bch_scaled_pair,
@@ -244,6 +245,34 @@ class TestTableCore:
         s = ReducedSeries(D, [0, 1], [1])
         assert s.exp().b == [F(1, factorial(k + 1)) for k in range(D + 1)]
         assert s.exp().log() == s
+
+
+class _GenericSum(ReducedSeries):
+    """``ReducedSeries`` with the core's power sum over full quotient products."""
+
+    __slots__ = ()
+    _power_sum = _TableSeries._power_sum
+
+
+class TestQuotientPowerSum:
+    """The quotient's own power sum, sum_k w_k a^k + Y b sum_k w_k a^(k-1) at
+    one convolution per power of a, gives exp and log the very tables of the
+    core's sum over full products: x = a + Y b with a = 0, with a free linear
+    term, and with none (its powers vanish before the degree)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 14), st.sampled_from(["free", "zero", "no linear term"]),
+           st.lists(rationals, max_size=16), st.lists(rationals, max_size=16))
+    def test_matches_the_generic_sum(self, D, shape, a, b):
+        a = [0] + a
+        if shape == "zero":
+            a = []
+        elif shape == "no linear term":
+            a[1:2] = [0]
+        for s, op in ((ReducedSeries(D, a, b), "exp"), (ReducedSeries(D, [1] + a[1:], b), "log")):
+            got = getattr(s, op)()
+            want = getattr(_GenericSum._make(D, s.den, s.rows), op)()
+            assert (got.den, got.rows) == (want.den, want.rows)
 
 
 nonzero_rationals = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 5))
