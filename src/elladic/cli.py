@@ -270,7 +270,7 @@ def _cmd_measure(args) -> dict:
         doc = tower_to_json(out)
         if args.outfile:
             with open(args.outfile, "w") as fh:
-                json.dump(doc, fh, sort_keys=True)
+                fh.write(json.dumps(doc, sort_keys=True))
         return {"action": "pushforward", "matrix": rows, "tower": doc}
     if args.action == "integrate":
         level = args.level if args.level is not None else mu.depth

@@ -14,10 +14,17 @@ denominators, so every level sum adds integers and ``denom_exponent``, the
 smallest d with every value in ``ell**(-d) * Z_(ell)``, is v_ell(den).
 Fractions appear only at the boundary: ``levels``, ``value``, ``cells``,
 ``total_mass`` and the level sums' results.  Tower files are read without
-them, each ASCII ``n`` or ``n/d`` value straight into an integer pair.
+them: a level of ASCII ``n`` and ``n/d`` values is joined once and parsed
+in bulk by C-level ``int``, any other level value by value, so every
+spelling that ``Fraction`` reads is accepted and every refusal keeps its
+message.  A tower given by its levels has at most ``_CELL_BUDGET`` cells in
+a level-1 table, which bounds its rank.
 
 Cells at level n are indexed by coordinate tuples in ``[0, ell**n)**r``; the
 flat index is ``sum_j c_j * (ell**n)**j`` (first coordinate fastest).
+``_axes`` lists, per axis, the coordinate of every flat index; pushforward,
+restriction and dilation pullback map cells through these lists, with no
+cell decoded on its own.
 
 Every integral against a tower is a level sum
 ``sum_x f(x) * mu(x + ell**n Z_ell**r)`` over the cells x of level n.
@@ -52,8 +59,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import mul
+from itertools import chain, product, repeat
+from operator import add, floordiv, mod, mul
 from random import Random
 
 from .padic import (
@@ -107,8 +114,10 @@ def _encode(coords, m: int) -> int:
     return idx
 
 
-def _fraction_pairs(table) -> list:
-    return [(q.numerator, q.denominator) for q in map(Fraction, table)]
+def _axes(m: int, rank: int) -> list:
+    """Per axis j, the list of coordinates x_j of the flat indices 0 ... m**rank - 1."""
+    return [list(chain.from_iterable(map(repeat, range(m), repeat(m ** j)))) * m ** (rank - 1 - j)
+            for j in range(rank)]
 
 
 def _coarsen(table, ell: int, rank: int, n: int) -> list:
@@ -137,24 +146,28 @@ class MeasureTower:
 
     __slots__ = ("ell", "rank", "depth", "tables", "den", "denom_exponent", "units_only")
 
-    def __init__(self, ell, rank, levels, pairs=_fraction_pairs):
-        """``pairs`` makes a level's (numerator, denominator) pairs, through
-        ``Fraction`` unless the values were read into pairs already."""
+    def __init__(self, ell, rank, levels, den=None):
+        """The levels hold rationals; with ``den`` they hold the integer
+        numerators of the values over ``den``, the lcm of their denominators."""
         _check_prime(ell)
         if rank < 1:
             raise ValueError("rank must be >= 1")
+        _check_cells(ell, rank, "rank")
         if not levels:
             raise ValueError("a tower needs at least one level")
-        values = []
+        tables = []
         for n, table in enumerate(levels):
             size = ell ** (rank * n)
             if len(table) != size:
                 raise ValueError(f"level {n} must have {size} cells, got {len(table)}")
-            values.append(pairs(table))
-        den = math.lcm(*{d for t in values for _, d in t})
-        # a list first, as in _coarsen
-        tables = [tuple([a * (den // d) for a, d in t]) for t in values]
-        self._store(ell, rank, tables, den, False)
+            if den is None:
+                table = [(q.numerator, q.denominator) for q in map(Fraction, table)]
+            tables.append(table)
+        if den is None:
+            den = math.lcm(*{d for t in tables for _, d in t})
+            # lists first, as in _coarsen
+            tables = [[a * (den // d) for a, d in t] for t in tables]
+        self._store(ell, rank, [tuple(t) for t in tables], den, False)
         self._validate()
 
     @classmethod
@@ -163,7 +176,7 @@ class MeasureTower:
         integers ``top[i]``; it is coherent by construction, every coarser
         level being summed from the one above, so nothing is checked."""
         g = math.gcd(den, *top)
-        tables = [tuple(v // g for v in top)]
+        tables = [tuple(top) if g == 1 else tuple(map(floordiv, top, repeat(g)))]
         for n in range(depth, 0, -1):
             tables.append(tuple(_coarsen(tables[-1], ell, rank, n)))
         tower = cls.__new__(cls)
@@ -265,9 +278,17 @@ def _moment_sums(mu: MeasureTower, indices, level: int, weight):
 
 
 # The most cells ell^depth that ``bernoulli_measure`` builds and
-# ``bernoulli_unit_integral`` sums.  A deeper request is refused before any
-# work: at ell = 5 and level 40 it would otherwise run until it is killed.
+# ``bernoulli_unit_integral`` sums, and the most cells ell^rank of a level-1
+# table of a tower given by its levels.  A larger request is refused before
+# any work: at ell = 5 and level 40 it would otherwise run until it is
+# killed, and a rank of 10^9 exhausts memory on its first rank-long list.
 _CELL_BUDGET = 10 ** 6
+
+
+def _check_cells(ell: int, exponent: int, name: str) -> None:
+    # ell^64 is past the budget for every ell and cheap, unlike a huge ell^exponent
+    if ell ** min(exponent, 64) > _CELL_BUDGET:
+        raise ValueError(f"{name} too large: ell^{name} must be at most {_CELL_BUDGET} cells")
 
 
 def _check_bernoulli(c: int, ell: int, depth: int) -> None:
@@ -276,9 +297,7 @@ def _check_bernoulli(c: int, ell: int, depth: int) -> None:
         raise ValueError("not a unit: c must be coprime to ell")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    # ell^64 is past the budget for every ell and cheap, unlike a huge ell^depth
-    if ell ** min(depth, 64) > _CELL_BUDGET:
-        raise ValueError(f"depth too large: ell^depth must be at most {_CELL_BUDGET} cells")
+    _check_cells(ell, depth, "depth")
 
 
 def bernoulli_measure(c: int, ell: int, depth: int) -> MeasureTower:
@@ -450,13 +469,17 @@ def pushforward_linear(matrix, mu: MeasureTower) -> MeasureTower:
     if len(matrix) != r or any(len(row) != r for row in matrix):
         raise ValueError("matrix shape must match rank")
     m = mu.ell ** mu.depth
-    top = [0] * (m ** r)
-    for idx, v in enumerate(mu.tables[mu.depth]):
-        if not v:
-            continue
-        x = _decode(idx, m, r)
-        img = tuple(sum(matrix[i][j] * x[j] for j in range(r)) % m for i in range(r))
-        top[_encode(img, m)] += v
+    # each cell's image index sum_i m^i ((matrix x)_i mod m), one row at a time
+    axes = _axes(m, r)
+    image = [0] * len(axes[0])
+    for i, row in enumerate(matrix):
+        y = repeat(0)
+        for a, x in zip(row, axes):
+            y = map(add, y, map(mul, x, repeat(a)))
+        image = list(map(add, image, map(mul, map(mod, y, repeat(m)), repeat(m ** i))))
+    top = [0] * len(image)
+    for i, v in zip(image, mu.tables[mu.depth]):
+        top[i] += v
     return MeasureTower.from_top(mu.ell, r, mu.depth, top, mu.den)
 
 
@@ -489,17 +512,11 @@ def restrict(mu: MeasureTower, region) -> MeasureTower:
         keep = {tuple(c % ell ** base_level for c in t) for t in cells}
     if base_level > mu.depth:
         raise ValueError("region not expressible at available depth")
-
-    def kept(coords):
-        if keep is None:
-            return all(c % ell for c in coords)
-        return tuple(c % ell ** base_level for c in coords) in keep
-
-    m = ell ** mu.depth
-    top = [
-        v if v and kept(_decode(idx, m, r)) else 0
-        for idx, v in enumerate(mu.tables[mu.depth])
-    ]
+    # each top cell's coordinates mod ell^base_level
+    q = ell ** base_level
+    coords = zip(*[map(mod, x, repeat(q)) for x in _axes(ell ** mu.depth, r)])
+    kept = map(all, coords) if keep is None else map(keep.__contains__, coords)
+    top = list(map(mul, mu.tables[mu.depth], kept))
     units_only = keep is None or all(
         all(c % ell for c in t) for t in keep
     )
@@ -520,20 +537,18 @@ def dilation_pullback(mu: MeasureTower, k) -> MeasureTower:
     if kmax > mu.depth:
         raise ValueError("region not expressible at available depth")
     n = mu.depth - kmax
-    m = ell ** n
     big = ell ** mu.depth
     src = mu.tables[mu.depth]
-    top = [0] * (m ** r)
-    for idx in range(len(top)):
-        coords = _decode(idx, m, r)
-        total = 0
-        reps = [
-            [(ell ** kj * cj + ell ** (n + kj) * e) % big for e in range(ell ** (kmax - kj))]
-            for cj, kj in zip(coords, ks)
-        ]
-        for combo in product(*reps):
-            total += src[_encode(combo, big)]
-        top[idx] = total
+    # x_j = ell^(k_j) c_j + ell^(n+k_j) e_j, e_j < ell^(kmax-k_j), is below big,
+    # so its top-level flat index is a c-part plus an e-part
+    base = repeat(0)
+    for j, (c, kj) in enumerate(zip(_axes(ell ** n, r), ks)):
+        base = map(add, base, map(mul, c, repeat(ell ** kj * big ** j)))
+    base = list(base)
+    top = [0] * len(base)
+    steps = [range(0, big ** (j + 1), ell ** (n + kj) * big ** j) for j, kj in enumerate(ks)]
+    for offset in map(sum, product(*steps)):
+        top = list(map(add, top, map(src.__getitem__, map(add, base, repeat(offset)))))
     return MeasureTower.from_top(ell, r, n, top, mu.den)
 
 
@@ -782,12 +797,14 @@ def _frac_from_str(text: str, name: str) -> Fraction:
 
 
 def tower_to_json(mu: MeasureTower) -> dict:
+    den = mu.den
     return {
         "ell": mu.ell,
         "rank": mu.rank,
         "depth": mu.depth,
         "denom_exponent": mu.denom_exponent,
-        "levels": [[_value_str(v, mu.den) for v in t] for t in mu.tables],
+        "levels": [list(map(str, t)) if den == 1 else [_value_str(v, den) for v in t]
+                   for t in mu.tables],
     }
 
 
@@ -809,13 +826,61 @@ def _value_pair(text: str) -> tuple:
     return q.numerator, q.denominator
 
 
+# a level whose joined text has only these characters is read in bulk,
+# unless a denominator is signed, empty or zero
+_BULK = re.compile(r"[-+/,0-9]*")
+_BAD_DEN = re.compile(r"/([-+]|0*(,|$))")
+
+
+def _bulk_level(table: list, text: str):
+    """The values of a level of ASCII ``n`` and ``n/d`` values, d > 0, joined
+    by commas into ``text``, as integer numerators over the lcm of the d's;
+    None for any other level."""
+    values = text.split(",")
+    # a comma inside a value splits it
+    if len(values) != len(table) or not _BULK.fullmatch(text) or _BAD_DEN.search(text):
+        return None
+    try:
+        if "/" not in text:
+            return list(map(int, values)), 1
+        nums, _, dens = zip(*map(str.partition, values, repeat("/")))
+        nums = list(map(int, nums))
+        # the few distinct denominators; a plain value's is empty and reads as 1
+        den_of = {d: int(d or "1") for d in set(dens)}
+    except ValueError:  # an empty or malformed part, or past int()'s digit limit
+        return None
+    lcm = math.lcm(*den_of.values())
+    scale = {d: lcm // v for d, v in den_of.items()}
+    return list(map(mul, nums, map(scale.__getitem__, dens))), lcm
+
+
+def _read_level(table: list, text: str) -> tuple:
+    """A level's values as integer numerators over the lcm of their
+    denominators: in bulk where ``_bulk_level`` can, else value by value."""
+    read = _bulk_level(table, text)
+    if read is None:
+        pairs = list(map(_value_pair, table))
+        lcm = math.lcm(*(d for _, d in pairs))
+        read = [a * (lcm // d) for a, d in pairs], lcm
+    nums, lcm = read
+    # unreduced values such as 2/4 leave a common factor
+    g = math.gcd(lcm, *nums)
+    return (nums, lcm) if g == 1 else (list(map(floordiv, nums, repeat(g))), lcm // g)
+
+
 def tower_from_json(doc: dict) -> MeasureTower:
     if not isinstance(doc, dict) or any(type(doc.get(k)) is not int for k in ("ell", "rank")):
         raise ValueError('a tower document is a JSON object with integer "ell" and "rank"')
     levels = doc.get("levels")
-    if not isinstance(levels, list) or not all(
-            isinstance(t, list) and all(isinstance(v, str) for v in t) for t in levels):
-        raise ValueError('"levels" must be a list of lists of value strings')
+    shape = '"levels" must be a list of lists of value strings'
+    if not isinstance(levels, list) or not all(isinstance(t, list) for t in levels):
+        raise ValueError(shape)
+    try:
+        texts = [",".join(t) for t in levels]
+    except TypeError:  # a value that is not a string
+        raise ValueError(shape) from None
     # every value is read before the shape is checked
-    levels = [[_value_pair(v) for v in table] for table in levels]
-    return MeasureTower(doc["ell"], doc["rank"], levels, list)
+    read = list(map(_read_level, levels, texts))
+    den = math.lcm(*(d for _, d in read))
+    tables = [t if d == den else list(map(mul, t, repeat(den // d))) for t, d in read]
+    return MeasureTower(doc["ell"], doc["rank"], tables, den)

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -423,7 +424,16 @@ class TestReadmeGolden:
     per benchmark tower shape (``golden/tower_ell*_rank*.json``: rank 1-3,
     ell 3-7), ``tower_ell5_rank2.json`` spelling its values unreduced, signed,
     padded and as decimals; it was recorded before the tower files were read
-    into integer tables and the moments contracted one axis at a time.
+    into integer tables and the moments contracted one axis at a time.  Its
+    cases on ``golden/tower_spelled_*.json`` (levels mixing plain values with
+    unreduced, signed, zero-padded, space-padded, underscored, decimal and
+    non-ASCII spellings), on ``golden/tower_refused_*.json`` (``1/-2``,
+    ``1/+2``, ``1/0``, ``1,2``, ``""``, a numeral past ``int()``'s digit
+    limit and other refused values after a plain level) and ``pushforward
+    --out`` with singular and negative matrices at rank 1-3 were added, with
+    ``golden/record.py``, before each level was read in bulk and the
+    pushforward and restriction mapped cells through per-axis coordinate
+    lists.
     ``golden/bernoulli_cli.json`` covers ``bernoulli --k`` for k across
     0-600, with and without ``--t`` (0, 1/2, -3/7, 22/5 and 5), and the
     interpolation routes of ``kl --method interp``, ``hurwitz``,
@@ -524,8 +534,8 @@ class TestRefusedInputs:
     the tower rank, a pushforward without --matrix, a teichmuller --prec
     below 1, a rational option or tower value with a zero denominator, an
     integer list option or ``--psi`` that does not parse, a ``--psi`` entry off
-    the units or repeating a residue and a tower file of the wrong shape are
-    one JSON error document, exit 1."""
+    the units or repeating a residue, a tower file of the wrong shape and a
+    tower rank past the cell budget are one JSON error document, exit 1."""
 
     @pytest.mark.parametrize("argv,error", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
     def test_structured_error(self, argv, error, monkeypatch, capsys):
@@ -569,3 +579,19 @@ class TestRefusedInputs:
         else:
             assert code == 1
             assert json.loads(out) == {"command": "measure", "error": error}
+
+    @pytest.mark.parametrize("action", [
+        ["validate"], ["integrate"], ["transform", "--degree", "1"], ["pushforward", "--matrix", "1"],
+    ], ids=["validate", "integrate", "transform", "pushforward"])
+    def test_huge_rank_is_refused_before_any_work(self, action, tmp_path, capsys):
+        """A rank-10^9 tower would need rank-long lists and index tuples; it is
+        refused by the cell budget, at once."""
+        path = tmp_path / "tower.json"
+        path.write_text('{"ell":3,"rank":1000000000,"levels":[["1"]]}')
+        start = time.perf_counter()
+        code = main(["measure", action[0], "--in", str(path)] + action[1:])
+        assert time.perf_counter() - start < 1
+        out = capsys.readouterr().out
+        assert code == 1
+        assert json.loads(out) == {"command": "measure",
+                                   "error": "rank too large: ell^rank must be at most 1000000 cells"}

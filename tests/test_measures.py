@@ -979,3 +979,117 @@ class TestIntegerReader:
     @example({"ell": 5, "rank": 1, "levels": [["9" * 4400]]})
     def test_matches_the_fraction_reader(self, doc):
         assert read(tower_from_json, doc) == read(tower_oracle.tower_from_json, doc)
+
+
+# digits, signs, slash, comma, underscore, space and a non-ASCII digit
+HOSTILE = "0123456789+-/,_ ٣"
+
+
+@st.composite
+def hostile_docs(draw):
+    """A tower document whose levels are a coherent tower's plain spellings
+    with some values, or every value of a level, drawn from ``HOSTILE``, and
+    at times a value that is not a string."""
+    ell, rank, depth = draw(shapes(cells=130))
+    top = random_table(draw(st.integers(0, 10 ** 6)), ell ** (rank * depth))
+    mu = MeasureTower.from_top(ell, rank, depth, top, draw(st.sampled_from([1, 2, ell, 4 * ell])))
+    levels = [[str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+               for q in t] for t in mu.levels]
+    # free text, and ASCII text near the n/d grammar, which keeps a level bulk
+    tokens = st.sampled_from(["", "0", "7", "12", "+", "-", "/", ","])
+    hostile = st.text(HOSTILE, max_size=7) | st.lists(tokens, max_size=4).map("".join)
+    for t in levels:
+        how = draw(st.sampled_from(["plain", "some", "every"]))
+        if how == "every":
+            t[:] = draw(st.lists(hostile, min_size=len(t), max_size=len(t)))
+        elif how == "some":
+            for i in draw(st.lists(st.integers(0, len(t) - 1), min_size=1, max_size=3)):
+                t[i] = draw(hostile)
+    if draw(st.integers(0, 9)) == 0:
+        levels[-1][-1] = 1
+    return {"ell": ell, "rank": rank, "levels": levels}
+
+
+class TestBulkReader:
+    """The bulk level reader against the reader that turns every value into a
+    ``Fraction``: the same tower, or the same error text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hostile_docs())
+    @example({"ell": 3, "rank": 1, "levels": [["1"], ["1/-2", "0", "1/2"]]})
+    @example({"ell": 3, "rank": 1, "levels": [["1"], ["1/+2", "0", "1/2"]]})
+    @example({"ell": 3, "rank": 1, "levels": [["1"], ["1", "1/0", "0"]]})
+    @example({"ell": 3, "rank": 1, "levels": [["0/"]]})
+    @example({"ell": 3, "rank": 1, "levels": [["1"], ["1/", "0", "0"]]})
+    @example({"ell": 3, "rank": 1, "levels": [["1"], ["1,0", "0"]]})
+    @example({"ell": 3, "rank": 1, "levels": [["1"], ["", "1", "0"]]})
+    @example({"ell": 3, "rank": 1, "levels": [["1"], ["1", "0", "9" * 4400]]})
+    @example({"ell": 3, "rank": 1, "levels": [["1"], ["1", "0", "0/" + "9" * 4400]]})
+    @example({"ell": 3, "rank": 1, "levels": [["6/6"], ["+2/4", "003/6", "-0/5"]]})
+    @example({"ell": 3, "rank": 1, "levels": [["1"], ["1/3", "3/9", "1/3"]]})
+    @example({"ell": 3, "rank": 1, "levels": [["1"], ["+1", "-0", "00"]]})
+    @example({"ell": 3, "rank": 1, "levels": [["1"], ["٣", "-2", "0"]]})
+    @example({"ell": 3, "rank": 1, "levels": [["1"], ["1/ 3", "1 /3", "1_0/5"]]})
+    @example({"ell": 3, "rank": 1, "levels": [[], ["1"]]})
+    @example({"ell": 3, "rank": 1, "levels": [["1"], ["1", 0, "0"]]})
+    def test_matches_the_fraction_reader(self, doc):
+        assert read(tower_from_json, doc) == read(tower_oracle.tower_from_json, doc)
+
+
+@st.composite
+def rank3_towers(draw):
+    """A random bounded tower of rank 1-3 with at most 729 top cells."""
+    ell, rank = draw(ALL_ELLS), draw(st.integers(1, 3))
+    depth = draw(st.integers(0, max(n for n in range(6) if ell ** (rank * n) <= 729)))
+    return random_bounded_tower(ell, rank, depth, denom_exponent=draw(st.integers(0, 2)),
+                                seed=draw(st.integers(0, 10 ** 6)))
+
+
+def same_tower(a, b):
+    return (a.ell, a.rank, a.depth, a.tables, a.den, a.units_only) == \
+        (b.ell, b.rank, b.depth, b.tables, b.den, b.units_only)
+
+
+class TestIndexMaps:
+    """Pushforward, restriction and dilation pullback through per-axis
+    coordinate lists against the loops that decode and re-encode every cell."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rank3_towers(), st.data())
+    def test_pushforward(self, mu, data):
+        r = mu.rank
+        entry = st.integers(-10, 10) | st.integers(-10 ** 12, 10 ** 12)
+        mat = data.draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r))
+        assert same_tower(pushforward_linear(mat, mu), tower_oracle.pushforward_linear(mat, mu))
+
+    @settings(max_examples=80, deadline=None)
+    @given(rank3_towers(), st.data())
+    def test_restrict(self, mu, data):
+        if data.draw(st.booleans()):
+            region = "units"
+        else:
+            level = data.draw(st.integers(0, mu.depth + 1))
+            coord = st.integers(-30, 30)
+            region = (level, data.draw(st.lists(st.tuples(*[coord] * mu.rank), max_size=8)))
+        try:
+            want = tower_oracle.restrict(mu, region)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                restrict(mu, region)
+        else:
+            assert same_tower(restrict(mu, region), want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rank3_towers(), st.data())
+    def test_dilation_pullback(self, mu, data):
+        k = data.draw(st.lists(st.integers(0, mu.depth), min_size=mu.rank, max_size=mu.rank))
+        assert same_tower(dilation_pullback(mu, k), tower_oracle.dilation_pullback(mu, k))
+
+
+class TestRankBudget:
+    def test_largest_rank_within_the_cell_budget(self):
+        assert MeasureTower(3, 12, [[1]]).rank == 12  # 3^12 = 531441 cells at level 1
+        with pytest.raises(ValueError, match="rank too large: ell.rank must be at most 1000000 cells"):
+            MeasureTower(3, 13, [[1]])
+        with pytest.raises(ValueError, match="rank too large"):
+            MeasureTower(7, 8, [[1]])

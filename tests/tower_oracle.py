@@ -3,12 +3,15 @@
 This is the exact reference that the tower kernels of ``elladic.measures``
 are checked against: the level-sum loop that decodes every cell and calls a
 whole-cell weight, the coarsening that decodes and re-encodes every cell,
-and the tower reader that turns every value string into a ``Fraction``.  The
-package contracts and folds one axis at a time and reads values straight
-into integer (numerator, denominator) pairs instead.
+the pushforward, restriction and dilation pullback that decode and re-encode
+every top cell, and the tower reader that turns every value string into a
+``Fraction``.  The package contracts and folds one axis at a time, maps
+cells through per-axis coordinate lists and reads each level of values in
+bulk into integer numerators instead.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from elladic.measures import MeasureTower
 
@@ -71,3 +74,74 @@ def tower_from_json(doc):
         raise ValueError('"levels" must be a list of lists of value strings')
     levels = [[frac_from_str(v, "a tower value") for v in table] for table in levels]
     return MeasureTower(doc["ell"], doc["rank"], levels)
+
+
+def pushforward_linear(matrix, mu):
+    """Image measure under an integer matrix, one top cell at a time."""
+    r = mu.rank
+    matrix = [list(row) for row in matrix]
+    if len(matrix) != r or any(len(row) != r for row in matrix):
+        raise ValueError("matrix shape must match rank")
+    m = mu.ell ** mu.depth
+    top = [0] * (m ** r)
+    for idx, v in enumerate(mu.tables[mu.depth]):
+        if not v:
+            continue
+        x = decode(idx, m, r)
+        img = tuple(sum(matrix[i][j] * x[j] for j in range(r)) % m for i in range(r))
+        top[encode(img, m)] += v
+    return MeasureTower.from_top(mu.ell, r, mu.depth, top, mu.den)
+
+
+def restrict(mu, region):
+    """Restriction to the units or to ``(level, cells)``, one top cell at a time."""
+    ell, r = mu.ell, mu.rank
+    if region == "units":
+        base_level, keep = 1, None
+    else:
+        base_level, cells = region
+        keep = {tuple(c % ell ** base_level for c in t) for t in cells}
+    if base_level > mu.depth:
+        raise ValueError("region not expressible at available depth")
+
+    def kept(coords):
+        if keep is None:
+            return all(c % ell for c in coords)
+        return tuple(c % ell ** base_level for c in coords) in keep
+
+    m = ell ** mu.depth
+    top = [
+        v if v and kept(decode(idx, m, r)) else 0
+        for idx, v in enumerate(mu.tables[mu.depth])
+    ]
+    units_only = keep is None or all(
+        all(c % ell for c in t) for t in keep
+    )
+    return MeasureTower.from_top(ell, r, mu.depth, top, mu.den, units_only)
+
+
+def dilation_pullback(mu, k):
+    """Pullback along x_j -> ell^(k_j) x_j, one cell and one preimage at a time."""
+    ell, r = mu.ell, mu.rank
+    ks = tuple(k) if not isinstance(k, int) else (k,) * r
+    if len(ks) != r or any(kj < 0 for kj in ks):
+        raise ValueError("scaling exponents must be nonnegative, one per coordinate")
+    kmax = max(ks)
+    if kmax > mu.depth:
+        raise ValueError("region not expressible at available depth")
+    n = mu.depth - kmax
+    m = ell ** n
+    big = ell ** mu.depth
+    src = mu.tables[mu.depth]
+    top = [0] * (m ** r)
+    for idx in range(len(top)):
+        coords = decode(idx, m, r)
+        total = 0
+        reps = [
+            [(ell ** kj * cj + ell ** (n + kj) * e) % big for e in range(ell ** (kmax - kj))]
+            for cj, kj in zip(coords, ks)
+        ]
+        for combo in product(*reps):
+            total += src[encode(combo, big)]
+        top[idx] = total
+    return MeasureTower.from_top(ell, r, n, top, mu.den)
