@@ -17,14 +17,14 @@ Fractions appear only at the boundary: ``levels``, ``value``, ``cells``,
 them: a level of ASCII ``n`` and ``n/d`` values is joined once and parsed
 in bulk by C-level ``int``, any other level value by value, so every
 spelling that ``Fraction`` reads is accepted and every refusal keeps its
-message.  A tower given by its levels has at most ``_CELL_BUDGET`` cells in
-a level-1 table, which bounds its rank.
+message.  A tower given by its levels has a rank r with 3^r at most
+``_CELL_BUDGET``: a level-1 table at the smallest ell would fit the budget.
 
 Cells at level n are indexed by coordinate tuples in ``[0, ell**n)**r``; the
 flat index is ``sum_j c_j * (ell**n)**j`` (first coordinate fastest).
-``_axes`` lists, per axis, the coordinate of every flat index; pushforward,
-restriction and dilation pullback map cells through these lists, with no
-cell decoded on its own.
+``_axes`` lists, per axis, the coordinate of every flat index; pushforward
+and restriction map cells through these lists, with no cell decoded on its
+own.
 
 Every integral against a tower is a level sum
 ``sum_x f(x) * mu(x + ell**n Z_ell**r)`` over the cells x of level n.
@@ -152,7 +152,9 @@ class MeasureTower:
         _check_prime(ell)
         if rank < 1:
             raise ValueError("rank must be >= 1")
-        _check_cells(ell, rank, "rank")
+        # bounded by rank alone, so ell does not decide whether a depth-0 tower is read
+        if 3 ** min(rank, 64) > _CELL_BUDGET:
+            raise ValueError(f"rank too large: 3^rank must be at most {_CELL_BUDGET} cells")
         if not levels:
             raise ValueError("a tower needs at least one level")
         tables = []
@@ -278,17 +280,11 @@ def _moment_sums(mu: MeasureTower, indices, level: int, weight):
 
 
 # The most cells ell^depth that ``bernoulli_measure`` builds and
-# ``bernoulli_unit_integral`` sums, and the most cells ell^rank of a level-1
-# table of a tower given by its levels.  A larger request is refused before
-# any work: at ell = 5 and level 40 it would otherwise run until it is
-# killed, and a rank of 10^9 exhausts memory on its first rank-long list.
+# ``bernoulli_unit_integral`` sums.  A deeper request is refused before any
+# work: at ell = 5 and level 40 it would otherwise run until it is killed.
+# It also bounds the rank of a tower given by its levels, whose rank-long
+# lists would exhaust memory at a rank of 10^9.
 _CELL_BUDGET = 10 ** 6
-
-
-def _check_cells(ell: int, exponent: int, name: str) -> None:
-    # ell^64 is past the budget for every ell and cheap, unlike a huge ell^exponent
-    if ell ** min(exponent, 64) > _CELL_BUDGET:
-        raise ValueError(f"{name} too large: ell^{name} must be at most {_CELL_BUDGET} cells")
 
 
 def _check_bernoulli(c: int, ell: int, depth: int) -> None:
@@ -297,7 +293,9 @@ def _check_bernoulli(c: int, ell: int, depth: int) -> None:
         raise ValueError("not a unit: c must be coprime to ell")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    _check_cells(ell, depth, "depth")
+    # ell^64 is past the budget for every ell and cheap, unlike a huge ell^depth
+    if ell ** min(depth, 64) > _CELL_BUDGET:
+        raise ValueError(f"depth too large: ell^depth must be at most {_CELL_BUDGET} cells")
 
 
 def bernoulli_measure(c: int, ell: int, depth: int) -> MeasureTower:
@@ -537,18 +535,20 @@ def dilation_pullback(mu: MeasureTower, k) -> MeasureTower:
     if kmax > mu.depth:
         raise ValueError("region not expressible at available depth")
     n = mu.depth - kmax
+    m = ell ** n
     big = ell ** mu.depth
     src = mu.tables[mu.depth]
-    # x_j = ell^(k_j) c_j + ell^(n+k_j) e_j, e_j < ell^(kmax-k_j), is below big,
-    # so its top-level flat index is a c-part plus an e-part
-    base = repeat(0)
-    for j, (c, kj) in enumerate(zip(_axes(ell ** n, r), ks)):
-        base = map(add, base, map(mul, c, repeat(ell ** kj * big ** j)))
-    base = list(base)
-    top = [0] * len(base)
-    steps = [range(0, big ** (j + 1), ell ** (n + kj) * big ** j) for j, kj in enumerate(ks)]
-    for offset in map(sum, product(*steps)):
-        top = list(map(add, top, map(src.__getitem__, map(add, base, repeat(offset)))))
+    top = [0] * (m ** r)
+    for idx in range(len(top)):
+        coords = _decode(idx, m, r)
+        total = 0
+        reps = [
+            [(ell ** kj * cj + ell ** (n + kj) * e) % big for e in range(ell ** (kmax - kj))]
+            for cj, kj in zip(coords, ks)
+        ]
+        for combo in product(*reps):
+            total += src[_encode(combo, big)]
+        top[idx] = total
     return MeasureTower.from_top(ell, r, n, top, mu.den)
 
 
@@ -808,20 +808,8 @@ def tower_to_json(mu: MeasureTower) -> dict:
     }
 
 
-# an ASCII integer or n/d, in lowest terms or not; other spellings go through Fraction
-_RATIONAL = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
-
-
 def _value_pair(text: str) -> tuple:
     """A tower value string as a reduced (numerator, denominator) pair."""
-    match = _RATIONAL.fullmatch(text)
-    try:
-        num, den = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
-    except ValueError:  # beyond int()'s digit limit: Fraction says so
-        num = den = 0
-    if den:
-        g = math.gcd(num, den)
-        return num // g, den // g
     q = _frac_from_str(text, "a tower value")
     return q.numerator, q.denominator
 

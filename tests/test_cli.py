@@ -594,4 +594,4 @@ class TestRefusedInputs:
         out = capsys.readouterr().out
         assert code == 1
         assert json.loads(out) == {"command": "measure",
-                                   "error": "rank too large: ell^rank must be at most 1000000 cells"}
+                                   "error": "rank too large: 3^rank must be at most 1000000 cells"}

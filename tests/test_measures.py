@@ -1051,8 +1051,8 @@ def same_tower(a, b):
 
 
 class TestIndexMaps:
-    """Pushforward, restriction and dilation pullback through per-axis
-    coordinate lists against the loops that decode and re-encode every cell."""
+    """Pushforward and restriction through per-axis coordinate lists against
+    the loops that decode and re-encode every cell."""
 
     @settings(max_examples=80, deadline=None)
     @given(rank3_towers(), st.data())
@@ -1079,17 +1079,17 @@ class TestIndexMaps:
         else:
             assert same_tower(restrict(mu, region), want)
 
-    @settings(max_examples=80, deadline=None)
-    @given(rank3_towers(), st.data())
-    def test_dilation_pullback(self, mu, data):
-        k = data.draw(st.lists(st.integers(0, mu.depth), min_size=mu.rank, max_size=mu.rank))
-        assert same_tower(dilation_pullback(mu, k), tower_oracle.dilation_pullback(mu, k))
-
 
 class TestRankBudget:
     def test_largest_rank_within_the_cell_budget(self):
-        assert MeasureTower(3, 12, [[1]]).rank == 12  # 3^12 = 531441 cells at level 1
-        with pytest.raises(ValueError, match="rank too large: ell.rank must be at most 1000000 cells"):
+        assert MeasureTower(3, 12, [[1]]).rank == 12  # 3^12 = 531441 cells
+        with pytest.raises(ValueError, match=r"rank too large: 3\^rank must be at most 1000000 cells"):
             MeasureTower(3, 13, [[1]])
         with pytest.raises(ValueError, match="rank too large"):
-            MeasureTower(7, 8, [[1]])
+            MeasureTower(7, 10 ** 9, [[1]])
+
+    @pytest.mark.parametrize("ell,rank", [(1000003, 1), (1009, 2), (101, 12)])
+    def test_depth_0_tower_at_a_large_prime_is_accepted(self, ell, rank):
+        """The rank bound does not depend on ell: a depth-0 tower has no level-1 table."""
+        mu = tower_from_json({"ell": ell, "rank": rank, "levels": [["1"]]})
+        assert (mu.ell, mu.rank, mu.depth, mu.levels) == (ell, rank, 0, ((1,),))

@@ -3,15 +3,14 @@
 This is the exact reference that the tower kernels of ``elladic.measures``
 are checked against: the level-sum loop that decodes every cell and calls a
 whole-cell weight, the coarsening that decodes and re-encodes every cell,
-the pushforward, restriction and dilation pullback that decode and re-encode
-every top cell, and the tower reader that turns every value string into a
-``Fraction``.  The package contracts and folds one axis at a time, maps
-cells through per-axis coordinate lists and reads each level of values in
-bulk into integer numerators instead.
+the pushforward and restriction that decode and re-encode every top cell,
+and the tower reader that turns every value string into a ``Fraction``.
+The package contracts and folds one axis at a time, maps cells through
+per-axis coordinate lists and reads each level of values in bulk into
+integer numerators instead.
 """
 
 from fractions import Fraction
-from itertools import product
 
 from elladic.measures import MeasureTower
 
@@ -119,29 +118,3 @@ def restrict(mu, region):
     )
     return MeasureTower.from_top(ell, r, mu.depth, top, mu.den, units_only)
 
-
-def dilation_pullback(mu, k):
-    """Pullback along x_j -> ell^(k_j) x_j, one cell and one preimage at a time."""
-    ell, r = mu.ell, mu.rank
-    ks = tuple(k) if not isinstance(k, int) else (k,) * r
-    if len(ks) != r or any(kj < 0 for kj in ks):
-        raise ValueError("scaling exponents must be nonnegative, one per coordinate")
-    kmax = max(ks)
-    if kmax > mu.depth:
-        raise ValueError("region not expressible at available depth")
-    n = mu.depth - kmax
-    m = ell ** n
-    big = ell ** mu.depth
-    src = mu.tables[mu.depth]
-    top = [0] * (m ** r)
-    for idx in range(len(top)):
-        coords = decode(idx, m, r)
-        total = 0
-        reps = [
-            [(ell ** kj * cj + ell ** (n + kj) * e) % big for e in range(ell ** (kmax - kj))]
-            for cj, kj in zip(coords, ks)
-        ]
-        for combo in product(*reps):
-            total += src[encode(combo, big)]
-        top[idx] = total
-    return MeasureTower.from_top(ell, r, n, top, mu.den)
