@@ -1,7 +1,7 @@
 """Noncommutative series, the one-Y quotient, and the reversal pipeline.
 
-The group product log(e^A e^B) computed on words with at most one Y is
-compared with its closed form in the quotient algebra, then the full
+The group product log(e^A e^B) is computed on words, then mechanically in
+the quotient algebra, where it is compared with its closed form; then the full
 path-reversal chain is run mechanically and found to match its closed form
 coefficient by coefficient -- all in exact rational arithmetic.
 """
@@ -9,7 +9,7 @@ coefficient by coefficient -- all in exact rational arithmetic.
 from fractions import Fraction
 
 from elladic import (
-    OneYSeries,
+    NcSeries,
     ReducedSeries,
     bch,
     bch_reduced,
@@ -22,15 +22,13 @@ from elladic.bernoulli import bernoulli_number
 from math import factorial
 
 D = 8
-X = OneYSeries.variable("X", D + 1)
-Y = OneYSeries.variable("Y", D + 1)
 
 print("== the group product on words ==")
-full = bch(X, Y)
+full = bch(NcSeries.variable("X", 2), NcSeries.variable("Y", 2))
 print(f"log(e^X e^Y) degree-2 part: {full['XY']} XY + {full['YX']} YX")
 
 print("\n== reduced mod the one-Y quotient ==")
-red = ReducedSeries.from_series(full).truncate(D)
+red = bch(ReducedSeries(D, [0, 1]), ReducedSeries(D, None, [1]))
 closed = bch_reduced(1, [0], 0, [1], D)
 print("X o Y = X + Y * X/(e^X - 1):", red == closed)
 print("b-coefficients are Bernoulli numbers over factorials:")

@@ -43,18 +43,14 @@ from .transforms import (
 )
 from .ncseries import (
     NcSeries,
-    OneYSeries,
     ReducedSeries,
     bch,
     bch_reduced,
     bch_scaled_pair,
-    bch_scaled_pair_display,
     bernoulli_kernel,
     gamma_series,
     inversion_closed_form,
     inversion_pipeline,
-    l_from_li,
-    li_from_l,
 )
 from .lfunctions import (
     DirichletCharacter,

@@ -376,9 +376,14 @@ def zinv_report(beta: int, s, primes, ell: int, M: int = 2, ndigits: int = 8) ->
     """Definition-route value vs the Euler-product shortcut, with sign verdict.
 
     The product shortcut multiplies the zeta-family value by
-    prod_j (p_j [p_j]^(-s) omega(p_j)^(-beta) - 1); its global sign differs
-    from the definition route (observed factor -1 for every prime count), so
-    the report carries both values and the ratio.
+    prod_j (p_j [p_j]^(-s) omega(p_j)^(-beta) - 1), which interpolates
+    prod_j (p_j^(1-k) - 1) at the nodes k.  Its global sign is -1 against
+    the definition route for every prime count: the distribution relation
+    sum_(a<d) B_k(a/d) = d^(1-k) B_k and Moebius inversion over d | m give
+    sum_(gcd(a,m)=1) B_k(a/m) = B_k prod_j (p_j^(1-k) - 1), so
+    zinv_node(k) = -prod_j (p_j^(1-k) - 1) * kl_node_rational(k), the sign
+    coming from kl_node_rational = -(1 - ell^(k-1)) B_k/k.  The report
+    carries both values and the ratio.
     """
     value = zinv_l(beta, s, primes, ell, M=M, ndigits=ndigits)
     work = ndigits + M + 6

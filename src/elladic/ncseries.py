@@ -1,22 +1,18 @@
 """Truncated power series in two non-commuting letters X, Y.
 
-One oracle and three table series on one core:
+One oracle and two table series on one core:
 
 * ``NcSeries`` — honest non-commutative series over Fraction, with exp/log and
   the group product bch(A, B) = log(exp A * exp B).  It is the exact oracle.
-* ``_TableSeries`` — the core of the other three: rows of integer numerators
+* ``_TableSeries`` — the core of the other two: rows of integer numerators
   over one positive denominator, reduced by one gcd.  It alone reduces, adds,
-  scales, compares and stacks tables, and its one power sum sum_k w_k x^k
-  gives exp (w_k = 1/k!) and log (w_k = (-1)^(k+1)/k).  A subclass gives its
-  row shapes and the product of two numerator tables.
+  scales, compares and stacks tables.  A subclass gives the product of two
+  numerator tables.
 * ``_Poly`` — a one-variable series f(X), one row left unreduced; the product
   is the truncated convolution.  Every closed form in X is one: e^(gamma X),
   (e^(gamma X) - 1)/(gamma X) and gamma X/(e^(gamma X) - 1) are one rescaling
   ``at(gamma)`` of a cached per-degree series, and the Bernoulli kernel is
   built from them.
-* ``OneYSeries`` — ``NcSeries`` modulo the two-sided ideal of words with two
-  or more Y's: rows f[i] for X^i and g[i][j] for X^i Y X^j; the product is
-  f1 f2 + f1 g2 + g1 f2.
 * ``ReducedSeries`` — the image in the quotient by the two-sided ideal killing
   every word with two Y's and every word containing a factor X^i Y (i > 0).
   A class is written a(X) + Y*b(X), rows a and b; the induced multiplication
@@ -24,8 +20,9 @@ One oracle and three table series on one core:
   product, the gamma assembly and the path-reversal chain are built on it,
   with a and b as ``_Poly``; ``verify bch`` runs the mechanical
   log(e^A e^B) on it too, since the quotient map and the X-degree window
-  commute with the truncated exp and log power sums.  Its power sum takes
-  one convolution per power: x^k = a^k + Y b a^(k-1) when a(0) = 0.
+  commute with the truncated exp and log power sums.  Its one power sum
+  sum_k w_k x^k gives exp (w_k = 1/k!) and log (w_k = (-1)^(k+1)/k) at one
+  convolution per power: x^k = a^k + Y b a^(k-1) when a(0) = 0.
 """
 
 from __future__ import annotations
@@ -39,17 +36,13 @@ from .bernoulli import bernoulli_number
 
 __all__ = [
     "NcSeries",
-    "OneYSeries",
     "ReducedSeries",
     "bch",
     "bch_reduced",
-    "li_from_l",
-    "l_from_li",
     "gamma_series",
     "inversion_pipeline",
     "inversion_closed_form",
     "bch_scaled_pair",
-    "bch_scaled_pair_display",
     "bernoulli_kernel",
 ]
 
@@ -218,21 +211,22 @@ class _TableSeries:
     tables (``_Poly`` alone skips the gcd); ``rows[0][0]`` is the constant
     term.
 
-    A subclass fixes the row shapes and ``_product``, the product of two
-    numerator tables (over the product of their denominators).  Reduction,
-    sums, scaling, comparison, stacking and exp/log live here.
+    A subclass fixes ``_product``, the product of two numerator tables
+    (over the product of their denominators).  Reduction, sums, scaling,
+    comparison and stacking live here.
     """
 
     __slots__ = ("degree", "den", "rows")
 
-    def _fill(self, degree, rows, widths):
+    def _fill(self, degree, rows):
         """Set the series from rows of rational entries, each cut at or
-        padded with zeros to its width."""
-        rows = [(list(map(_rational, islice(row, max(n, 0)))), n) for row, n in zip(rows, widths)]
+        padded with zeros to degree + 1 entries."""
+        n = degree + 1
+        rows = [list(map(_rational, islice(row, max(n, 0)))) for row in rows]
         self.degree = degree
-        self.den = den = lcm(*(c.denominator for row, _ in rows for c in row))
+        self.den = den = lcm(*(c.denominator for row in rows for c in row))
         self.rows = [[c.numerator * (den // c.denominator) for c in row] + [0] * (n - len(row))
-                     for row, n in rows]
+                     for row in rows]
 
     @classmethod
     def _make(cls, degree, den, rows):
@@ -294,39 +288,6 @@ class _TableSeries:
         self._check(other)
         return self._make(self.degree, self.den * other.den, self._product(self.rows, other.rows))
 
-    def _power_sum(self, x, weights, wden):
-        """sum_k weights[k]/wden * x^k for k <= degree + 1, x numerator rows
-        over den with zero constant term.
-
-        x^k is over den^k, so term k is weighted by den^(D+1-k) and the sum
-        reduced once; the loop stops at the first power that vanishes.
-        """
-        top, d = self.degree + 1, self.den
-        power = [[0] * len(row) for row in x]
-        power[0][0] = 1
-        acc = [[weights[0] * d ** top * c for c in row] for row in power]
-        for k in range(1, top + 1):
-            power = self._product(power, x)
-            if not any(map(any, power)):
-                break
-            w = weights[k] * d ** (top - k)
-            acc = [[s + w * c for s, c in zip(r, q)] for r, q in zip(acc, power)]
-        return self._make(self.degree, wden * d ** top, acc)
-
-    def exp(self):
-        if self.rows[0][0]:
-            raise ValueError("exp needs zero constant term")
-        w = _factorial_table(self.degree + 2, 0)
-        return self._power_sum(self.rows, w.rows[0], w.den)
-
-    def log(self):
-        if self.rows[0][0] != self.den:
-            raise ValueError("log needs constant term 1")
-        n = self.degree + 2
-        top = lcm(*range(1, n))
-        weights = [0] + [(-1) ** (k + 1) * (top // k) for k in range(1, n)]
-        return self._power_sum([[0] + self.rows[0][1:]] + self.rows[1:], weights, top)
-
     def __eq__(self, other):
         return type(other) is type(self) and self.den == other.den and self.rows == other.rows
 
@@ -348,7 +309,7 @@ class _Poly(_TableSeries):
     __slots__ = ()
 
     def __init__(self, degree: int, coeffs=()):
-        self._fill(degree, [coeffs], [degree + 1])
+        self._fill(degree, [coeffs])
 
     @classmethod
     def _make(cls, degree, den, rows):
@@ -434,84 +395,9 @@ def bernoulli_kernel(chi, t, D):
     return _kernel_table(chi, t, D).coeffs
 
 
-# ---------------------------------------------------------------------------
-# series with at most one Y
-# ---------------------------------------------------------------------------
-
-
-class OneYSeries(_TableSeries):
-    """``NcSeries(degree, ..., max_y=1)`` on dense integer tables.
-
-    ``f[i]`` is the numerator of X^i (i <= degree) and ``g[i][j]`` that of
-    X^i Y X^j (i + j + 1 <= degree, so row ``degree`` is empty); the rows are
-    f, g[0], ..., g[degree].  The product is f1 f2 + f1 g2 + g1 f2: the words
-    of g1 g2 have two Y's and die.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, degree: int, coeffs=None):
-        f = [Q0] * (degree + 1)
-        g = [[Q0] * (degree - i) for i in range(degree + 1)]
-        for w, c in (coeffs or {}).items():
-            _check_letters(w)
-            if len(w) > degree or w.count("Y") > 1:
-                continue
-            i = w.find("Y")
-            if i < 0:
-                f[len(w)] = Fraction(c)
-            else:
-                g[i][len(w) - 1 - i] = Fraction(c)
-        self._fill(degree, [f, *g], [degree + 1, *range(degree, -1, -1)])
-
-    @classmethod
-    def from_tables(cls, degree: int, f=(), g=()) -> "OneYSeries":
-        """sum f[i] X^i + sum g[i][j] X^i Y X^j over rational entries; entries
-        beyond the degree window are dropped and missing ones read as 0."""
-        out = cls.__new__(cls)
-        g = list(g) + [()] * (degree + 1 - len(g))
-        out._fill(degree, [f, *g], [degree + 1, *range(degree, -1, -1)])
-        return out
-
-    @classmethod
-    def variable(cls, name: str, degree: int) -> "OneYSeries":
-        if name not in ("X", "Y"):
-            raise ValueError("letters are X and Y")
-        return cls(degree, {name: Q1})
-
-    @property
-    def f(self) -> list:
-        return self.rows[0]
-
-    @property
-    def g(self) -> list:
-        return self.rows[1:]
-
-    def __getitem__(self, word: str) -> Fraction:
-        _check_letters(word)
-        if len(word) > self.degree or word.count("Y") > 1:
-            return Q0
-        i = word.find("Y")
-        return Fraction(self.rows[0][len(word)] if i < 0 else self.rows[1 + i][len(word) - 1 - i],
-                        self.den)
-
-    def _product(self, p, q):
-        D = self.degree
-        f1, f2 = p[0], q[0]
-        rows = [_conv(f1, f2, D + 1)]
-        for i in range(D + 1):
-            row = _conv(f2, p[1 + i], D - i)  # X^i Y X^j * X^b
-            for a in range(i + 1):  # X^a * X^(i-a) Y X^j
-                c = f1[a]
-                if c:
-                    row = [r + c * v for r, v in zip(row, q[1 + i - a])]
-            rows.append(row)
-        return rows
-
-
 def bch(a, b):
-    """log(exp(a) * exp(b)), truncated; a and b are both ``NcSeries``, both
-    ``OneYSeries`` or both ``ReducedSeries``, of one degree."""
+    """log(exp(a) * exp(b)), truncated; a and b are both ``NcSeries`` or both
+    ``ReducedSeries``, of one degree."""
     if a.constant or b.constant:
         raise ValueError("bch needs zero constant terms")
     return (a.exp() * b.exp()).log()
@@ -533,20 +419,17 @@ class ReducedSeries(_TableSeries):
     __slots__ = ()
 
     def __init__(self, degree: int, a=None, b=None):
-        self._fill(degree, [a or [], b or []], [degree + 1] * 2)
+        self._fill(degree, [a or [], b or []])
 
     @classmethod
     def from_series(cls, s) -> "ReducedSeries":
         """Quotient map: words with two Y's or an X-before-Y factor die.
 
-        Survivors are X^j (into a) and Y X^j (into b); of a ``OneYSeries``
-        these are its tables f and g[0].  Note the total-degree window of the
-        input: a degree-D series carries Y X^j only for j <= D-1, so when
-        comparing against the one-variable calculus compute the full route
-        one degree higher and ``truncate``.
+        Survivors are X^j (into a) and Y X^j (into b) of an ``NcSeries``.
+        Note the total-degree window of the input: a degree-D series carries
+        Y X^j only for j <= D-1, so when comparing against the one-variable
+        calculus compute the full route one degree higher and ``truncate``.
         """
-        if isinstance(s, OneYSeries):
-            return cls._make(s.degree, s.den, [list(s.rows[0]), s.rows[1] + [0]])
         a = [Q0] * (s.degree + 1)
         b = [Q0] * (s.degree + 1)
         for w, c in s.coeffs.items():
@@ -581,14 +464,16 @@ class ReducedSeries(_TableSeries):
         return [_conv(p[0], q[0], n), b]
 
     def _power_sum(self, x, weights, wden):
-        """``_TableSeries._power_sum`` at one convolution per power.
+        """sum_k weights[k]/wden * x^k for k <= degree + 1, x numerator rows
+        over den with zero constant term, at one convolution per power.
 
         For x = a + Y b with a(0) = 0 and k >= 1, x^k = a^k + Y b a^(k-1):
         the a1(0) b2 term of x^(k-1) * x vanishes.  So the sum is
         sum_k w_k a^k + Y b * sum_(k>=1) w_k a^(k-1).  a^(D+1) vanishes up to
         X^D, but the sum runs one power past the degree, since the Y-part of
-        x^(D+1) is Y b a^D, which reaches X^D.  The weights den^(D+1-k) and
-        the one reduce are those of the generic sum, so the tables are too.
+        x^(D+1) is Y b a^D, which reaches X^D.  x^k is over den^k, so term k
+        is weighted by den^(D+1-k) and the sum reduced once; the loop stops
+        at the first power of a that vanishes.
         """
         n, d = self.degree + 1, self.den
         a, b = x
@@ -604,6 +489,20 @@ class ReducedSeries(_TableSeries):
             acc = [s + w * c for s, c in zip(acc, power)]
             tail = [s + v * c for s, c in zip(tail, power)]
         return self._make(self.degree, wden * d ** n, [acc, _conv(b, tail, n)])
+
+    def exp(self):
+        if self.rows[0][0]:
+            raise ValueError("exp needs zero constant term")
+        w = _factorial_table(self.degree + 2, 0)
+        return self._power_sum(self.rows, w.rows[0], w.den)
+
+    def log(self):
+        if self.rows[0][0] != self.den:
+            raise ValueError("log needs constant term 1")
+        n = self.degree + 2
+        top = lcm(*range(1, n))
+        weights = [0] + [(-1) ** (k + 1) * (top // k) for k in range(1, n)]
+        return self._power_sum([[0] + self.rows[0][1:]] + self.rows[1:], weights, top)
 
     def truncate(self, degree: int) -> "ReducedSeries":
         """Forget coefficients beyond X-degree ``degree`` in both parts; the
@@ -643,26 +542,6 @@ def bch_reduced(alpha, phi1, beta, phi2, degree: int) -> ReducedSeries:
 
 
 # ---------------------------------------------------------------------------
-# polylog-style coefficient calculus
-# ---------------------------------------------------------------------------
-
-
-def li_from_l(l_scalar, l_coeffs, degree: int):
-    """Turn (l, l_1..l_D) into li_1..li_D.
-
-    The li generating series is the l generating series times
-    (exp(l X) - 1)/(l X); the coefficient of X^(n-1) is li_n.
-    """
-    D = degree - 1
-    return (_Poly(D, l_coeffs) * p_em1_over(l_scalar, D)).coeffs
-
-
-def l_from_li(l_scalar, li_coeffs, degree: int):
-    D = degree - 1
-    return (_Poly(D, li_coeffs) * p_x_over_em1(l_scalar, D)).coeffs
-
-
-# ---------------------------------------------------------------------------
 # the loop-reversal calculus in the quotient algebra
 # ---------------------------------------------------------------------------
 
@@ -694,7 +573,7 @@ def bch_scaled_pair(chi, t, degree: int) -> ReducedSeries:
     """log of the commutator-free loop: (t*(X o Y)) o (-t*(chi X o chi Y)).
 
     This is the group-product recomputation that the display formula
-    ``bch_scaled_pair_display`` is checked against.
+    ``_display_table`` is checked against.
     """
     D = degree
     chi, t = Fraction(chi), Fraction(t)
@@ -704,7 +583,8 @@ def bch_scaled_pair(chi, t, degree: int) -> ReducedSeries:
 
 
 def _display_table(chi, t, degree: int) -> _Poly:
-    """``bch_scaled_pair_display`` as a one-variable series."""
+    """The multi-line closed expression for ``bch_scaled_pair`` (b-part only),
+    as a one-variable series."""
     D = degree
     chi, t = Fraction(chi), Fraction(t)
     if chi == 0:
@@ -713,11 +593,6 @@ def _display_table(chi, t, degree: int) -> _Poly:
     part1 = p_div_em1(pexp_scalar(t * (1 - chi), D + 1) - e, 1)
     part2 = p_div_em1((e - _Poly(D + 1, [1])).scale(chi), chi)
     return (part1 + part2) * p_x_over_em1(t * (1 - chi), D)
-
-
-def bch_scaled_pair_display(chi, t, degree: int):
-    """The multi-line closed expression for the same series (b-part only)."""
-    return _display_table(chi, t, degree).coeffs
 
 
 def inversion_pipeline(a_coeffs, chi, t, degree: int, loop=None) -> ReducedSeries:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial, lcm, prod
 
-from .measures import MeasureTower, _encode, _moment_sums
+from .measures import _CELL_BUDGET, MeasureTower, _encode, _moment_sums
 from .ncseries import _Poly
 
 __all__ = [
@@ -83,11 +83,22 @@ class IwasawaSeries:
 
 def _multi_indices(rank, degree, total):
     """Exponent tuples in [0, degree]^rank in lexicographic order; with
-    ``total`` only those of total degree <= degree."""
+    ``total`` only those of total degree <= degree, built directly.  More
+    than ``_CELL_BUDGET`` tuples are refused before any is built."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    box = product(range(degree + 1), repeat=rank)
-    return (n for n in box if not total or sum(n) <= degree)
+    if total:
+        if comb(degree + rank, rank) > _CELL_BUDGET:
+            raise ValueError(f"degree too large: C(degree+rank, rank) must be at most "
+                             f"{_CELL_BUDGET} index tuples")
+        out = [()]
+        for _ in range(rank):
+            out = [n + (k,) for n in out for k in range(degree - sum(n) + 1)]
+        return out
+    if (degree + 1) ** rank > _CELL_BUDGET:
+        raise ValueError(f"degree too large: (degree+1)^rank must be at most "
+                         f"{_CELL_BUDGET} index tuples")
+    return product(range(degree + 1), repeat=rank)
 
 
 def p_transform(

@@ -13,13 +13,19 @@ differs is printed, with exit status 1 when there is one.  Each command runs
 in a fresh temporary directory that holds a copy of each golden
 ``tower*.json``, as the golden tests run them.
 
+With ``--diff REV`` it is a differential between git revision REV and the
+working tree: REV is checked out with ``git worktree add --detach`` into a
+temporary directory, the command lines on standard input are recorded once
+under REV's ``src`` and once under the working tree's ``src``, each in a
+child process (both runs use this script and the working tree's golden
+tower files), and every argv whose exit status, stdout or ``out_file``
+differs is printed, with exit status 1 when there is one.  The worktree is
+removed afterwards.
+
     PYTHONPATH=src python tests/golden/record.py OUT.json < commands.txt
     PYTHONPATH=src python tests/golden/record.py --append tests/golden/verify_cli.json < commands.txt
     PYTHONPATH=src python tests/golden/record.py --check tests/golden/towers_cli.json
-
-Run twice over the same commands with two source trees on ``PYTHONPATH``, it
-is also a differential: the two output files are byte-identical exactly when
-every command printed the same bytes and exit status.
+    PYTHONPATH=src python tests/golden/record.py --diff HEAD~1 < commands.txt
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import json
 import os
 import shlex
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -38,6 +45,7 @@ from pathlib import Path
 from elladic.cli import main
 
 GOLDEN = Path(__file__).resolve().parent
+REPO = GOLDEN.parent.parent
 
 
 @contextlib.contextmanager
@@ -67,13 +75,16 @@ def record(argv: list) -> dict:
     return case
 
 
+def command_lines(lines):
+    """The argv of each command line, skipping blank and ``#`` lines."""
+    return [shlex.split(line) for line in lines
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
 def run(path: Path, append: bool, lines) -> int:
     cases = json.loads(path.read_text()) if append else []
     seen = {tuple(c["argv"]) for c in cases}
-    for line in lines:
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        argv = shlex.split(line)
+    for argv in command_lines(lines):
         if tuple(argv) in seen:
             raise SystemExit(f"already recorded: {shlex.join(argv)}")
         seen.add(tuple(argv))
@@ -87,14 +98,55 @@ def check(path: Path) -> list:
     return [case["argv"] for case in json.loads(path.read_text()) if record(case["argv"]) != case]
 
 
+def record_under(src: Path, commands: str, out: Path) -> list:
+    """The cases of ``commands`` recorded by a child process that imports
+    ``elladic`` from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, __file__, str(out)], input=commands, text=True,
+                          env=env, stderr=subprocess.PIPE)
+    if proc.returncode:
+        raise SystemExit(f"recording under {src} failed:\n{proc.stderr}")
+    return json.loads(out.read_text())
+
+
+def diff(rev: str, lines) -> list:
+    """The argv of every command line whose case differs between revision
+    ``rev`` and the working tree; a repeated command line is run once."""
+    argvs = list(dict.fromkeys(map(tuple, command_lines(lines))))
+    commands = "".join(shlex.join(argv) + "\n" for argv in argvs)
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        if subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", "--quiet",
+                           str(tree), rev]).returncode:
+            raise SystemExit(f"cannot check out {rev}")
+        try:
+            old = record_under(tree / "src", commands, Path(tmp) / "old.json")
+        finally:
+            subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force", str(tree)],
+                           check=True)
+        new = record_under(REPO / "src", commands, Path(tmp) / "new.json")
+    return [a["argv"] for a, b in zip(old, new) if a != b]
+
+
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description="record golden CLI cases from command lines "
                                              "on stdin, or check a recorded file")
-    ap.add_argument("file", type=Path, help="golden file to write, or to check")
+    ap.add_argument("file", type=Path, nargs="?", help="golden file to write, or to check")
     mode = ap.add_mutually_exclusive_group()
     mode.add_argument("--append", action="store_true", help="add to the cases already in FILE")
     mode.add_argument("--check", action="store_true", help="rerun FILE and list differing argv")
+    mode.add_argument("--diff", metavar="REV",
+                      help="run stdin's commands under REV's src and the working tree's, "
+                           "and list differing argv (FILE is not given)")
     args = ap.parse_args()
+    if (args.diff is None) == (args.file is None):
+        ap.error("give FILE, or --diff REV without FILE")
+    if args.diff is not None:
+        differing = diff(args.diff, sys.stdin)
+        for argv in differing:
+            print(shlex.join(argv))
+        print(f"{len(differing)} differing argv against {args.diff}", file=sys.stderr)
+        sys.exit(1 if differing else 0)
     if args.check:
         differing = check(args.file)
         for argv in differing:

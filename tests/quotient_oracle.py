@@ -5,7 +5,9 @@ the same series, group products, gamma assembly, inversion chain, scaled
 pair, display formula and Bernoulli kernel, written coefficient by
 coefficient in Fraction arithmetic, with B_k(t) read from the Fraction
 ``bernoulli_oracle.bernoulli_poly`` one weight at a time.  The package
-computes them on integer numerators over one denominator instead.
+computes them on integer numerators over one denominator instead.  It also
+holds ``generic_power_sum``, the power sum over full quotient products that
+the package's one-convolution sum is checked against.
 """
 
 from fractions import Fraction
@@ -249,3 +251,27 @@ def inversion_closed_form(a_coeffs, chi, t, degree: int) -> ReducedSeries:
     minus_x = [Q0, Fraction(-1)] + [Q0] * (D - 1)
     b = padd(pcompose(a_poly, minus_x, D), bernoulli_kernel(chi, t, D), D)
     return ReducedSeries(D, None, b)
+
+
+def generic_power_sum(self, x, weights, wden):
+    """sum_k weights[k]/wden * x^k for k <= degree + 1, x numerator rows
+    over den with zero constant term.
+
+    x^k is over den^k, so term k is weighted by den^(D+1-k) and the sum
+    reduced once; the loop stops at the first power that vanishes.
+
+    The reference for the quotient's one-convolution power sum: a method
+    body for a subclass of ``elladic.ncseries.ReducedSeries``, taking every
+    power as a full quotient product ``self._product``.
+    """
+    top, d = self.degree + 1, self.den
+    power = [[0] * len(row) for row in x]
+    power[0][0] = 1
+    acc = [[weights[0] * d ** top * c for c in row] for row in power]
+    for k in range(1, top + 1):
+        power = self._product(power, x)
+        if not any(map(any, power)):
+            break
+        w = weights[k] * d ** (top - k)
+        acc = [[s + w * c for s, c in zip(r, q)] for r, q in zip(acc, power)]
+    return self._make(self.degree, wden * d ** top, acc)

@@ -467,6 +467,24 @@ class TestReadmeGolden:
             assert (tmp_path / out_path).read_text() == case["out_file"]
 
 
+@pytest.mark.skipif(shutil.which("git") is None or not (GOLDEN.parents[1] / ".git").exists(),
+                    reason="needs a git checkout")
+def test_record_diff_against_head_reports_no_difference():
+    """``golden/record.py --diff HEAD`` runs each command under HEAD's src
+    and the working tree's, in child processes, and removes its worktree."""
+    commands = ("verify bch --degree 4 --seed 2\n# a comment\n\n"
+                "bernoulli --k 12\nverify bch --degree 4 --seed 2\n"
+                "measure transform --in tower_rank2.json --degree 3\n")
+    worktrees = subprocess.run(["git", "-C", str(GOLDEN), "worktree", "list"],
+                               capture_output=True, text=True, check=True).stdout
+    proc = subprocess.run([sys.executable, str(GOLDEN / "record.py"), "--diff", "HEAD"],
+                          input=commands, capture_output=True, text=True, env=SRC_ENV)
+    assert (proc.returncode, proc.stdout) == (0, "")
+    assert proc.stderr == "0 differing argv against HEAD\n"
+    assert subprocess.run(["git", "-C", str(GOLDEN), "worktree", "list"],
+                          capture_output=True, text=True, check=True).stdout == worktrees
+
+
 TOWER = "tower.json"
 ZINV = ["zinv", "--ell", "5", "--beta", "2", "--s", "2"]
 INTEGRATE = ["measure", "integrate", "--in", TOWER]
@@ -595,3 +613,20 @@ class TestRefusedInputs:
         assert code == 1
         assert json.loads(out) == {"command": "measure",
                                    "error": "rank too large: 3^rank must be at most 1000000 cells"}
+
+    @pytest.mark.parametrize("kind", ["p", "f"])
+    def test_huge_transform_degree_is_refused_before_any_work(self, kind, tmp_path, capsys):
+        """C(10^5 + 3, 3) total-degree index tuples are past the cell budget;
+        the request is refused before any tuple is built."""
+        path = tmp_path / "tower.json"
+        path.write_text('{"ell":3,"rank":3,"levels":[["1"]]}')
+        start = time.perf_counter()
+        code = main(["measure", "transform", "--in", str(path), "--kind", kind,
+                     "--degree", "100000"])
+        assert time.perf_counter() - start < 3
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out) == {
+            "command": "measure",
+            "error": "degree too large: C(degree+rank, rank) must be at most 1000000 index tuples"}

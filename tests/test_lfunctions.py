@@ -507,6 +507,17 @@ class TestZInverted:
             with pytest.raises(ValueError, match="must be a prime"):
                 zinv_node(2, primes, 5)
 
+    @pytest.mark.parametrize("ell", [5, 7, 11])
+    def test_node_is_minus_the_euler_factor_times_the_zeta_node(self, ell):
+        """zinv_node(k) = -prod_p (p^(1-k) - 1) kl_node_rational(k), exactly:
+        the product route's sign -1 is derived, not observed."""
+        pool = [p for p in (2, 3, 13, 17) if p != ell]
+        sets = [s for n in (1, 2, 3) for s in itertools.combinations(pool, n)]
+        for primes in sets:
+            for k in range(1, 61):
+                factor = math.prod(F(1, p ** (k - 1)) - 1 for p in primes)
+                assert zinv_node(k, primes, ell) == -factor * kl_node_rational(k, ell), (primes, k)
+
     def test_product_route_report(self):
         rep = zinv_report(2, 2, [2, 3], 5)
         assert rep["magnitude_matches"]

@@ -8,20 +8,16 @@ from hypothesis import given, settings, strategies as st
 from elladic.bernoulli import bernoulli_number, bernoulli_poly
 from elladic.ncseries import (
     NcSeries,
-    OneYSeries,
     ReducedSeries,
     _Poly,
-    _TableSeries,
+    _display_table,
     bch,
     bch_reduced,
     bch_scaled_pair,
-    bch_scaled_pair_display,
     bernoulli_kernel,
     gamma_series,
     inversion_closed_form,
     inversion_pipeline,
-    l_from_li,
-    li_from_l,
     p_em1_over,
     p_x_over_em1,
     pexp_scalar,
@@ -89,82 +85,15 @@ class TestNcSeries:
         assert (ReducedSeries.from_series(bch(a_full, b_full))
                 == ReducedSeries.from_series(bch(a_cap, b_cap)))
 
-
-def one_y_words(D):
-    """Every word of length <= D with at most one Y."""
-    return (["X" * i for i in range(D + 1)]
-            + ["X" * i + "Y" + "X" * j for i in range(D) for j in range(D - i)])
+    @pytest.mark.parametrize("word", ["Z", "XZ", "x", "Y X"])
+    def test_refuses_other_letters(self, word):
+        with pytest.raises(ValueError, match="letters are X and Y"):
+            NcSeries(3, {word: 1})
+        with pytest.raises(ValueError, match="letters are X and Y"):
+            NcSeries.variable(word, 3)
 
 
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
-
-
-@st.composite
-def one_y_coeffs(draw, max_degree=8):
-    """(D, coeffs, coeffs): two random rational coefficient dicts on every
-    word of length <= D with at most one Y."""
-    D = draw(st.integers(0, max_degree))
-    return D, *({w: draw(rationals) for w in one_y_words(D)} for _ in range(2))
-
-
-class TestOneYSeries:
-    """``OneYSeries`` against the ``NcSeries(..., max_y=1)`` oracle."""
-
-    @staticmethod
-    def same(oracle, got):
-        D = oracle.degree
-        assert OneYSeries(D, oracle.coeffs) == got
-        for w in one_y_words(D) + ["YY", "XYXY"]:
-            assert oracle[w] == got[w]
-
-    @settings(max_examples=60, deadline=None)
-    @given(one_y_coeffs())
-    def test_matches_capped_oracle(self, drawn):
-        D, c1, c2 = drawn
-        a, b = NcSeries(D, c1, max_y=1), NcSeries(D, c2, max_y=1)
-        A, B = OneYSeries(D, c1), OneYSeries(D, c2)
-        self.same(a, A)
-        self.same(a * b, A * B)
-        self.same(a + b, A + B)
-        for s, S, op, needs in ((a, A, "exp", 0), (b, B, "log", 1)):
-            if s.constant != needs:
-                with pytest.raises(ValueError) as oracle_error:
-                    getattr(s, op)()
-                with pytest.raises(ValueError) as error:
-                    getattr(S, op)()
-                assert str(error.value) == str(oracle_error.value)
-        a0, b0 = NcSeries(D, {**c1, "": 0}, max_y=1), NcSeries(D, {**c2, "": 0}, max_y=1)
-        A0, B0 = OneYSeries(D, {**c1, "": 0}), OneYSeries(D, {**c2, "": 0})
-        self.same(a0.exp(), A0.exp())
-        self.same(NcSeries(D, {**c2, "": 1}, max_y=1).log(), OneYSeries(D, {**c2, "": 1}).log())
-        self.same(bch(a0, b0), bch(A0, B0))
-
-    @pytest.mark.parametrize("D", range(7))
-    def test_reduction_matches_uncapped(self, D):
-        rng = Random(D)
-        c1, c2 = ({w: F(rng.randint(-3, 3), rng.randint(1, 3)) for w in one_y_words(D)[1:]}
-                  for _ in range(2))
-        full = bch(NcSeries(D, c1), NcSeries(D, c2))
-        assert (ReducedSeries.from_series(bch(OneYSeries(D, c1), OneYSeries(D, c2)))
-                == ReducedSeries.from_series(full))
-
-    def test_from_tables(self):
-        got = OneYSeries.from_tables(3, [F(1, 2), 0, 3, 4, 5], [[F(-1, 3), 0, 7, 8], [], [2]])
-        want = OneYSeries(3, {"": F(1, 2), "XX": 3, "XXX": 4, "Y": F(-1, 3), "YXX": 7, "XXY": 2})
-        assert got == want
-        assert (got.den, got.f[2], got.g[0][0]) == (6, 18, -2)
-
-    @pytest.mark.parametrize("cls", [NcSeries, OneYSeries])
-    @pytest.mark.parametrize("word", ["Z", "XZ", "x", "Y X"])
-    def test_refuses_other_letters(self, cls, word):
-        with pytest.raises(ValueError, match="letters are X and Y"):
-            cls(3, {word: 1})
-        with pytest.raises(ValueError, match="letters are X and Y"):
-            cls.variable(word, 3)
-
-    def test_getitem_refuses_other_letters(self):
-        with pytest.raises(ValueError, match="letters are X and Y"):
-            OneYSeries.variable("X", 3)["XZ"]
 
 
 class TestReduction:
@@ -227,16 +156,16 @@ class TestReducedTables:
 
 
 class TestTableCore:
-    """The integer-table core that ``OneYSeries`` and ``ReducedSeries`` share."""
+    """The integer-table core that ``_Poly`` and ``ReducedSeries`` share."""
 
     def test_refuses_the_other_table_class(self):
-        one_y, reduced = OneYSeries.variable("X", 3), ReducedSeries(3, [0, 1])
-        for x, y in ((one_y, reduced), (reduced, one_y)):
+        poly, reduced = _Poly(3, [0, 1]), ReducedSeries(3, [0, 1])
+        for x, y in ((poly, reduced), (reduced, poly)):
             with pytest.raises(TypeError, match="cannot combine"):
                 x + y
             with pytest.raises(TypeError, match="cannot combine"):
                 x * y
-        assert one_y != reduced
+        assert poly != reduced and reduced != poly
 
     @pytest.mark.parametrize("D", range(6))
     def test_exp_log_reach_the_top_power(self, D):
@@ -248,17 +177,18 @@ class TestTableCore:
 
 
 class _GenericSum(ReducedSeries):
-    """``ReducedSeries`` with the core's power sum over full quotient products."""
+    """``ReducedSeries`` with the reference power sum over full quotient
+    products."""
 
     __slots__ = ()
-    _power_sum = _TableSeries._power_sum
+    _power_sum = oracle.generic_power_sum
 
 
 class TestQuotientPowerSum:
     """The quotient's own power sum, sum_k w_k a^k + Y b sum_k w_k a^(k-1) at
     one convolution per power of a, gives exp and log the very tables of the
-    core's sum over full products: x = a + Y b with a = 0, with a free linear
-    term, and with none (its powers vanish before the degree)."""
+    reference sum over full products: x = a + Y b with a = 0, with a free
+    linear term, and with none (its powers vanish before the degree)."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 14), st.sampled_from(["free", "zero", "no linear term"]),
@@ -290,9 +220,6 @@ class TestBchInTheQuotient:
     @given(st.integers(0, 9), scalars, scalars, phis, phis)
     def test_is_the_image_of_the_one_y_product(self, D, alpha, beta, phi1, phi2):
         got = bch(ReducedSeries(D, [0, alpha], phi1), ReducedSeries(D, [0, beta], phi2))
-        one_y_route = bch(OneYSeries.from_tables(D + 1, [0, alpha], [phi1]),
-                          OneYSeries.from_tables(D + 1, [0, beta], [phi2]))
-        assert got == ReducedSeries.from_series(one_y_route).truncate(D)
         oracle_route = bch(one_y(alpha, phi1, D + 1, max_y=1), one_y(beta, phi2, D + 1, max_y=1))
         assert got == ReducedSeries.from_series(oracle_route).truncate(D)
 
@@ -327,7 +254,7 @@ class TestIntegerRouteMatchesOracle:
         self.same(gamma_series(chi, a[::2], b[1::2], D), oracle.gamma_series(chi, a[::2], b[1::2], D))
         self.same(bch_scaled_pair(chi, t, D), oracle.bch_scaled_pair(chi, t, D))
         if chi:
-            assert bch_scaled_pair_display(chi, t, D) == oracle.bch_scaled_pair_display(chi, t, D)
+            assert _display_table(chi, t, D).coeffs == oracle.bch_scaled_pair_display(chi, t, D)
         self.same(inversion_pipeline(a, chi, t, D), oracle.inversion_pipeline(a, chi, t, D))
         self.same(inversion_closed_form(a, chi, t, D), oracle.inversion_closed_form(a, chi, t, D))
 
@@ -348,8 +275,8 @@ class TestIntegerRouteMatchesOracle:
 
 
 class TestPoly:
-    """The one-variable table series and the li/l helpers equal the Fraction
-    lists of ``quotient_oracle`` coefficient by coefficient."""
+    """The one-variable table series equals the Fraction lists of
+    ``quotient_oracle`` coefficient by coefficient."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 14), rationals, rationals, st.data())
@@ -369,11 +296,6 @@ class TestPoly:
         assert (shifted.degree, shifted.coeffs) == (D - 1, ptrim(f, D)[1:])
         with pytest.raises(ValueError, match="must vanish at 0"):
             _Poly(D, [1] + f[1:]).div_x()
-
-        assert li_from_l(gamma, f, D) == pmul(ptrim(f, D - 1), oracle.p_em1_over(gamma, D - 1), D - 1)
-        assert l_from_li(gamma, f, D) == pmul(ptrim(f, D - 1), oracle.p_x_over_em1(gamma, D - 1), D - 1)
-        if D == 0:
-            assert li_from_l(gamma, f, D) == l_from_li(gamma, f, D) == []
 
 
 class TestBchReduced:
@@ -427,23 +349,6 @@ class TestBchReduced:
                 D, [0, (p + q) * alpha], [(p + q) * c for c in phi]
             )
             assert got == want
-
-
-class TestPolylogCoefficients:
-    def test_zero_log_scalar_is_identity(self):
-        ls = [F(3), F(-1), F(2)]
-        assert li_from_l(0, ls, 3) == ls
-
-    def test_li2_formula(self):
-        l, l1, l2 = F(2, 3), F(5), F(-7)
-        out = li_from_l(l, [l1, l2], 2)
-        assert out[1] == l2 + l * l1 / 2
-
-    def test_roundtrip(self):
-        rng = Random(13)
-        ls = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(8)]
-        l = F(3, 2)
-        assert l_from_li(l, li_from_l(l, ls, 8), 8) == ls
 
 
 class TestGammaSeries:
@@ -505,7 +410,7 @@ class TestInversionPipeline:
     def test_display_matches_recomputation(self):
         for chi, t in [(F(2), F(1, 3)), (F(3), F(2, 5)), (F(1, 2), F(1, 7))]:
             loop = bch_scaled_pair(chi, t, 9)
-            assert loop.b == bch_scaled_pair_display(chi, t, 9)
+            assert loop.b == _display_table(chi, t, 9).coeffs
             assert loop.a == ptrim([0, t * (1 - chi)], 9)
 
 

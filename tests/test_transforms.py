@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from elladic import transforms
 from elladic.measures import (
     bernoulli_measure,
     dirac_tower,
@@ -16,6 +17,7 @@ from elladic.measures import (
 from elladic.padic import _frac_val
 from elladic.transforms import (
     IwasawaSeries,
+    _multi_indices,
     f_transform,
     measure_from_p_series,
     p_series_to_f,
@@ -54,6 +56,29 @@ class TestDomain:
     def test_level_out_of_range_rejected(self, transform, level):
         with pytest.raises(ValueError, match="level out of range"):
             transform(bernoulli_measure(2, 5, 2), 2, level)
+
+
+class TestMultiIndices:
+    @pytest.mark.parametrize("rank", range(5))
+    @pytest.mark.parametrize("degree", range(7))
+    def test_total_degree_tuples_are_the_filtered_box(self, rank, degree):
+        box = product(range(degree + 1), repeat=rank)
+        assert list(_multi_indices(rank, degree, True)) == [n for n in box if sum(n) <= degree]
+        assert list(_multi_indices(rank, degree, False)) == list(
+            product(range(degree + 1), repeat=rank))
+
+    @pytest.mark.parametrize("rank,degree,total,count", [
+        (3, 6, True, 84), (3, 7, True, 120), (2, 9, False, 100), (2, 10, False, 121),
+        (1, 99, True, 100), (1, 100, False, 101)])
+    def test_budget(self, rank, degree, total, count, monkeypatch):
+        """C(degree+rank, rank) total-degree tuples, (degree+1)^rank per
+        variable; more than the cell budget (here 100) is refused."""
+        monkeypatch.setattr(transforms, "_CELL_BUDGET", 100)
+        if count > 100:
+            with pytest.raises(ValueError, match="degree too large"):
+                _multi_indices(rank, degree, total)
+        else:
+            assert sum(1 for _ in _multi_indices(rank, degree, total)) == count
 
 
 class TestFTransform:
