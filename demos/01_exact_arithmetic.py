@@ -24,12 +24,12 @@ print(f"the (ell-1)-st root of unity congruent to 2 mod 5: {om2}")
 print(f"  check: om^4 = {(om2 ** 4).residue(6)} (mod 5^6)")
 
 print("\n== unit decomposition x = omega(x) * [x] ==")
-x = PadicNum.from_int(2, ell, 2)
+x = PadicNum.from_rational(2, ell, 2)
 om, br = unit_decompose(x)
 print(f"2 = {om.residue(2)} * {br.residue(2)}  (mod 25), bracket = 1 mod 5")
 
 print("\n== one-unit powers with ell-adic exponents ==")
-u = PadicNum.from_int(6, ell, 2)
+u = PadicNum.from_rational(6, ell, 2)
 root = one_unit_pow(u, Fraction(1, 2))
 print(f"6^(1/2) mod 25 = {root.residue(2)};  check {root.residue(2)}^2 = "
       f"{pow(root.residue(2), 2, 25)} mod 25")

@@ -2,7 +2,6 @@
 
 from .padic import (
     PadicNum,
-    angle_repr,
     is_odd_prime,
     one_unit_pow,
     residue_mod,

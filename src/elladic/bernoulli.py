@@ -66,9 +66,15 @@ def _build(n: int) -> tuple[int, list[int]]:
     return d, s
 
 
+# The largest index k the table is built to (see ``measures._CELL_BUDGET``).
+_WEIGHT_BUDGET = 4096
+
+
 def _table(k: int) -> tuple[int, list[int]]:
     """The table, grown to hold index k."""
     global _TABLE
+    if k > _WEIGHT_BUDGET:
+        raise ValueError(f"weight too large: k must be at most {_WEIGHT_BUDGET}")
     table = _TABLE
     if k >= len(table[1]):
         table = _TABLE = _build(max(k + 1, len(table[1]) * 9 // 8))

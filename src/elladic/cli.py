@@ -28,7 +28,6 @@ from .lfunctions import (
 from .measures import (
     Factor,
     _frac_from_str,
-    _frac_str,
     integrate,
     pushforward_linear,
     restrict,
@@ -182,7 +181,7 @@ def verify_inversion(degree: int = 8, seed: int = 7, count: int = 10,
         want = inversion_closed_form(a, ci, ti, degree)
         disc = _first_discrepancy(got, want)
         checks.append(
-            {"name": f"random-{i}", "chi": _frac_str(ci), "t": _frac_str(ti),
+            {"name": f"random-{i}", "chi": str(ci), "t": str(ti),
              "pass": disc is None and disp_ok, "discrepancy": disc}
         )
     return {"suite": "inversion", "degree": degree, "seed": seed, "checks": checks,
@@ -195,8 +194,8 @@ def verify_inversion(degree: int = 8, seed: int = 7, count: int = 10,
 def _cmd_bernoulli(args) -> dict:
     if args.t is not None:
         val = bernoulli_poly(args.k, _frac_from_str(args.t, "--t"))
-        return {"k": args.k, "t": args.t, "value": _frac_str(val)}
-    return {"k": args.k, "value": _frac_str(bernoulli_number(args.k))}
+        return {"k": args.k, "t": args.t, "value": str(val)}
+    return {"k": args.k, "value": str(bernoulli_number(args.k))}
 
 
 def _cmd_teichmuller(args) -> dict:
@@ -212,7 +211,7 @@ def _cmd_kl(args) -> dict:
         M=args.prec,
     )
     return {
-        "ell": args.ell, "beta": args.beta, "s": _frac_str(s), "c": c,
+        "ell": args.ell, "beta": args.beta, "s": str(s), "c": c,
         "level": args.level, "method": args.method, "value": val.to_json(),
     }
 
@@ -221,14 +220,14 @@ def _cmd_minus_one(args) -> dict:
     s = _parse_s(args.s)
     val = minus_one_l(args.beta, s, args.ell, c=args.c, level=args.level,
                       method=args.method, M=args.prec)
-    return {"ell": args.ell, "beta": args.beta, "s": _frac_str(s),
+    return {"ell": args.ell, "beta": args.beta, "s": str(s),
             "value": val.to_json()}
 
 
 def _cmd_hurwitz(args) -> dict:
     s = _parse_s(args.s)
     val = hurwitz_l(args.beta, s, args.i, args.m, args.ell, M=args.prec)
-    return {"ell": args.ell, "beta": args.beta, "s": _frac_str(s), "i": args.i,
+    return {"ell": args.ell, "beta": args.beta, "s": str(s), "i": args.i,
             "m": args.m, "value": val.to_json()}
 
 
@@ -236,7 +235,7 @@ def _cmd_dirichlet(args) -> dict:
     psi = _parse_psi(args.psi, args.ell)
     s = _parse_s(args.s)
     val = dirichlet_l(psi, args.beta, s, args.ell, M=args.prec)
-    return {"ell": args.ell, "beta": args.beta, "s": _frac_str(s),
+    return {"ell": args.ell, "beta": args.beta, "s": str(s),
             "psi": args.psi, "value": val.to_json()}
 
 
@@ -245,7 +244,7 @@ def _cmd_zinv(args) -> dict:
     s = _parse_s(args.s)
     rep = zinv_report(args.beta, s, primes, args.ell, M=args.prec)
     return {
-        "ell": args.ell, "beta": args.beta, "s": _frac_str(s), "primes": primes,
+        "ell": args.ell, "beta": args.beta, "s": str(s), "primes": primes,
         "value": rep["definition_route"].to_json(),
         "product_route": rep["product_route"].to_json(),
         "sign": rep["sign"],
@@ -296,18 +295,14 @@ def _cmd_measure(args) -> dict:
         )
         val = integrate(mu, factors, level)
         return {"action": "integrate", "level": level, "value": val.to_json()}
-    if args.action == "transform":
-        level = args.level if args.level is not None else mu.depth
-        if args.kind == "p":
-            ser = p_transform(mu, args.degree, level)
-        else:
-            ser = f_transform(mu, args.degree, level)
-        coeffs = {
-            ",".join(map(str, k)): _frac_str(v) for k, v in sorted(ser.coeffs.items())
-        }
-        return {"action": "transform", "kind": args.kind, "degree": args.degree,
-                "level": level, "coeffs": coeffs}
-    raise ValueError(f"unknown measure action {args.action}")
+    level = args.level if args.level is not None else mu.depth
+    if args.kind == "p":
+        ser = p_transform(mu, args.degree, level)
+    else:
+        ser = f_transform(mu, args.degree, level)
+    coeffs = {",".join(map(str, k)): str(v) for k, v in sorted(ser.coeffs.items())}
+    return {"action": "transform", "kind": args.kind, "degree": args.degree,
+            "level": level, "coeffs": coeffs}
 
 
 def _cmd_verify(args) -> dict:
@@ -324,14 +319,12 @@ def _cmd_verify(args) -> dict:
         doc = verify_gamma(series_degree, args.seed, chis)
     elif args.suite == "inversion":
         doc = verify_inversion(inversion_degree, args.seed, chi=chi, t=t)
-    elif args.suite == "all":
+    else:  # "all"
         parts = [verify_bch(series_degree, args.seed),
                  verify_gamma(series_degree, args.seed, chis),
                  verify_inversion(min(inversion_degree, 8), args.seed, chi=chi, t=t)]
         doc = {"suite": "all", "parts": parts,
                "all_pass": all(p["all_pass"] for p in parts)}
-    else:
-        raise ValueError(f"unknown verify suite {args.suite}")
     return doc
 
 

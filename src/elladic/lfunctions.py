@@ -10,7 +10,8 @@ Evaluation strategies:
   (ell-1) and k = s mod ell^M, evaluate the closed Bernoulli expression there.
   Kummer-type congruences make the result correct to M digits (minus the
   valuation drop of the value itself).  Every family is read off its node,
-  a function of k alone, by the one helper ``_read_off``.
+  a function of k alone, by the one helper ``_read_off``; a weight past the
+  Bernoulli table's budget is refused before any work.
 
 At an exact weight (an integer s >= 1 with s = beta mod (ell-1)) k = s and
 the value is the node, to ndigits digits, or the exact zero when the node
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bernoulli import _bernoulli_sums, _character_bernoulli, bernoulli_number, gen_bernoulli
+from .bernoulli import _WEIGHT_BUDGET, _bernoulli_sums, _character_bernoulli, bernoulli_number, gen_bernoulli
 from .measures import bernoulli_unit_integral
 from .padic import PadicNum, is_odd_prime, one_unit_pow, residue_mod, smallest_regularizer, teichmuller, unit_decompose, _angle_from_scalar, _check_prime, _frac_val
 
@@ -64,7 +65,9 @@ class DirichletCharacter:
 
     The table maps each unit a mod m to an integer v coprime to ell; the
     actual value is the root of unity congruent to v mod ell.  Values at
-    non-units are zero.
+    non-units are zero.  The table and ``residue`` are the whole interface:
+    a value is ``teichmuller(psi.residue(a), ell, ndigits)``, exactly +-1
+    when the residue is 1 or ell - 1.
     """
 
     __slots__ = ("modulus", "ell", "_residues")
@@ -107,41 +110,9 @@ class DirichletCharacter:
             for f in range(1, m) if m % f == 0
         )
 
-    @property
-    def order(self) -> int:
-        out = 1
-        for v in self._residues.values():
-            k, x = 1, v
-            while x != 1:
-                x = x * v % self.ell
-                k += 1
-            out = out * k // math.gcd(out, k)
-        return out
-
     def residue(self, a: int) -> int:
         """Value mod ell (0 at non-units)."""
         return self._residues.get(a % self.modulus, 0)
-
-    def rational_value(self, a: int):
-        """The exact value when the character is quadratic-or-trivial."""
-        r = self.residue(a)
-        if r == 0:
-            return Fraction(0)
-        if r == 1:
-            return Fraction(1)
-        if r == self.ell - 1:
-            return Fraction(-1)
-        return None
-
-    @property
-    def is_rational(self) -> bool:
-        return all(v in (1, self.ell - 1) for v in self._residues.values())
-
-    def value(self, a: int, ndigits: int) -> PadicNum:
-        r = self.residue(a)
-        if r == 0:
-            return PadicNum.zero(self.ell)
-        return teichmuller(r, self.ell, ndigits)
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +125,29 @@ def _exact_weight(beta: int, s, ell: int) -> bool:
 
 
 def interpolation_weight(beta: int, s, ell: int, M: int) -> int:
-    """The integer k >= 1 with k = beta mod (ell-1) and k = s mod ell^M."""
+    """The integer k >= 1 with k = beta mod (ell-1) and k = s mod ell^M.
+
+    A k past ``_WEIGHT_BUDGET`` is refused.  For s = a/b a k inside it needs
+    ell^M | k b - a (k b = a would make s an exact weight), so ell^M <= reach;
+    a larger ell^M is refused before it is built.
+    """
     if M < 0:
         raise ValueError("precision M must be >= 0")
+    if isinstance(s, PadicNum):  # k reads only its M digits
+        s = _angle_from_scalar(s, ell, M)
     if _exact_weight(beta, s, ell):
         return s
-    lm = ell ** M
-    sv = _angle_from_scalar(s, ell, M)
-    t = (beta - sv) * pow(lm, -1, ell - 1) % (ell - 1)
-    k = sv + lm * t
-    return k if k else (ell - 1) * lm
+    q = Fraction(s)
+    reach = _WEIGHT_BUDGET * q.denominator + abs(q.numerator)
+    n = min(M, reach.bit_length())  # past it ell^n > reach as well
+    lm, sv = ell ** n, _angle_from_scalar(s, ell, n)
+    if lm <= reach:  # so n = M
+        t = (beta - sv) * pow(lm, -1, ell - 1) % (ell - 1)
+        k = sv + lm * t or (ell - 1) * lm
+        if k <= _WEIGHT_BUDGET:
+            return k
+    raise ValueError(f"precision too large: the weight k = s mod ell^M must be at most "
+                     f"{_WEIGHT_BUDGET}")
 
 
 def _read_off(node, beta: int, s, ell: int, M: int, ndigits: int) -> PadicNum:
@@ -190,7 +174,7 @@ def _read_off(node, beta: int, s, ell: int, M: int, ndigits: int) -> PadicNum:
 
 def _twist(c: int, beta: int, s, ell: int, K: int) -> PadicNum:
     """omega(c)^beta [c]^s to K digits, for an integer c prime to ell."""
-    om, br = unit_decompose(PadicNum.from_int(c, ell, K))
+    om, br = unit_decompose(PadicNum.from_rational(c, ell, K))
     return om ** beta * one_unit_pow(br, s)
 
 
@@ -297,9 +281,10 @@ def hurwitz_l(
 
 def classical_dirichlet_special(psi: DirichletCharacter, k: int) -> Fraction:
     """L(1-k, psi) = -B_(k,psi)/k exactly, for a character with values +-1."""
-    if not psi.is_rational:
+    b = _character_bernoulli(k, psi.modulus, psi.residue, psi.ell, 1)
+    if isinstance(b, PadicNum):
         raise ValueError("exact route needs a character with values +-1")
-    return -_character_bernoulli(k, psi.modulus, psi.residue, psi.ell, 1) / k
+    return -b / k
 
 
 def dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int = 8):
@@ -310,7 +295,8 @@ def dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int = 8):
     if psi.ell != ell:
         raise ValueError("prime mismatch")
     # psi(ell) is exact when it is +-1 (never 0: ell does not divide m)
-    at_ell = psi.rational_value(ell) or psi.value(ell, ndigits)
+    r = psi.residue(ell)
+    at_ell = 1 if r == 1 else -1 if r == ell - 1 else teichmuller(r, ell, ndigits)
     b = _character_bernoulli(k, psi.modulus, psi.residue, ell, ndigits)
     return (1 - at_ell * ell ** (k - 1)) * -b / k
 
@@ -321,19 +307,12 @@ def dirichlet_l(
     s,
     ell: int,
     M: int = 2,
-    epsilon: int | None = None,
     ndigits: int = 8,
 ) -> PadicNum:
     """Interpolated Dirichlet L-value: ``dirichlet_node`` at the interpolation
     weight, whose front factor -m^(k-1) stands for -omega(m)^beta [m]^s / m."""
     if psi.ell != ell:
         raise ValueError("character realized at a different prime")
-    if epsilon is None:
-        epsilon = (-1) ** beta
-    if epsilon != (-1) ** beta:
-        raise SigmaDependentError(
-            "sigma-dependent: the sign must match the parity of beta"
-        )
     return _read_off(
         lambda k: dirichlet_node(psi, k, ell, max(ndigits, M)), beta, s, ell, M, ndigits
     )
@@ -388,7 +367,7 @@ def zinv_report(beta: int, s, primes, ell: int, M: int = 2, ndigits: int = 8) ->
     value = zinv_l(beta, s, primes, ell, M=M, ndigits=ndigits)
     work = ndigits + M + 6
     base = kubota_leopoldt(beta, s, ell, method="interp", M=M, ndigits=work)
-    prod = PadicNum.from_int(1, ell, work)
+    prod = PadicNum.from_rational(1, ell, work)
     for p in primes:
         prod = prod * (p * _twist(p, beta, s, ell, work).invert() - 1)
     product_route = prod * base

@@ -283,7 +283,13 @@ def _moment_sums(mu: MeasureTower, indices, level: int, weight):
 # ``bernoulli_unit_integral`` sums.  A deeper request is refused before any
 # work: at ell = 5 and level 40 it would otherwise run until it is killed.
 # It also bounds the rank of a tower given by its levels, whose rank-long
-# lists would exhaust memory at a rank of 10^9.
+# lists would exhaust memory at a rank of 10^9.  Two more budgets refuse
+# before any work: ``bernoulli._WEIGHT_BUDGET`` (4096) bounds the exact
+# Bernoulli index k, the table's and the interpolation weight's, since a cold
+# table costs about k^3 (0.09 s to k = 1000, 5.4 s to 4000); and
+# ``padic._DIGIT_BUDGET`` (1000) bounds the digits of a Teichmuller lift, one
+# pow to an ell^(digits-1) exponent (at ell = 13: 0.15 s for 1000 digits,
+# 3.4 s for 3000).
 _CELL_BUDGET = 10 ** 6
 
 
@@ -784,10 +790,6 @@ def _value_str(v: int, den: int) -> str:
     return str(v // g) if g == den else f"{v // g}/{den // g}"
 
 
-def _frac_str(q: Fraction) -> str:
-    return _value_str(q.numerator, q.denominator)
-
-
 def _frac_from_str(text: str, name: str) -> Fraction:
     """Parse a rational given as text; ``name`` says which input it was."""
     try:
@@ -806,12 +808,6 @@ def tower_to_json(mu: MeasureTower) -> dict:
         "levels": [list(map(str, t)) if den == 1 else [_value_str(v, den) for v in t]
                    for t in mu.tables],
     }
-
-
-def _value_pair(text: str) -> tuple:
-    """A tower value string as a reduced (numerator, denominator) pair."""
-    q = _frac_from_str(text, "a tower value")
-    return q.numerator, q.denominator
 
 
 # a level whose joined text has only these characters is read in bulk,
@@ -847,9 +843,9 @@ def _read_level(table: list, text: str) -> tuple:
     denominators: in bulk where ``_bulk_level`` can, else value by value."""
     read = _bulk_level(table, text)
     if read is None:
-        pairs = list(map(_value_pair, table))
-        lcm = math.lcm(*(d for _, d in pairs))
-        read = [a * (lcm // d) for a, d in pairs], lcm
+        values = [_frac_from_str(v, "a tower value") for v in table]
+        lcm = math.lcm(*(q.denominator for q in values))
+        read = [q.numerator * (lcm // q.denominator) for q in values], lcm
     nums, lcm = read
     # unreduced values such as 2/4 leave a common factor
     g = math.gcd(lcm, *nums)

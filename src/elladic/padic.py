@@ -24,7 +24,6 @@ __all__ = [
     "teichmuller",
     "unit_decompose",
     "one_unit_pow",
-    "angle_repr",
     "residue_mod",
     "smallest_regularizer",
 ]
@@ -95,10 +94,6 @@ class PadicNum:
     def zero_to_precision(cls, ell: int, abs_exp: int) -> "PadicNum":
         """The state O(ell^abs_exp): known to vanish mod ell^abs_exp only."""
         return cls(ell, abs_exp, 0, 0)
-
-    @classmethod
-    def from_int(cls, n: int, ell: int, ndigits: int) -> "PadicNum":
-        return cls.from_rational(n, ell, ndigits)
 
     @classmethod
     def from_rational(cls, q, ell: int, ndigits: int) -> "PadicNum":
@@ -264,7 +259,7 @@ class PadicNum:
         if k < 0:
             return self.invert() ** (-k)
         if k == 0:
-            return PadicNum.from_int(1, self.ell, self.ndigits or 1)
+            return PadicNum.from_rational(1, self.ell, self.ndigits or 1)
         if self.is_exact_zero:
             return self
         if self.unit == 0:
@@ -336,7 +331,11 @@ class PadicNum:
 # -- unit-group structure ------------------------------------------------------
 
 
-def teichmuller(u, ell: int, ndigits: int) -> PadicNum:
+# The most digits ``teichmuller`` lifts to (see ``measures._CELL_BUDGET``).
+_DIGIT_BUDGET = 1000
+
+
+def teichmuller(u: int, ell: int, ndigits: int) -> PadicNum:
     """The (ell-1)-st root of unity congruent to u mod ell.
 
     omega(u) is the limit of u^(ell^n), and u^(ell^(ndigits-1)) already agrees
@@ -345,11 +344,9 @@ def teichmuller(u, ell: int, ndigits: int) -> PadicNum:
     _check_prime(ell)
     if ndigits < 1:
         raise ValueError("nonzero value needs at least one digit")
+    if ndigits > _DIGIT_BUDGET:
+        raise ValueError(f"precision too large: ndigits must be at most {_DIGIT_BUDGET} digits")
     m = ell ** ndigits
-    if isinstance(u, PadicNum):
-        if u.is_exact_zero or u.unit == 0 or u.valuation != 0:
-            raise ValueError("not a unit")
-        u = u.residue(min(ndigits, u.ndigits))
     u %= m
     if u % ell == 0:
         raise ValueError("not a unit")
@@ -383,7 +380,6 @@ def unit_decompose(x: PadicNum):
 
 def _angle_from_scalar(s, ell: int, k: int) -> int:
     """Integer representative of s in [0, ell^k); s may be int, Fraction, PadicNum."""
-    m = ell ** k
     if isinstance(s, PadicNum):
         if s.ell != ell:
             raise ValueError("prime mismatch")
@@ -392,7 +388,7 @@ def _angle_from_scalar(s, ell: int, k: int) -> int:
         if not s.valuation_at_least(0):
             raise ValueError("exponent not integral")
         return s.residue(k)
-    s = Fraction(s)
+    s, m = Fraction(s), ell ** k
     if s.denominator % ell == 0:
         raise ValueError("not integral")
     return s.numerator * pow(s.denominator, -1, m) % m
@@ -432,22 +428,6 @@ def one_unit_pow(u: PadicNum, s) -> PadicNum:
         nd = min(nd, s.abs_prec + 1)  # u^(s + O(ell^A)) known mod ell^(A+1)
     a = _exponent_residue(s, ell, nd - 1)
     return PadicNum(ell, 0, pow(u.unit, a, ell ** nd), nd)
-
-
-def angle_repr(q, n: int, ell: int | None = None) -> int:
-    """The integer in [0, ell^n) congruent to q mod ell^n (q integral)."""
-    if isinstance(q, PadicNum):
-        ell = q.ell
-    if ell is None:
-        raise ValueError("ell required for non-padic input")
-    _check_prime(ell)
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    if n == 0:
-        # still validates integrality
-        _angle_from_scalar(q, ell, 1)
-        return 0
-    return _angle_from_scalar(q, ell, n)
 
 
 def residue_mod(q, m: int) -> int:

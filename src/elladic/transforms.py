@@ -58,8 +58,6 @@ class IwasawaSeries:
         }
 
     def __getitem__(self, index):
-        if isinstance(index, int):
-            index = (index,)
         return self.coeffs.get(tuple(index), Fraction(0))
 
     @property
@@ -139,25 +137,10 @@ def p_series_to_f(series: IwasawaSeries, degree: int) -> IwasawaSeries:
     for _ in range(degree):
         powers.append(powers[-1] * em1)
     pow_table = [p.coeffs for p in powers]
-    out: dict[tuple, Fraction] = {}
-
-    def spread(j, index, partial_coeff, exps):
-        if j == r:
-            key = tuple(exps)
-            out[key] = out.get(key, Fraction(0)) + partial_coeff
-            return
-        nj = index[j]
-        room = degree - sum(exps)
-        tab = pow_table[nj]
-        for k in range(nj, room + 1):
-            if tab[k]:
-                spread(j + 1, index, partial_coeff * tab[k], exps + [k])
-
-    for index, c in series.coeffs.items():
-        if sum(index) > degree:
-            continue
-        spread(0, index, c, [])
-    out = {k: v for k, v in out.items() if v}
+    terms = [(n, c) for n, c in series.coeffs.items() if sum(n) <= degree]
+    # X^e collects c * prod_j [X^(e_j)] (e^X - 1)^(n_j) from every term c A^n
+    out = {e: sum(c * prod(pow_table[nj][ej] for nj, ej in zip(n, e)) for n, c in terms)
+           for e in _multi_indices(r, degree, True)}
     return IwasawaSeries(r, "exp", degree, out)
 
 

@@ -190,7 +190,7 @@ def test_criterion_07_dirichlet():
     assert classical_dirichlet_special(psi, 5) == F(5, 2)
     assert dirichlet_node(psi, 5, 5) == (1 - 5 ** 4) * F(5, 2) == -1560
     for k in (1, 5, 9):
-        want = (1 - psi.rational_value(5) * F(5) ** (k - 1)) * \
+        want = (1 - psi.residue(5) * F(5) ** (k - 1)) * \
             classical_dirichlet_special(psi, k)
         assert dirichlet_node(psi, k, 5) == want
     report(7, "classical 5/2 and regularized -1560; Euler factor at k in {1,5,9}")

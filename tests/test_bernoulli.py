@@ -45,7 +45,7 @@ def gen_bernoulli_loop(k, j, ell, ndigits):
         if j:
             term = term * teichmuller(a, ell, work) ** j
         acc = acc + term
-    out = acc * PadicNum.from_int(ell, ell, work) ** (k - 1)
+    out = acc * PadicNum.from_rational(ell, ell, work) ** (k - 1)
     return out.reduce_digits(ndigits)
 
 
@@ -64,6 +64,17 @@ class TestBernoulliNumbers:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bernoulli_number(-1)
+
+    def test_index_past_the_weight_budget_is_refused_before_the_build(self, monkeypatch):
+        """The budget decides, not the length of the table already built."""
+        monkeypatch.setattr(bernoulli, "_TABLE", bernoulli._build(80))
+        monkeypatch.setattr(bernoulli, "_WEIGHT_BUDGET", 60)
+        assert bernoulli_number(60) == akiyama_tanigawa(60)[60]
+        for k in (61, 79, 10 ** 9):
+            with pytest.raises(ValueError, match="^weight too large: k must be at most 60$"):
+                bernoulli_number(k)
+        with pytest.raises(ValueError, match="^weight too large"):
+            bernoulli_poly(61, Fraction(1, 3))
 
 
 class TestBernoulliPolys:

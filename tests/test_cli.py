@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -306,6 +307,10 @@ class TestVerify:
         assert doc["all_pass"] and len(doc["checks"]) == 10
         assert calls == {"bch_scaled_pair": 1, "_display_table": 1}
 
+    def test_discrepancy_in_the_a_row(self):
+        doc = cli._check("x", ReducedSeries(3, [0, 1, 2], [1]), ReducedSeries(3, [0, 1, 3], [1]))
+        assert doc == {"name": "x", "pass": False, "discrepancy": "X^2"}
+
     def test_series_of_different_degrees_never_pass(self):
         """Series whose common coefficients agree but whose degrees differ are
         unequal, and the check says where."""
@@ -485,6 +490,20 @@ def test_record_diff_against_head_reports_no_difference():
                           capture_output=True, text=True, check=True).stdout == worktrees
 
 
+def test_workload_argv_prints_runnable_requests_and_keeps_the_tower_files(tmp_path, capsys):
+    """``golden/workload_argv.py`` prints one line per request of the seeded
+    rounds; the tower files it names stay in --dir and every request runs."""
+    workdir = tmp_path / "towers"
+    proc = subprocess.run([sys.executable, str(GOLDEN / "workload_argv.py"), "--workload",
+                           "towers", "--seed", "5", "--rounds", "2", "--dir", str(workdir)],
+                          capture_output=True, text=True, check=True)
+    argvs = [shlex.split(line) for line in proc.stdout.splitlines()]
+    # five requests per tower file and round
+    assert len(argvs) == 2 * 5 * len(list(workdir.glob("tower*.json"))) > 0
+    assert [main(argv) for argv in argvs] == [0] * len(argvs)
+    capsys.readouterr()
+
+
 TOWER = "tower.json"
 ZINV = ["zinv", "--ell", "5", "--beta", "2", "--s", "2"]
 INTEGRATE = ["measure", "integrate", "--in", TOWER]
@@ -613,6 +632,27 @@ class TestRefusedInputs:
         assert code == 1
         assert json.loads(out) == {"command": "measure",
                                    "error": "rank too large: 3^rank must be at most 1000000 cells"}
+
+    @pytest.mark.parametrize("argv,error", [
+        (["kl", "--ell", "5", "--beta", "1", "--s", "1/2", "--method", "interp",
+          "--prec", "100000000"],
+         "precision too large: the weight k = s mod ell^M must be at most 4096"),
+        (["kl", "--ell", "13", "--beta", "2", "--s", "5/3", "--method", "interp", "--prec", "4"],
+         "precision too large: the weight k = s mod ell^M must be at most 4096"),
+        (["teichmuller", "--u", "2", "--ell", "5", "--prec", "100000000"],
+         "precision too large: ndigits must be at most 1000 digits"),
+        (["bernoulli", "--k", "100000"], "weight too large: k must be at most 4096"),
+    ], ids=["kl prec 10^8", "kl ell 13 prec 4", "teichmuller prec 10^8", "bernoulli k 10^5"])
+    def test_runaway_weight_or_digits_is_refused_before_any_work(self, argv, error, capsys):
+        """Each would run for minutes or exhaust memory: an exact Bernoulli
+        number at k = 238010 or past 10^5, or ell^(10^8)."""
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 2
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"command": argv[0], "error": error}
 
     @pytest.mark.parametrize("kind", ["p", "f"])
     def test_huge_transform_degree_is_refused_before_any_work(self, kind, tmp_path, capsys):

@@ -1,12 +1,13 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from elladic.bernoulli import bernoulli_number, gen_bernoulli
+from elladic.bernoulli import _WEIGHT_BUDGET, _character_bernoulli, bernoulli_number, gen_bernoulli
 from elladic.lfunctions import (
     DirichletCharacter,
     SigmaDependentError,
@@ -24,7 +25,7 @@ from elladic.lfunctions import (
     zinv_node,
     zinv_report,
 )
-from elladic.padic import PadicNum, _frac_val, one_unit_pow, smallest_regularizer, unit_decompose
+from elladic.padic import PadicNum, _frac_val, one_unit_pow, smallest_regularizer, teichmuller, unit_decompose
 
 F = Fraction
 
@@ -37,6 +38,16 @@ def cyclic_character(m, g, r, ell):
     """The character mod m (cyclic units, generator g) sending g to r mod ell."""
     order = next(n for n in range(1, m) if pow(g, n, m) == 1)
     return DirichletCharacter(m, {pow(g, j, m): pow(r, j, ell) for j in range(order)}, ell)
+
+
+def is_rational(psi):
+    """psi takes only the values +-1 on the units."""
+    return all(psi.residue(a) in (0, 1, psi.ell - 1) for a in range(psi.modulus))
+
+
+def rational_value(psi, a):
+    """psi(a) for a character with values +-1 (0 at a non-unit)."""
+    return {0: 0, 1: 1, psi.ell - 1: -1}[psi.residue(a)]
 
 
 # (ell, m, g, r): characters of order 4, 6 and 6, with values off +-1
@@ -65,7 +76,7 @@ def non_rational_characters(ell):
                 psi = cyclic_character(m, g, r, ell)
             except ValueError:
                 continue  # r^phi(m) != 1, not primitive, or ell divides m
-            if not psi.is_rational:
+            if not is_rational(psi):
                 out.append(psi)
     return out
 
@@ -93,15 +104,15 @@ def dirichlet_hurwitz_sum(psi, k, ell, ndigits=8):
     """Oracle: -m^(k-1) sum_a psi(a) hurwitz_node(k, a, m), exact when psi is
     rational, otherwise worked to ndigits + k + 6 digits."""
     m = psi.modulus
-    if psi.is_rational:
-        acc = sum(psi.rational_value(a) * hurwitz_node(k, a, m, ell)
+    if is_rational(psi):
+        acc = sum(rational_value(psi, a) * hurwitz_node(k, a, m, ell)
                   for a in range(1, m) if psi.residue(a))
         return -Fraction(m) ** (k - 1) * acc
     work = ndigits + k + 6
     acc = PadicNum.zero(ell)
     for a in range(1, m):
         if psi.residue(a):
-            acc = acc + psi.value(a, work) * PadicNum.from_rational(
+            acc = acc + teichmuller(psi.residue(a), ell, work) * PadicNum.from_rational(
                 hurwitz_node(k, a, m, ell), ell, work
             )
     return acc * PadicNum.from_rational(-Fraction(m) ** (k - 1), ell, work)
@@ -117,10 +128,10 @@ def dirichlet_twisted_at_s(psi, beta, s, ell, M, ndigits=8):
     acc = PadicNum.zero(ell)
     for a in range(1, m):
         if psi.residue(a):
-            acc = acc + psi.value(a, work) * PadicNum.from_rational(
+            acc = acc + teichmuller(psi.residue(a), ell, work) * PadicNum.from_rational(
                 hurwitz_node(k, a, m, ell), ell, work
             )
-    om, br = unit_decompose(PadicNum.from_int(m, ell, work))
+    om, br = unit_decompose(PadicNum.from_rational(m, ell, work))
     v = -(om ** beta) * one_unit_pow(br, s) / m * acc
     prec = M + (min(0, v.valuation) if v.unit else 0)
     if beta % (ell - 1) == 0:
@@ -142,6 +153,36 @@ class TestWeights:
         k = interpolation_weight(2, F(1, 2), 5, 2)
         assert k % 4 == 2
         assert (2 * k - 1) % 25 == 0  # k = 1/2 mod 25
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(0, 12), st.integers(0, 9),
+           st.fractions(min_value=-20000, max_value=20000, max_denominator=9))
+    def test_weight_budget_refuses_exactly_the_weights_past_it(self, ell, beta, M, s):
+        assume(s.denominator % ell)
+        s = int(s) if s.denominator == 1 else s
+        if isinstance(s, int) and s >= 1 and (s - beta) % (ell - 1) == 0:
+            k = s  # an exact weight is the table's to refuse
+        else:
+            lm = ell ** M
+            sv = s.numerator * pow(s.denominator, -1, lm) % lm if isinstance(s, F) else s % lm
+            k = sv + lm * ((beta - sv) * pow(lm, -1, ell - 1) % (ell - 1)) or (ell - 1) * lm
+            if k > _WEIGHT_BUDGET:
+                with pytest.raises(ValueError, match="^precision too large: the weight"):
+                    interpolation_weight(beta, s, ell, M)
+                return
+        assert interpolation_weight(beta, s, ell, M) == k
+
+    @pytest.mark.parametrize("s", [F(1, 2), F(5, 3), -1, 0, 2, 7 - 5 ** 7 * 10 ** 9])
+    def test_huge_precision_is_refused_before_ell_to_the_M(self, s):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^precision too large"):
+            interpolation_weight(1, s, 5, 10 ** 8)
+        assert time.perf_counter() - start < 1
+
+    def test_small_weight_at_a_large_M(self):
+        # s = 1 - 5^6 is 1 mod 5^6: the weight is 1 though 5^6 > 4096
+        assert interpolation_weight(1, 1 - 5 ** 6, 5, 6) == 1
+        assert interpolation_weight(1, PadicNum.from_rational(1 - 5 ** 6, 5, 7), 5, 6) == 1
 
     def test_smallest_regularizer(self):
         assert smallest_regularizer(5) == 2
@@ -269,7 +310,7 @@ class TestKubotaLeopoldt:
         ell, c, level, beta, s = 5, 2, 5, 2, F(7, 3)
         raw = mellin_multi(bernoulli_measure(c, ell, level), [s], [beta], level)
         om = teichmuller(c, ell, level + 2)
-        br = PadicNum.from_int(c, ell, level + 2) * om.invert()
+        br = PadicNum.from_rational(c, ell, level + 2) * om.invert()
         denom = om ** beta * one_unit_pow(br, s) - 1
         kl = kubota_leopoldt(beta, s, ell, c=c, level=level)
         assert raw.congruent(kl * denom)
@@ -334,9 +375,8 @@ class TestHurwitz:
 class TestDirichlet:
     def test_character_construction(self):
         psi = mod4_character()
-        assert psi.order == 2
-        assert psi.rational_value(3) == -1
-        assert psi.rational_value(2) == 0
+        assert psi.residue(3) == 4
+        assert psi.residue(2) == 0
         assert psi.residue(7) == psi.residue(3)
 
     def test_character_errors(self):
@@ -365,6 +405,17 @@ class TestDirichlet:
         assert classical_dirichlet_special(psi, 5) == F(5, 2)
         assert classical_dirichlet_special(psi, 1) == F(1, 2)
 
+    @pytest.mark.parametrize("ell,m,g,r", NON_RATIONAL)
+    def test_classical_value_refuses_values_off_plus_minus_one(self, ell, m, g, r):
+        """Orders 4 and 6, at k of both parities: at the parity mismatch the
+        character sum is the exact zero ``PadicNum``, refused all the same."""
+        psi = cyclic_character(m, g, r, ell)
+        mismatch = 1 if psi.residue(-1) == 1 else 2
+        assert _character_bernoulli(mismatch, m, psi.residue, ell, 1) == PadicNum.zero(ell)
+        for k in (1, 2, 3, 4):
+            with pytest.raises(ValueError, match="^exact route needs a character with values"):
+                classical_dirichlet_special(psi, k)
+
     def test_classical_value_below_weight_one_refused(self):
         for k in (0, -3):
             with pytest.raises(ValueError, match="k must be >= 1"):
@@ -381,7 +432,7 @@ class TestDirichlet:
     def test_node_carries_euler_factor(self, m, values, ell):
         psi = DirichletCharacter(m, values, ell)
         for k in (1, 2, 5, 9, 12):
-            want = (1 - psi.rational_value(ell) * F(ell) ** (k - 1)) * \
+            want = (1 - rational_value(psi, ell) * F(ell) ** (k - 1)) * \
                 classical_dirichlet_special(psi, k)
             assert dirichlet_node(psi, k, ell) == want, k
 
@@ -415,7 +466,7 @@ class TestDirichlet:
     def test_one_character_sum(self, ell_psi, k, nd):
         ell, psi = ell_psi
         got = dirichlet_node(psi, k, ell, nd)
-        if psi.is_rational:
+        if is_rational(psi):
             assert got == dirichlet_hurwitz_sum(psi, k, ell)
             assert (got == 0) == node_vanishes(psi, k, ell)
             return
@@ -443,6 +494,10 @@ class TestDirichlet:
         v = dirichlet_l(psi, 1, 5, 5)
         assert v.congruent(-1560)
 
+    def test_interpolated_value_refuses_another_prime(self):
+        with pytest.raises(ValueError, match="^character realized at a different prime$"):
+            dirichlet_l(mod4_character(5), 1, 5, 7)
+
     def test_zero_at_weight_one(self):
         psi = mod4_character()
         v = dirichlet_l(psi, 1, 1, 5)
@@ -453,17 +508,12 @@ class TestDirichlet:
         # -m^(k-1) in place of -omega(m)^beta [m]^s / m changes nothing the
         # value claims: the two differ by [m]^(s-k) = 1 mod ell^(M+1)
         psi = cyclic_character(m, g, r, ell)
-        assert not psi.is_rational
+        assert not is_rational(psi)
         M = 1 if ell == 13 else 2
         for beta in (0, 1, 2):
             for s in (F(1, 3), F(-5, 2), F(7, 4), F(-9, 1)):
                 got = dirichlet_l(psi, beta, s, ell, M)
                 assert got == dirichlet_twisted_at_s(psi, beta, s, ell, M), (beta, s)
-
-    def test_wrong_epsilon_flagged(self):
-        psi = mod4_character()
-        with pytest.raises(SigmaDependentError):
-            dirichlet_l(psi, 1, 5, 5, epsilon=1)
 
 
 class TestZInverted:

@@ -260,7 +260,7 @@ class TestIntegrate:
     def test_low_precision_bracket_caps_result(self):
         E = bernoulli_measure(2, 5, 4)
         Eu = restrict(E, "units")
-        s_coarse = PadicNum.from_int(2, 5, 1)  # exponent known mod 5 only
+        s_coarse = PadicNum.from_rational(2, 5, 1)  # exponent known mod 5 only
         v = integrate(Eu, (Factor(inverse=True, teich=2, bracket=s_coarse),), 4)
         assert v.abs_prec == 2  # capped at s.abs_prec + 1, not level - 1
         exact = integrate(Eu, (Factor(inverse=True, teich=2, bracket=2),), 4)
@@ -655,7 +655,7 @@ def factors(draw, ell):
     elif kind == "fraction":
         bracket = F(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 4, 7])))
     elif kind == "padic":
-        bracket = PadicNum.from_int(draw(st.integers(-30, 30)), ell, draw(st.integers(1, 4)))
+        bracket = PadicNum.from_rational(draw(st.integers(-30, 30)), ell, draw(st.integers(1, 4)))
     else:
         bracket = None
     return Factor(power=draw(st.integers(0, 4)), inverse=draw(st.booleans()),
@@ -732,7 +732,7 @@ def unit_integrals(draw):
     elif kind == "fraction":
         s = F(draw(st.integers(-9, 9)), draw(st.sampled_from([d for d in (2, 3, 4, 7) if d % ell])))
     else:
-        s = PadicNum.from_int(draw(st.integers(-50, 50)), ell, draw(st.integers(1, 6)))
+        s = PadicNum.from_rational(draw(st.integers(-50, 50)), ell, draw(st.integers(1, 6)))
     c = draw(st.integers(-9, 59).filter(lambda c: c % ell))
     return ell, level, c, draw(st.integers(0, ell - 2)), s
 
@@ -747,10 +747,10 @@ class TestBernoulliUnitIntegral:
     @example((3, 5, 4, 1, F(-3, 2)))
     @example((5, 4, 4, 2, 3))
     @example((7, 3, 9, 1, F(1, 2)))
-    @example((11, 2, 4, 4, PadicNum.from_int(7, 11, 1)))
+    @example((11, 2, 4, 4, PadicNum.from_rational(7, 11, 1)))
     # a one-unit half row, and a half row that is not a whole number of blocks
     @example((3, 1, 2, 0, F(1, 2)))
-    @example((13, 3, 2, 6, PadicNum.from_int(-5, 13, 4)))
+    @example((13, 3, 2, 6, PadicNum.from_rational(-5, 13, 4)))
     def test_equals_tower_route(self, case):
         ell, level, c, beta, s = case
         mu = restrict(bernoulli_measure(c, ell, level), "units")

@@ -7,12 +7,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from elladic.padic import (
     PadicNum,
-    angle_repr,
     is_odd_prime,
     one_unit_pow,
     residue_mod,
     teichmuller,
     unit_decompose,
+    _DIGIT_BUDGET,
+    _angle_from_scalar,
     _exponent_residue,
     _frac_val,
     _fraction_to_padic_abs,
@@ -63,27 +64,35 @@ class TestTeichmuller:
         with pytest.raises(ValueError, match="not a unit"):
             teichmuller(10, 5, 3)
 
+    def test_digit_budget(self):
+        assert teichmuller(2, 13, _DIGIT_BUDGET).residue(1) == 2
+        with pytest.raises(ValueError, match="^precision too large: ndigits must be at "
+                                             "most 1000 digits$"):
+            teichmuller(2, 13, _DIGIT_BUDGET + 1)
+        with pytest.raises(ValueError, match="^precision too large"):
+            teichmuller(2, 5, 10 ** 8)
+
     @pytest.mark.parametrize("nd", [0, -2])
     def test_rejects_digit_count_below_one(self, nd):
         # checked before the unit test: mod ell^0 every u reads as a non-unit
-        for u in (1, 2, PadicNum.from_int(2, 5, 3)):
+        for u in (1, 2, PadicNum.from_rational(2, 5, 3)):
             with pytest.raises(ValueError, match="nonzero value needs at least one digit"):
                 teichmuller(u, 5, nd)
 
 
 class TestUnitDecompose:
     def test_trivial(self):
-        om, br = unit_decompose(PadicNum.from_int(1, 5, 2))
+        om, br = unit_decompose(PadicNum.from_rational(1, 5, 2))
         assert om.residue(2) == 1 and br.residue(2) == 1
 
     def test_example(self):
-        om, br = unit_decompose(PadicNum.from_int(2, 5, 2))
+        om, br = unit_decompose(PadicNum.from_rational(2, 5, 2))
         assert om.residue(2) == 7
         assert br.residue(2) == 11
         assert br.residue(1) == 1  # bracket is a one-unit
 
     def test_teichmuller_fixpoint_has_trivial_bracket(self):
-        om, br = unit_decompose(PadicNum.from_int(7, 5, 2))
+        om, br = unit_decompose(PadicNum.from_rational(7, 5, 2))
         assert om.residue(2) == 7 and br.residue(2) == 1
 
     def test_multiplicative(self):
@@ -93,28 +102,28 @@ class TestUnitDecompose:
                 for y in (ell - 1, ell + 2):
                     if x % ell == 0 or y % ell == 0:
                         continue
-                    ox, bx = unit_decompose(PadicNum.from_int(x, ell, nd))
-                    oy, by = unit_decompose(PadicNum.from_int(y, ell, nd))
-                    oxy, bxy = unit_decompose(PadicNum.from_int(x * y, ell, nd))
+                    ox, bx = unit_decompose(PadicNum.from_rational(x, ell, nd))
+                    oy, by = unit_decompose(PadicNum.from_rational(y, ell, nd))
+                    oxy, bxy = unit_decompose(PadicNum.from_rational(x * y, ell, nd))
                     assert (ox * oy).congruent(oxy)
                     assert (bx * by).congruent(bxy)
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="not a unit"):
-            unit_decompose(PadicNum.from_int(5, 5, 3))
+            unit_decompose(PadicNum.from_rational(5, 5, 3))
 
 
 class TestOneUnitPow:
     def test_zeroth_power(self):
-        u = PadicNum.from_int(6, 5, 3)
+        u = PadicNum.from_rational(6, 5, 3)
         assert one_unit_pow(u, 0).residue(3) == 1
 
     def test_integer_power(self):
-        u = PadicNum.from_int(6, 5, 2)
+        u = PadicNum.from_rational(6, 5, 2)
         assert one_unit_pow(u, 2).residue(2) == 36 % 25
 
     def test_half_power(self):
-        u = PadicNum.from_int(6, 5, 2)
+        u = PadicNum.from_rational(6, 5, 2)
         r = one_unit_pow(u, Fraction(1, 2)).residue(2)
         assert r == 16  # 16^2 = 256 = 6 mod 25
         assert pow(r, 2, 25) == 6
@@ -124,33 +133,33 @@ class TestOneUnitPow:
     def test_matches_modular_exponentiation(self, ell, nd):
         # the one-unit group mod ell^n has exponent ell^(n-1)
         for base in (1 + ell, 1 + 2 * ell, 1 + ell + ell * ell):
-            u = PadicNum.from_int(base, ell, nd)
+            u = PadicNum.from_rational(base, ell, nd)
             for s in (0, 2, 5, 19, Fraction(1, 2), Fraction(3, ell + 1),
                       Fraction(-7, ell + 2)):
-                sv = angle_repr(s, nd - 1, ell) if nd > 1 else 0
+                sv = _angle_from_scalar(s, ell, nd - 1)
                 want = pow(base, sv, ell ** nd)
                 assert one_unit_pow(u, s).residue(nd) == want, (ell, nd, base, s)
 
     def test_additive_in_exponent(self):
-        u = PadicNum.from_int(8, 7, 5)
+        u = PadicNum.from_rational(8, 7, 5)
         s, t = Fraction(1, 3), Fraction(2, 5)
         lhs = one_unit_pow(u, s + t)
         rhs = one_unit_pow(u, s) * one_unit_pow(u, t)
         assert lhs.congruent(rhs)
 
     def test_repeated_multiplication(self):
-        u = PadicNum.from_int(4, 3, 6)
-        acc = PadicNum.from_int(1, 3, 6)
+        u = PadicNum.from_rational(4, 3, 6)
+        acc = PadicNum.from_rational(1, 3, 6)
         for k in range(21):
             assert one_unit_pow(u, k).congruent(acc)
             acc = acc * u
 
     def test_rejects_non_one_unit(self):
         with pytest.raises(ValueError, match="not a one-unit"):
-            one_unit_pow(PadicNum.from_int(2, 5, 3), 2)
+            one_unit_pow(PadicNum.from_rational(2, 5, 3), 2)
 
     def test_rejects_fractional_exponent_valuation(self):
-        u = PadicNum.from_int(6, 5, 3)
+        u = PadicNum.from_rational(6, 5, 3)
         with pytest.raises(ValueError, match="not integral"):
             one_unit_pow(u, Fraction(1, 5))
 
@@ -161,7 +170,7 @@ class TestOneUnitPow:
         """v = u^(p/q) is a one-unit with v^q = u^p mod ell^nd."""
         assume(q % ell)
         base = 1 + ell * data.draw(st.integers(0, ell ** (nd - 1) - 1))
-        v = one_unit_pow(PadicNum.from_int(base, ell, nd), Fraction(p, q))
+        v = one_unit_pow(PadicNum.from_rational(base, ell, nd), Fraction(p, q))
         assert v.ndigits == nd and v.residue(1) == 1
         m = ell ** nd
         assert pow(v.residue(nd), q, m) == pow(base, p, m)
@@ -173,7 +182,7 @@ class TestOneUnitPow:
         """s + O(ell^A) gives u^s to exactly min(nd, A + 1) digits."""
         assume(q % ell)
         s = Fraction(p, q)
-        u = PadicNum.from_int(1 + ell * data.draw(st.integers(0, ell ** nd)), ell, nd)
+        u = PadicNum.from_rational(1 + ell * data.draw(st.integers(0, ell ** nd)), ell, nd)
         got = one_unit_pow(u, _fraction_to_padic_abs(s, ell, A))
         assert got.ndigits == min(nd, A + 1)
         assert got == one_unit_pow(u, s).reduce_digits(got.ndigits)
@@ -198,7 +207,7 @@ class TestPow:
                     x ** k
                 continue
             base = x if k >= 0 else x.invert()
-            want = PadicNum.from_int(1, x.ell, x.ndigits or 1)
+            want = PadicNum.from_rational(1, x.ell, x.ndigits or 1)
             for _ in range(abs(k)):
                 want = want * base
             assert x ** k == want, (x, k)
@@ -206,33 +215,33 @@ class TestPow:
 
 class TestAngleRepr:
     def test_zero(self):
-        assert angle_repr(0, 4, 5) == 0
+        assert _angle_from_scalar(0, 5, 4) == 0
 
     def test_complement(self):
-        assert angle_repr(-1, 2, 5) == 24
+        assert _angle_from_scalar(-1, 5, 2) == 24
 
     def test_modular_inverse(self):
-        assert angle_repr(Fraction(1, 3), 1, 5) == 2
+        assert _angle_from_scalar(Fraction(1, 3), 5, 1) == 2
 
     def test_congruence_and_coherence(self):
         for q in (Fraction(7, 3), Fraction(-2, 9), 11):
             for n in range(4):
-                a_n = angle_repr(q, n, 5)
-                a_n1 = angle_repr(q, n + 1, 5)
+                a_n = _angle_from_scalar(q, 5, n)
+                a_n1 = _angle_from_scalar(q, 5, n + 1)
                 assert a_n1 % 5 ** n == a_n
                 qq = Fraction(q)
                 assert (qq.numerator - a_n * qq.denominator) % 5 ** n == 0
 
     def test_rejects_non_integral(self):
         with pytest.raises(ValueError, match="not integral"):
-            angle_repr(Fraction(1, 5), 2, 5)
+            _angle_from_scalar(Fraction(1, 5), 5, 2)
         with pytest.raises(ValueError, match="not integral"):
-            angle_repr(PadicNum.from_rational(Fraction(1, 5), 5, 3), 2)
+            _angle_from_scalar(PadicNum.from_rational(Fraction(1, 5), 5, 3), 5, 2)
 
     def test_padic_input(self):
         x = PadicNum.from_rational(Fraction(1, 3), 5, 4)
-        assert angle_repr(x, 2) == 17
-        assert angle_repr(x, 1) == 2
+        assert _angle_from_scalar(x, 5, 2) == 17
+        assert _angle_from_scalar(x, 5, 1) == 2
 
     def test_auxiliary_modulus(self):
         # <i/ell> mod m with m coprime to ell
@@ -247,7 +256,7 @@ class TestArithmetic:
 
     def test_mixed_valuation_addition_weakens_precision(self):
         ell = 5
-        a = PadicNum.from_int(2, ell, 3)            # abs prec 3
+        a = PadicNum.from_rational(2, ell, 3)            # abs prec 3
         b = PadicNum.from_rational(Fraction(1, 5), ell, 3)  # val -1, abs prec 2
         s = a + b
         assert s.valuation == -1
@@ -255,14 +264,14 @@ class TestArithmetic:
 
     def test_cancellation_returns_zero_to_precision(self):
         ell = 5
-        a = PadicNum.from_int(7, ell, 3)
-        d = a - PadicNum.from_int(7, ell, 3)
+        a = PadicNum.from_rational(7, ell, 3)
+        d = a - PadicNum.from_rational(7, ell, 3)
         assert d.is_zero_to_precision and d.abs_prec == 3
 
     def test_partial_cancellation(self):
         ell = 5
-        a = PadicNum.from_int(7, ell, 3)
-        b = PadicNum.from_int(7 + 25, ell, 3)
+        a = PadicNum.from_rational(7, ell, 3)
+        b = PadicNum.from_rational(7 + 25, ell, 3)
         d = b - a
         assert d.valuation == 2 and d.ndigits == 1
 
@@ -272,7 +281,7 @@ class TestArithmetic:
         assert (x * 5).residue(3) == 4
 
     def test_inverse(self):
-        x = PadicNum.from_int(3, 5, 4)
+        x = PadicNum.from_rational(3, 5, 4)
         assert (x * x.invert()).residue(4) == 1
         with pytest.raises(ZeroDivisionError):
             PadicNum.zero(5).invert()
@@ -284,11 +293,11 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="insufficient precision"):
             PadicNum.zero_to_precision(5, 2).congruent(0, 4)
         with pytest.raises(ValueError, match="insufficient precision"):
-            PadicNum.from_int(3, 5, 2).congruent(28, 5)
+            PadicNum.from_rational(3, 5, 2).congruent(28, 5)
         # decidable verdicts are unchanged
         assert PadicNum.zero_to_precision(5, 2).congruent(0, 2)
-        assert not PadicNum.from_int(3, 5, 2).congruent(4, 5)
-        assert PadicNum.from_int(3, 5, 2).congruent(28)
+        assert not PadicNum.from_rational(3, 5, 2).congruent(4, 5)
+        assert PadicNum.from_rational(3, 5, 2).congruent(28)
 
     def test_rational_roundtrip(self):
         for q in (Fraction(7, 3), Fraction(-2, 45), Fraction(25, 4)):
@@ -309,9 +318,9 @@ class TestArithmetic:
     )
     def test_ring_laws_at_stated_precision(self, ell, na, nb, nc):
         nd = 5
-        a = PadicNum.from_int(na, ell, nd)
-        b = PadicNum.from_int(nb, ell, nd)
-        c = PadicNum.from_int(nc, ell, nd)
+        a = PadicNum.from_rational(na, ell, nd)
+        b = PadicNum.from_rational(nb, ell, nd)
+        c = PadicNum.from_rational(nc, ell, nd)
         assert ((a + b) + c).congruent(a + (b + c))
         assert (a * (b + c)).congruent(a * b + a * c)
         assert (a * b).congruent(b * a)
@@ -370,7 +379,7 @@ class TestEncoder:
 
 class TestExponentResidue:
     def test_padic_exponent_gives_only_its_digits(self):
-        s = PadicNum.from_int(7 + 3 * 125, 5, 2)  # 7 + O(5^2)
+        s = PadicNum.from_rational(7 + 3 * 125, 5, 2)  # 7 + O(5^2)
         assert _exponent_residue(s, 5, 4) == 7
         assert _exponent_residue(s, 5, 1) == 2
         assert _exponent_residue(PadicNum.zero(5), 5, 4) == 0
@@ -379,13 +388,13 @@ class TestExponentResidue:
         from elladic.lfunctions import kubota_leopoldt
         from elladic.measures import Factor, bernoulli_measure, integrate, restrict
 
-        s7 = PadicNum.from_int(2, 7, 3)
+        s7 = PadicNum.from_rational(2, 7, 3)
         tower = restrict(bernoulli_measure(2, 5, 3), "units")
         calls = [
             lambda: _exponent_residue(s7, 5, 3),
             lambda: _exponent_residue(PadicNum.zero(7), 5, 3),
-            lambda: one_unit_pow(PadicNum.from_int(6, 5, 3), s7),
-            lambda: one_unit_pow(PadicNum.from_int(6, 5, 3), PadicNum.zero(7)),
+            lambda: one_unit_pow(PadicNum.from_rational(6, 5, 3), s7),
+            lambda: one_unit_pow(PadicNum.from_rational(6, 5, 3), PadicNum.zero(7)),
             lambda: integrate(tower, Factor(inverse=True, bracket=s7), 3),
             lambda: kubota_leopoldt(2, s7, 5, level=3),
             lambda: kubota_leopoldt(2, s7, 5, method="interp"),
@@ -395,7 +404,7 @@ class TestExponentResidue:
                 call()
 
     def test_rational_exponent(self):
-        assert _exponent_residue(Fraction(1, 2), 5, 3) == angle_repr(Fraction(1, 2), 3, 5)
+        assert _exponent_residue(Fraction(1, 2), 5, 3) == _angle_from_scalar(Fraction(1, 2), 5, 3)
         assert _exponent_residue(-3, 5, 2) == 22
         with pytest.raises(ValueError, match="not integral"):
             _exponent_residue(Fraction(1, 5), 5, 2)
@@ -403,18 +412,23 @@ class TestExponentResidue:
 
 class TestMixedOperands:
     def test_fraction_operand_keeps_digits(self):
-        one = PadicNum.from_int(1, 5, 3)
+        one = PadicNum.from_rational(1, 5, 3)
         for q in (Fraction(1, 5 ** 6), Fraction(1, 125)):
             total = one + q
             assert total.abs_prec == 3
             assert val(1 + q - represented(total), 5) >= 3
 
     def test_exact_operand_reaches_abs_prec(self):
-        a = PadicNum.from_int(2 * 5 ** 5, 5, 3)
+        a = PadicNum.from_rational(2 * 5 ** 5, 5, 3)
         for q in (1, Fraction(1, 5)):
             total = a + q
             assert total.abs_prec == 8
             assert val(2 * 5 ** 5 + q - represented(total), 5) >= 8
+
+    @pytest.mark.parametrize("q", [2, Fraction(-3, 5), Fraction(5, 7)])
+    def test_number_divided_by_padic(self, q):
+        for x in (PadicNum.from_rational(3, 5, 4), PadicNum.from_rational(Fraction(7, 25), 5, 2)):
+            assert q / x == x.invert() * q
 
     def test_exact_zero_keeps_the_digit_floor(self):
         # an exact zero states no precision to reach
