@@ -49,6 +49,7 @@ from .ncseries import (
     bernoulli_kernel,
     gamma_series,
     inversion_closed_form,
+    inversion_parts,
     inversion_pipeline,
 )
 from .lfunctions import (

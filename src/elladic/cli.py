@@ -35,6 +35,7 @@ from .measures import (
     tower_to_json,
 )
 from .ncseries import (
+    _DEGREE_BUDGET,
     ReducedSeries,
     _display_table,
     _kernel_table,
@@ -44,6 +45,7 @@ from .ncseries import (
     bch_scaled_pair,
     gamma_series,
     inversion_closed_form,
+    inversion_parts,
     inversion_pipeline,
 )
 from .padic import smallest_regularizer, teichmuller
@@ -164,8 +166,14 @@ def verify_gamma(degree: int = 10, seed: int = 7, chis=None) -> dict:
 def verify_inversion(degree: int = 8, seed: int = 7, count: int = 10,
                      chi=None, t=None) -> dict:
     """The group-product chain ``inversion_pipeline`` vs its closed form, and
-    the scaled-pair loop vs its display formula, for ``count`` random A; the
-    loop and its display check are computed once per distinct (chi, t)."""
+    the scaled-pair loop vs its display formula, for ``count`` random A.
+
+    The loop, its display check and the chain's other (chi, t)-only parts
+    (``inversion_parts``: the chi kernel, exp(-t Z), exp(t Z), e^(-tX) and
+    e^(tX)) are computed once per distinct (chi, t), so once per call with
+    ``chi`` and ``t``; each check then costs one chain on its A and one
+    closed form, which builds its own kernel at t and shares nothing with
+    the chain."""
     rng = Random(seed)
     checks = []
     pairs = {}
@@ -175,9 +183,10 @@ def verify_inversion(degree: int = 8, seed: int = 7, count: int = 10,
         ti = Fraction(t) if t is not None else Fraction(rng.randint(1, 5), rng.choice([2, 3, 7]))
         if (ci, ti) not in pairs:
             loop = bch_scaled_pair(ci, ti, degree)
-            pairs[ci, ti] = loop, ci == 0 or loop._row(1) == _display_table(ci, ti, degree)
-        loop, disp_ok = pairs[ci, ti]
-        got = inversion_pipeline(a, ci, ti, degree, loop)
+            pairs[ci, ti] = (loop, inversion_parts(ci, ti, degree),
+                             ci == 0 or loop._row(1) == _display_table(ci, ti, degree))
+        loop, parts, disp_ok = pairs[ci, ti]
+        got = inversion_pipeline(a, ci, ti, degree, loop, parts)
         want = inversion_closed_form(a, ci, ti, degree)
         disc = _first_discrepancy(got, want)
         checks.append(
@@ -308,6 +317,8 @@ def _cmd_measure(args) -> dict:
 def _cmd_verify(args) -> dict:
     if args.degree is not None and args.degree < 0:
         raise ValueError("degree must be >= 0")
+    if args.degree is not None and args.degree > _DEGREE_BUDGET:
+        raise ValueError(f"degree too large: --degree must be at most {_DEGREE_BUDGET}")
     chi = _frac_from_str(args.chi, "--chi") if args.chi else None
     chis = None if chi is None else [chi]
     t = _frac_from_str(args.t, "--t") if args.t else None

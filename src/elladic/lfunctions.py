@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .bernoulli import _WEIGHT_BUDGET, _bernoulli_sums, _character_bernoulli, bernoulli_number, gen_bernoulli
 from .measures import bernoulli_unit_integral
-from .padic import PadicNum, is_odd_prime, one_unit_pow, residue_mod, smallest_regularizer, teichmuller, unit_decompose, _angle_from_scalar, _check_prime, _frac_val
+from .padic import _DIGIT_BUDGET, PadicNum, is_odd_prime, one_unit_pow, residue_mod, smallest_regularizer, teichmuller, unit_decompose, _angle_from_scalar, _check_prime, _frac_val
 
 __all__ = [
     "SigmaDependentError",
@@ -150,6 +150,15 @@ def interpolation_weight(beta: int, s, ell: int, M: int) -> int:
                      f"{_WEIGHT_BUDGET}")
 
 
+def _check_prec(M: int, extra: int = 0) -> None:
+    """Refuse a precision M whose work precision M + extra would pass
+    ``_DIGIT_BUDGET``, before any ell^M is built: ``_read_off`` works at
+    max(ndigits, M) digits, ``dirichlet_l``'s Teichmuller values at M + 3,
+    ``minus_one_l``'s twist at M + 4 and ``zinv_report`` at M + ndigits + 6."""
+    if M + extra > _DIGIT_BUDGET:
+        raise ValueError(f"precision too large: --prec must be at most {_DIGIT_BUDGET - extra}")
+
+
 def _read_off(node, beta: int, s, ell: int, M: int, ndigits: int) -> PadicNum:
     """The interpolated value at 1-s, read off ``node(k)`` at the weight k.
 
@@ -158,9 +167,11 @@ def _read_off(node, beta: int, s, ell: int, M: int, ndigits: int) -> PadicNum:
     is the node, to ndigits digits.  Otherwise Kummer-type stability gives M
     digits, less the valuation drop of the value itself; the branch beta = 0
     mod (ell-1) carries the classical simple pole, whose two 1/weight terms
-    cost another v(k) when the weight is divisible by ell.
+    cost another v(k) when the weight is divisible by ell.  M is checked
+    against the digit budget once the weight is chosen, before the node.
     """
     k = interpolation_weight(beta, s, ell, M)
+    _check_prec(M)
     v = node(k)
     if not isinstance(v, PadicNum):
         v = PadicNum.from_rational(v, ell, max(ndigits, M))
@@ -243,6 +254,7 @@ def minus_one_l(
         raise SigmaDependentError(
             "sigma-dependent; Euler-factor formula not applicable for odd beta"
         )
+    _check_prec(M, 4)
     base = kubota_leopoldt(beta, s, ell, c=c, level=level, method=method, M=M, ndigits=ndigits)
     t = _twist(2, beta, s, ell, max(level, M, ndigits) + 4) / 2
     return (1 - t) / t * base
@@ -313,6 +325,7 @@ def dirichlet_l(
     weight, whose front factor -m^(k-1) stands for -omega(m)^beta [m]^s / m."""
     if psi.ell != ell:
         raise ValueError("character realized at a different prime")
+    _check_prec(M, 3)
     return _read_off(
         lambda k: dirichlet_node(psi, k, ell, max(ndigits, M)), beta, s, ell, M, ndigits
     )
@@ -364,6 +377,7 @@ def zinv_report(beta: int, s, primes, ell: int, M: int = 2, ndigits: int = 8) ->
     coming from kl_node_rational = -(1 - ell^(k-1)) B_k/k.  The report
     carries both values and the ratio.
     """
+    _check_prec(M, ndigits + 6)
     value = zinv_l(beta, s, primes, ell, M=M, ndigits=ndigits)
     work = ndigits + M + 6
     base = kubota_leopoldt(beta, s, ell, method="interp", M=M, ndigits=work)

@@ -283,13 +283,16 @@ def _moment_sums(mu: MeasureTower, indices, level: int, weight):
 # ``bernoulli_unit_integral`` sums.  A deeper request is refused before any
 # work: at ell = 5 and level 40 it would otherwise run until it is killed.
 # It also bounds the rank of a tower given by its levels, whose rank-long
-# lists would exhaust memory at a rank of 10^9.  Two more budgets refuse
+# lists would exhaust memory at a rank of 10^9.  Three more budgets refuse
 # before any work: ``bernoulli._WEIGHT_BUDGET`` (4096) bounds the exact
 # Bernoulli index k, the table's and the interpolation weight's, since a cold
-# table costs about k^3 (0.09 s to k = 1000, 5.4 s to 4000); and
+# table costs about k^3 (0.09 s to k = 1000, 5.4 s to 4000);
 # ``padic._DIGIT_BUDGET`` (1000) bounds the digits of a Teichmuller lift, one
 # pow to an ell^(digits-1) exponent (at ell = 13: 0.15 s for 1000 digits,
-# 3.4 s for 3000).
+# 3.4 s for 3000), and every work precision an L-value derives from its
+# precision M (``lfunctions._check_prec``); and ``ncseries._DEGREE_BUDGET``
+# (32) bounds the degree of the ``verify`` suites, whose costliest (``bch``)
+# grows about as degree^6.
 _CELL_BUDGET = 10 ** 6
 
 

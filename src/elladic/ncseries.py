@@ -23,6 +23,17 @@ One oracle and two table series on one core:
   commute with the truncated exp and log power sums.  Its one power sum
   sum_k w_k x^k gives exp (w_k = 1/k!) and log (w_k = (-1)^(k+1)/k) at one
   convolution per power: x^k = a^k + Y b a^(k-1) when a(0) = 0.
+
+Cost model: work follows the series' nonzero terms.  A convolution costs one
+multiplication per pair of nonzero entries whose degrees sum below the cut,
+and the power sum adds each power of a into its two sums at that power's
+nonzero entries only; so the exp of a linear a = c X costs O(D) per power
+(the exps of ``verify bch`` and of the inversion chain's t Z), and a dense
+log costs what dense convolutions cost.  No product by 0 or 1 is taken: the
+group product skips the factors of a zero scalar (E_0 = e^0 = K_0 = 1) and of
+a zero series, and the kernel at t = 0 skips e^(0 X).  ``inversion_parts``
+builds the chain's (chi, t)-only parts once, for a caller to share among
+the checks of one (chi, t).
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ __all__ = [
     "bch",
     "bch_reduced",
     "gamma_series",
+    "inversion_parts",
     "inversion_pipeline",
     "inversion_closed_form",
     "bch_scaled_pair",
@@ -48,6 +60,12 @@ __all__ = [
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
+
+# The highest X-degree the ``verify`` suites check (see
+# ``measures._CELL_BUDGET``).  ``verify bch``, the costliest suite, grows
+# about as degree^6: 0.4 s at degree 32 and 1.1 s at 40 (py3.11, one core
+# of a shared 2-core box).
+_DEGREE_BUDGET = 32
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +214,16 @@ def _rational(c):
 
 
 def _conv(p, q, n):
-    """The first n coefficients of the product of coefficient lists p and q."""
+    """The first n coefficients of the product of coefficient lists p and q,
+    at one multiplication per pair of nonzero entries that lands below n."""
     out = [0] * n
+    terms = [(j, b) for j, b in enumerate(q[:n]) if b]
     for i, a in enumerate(p[:n]):
         if a:
-            for j, b in enumerate(q[: n - i], i):
+            for j, b in terms:
+                j += i
+                if j >= n:
+                    break
                 out[j] += a * b
     return out
 
@@ -386,7 +409,9 @@ def p_div_em1(num, gamma):
 def _kernel_table(chi, t, D):
     """``bernoulli_kernel`` as a series: e^(tX) X/(e^X - 1) = sum B_k(t) X^k/k!
     minus its chi^k-scaled copy, divided by X."""
-    c = pexp_scalar(t, D + 1) * p_x_over_em1(1, D + 1)
+    c = p_x_over_em1(1, D + 1)
+    if t:
+        c = pexp_scalar(t, D + 1) * c
     return (c - c.at(chi)).div_x()
 
 
@@ -472,8 +497,9 @@ class ReducedSeries(_TableSeries):
         sum_k w_k a^k + Y b * sum_(k>=1) w_k a^(k-1).  a^(D+1) vanishes up to
         X^D, but the sum runs one power past the degree, since the Y-part of
         x^(D+1) is Y b a^D, which reaches X^D.  x^k is over den^k, so term k
-        is weighted by den^(D+1-k) and the sum reduced once; the loop stops
-        at the first power of a that vanishes.
+        is weighted by den^(D+1-k) and the sum reduced once; each power is
+        added at its nonzero entries only, and the loop stops at the first
+        power of a that vanishes.
         """
         n, d = self.degree + 1, self.den
         a, b = x
@@ -483,11 +509,13 @@ class ReducedSeries(_TableSeries):
         for k in range(1, n):
             if k > 1:
                 power = _conv(power, a, n)
-            if not any(power):
+            terms = [(i, c) for i, c in enumerate(power) if c]
+            if not terms:
                 break
             w, v = weights[k] * d ** (n - k), weights[k + 1] * d ** (n - k - 1)
-            acc = [s + w * c for s, c in zip(acc, power)]
-            tail = [s + v * c for s, c in zip(tail, power)]
+            for i, c in terms:
+                acc[i] += w * c
+                tail[i] += v * c
         return self._make(self.degree, wden * d ** n, [acc, _conv(b, tail, n)])
 
     def exp(self):
@@ -517,12 +545,14 @@ def _bch(alpha, phi1, beta, phi2) -> ReducedSeries:
     """``bch_reduced`` for rational alpha, beta and one-variable series phi1,
     phi2 of one degree.  E_0 = e^0 = K_0 = 1, so a zero scalar skips its
     factors; most calls of the gamma assembly and the inversion chain have
-    one."""
+    one.  A zero phi skips its factors too: the chain's last step has one."""
     D, gamma = phi1.degree, alpha + beta
-    if alpha:
-        phi1 = phi1 * p_em1_over(alpha, D)
-    if beta:
-        phi1 = phi1 * pexp_scalar(beta, D)
+    if any(phi1.rows[0]):
+        if alpha:
+            phi1 = phi1 * p_em1_over(alpha, D)
+        if beta:
+            phi1 = phi1 * pexp_scalar(beta, D)
+    if beta and any(phi2.rows[0]):
         phi2 = phi2 * p_em1_over(beta, D)
     b = phi1 + phi2
     if gamma:
@@ -595,34 +625,42 @@ def _display_table(chi, t, degree: int) -> _Poly:
     return (part1 + part2) * p_x_over_em1(t * (1 - chi), D)
 
 
-def inversion_pipeline(a_coeffs, chi, t, degree: int, loop=None) -> ReducedSeries:
+def inversion_parts(chi, t, degree: int) -> tuple:
+    """The parts of ``inversion_pipeline`` that depend on (chi, t, degree)
+    alone, for a caller that runs the chain on many A: the kernel
+    1/(e^X-1) - chi/(e^(chi X)-1), exp(-t Z) and exp(t Z) for
+    Z = -X - Y X/(e^X-1), and e^(-tX) and e^(tX) as quotient series."""
+    D = degree
+    chi, t = Fraction(chi), Fraction(t)
+    zero = _Poly(D)
+    z = ReducedSeries._stack(_Poly(D, [0, -1]), p_x_over_em1(1, D).scale(-1))
+    return (_kernel_table(chi, 0, D), z.scale(-t).exp(), z.scale(t).exp(),
+            ReducedSeries._stack(pexp_scalar(-t, D), zero),
+            ReducedSeries._stack(pexp_scalar(t, D), zero))
+
+
+def inversion_pipeline(a_coeffs, chi, t, degree: int, loop=None, parts=None) -> ReducedSeries:
     """Mechanical group-product chain computing the reversed-path log series.
 
     a_coeffs are the coefficients of A(X) = sum a_k X^(k-1); chi and t are
     rational scalars.  All conjugations and group products are carried out in
     the quotient algebra; nothing is taken from the closed form (which lives
     in ``inversion_closed_form`` for comparison).  ``loop`` is
-    ``bch_scaled_pair(chi, t, degree)`` when the caller has it already.
+    ``bch_scaled_pair(chi, t, degree)`` and ``parts`` is
+    ``inversion_parts(chi, t, degree)`` when the caller has them already.
     """
     D = degree
     chi, t = Fraction(chi), Fraction(t)
-    zero = _Poly(D)
-
-    kernel = _kernel_table(chi, 0, D)  # 1/(e^X-1) - chi/(e^(chi X)-1)
+    kernel, z_neg, z_pos, ex_neg, ex_pos = parts or inversion_parts(chi, t, D)
     step1 = _bch(Q0, _Poly(D, a_coeffs).at(-1), Q0, kernel)
-
-    z = ReducedSeries._stack(_Poly(D, [0, -1]), p_x_over_em1(1, D).scale(-1))
-    conj1 = z.scale(-t).exp() * step1 * z.scale(t).exp()
+    conj1 = z_neg * step1 * z_pos
 
     if loop is None:
         loop = bch_scaled_pair(chi, t, D)
     step3 = _bch(Q0, conj1._row(1), t * (1 - chi), loop._row(1))
-
-    ex_neg = ReducedSeries._stack(pexp_scalar(-t, D), zero)
-    ex_pos = ReducedSeries._stack(pexp_scalar(t, D), zero)
     conj2 = ex_neg * step3 * ex_pos
 
-    return _bch(t * (1 - chi), conj2._row(1), t * (chi - 1), zero)
+    return _bch(t * (1 - chi), conj2._row(1), t * (chi - 1), _Poly(D))
 
 
 def inversion_closed_form(a_coeffs, chi, t, degree: int) -> ReducedSeries:

@@ -7,7 +7,9 @@ coefficient in Fraction arithmetic, with B_k(t) read from the Fraction
 ``bernoulli_oracle.bernoulli_poly`` one weight at a time.  The package
 computes them on integer numerators over one denominator instead.  It also
 holds ``generic_power_sum``, the power sum over full quotient products that
-the package's one-convolution sum is checked against.
+the package's one-convolution sum is checked against, and ``dense_conv``,
+the convolution over every pair of entries that its sparse one is checked
+against.
 """
 
 from fractions import Fraction
@@ -34,6 +36,18 @@ def pmul(f, g, D):
         for j in range(0, D + 1 - i):
             if g[j]:
                 out[i + j] += a * g[j]
+    return out
+
+
+def dense_conv(p, q, n):
+    """The first n coefficients of the product of coefficient lists p and q,
+    one product per pair of entries, zero or not: the reference for the
+    package's sparse convolution."""
+    out = [0] * n
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            if i + j < n:
+                out[i + j] += a * b
     return out
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from elladic import cli
+from elladic import cli, ncseries
 from elladic.cli import main
 from elladic.measures import bernoulli_measure, tower_to_json
 from elladic.ncseries import ReducedSeries, _conv, _Poly
@@ -288,24 +288,48 @@ class TestVerify:
         assert not doc["all_pass"] and not any(c["pass"] for c in doc["checks"])
         assert {c["discrepancy"] for c in doc["checks"]} == {None}
 
-    def test_inversion_builds_each_loop_once(self, monkeypatch):
-        """With --chi and --t every check shares one (chi, t): its loop and
-        display check are computed once, not once per check."""
-        calls = {"bch_scaled_pair": 0, "_display_table": 0}
+    @staticmethod
+    def count_pair_work(monkeypatch) -> dict:
+        """Counters of the per-(chi, t) work of ``verify_inversion``: the
+        loop, its display check, the chain's parts, and inside those parts
+        the quotient exps and the chain's kernel at t = 0 (the closed form
+        builds its own kernel at t)."""
+        calls = {"bch_scaled_pair": 0, "_display_table": 0, "inversion_parts": 0,
+                 "exp": 0, "chain_kernel": 0}
 
-        def counted(name):
-            exact = getattr(cli, name)
+        def counted(owner, name, key, when=lambda *args: True):
+            exact = getattr(owner, name)
 
             def wrapper(*args):
-                calls[name] += 1
+                calls[key] += when(*args)
                 return exact(*args)
-            return wrapper
+            monkeypatch.setattr(owner, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(cli, name, counted(name))
+        for name in ("bch_scaled_pair", "_display_table", "inversion_parts"):
+            counted(cli, name, name)
+        counted(ReducedSeries, "exp", "exp")
+        counted(ncseries, "_kernel_table", "chain_kernel", lambda chi, t, D: t == 0)
+        return calls
+
+    def test_inversion_builds_each_loop_once(self, monkeypatch):
+        """With --chi and --t every check shares one (chi, t): its loop,
+        display check and chain parts are computed once, not once per check."""
+        calls = self.count_pair_work(monkeypatch)
         doc = cli.verify_inversion(9, 7, chi=3, t="2/7")
         assert doc["all_pass"] and len(doc["checks"]) == 10
-        assert calls == {"bch_scaled_pair": 1, "_display_table": 1}
+        assert calls == {"bch_scaled_pair": 1, "_display_table": 1, "inversion_parts": 1,
+                         "exp": 2, "chain_kernel": 1}
+
+    @pytest.mark.parametrize("chi", [None, 3])
+    def test_inversion_builds_each_pair_once(self, chi, monkeypatch):
+        """Without --t each distinct (chi, t) has its loop, display check and
+        chain parts computed once; seed 7 repeats a pair either way."""
+        calls = self.count_pair_work(monkeypatch)
+        doc = cli.verify_inversion(6, 7, chi=chi)
+        pairs = len({(c["chi"], c["t"]) for c in doc["checks"]})
+        assert doc["all_pass"] and pairs < len(doc["checks"]) == 10
+        assert calls == {"bch_scaled_pair": pairs, "_display_table": pairs,
+                         "inversion_parts": pairs, "exp": 2 * pairs, "chain_kernel": pairs}
 
     def test_discrepancy_in_the_a_row(self):
         doc = cli._check("x", ReducedSeries(3, [0, 1, 2], [1]), ReducedSeries(3, [0, 1, 3], [1]))
@@ -653,6 +677,45 @@ class TestRefusedInputs:
         assert code == 1
         assert out.count("\n") == 1
         assert json.loads(out) == {"command": argv[0], "error": error}
+
+    @pytest.mark.parametrize("argv,error", [
+        (["verify", "gamma", "--degree", "4097"], "degree too large: --degree must be at most 32"),
+        (["verify", "bch", "--degree", "100000"], "degree too large: --degree must be at most 32"),
+        (["verify", "all", "--degree", "100000"], "degree too large: --degree must be at most 32"),
+        (["kl", "--ell", "5", "--beta", "2", "--s", "2", "--method", "interp",
+          "--prec", "100000000"], "precision too large: --prec must be at most 1000"),
+        (["zinv", "--ell", "5", "--beta", "2", "--s", "2", "--primes", "2", "--prec", "100000000"],
+         "precision too large: --prec must be at most 986"),
+        (["minus-one", "--ell", "5", "--beta", "2", "--s", "2", "--method", "measure",
+          "--prec", "100000000"], "precision too large: --prec must be at most 996"),
+        (["zinv", "--ell", "5", "--beta", "2", "--s", "2", "--primes", "2", "--prec", "990"],
+         "precision too large: --prec must be at most 986"),
+    ], ids=["gamma degree 4097", "bch degree 10^5", "all degree 10^5", "kl exact prec 10^8",
+            "zinv exact prec 10^8", "minus-one measure prec 10^8", "zinv exact prec 990"])
+    def test_runaway_degree_or_precision_is_refused_before_any_work(self, argv, error, capsys):
+        """A verify degree past the degree budget (a Bernoulli table grown to
+        its limit, or a bch power sum at degree 10^5), and a --prec whose
+        work digits pass the digit budget (ell^(10^8) at an exact weight), are
+        refused at once."""
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 2
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"command": argv[0], "error": error}
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "bch", "--degree", "32"],
+        ["kl", "--ell", "5", "--beta", "2", "--s", "2", "--method", "interp", "--prec", "1000"],
+        ["zinv", "--ell", "5", "--beta", "2", "--s", "2", "--primes", "2", "--prec", "986"],
+        ["minus-one", "--ell", "5", "--beta", "2", "--s", "2", "--method", "measure",
+         "--prec", "996"],
+    ], ids=["bch degree 32", "kl prec 1000", "zinv prec 986", "minus-one prec 996"])
+    def test_the_largest_degree_or_precision_in_budget_is_served(self, argv, capsys):
+        code = main(argv)
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and "error" not in doc
 
     @pytest.mark.parametrize("kind", ["p", "f"])
     def test_huge_transform_degree_is_refused_before_any_work(self, kind, tmp_path, capsys):

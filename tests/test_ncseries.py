@@ -10,6 +10,7 @@ from elladic.ncseries import (
     NcSeries,
     ReducedSeries,
     _Poly,
+    _conv,
     _display_table,
     bch,
     bch_reduced,
@@ -206,6 +207,33 @@ class TestQuotientPowerSum:
 
 
 nonzero_rationals = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 5))
+
+
+class TestSparseKernels:
+    """The convolution and the quotient power sum skip zero entries; they
+    give the tables of the dense reference whatever the zeros' layout."""
+
+    entries = st.lists(st.sampled_from([0, 0, 0, 1, -1, 3, -7, 10 ** 20]), max_size=12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4), entries, st.integers(0, 4), entries, st.data())
+    def test_conv_matches_the_dense_reference(self, lead_p, p, lead_q, q, data):
+        """Zero runs, leading zeros, and n short of and past both lists."""
+        p, q = [0] * lead_p + p, [0] * lead_q + q
+        n = data.draw(st.integers(0, len(p) + len(q) + 2))
+        assert _conv(p, q, n) == oracle.dense_conv(p, q, n)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 12), st.sampled_from(["zero", "c X", "c X^j", "dense"]),
+           nonzero_rationals, st.integers(2, 13),
+           st.lists(nonzero_rationals, min_size=13, max_size=13), st.lists(rationals, max_size=14))
+    def test_exp_and_log_match_the_generic_sum(self, D, shape, c, j, dense, b):
+        """a = 0, c X, c X^j and dense a, exp of a + Y b and log of 1 + a + Y b."""
+        a = {"zero": [0], "c X": [0, c], "c X^j": [0] * j + [c], "dense": [0] + dense}[shape]
+        for s, op in ((ReducedSeries(D, a, b), "exp"), (ReducedSeries(D, [1] + a[1:], b), "log")):
+            got = getattr(s, op)()
+            want = getattr(_GenericSum._make(D, s.den, s.rows), op)()
+            assert (got.den, got.rows) == (want.den, want.rows)
 
 
 class TestBchInTheQuotient:
