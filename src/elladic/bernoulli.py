@@ -13,8 +13,25 @@ package reads.  It uses the identity f^k D B_k(a/f) = sum_j C(k,j) S_j f^j
 a^(k-j).  That is a polynomial in a with integer coefficients.  Each
 coefficient is made once per call and fed at once to every point's Horner
 pass, so no coefficient row is kept.
-``bernoulli_poly``, the class sums of ``_character_bernoulli``, and the
-Hurwitz and Z[1/m] nodes of ``lfunctions`` all go through it.
+``bernoulli_poly`` and the exact Hurwitz and Z[1/m] nodes of ``lfunctions``
+take the sums exact.
+
+The interpolated L-values print max(ndigits, M) digits, 8 on the command
+line, while a table entry at k = 500 has ~3000 bits.  So the kernel also
+runs mod ell^W: each coefficient and each Horner step is reduced, and it
+returns the group numerators n_g = D f^k sum_(a in g) B_k(a/f) mod ell^W.
+``_residue_node`` reads a node R / (D den), R = sum_g w_g n_g, off them to
+N digits.  Its precision rule: with e = v(den) + v(D) (v(k) + v(D) + k v(f)
+for a node over k D f^k), start at W = N + e + 2; when R != 0 mod ell^W
+and W - v(R) >= N the node is ell^(v(R) - e) times the unit (R / ell^v(R))
+(D den / ell^e)^-1 mod ell^N; when W - v(R) < N, W becomes v(R) + N; when
+R = 0 mod ell^W, a node odd under a -> f - a is the exact zero, and any
+other is raised once and then taken exact.  The cost is one pass of k/2
+steps on numbers below ell^W, ~N digits, in place of products of the
+table's thousands of bits; the result is the exact node encoded to N
+digits.  The Hurwitz, Z[1/m] and Dirichlet interpolation routes go
+through it, and so do the class sums of ``_character_bernoulli`` whenever
+they are not taken exact.
 
 Generalized Bernoulli numbers B_(k,chi) all come from one character sum,
 ``_character_bernoulli``.  Twisted Bernoulli numbers attached to powers of the
@@ -28,8 +45,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
+from operator import mul, pos
 
-from .padic import PadicNum, _fraction_to_padic_abs, teichmuller
+from .padic import _DIGIT_BUDGET, PadicNum, _int_valuation, _teichmuller_unit
 
 __all__ = [
     "bernoulli_number",
@@ -81,26 +99,79 @@ def _table(k: int) -> tuple[int, list[int]]:
     return table
 
 
-def _bernoulli_sums(k: int, f: int, groups) -> list[Fraction]:
+def _bernoulli_sums(k: int, f: int, groups, modulus: int | None = None):
     """[sum over a in g of B_k(a/f) for g in groups], exact, for k >= 0 and
     f >= 1; a point may be any integer.  The even-j terms of f^k D B_k(a/f)
     form a^(k mod 2) times a polynomial in a^2, read by one Horner pass over
     all points at once, each coefficient made once and dropped once used;
-    the j = 1 term is k S_1 f a^(k-1)."""
+    the j = 1 term is k S_1 f a^(k-1).
+
+    With a ``modulus`` it returns (D, [n_g mod modulus]), n_g = D f^k times
+    the sum over g: each coefficient C(k,j) S_j f^j and each Horner step is
+    reduced mod ``modulus``, so no product of two table-sized numbers is
+    taken."""
     d, s = _table(k)
+    red = modulus.__rmod__ if modulus else pos
     points = [a for g in groups for a in g]
     squares, accs = [a * a for a in points], [0] * len(points)
-    binom, fpow, f2 = 1, 1, f * f
+    binom, fpow, f2 = 1, 1, red(f * f)
     for j in range(0, k + 1, 2):
-        c = binom * s[j] * fpow
-        accs = [acc * x + c for acc, x in zip(accs, squares)]
+        c = red(red(binom) * red(s[j]) * fpow)
+        accs = [red(acc * x + c) for acc, x in zip(accs, squares)]
         binom = binom * (k - j) * (k - j - 1) // ((j + 1) * (j + 2))
-        fpow *= f2
+        fpow = red(fpow * f2)
     if k:
-        odd = k * s[1] * f
-        accs = [(acc * a if k % 2 else acc) + odd * a ** (k - 1) for acc, a in zip(accs, points)]
-    values, den = iter(accs), d * f ** k
-    return [Fraction(sum(islice(values, len(g))), den) for g in groups]
+        odd = red(k * s[1] * f)
+        accs = [red((acc * a if k % 2 else acc) + odd * pow(a, k - 1, modulus))
+                for acc, a in zip(accs, points)]
+    values = iter(accs)
+    sums = [red(sum(islice(values, len(g)))) for g in groups]
+    if modulus:
+        return d, sums
+    den = d * f ** k
+    return [Fraction(n, den) for n in sums]
+
+
+def _residue_node(k: int, f: int, groups, weights, den: int, ell: int, N: int,
+                  exact=None) -> PadicNum:
+    """The node R / (D den) to exactly N digits, R = sum_g w_g n_g with n_g =
+    D f^k sum_(a in g) B_k(a/f) the kernel's group numerators and w =
+    ``weights(W)`` integers right mod ell^W, read from residues mod ell^W.
+    It equals PadicNum.from_rational(node, ell, N) when the node is rational.
+
+    Precision rule.  Let e = v(den) + v(D): for a node over k D f^k that is
+    v(k) + v(D) + k v(f).  Start at W = N + e + 2.
+    - If R != 0 mod ell^W and W - v(R) >= N, the node is PadicNum(ell, v(R) -
+      e, unit, N): R mod ell^W fixes v(R) and the unit R / ell^v(R) mod
+      ell^(W - v(R)), and D den / ell^e is a unit.
+    - If W - v(R) < N, W is raised to v(R) + N.
+    - If R = 0 mod ell^W: at odd k, when every group is closed under a ->
+      f - a, the node is the exact zero, since B_k(1-x) = -B_k(x) (this is
+      read before any sum); otherwise W is doubled once, and then the node
+      is ``exact()``, encoded to N digits.  ``exact`` None marks a node
+      known to be nonzero: its W is doubled until R != 0 mod ell^W.
+    The cost is one kernel pass mod ell^W, about N digits, however long the
+    table entries are."""
+    vD = _int_valuation(_table(k)[0], ell)  # a weight past the budget is refused first
+    if k % 2 and all(sorted(f - a for a in g) == sorted(g) for g in groups):
+        return PadicNum.zero(ell)
+    vden = _int_valuation(den, ell)
+    W, raised = N + vden + vD + 2, False
+    while True:
+        mod = ell ** W
+        d, nums = _bernoulli_sums(k, f, groups, mod)
+        R = sum(map(mul, weights(W), nums)) % mod
+        if R:
+            v = _int_valuation(R, ell)
+            if W - v >= N:
+                e, known = vden + _int_valuation(d, ell), ell ** (W - v)
+                unit = R // ell ** v * pow(d * den // ell ** e, -1, known)
+                return PadicNum(ell, v - e, unit % known, N)
+            W = v + N
+        elif raised and exact is not None:
+            return PadicNum.from_rational(exact(), ell, N)
+        else:
+            W, raised = 2 * W, True
 
 
 def bernoulli_number(k: int) -> Fraction:
@@ -119,33 +190,35 @@ def bernoulli_poly(k: int, t) -> Fraction:
     return _bernoulli_sums(k, t.denominator, [[t.numerator]])[0]
 
 
-def _character_bernoulli(k: int, f: int, residue, ell: int, ndigits: int):
+def _character_bernoulli(k: int, f: int, residue, ell: int, ndigits: int, exact: bool = True):
     """B_(k,chi) = f^(k-1) sum_(0<a<f) chi(a) B_k(a/f) for chi primitive mod f,
     chi(a) the root of unity = ``residue(a)`` mod ell: exact when chi is
-    +-1-valued, else a PadicNum of exactly ``ndigits`` digits.  By a -> f-a it
-    is the exact zero unless chi(-1) = (-1)^k, and twice the sum over a < f/2
-    then.  Each sum over one value of chi has valuation >= -1; it is encoded to
-    absolute precision ``ndigits + 2``, raised until the digits are known (this
-    ends: B_(k,chi) != 0 for a primitive chi of the right parity)."""
+    +-1-valued and ``exact`` is set, else a PadicNum of exactly ``ndigits``
+    digits.  By a -> f-a it is the exact zero unless chi(-1) = (-1)^k, and
+    twice the sum over a < f/2 then.  The PadicNum is read by
+    ``_residue_node`` off the class sums over a < f/2 weighted by 2 omega(r),
+    over D f; it is nonzero for a primitive chi of the right parity, so W is
+    raised until its digits are known.  Its ndigits lies in [1,
+    _DIGIT_BUDGET - 3]: the weights start at about ndigits + 3 digits."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rational = {residue(a) for a in range(1, f)} <= {0, 1, ell - 1}
+    rational = exact and {residue(a) for a in range(1, f)} <= {0, 1, ell - 1}
     if (residue(f - 1) == 1) != (k % 2 == 0):
         return Fraction(0) if rational else PadicNum.zero(ell)
     points: dict[int, list[int]] = {}
     for a in range(1, (f + 1) // 2):
         if r := residue(a):
             points.setdefault(r, []).append(a)
-    classes = dict(zip(points, _bernoulli_sums(k, f, points.values())))
-    scale = 2 * Fraction(f) ** (k - 1)
     if rational:
-        return scale * (classes.get(1, 0) - classes.get(ell - 1, 0))
-    acc, work = PadicNum.zero(ell), ndigits + 2
-    while acc.unit == 0 or acc.ndigits < ndigits:
-        acc = sum((_fraction_to_padic_abs(scale * t, ell, work) * teichmuller(r, ell, work + 1)
-                   for r, t in classes.items()), PadicNum.zero(ell))
-        work += ndigits
-    return acc.reduce_digits(ndigits)
+        plus, minus = _bernoulli_sums(k, f, [points.get(1, []), points.get(ell - 1, [])])
+        return 2 * Fraction(f) ** (k - 1) * (plus - minus)
+    if ndigits < 1:
+        raise ValueError("nonzero value needs at least one digit")
+    if ndigits + 3 > _DIGIT_BUDGET:
+        raise ValueError(f"precision too large: ndigits must be at most {_DIGIT_BUDGET} digits")
+    return _residue_node(k, f, list(points.values()),
+                         lambda W: [2 * _teichmuller_unit(r, ell, W) for r in points],
+                         f, ell, ndigits)
 
 
 def gen_bernoulli(k: int, j: int, ell: int, ndigits: int) -> PadicNum:

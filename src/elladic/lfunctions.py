@@ -11,7 +11,12 @@ Evaluation strategies:
   Kummer-type congruences make the result correct to M digits (minus the
   valuation drop of the value itself).  Every family is read off its node,
   a function of k alone, by the one helper ``_read_off``; a weight past the
-  Bernoulli table's budget is refused before any work.
+  Bernoulli table's budget is refused before any work.  The Hurwitz, Z[1/m]
+  and Dirichlet nodes are read off Bernoulli residues mod ell^W to
+  max(ndigits, M) digits (``bernoulli._residue_node``, whose docstring has
+  the precision rule), never as exact rationals of thousands of bits; each
+  family has one spec (checks, groups, weights, denominator) shared with
+  its exact node, and the result is that node encoded to those digits.
 
 At an exact weight (an integer s >= 1 with s = beta mod (ell-1)) k = s and
 the value is the node, to ndigits digits, or the exact zero when the node
@@ -28,7 +33,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bernoulli import _WEIGHT_BUDGET, _bernoulli_sums, _character_bernoulli, bernoulli_number, gen_bernoulli
+from .bernoulli import (
+    _WEIGHT_BUDGET,
+    _bernoulli_sums,
+    _character_bernoulli,
+    _residue_node,
+    bernoulli_number,
+    gen_bernoulli,
+)
 from .measures import bernoulli_unit_integral
 from .padic import _DIGIT_BUDGET, PadicNum, is_odd_prime, one_unit_pow, residue_mod, smallest_regularizer, teichmuller, unit_decompose, _angle_from_scalar, _check_prime, _frac_val
 
@@ -153,7 +165,7 @@ def interpolation_weight(beta: int, s, ell: int, M: int) -> int:
 def _check_prec(M: int, extra: int = 0) -> None:
     """Refuse a precision M whose work precision M + extra would pass
     ``_DIGIT_BUDGET``, before any ell^M is built: ``_read_off`` works at
-    max(ndigits, M) digits, ``dirichlet_l``'s Teichmuller values at M + 3,
+    max(ndigits, M) digits, ``dirichlet_l``'s Teichmuller weights at M + 3,
     ``minus_one_l``'s twist at M + 4 and ``zinv_report`` at M + ndigits + 6."""
     if M + extra > _DIGIT_BUDGET:
         raise ValueError(f"precision too large: --prec must be at most {_DIGIT_BUDGET - extra}")
@@ -248,7 +260,10 @@ def minus_one_l(
 ) -> PadicNum:
     """The z = -1 variant, as an explicit Euler-type factor times the zeta family.
 
-    Only even beta has a path-independent value; odd beta is refused.
+    Only even beta has a path-independent value; odd beta is refused.  The
+    twist is worked to 4 digits past the route's own: max(level, M, ndigits)
+    on the measure route, max(M, ndigits) on the interpolation route, which
+    reads no level.
     """
     if beta % 2:
         raise SigmaDependentError(
@@ -256,7 +271,8 @@ def minus_one_l(
         )
     _check_prec(M, 4)
     base = kubota_leopoldt(beta, s, ell, c=c, level=level, method=method, M=M, ndigits=ndigits)
-    t = _twist(2, beta, s, ell, max(level, M, ndigits) + 4) / 2
+    digits = max(M, ndigits) if method == "interp" else max(level, M, ndigits)
+    t = _twist(2, beta, s, ell, digits + 4) / 2
     return (1 - t) / t * base
 
 
@@ -273,22 +289,41 @@ def _check_node(k: int, m: int, ell: int) -> None:
         raise ValueError("k must be >= 1")
 
 
-def hurwitz_node(k: int, i: int, m: int, ell: int) -> Fraction:
-    """(1/k) (B_k(<i>/m) - ell^(k-1) B_k(<i/ell>/m)), exact."""
+def _node(spec, k: int, ell: int, N: int | None = None):
+    """The node of a family's spec (f, groups, weights, den), sum_g w_g
+    sum_(a in g) B_k(a/f) times f^k / den: exact when N is None, else read
+    off residues mod ell^W to N digits by ``_residue_node``, which falls back
+    to the exact node when the residues cannot tell it from 0."""
+    f, groups, weights, den = spec
+    if N is None:
+        sums = _bernoulli_sums(k, f, groups)
+        return sum(w * b for w, b in zip(weights, sums)) * Fraction(f ** k, den)
+    return _residue_node(k, f, groups, lambda W: weights, den, ell, N,
+                         lambda: _node(spec, k, ell))
+
+
+def _hurwitz_spec(k: int, i: int, m: int, ell: int):
+    """``hurwitz_node``'s spec, its arguments checked."""
     _check_node(k, m, ell)
     if not 0 < i < m:
         raise ValueError("index must satisfy 0 < i < m")
     if math.gcd(i, m) != 1:
         raise ValueError("alpha not coprime to m")
-    b, b_shifted = _bernoulli_sums(k, m, [[i], [residue_mod(Fraction(i, ell), m)]])
-    return (b - Fraction(ell) ** (k - 1) * b_shifted) / k
+    return m, [[i], [residue_mod(Fraction(i, ell), m)]], [1, -ell ** (k - 1)], k * m ** k
+
+
+def hurwitz_node(k: int, i: int, m: int, ell: int) -> Fraction:
+    """(1/k) (B_k(<i>/m) - ell^(k-1) B_k(<i/ell>/m)), exact."""
+    return _node(_hurwitz_spec(k, i, m, ell), k, ell)
 
 
 def hurwitz_l(
     beta: int, s, i: int, m: int, ell: int, M: int = 2, ndigits: int = 8
 ) -> PadicNum:
     """Interpolated Hurwitz-type value at 1-s for the pair (i, m)."""
-    return _read_off(lambda k: hurwitz_node(k, i, m, ell), beta, s, ell, M, ndigits)
+    N = max(ndigits, M)
+    return _read_off(lambda k: _node(_hurwitz_spec(k, i, m, ell), k, ell, N),
+                     beta, s, ell, M, ndigits)
 
 
 def classical_dirichlet_special(psi: DirichletCharacter, k: int) -> Fraction:
@@ -299,18 +334,24 @@ def classical_dirichlet_special(psi: DirichletCharacter, k: int) -> Fraction:
     return -b / k
 
 
-def dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int = 8):
-    """(1 - psi(ell) ell^(k-1)) L(1-k, psi), the classical value -B_(k,psi)/k with
-    its Euler factor at ell removed: exact when psi is rational, else ndigits
-    digits; the exact zero on a parity mismatch or at k = 1 and psi(ell) = 1."""
+def _dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int, exact: bool):
+    """``dirichlet_node``, or with ``exact`` unset always a PadicNum of ndigits
+    digits: then B_(k,psi) is read off residues even when psi is rational."""
     _check_node(k, psi.modulus, ell)
     if psi.ell != ell:
         raise ValueError("prime mismatch")
     # psi(ell) is exact when it is +-1 (never 0: ell does not divide m)
     r = psi.residue(ell)
     at_ell = 1 if r == 1 else -1 if r == ell - 1 else teichmuller(r, ell, ndigits)
-    b = _character_bernoulli(k, psi.modulus, psi.residue, ell, ndigits)
+    b = _character_bernoulli(k, psi.modulus, psi.residue, ell, ndigits, exact)
     return (1 - at_ell * ell ** (k - 1)) * -b / k
+
+
+def dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int = 8):
+    """(1 - psi(ell) ell^(k-1)) L(1-k, psi), the classical value -B_(k,psi)/k with
+    its Euler factor at ell removed: exact when psi is rational, else ndigits
+    digits; the exact zero on a parity mismatch or at k = 1 and psi(ell) = 1."""
+    return _dirichlet_node(psi, k, ell, ndigits, True)
 
 
 def dirichlet_l(
@@ -326,9 +367,8 @@ def dirichlet_l(
     if psi.ell != ell:
         raise ValueError("character realized at a different prime")
     _check_prec(M, 3)
-    return _read_off(
-        lambda k: dirichlet_node(psi, k, ell, max(ndigits, M)), beta, s, ell, M, ndigits
-    )
+    N = max(ndigits, M)
+    return _read_off(lambda k: _dirichlet_node(psi, k, ell, N, False), beta, s, ell, M, ndigits)
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +388,26 @@ def _zinv_modulus(primes) -> int:
     return math.prod(primes)
 
 
-def zinv_node(k: int, primes, ell: int) -> Fraction:
-    """Sum of Hurwitz nodes over the residues coprime to m = prod(primes):
-    (1 - ell^(k-1))/k sum_i B_k(i/m), since i -> i/ell permutes those residues."""
+def _zinv_spec(k: int, primes, ell: int):
+    """``zinv_node``'s spec, its arguments checked."""
     m = _zinv_modulus(primes)
     if any(p == ell for p in primes):
         raise ValueError("primes must differ from ell")
     _check_node(k, m, ell)
-    [total] = _bernoulli_sums(k, m, [[a for a in range(1, m) if math.gcd(a, m) == 1]])
-    return (1 - Fraction(ell) ** (k - 1)) / k * total
+    return m, [[a for a in range(1, m) if math.gcd(a, m) == 1]], [1 - ell ** (k - 1)], k * m ** k
+
+
+def zinv_node(k: int, primes, ell: int) -> Fraction:
+    """Sum of Hurwitz nodes over the residues coprime to m = prod(primes):
+    (1 - ell^(k-1))/k sum_i B_k(i/m), since i -> i/ell permutes those residues."""
+    return _node(_zinv_spec(k, primes, ell), k, ell)
 
 
 def zinv_l(beta: int, s, primes, ell: int, M: int = 2, ndigits: int = 8) -> PadicNum:
     """Definition-route value: the coprime Hurwitz sum at the interpolation weight."""
-    return _read_off(lambda k: zinv_node(k, primes, ell), beta, s, ell, M, ndigits)
+    N = max(ndigits, M)
+    return _read_off(lambda k: _node(_zinv_spec(k, primes, ell), k, ell, N),
+                     beta, s, ell, M, ndigits)
 
 
 def zinv_report(beta: int, s, primes, ell: int, M: int = 2, ndigits: int = 8) -> dict:

@@ -346,11 +346,16 @@ def teichmuller(u: int, ell: int, ndigits: int) -> PadicNum:
         raise ValueError("nonzero value needs at least one digit")
     if ndigits > _DIGIT_BUDGET:
         raise ValueError(f"precision too large: ndigits must be at most {_DIGIT_BUDGET} digits")
-    m = ell ** ndigits
-    u %= m
     if u % ell == 0:
         raise ValueError("not a unit")
-    return PadicNum(ell, 0, pow(u, ell ** (ndigits - 1), m), ndigits)
+    return PadicNum(ell, 0, _teichmuller_unit(u, ell, ndigits), ndigits)
+
+
+def _teichmuller_unit(u: int, ell: int, ndigits: int) -> int:
+    """omega(u) mod ell^ndigits, for u prime to ell and ndigits >= 1, with no
+    digit budget: for working precisions a caller has already bounded."""
+    m = ell ** ndigits
+    return pow(u % m, ell ** (ndigits - 1), m)
 
 
 def smallest_regularizer(ell: int) -> int:

@@ -14,18 +14,22 @@ in a fresh temporary directory that holds a copy of each golden
 ``tower*.json``, as the golden tests run them.
 
 With ``--diff REV`` it is a differential between git revision REV and the
-working tree: REV is checked out with ``git worktree add --detach`` into a
+working tree: REV's ``src`` is unpacked with ``git archive`` into a
 temporary directory, the command lines on standard input are recorded once
 under REV's ``src`` and once under the working tree's ``src``, each in a
 child process (both runs use this script and the working tree's golden
 tower files), and every argv whose exit status, stdout or ``out_file``
-differs is printed, with exit status 1 when there is one.  The worktree is
-removed afterwards.
+differs is printed, with exit status 1 when there is one.  No git state is
+written.
+
+Each golden file ``<corpus>.json`` has its command lines beside it as
+``<corpus>.argv``, one ``shlex.join`` line per case in the file's order, so
+a corpus can be re-run against any revision:
 
     PYTHONPATH=src python tests/golden/record.py OUT.json < commands.txt
     PYTHONPATH=src python tests/golden/record.py --append tests/golden/verify_cli.json < commands.txt
     PYTHONPATH=src python tests/golden/record.py --check tests/golden/towers_cli.json
-    PYTHONPATH=src python tests/golden/record.py --diff HEAD~1 < commands.txt
+    PYTHONPATH=src python tests/golden/record.py --diff HEAD~1 < tests/golden/verify_cli.argv
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -115,15 +120,14 @@ def diff(rev: str, lines) -> list:
     argvs = list(dict.fromkeys(map(tuple, command_lines(lines))))
     commands = "".join(shlex.join(argv) + "\n" for argv in argvs)
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "tree"
-        if subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", "--quiet",
-                           str(tree), rev]).returncode:
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", rev, "src"],
+                                 capture_output=True)
+        if archive.returncode:
             raise SystemExit(f"cannot check out {rev}")
-        try:
-            old = record_under(tree / "src", commands, Path(tmp) / "old.json")
-        finally:
-            subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force", str(tree)],
-                           check=True)
+        tree = Path(tmp) / "tree"
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tree, filter="data")
+        old = record_under(tree / "src", commands, Path(tmp) / "old.json")
         new = record_under(REPO / "src", commands, Path(tmp) / "new.json")
     return [a["argv"] for a, b in zip(old, new) if a != b]
 

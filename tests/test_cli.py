@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from elladic import cli, ncseries
+from elladic import bernoulli, cli, lfunctions, ncseries
 from elladic.cli import main
 from elladic.measures import bernoulli_measure, tower_to_json
 from elladic.ncseries import ReducedSeries, _conv, _Poly
@@ -500,7 +500,7 @@ class TestReadmeGolden:
                     reason="needs a git checkout")
 def test_record_diff_against_head_reports_no_difference():
     """``golden/record.py --diff HEAD`` runs each command under HEAD's src
-    and the working tree's, in child processes, and removes its worktree."""
+    and the working tree's, in child processes, and adds no git worktree."""
     commands = ("verify bch --degree 4 --seed 2\n# a comment\n\n"
                 "bernoulli --k 12\nverify bch --degree 4 --seed 2\n"
                 "measure transform --in tower_rank2.json --degree 3\n")
@@ -526,6 +526,60 @@ def test_workload_argv_prints_runnable_requests_and_keeps_the_tower_files(tmp_pa
     assert len(argvs) == 2 * 5 * len(list(workdir.glob("tower*.json"))) > 0
     assert [main(argv) for argv in argvs] == [0] * len(argvs)
     capsys.readouterr()
+
+
+CORPORA = ["bernoulli_cli", "lfunctions_cli", "measure_route_cli", "measures_cli", "readme_cli",
+           "towers_cli", "verify_cli"]
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_each_corpus_has_its_argv_list(corpus):
+    """``golden/<corpus>.argv`` holds the corpus's command lines, one
+    shell-quoted line per case, in the corpus's order."""
+    lines = (GOLDEN / f"{corpus}.argv").read_text().splitlines()
+    cases = json.loads((GOLDEN / f"{corpus}.json").read_text())
+    assert [shlex.split(line) for line in lines] == [case["argv"] for case in cases]
+
+
+def test_interpolation_routes_run_no_exact_kernel(tmp_path, monkeypatch, capsys):
+    """Over 220 seeded ``lvalue-interp`` requests (seed 3, 20 rounds) every
+    node is read from Bernoulli residues: the exact kernel runs once, for the
+    one node that is exactly 0 where no symmetry shows it, hurwitz_node(1, 1,
+    6, 13) (1/13 = 1 mod 6), through the fallback."""
+    proc = subprocess.run([sys.executable, str(GOLDEN / "workload_argv.py"), "--workload",
+                           "lvalue-interp", "--seed", "3", "--rounds", "20", "--dir",
+                           str(tmp_path)], capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    exact = []
+    kernel = bernoulli._bernoulli_sums
+
+    def counted(k, f, groups, modulus=None):
+        if modulus is None:
+            exact.append((line, k, f, groups))
+        return kernel(k, f, groups, modulus)
+
+    monkeypatch.setattr(bernoulli, "_bernoulli_sums", counted)
+    monkeypatch.setattr(lfunctions, "_bernoulli_sums", counted)
+    for line in lines:
+        assert main(shlex.split(line)) == 0
+    capsys.readouterr()
+    assert len(lines) == 220
+    assert exact == [("hurwitz --ell 13 --beta 1 --s=18/5 --i 1 --m 6 --prec 1", 1, 6, [[1], [1]])]
+    assert lfunctions.hurwitz_node(1, 1, 6, 13) == 0
+
+
+def test_minus_one_interp_reads_no_level(capsys):
+    """The interpolation route reads no --level: ``minus-one --method interp
+    --level 5000`` is served, as the same ``kl`` argv is, with the value of
+    the default level, in one JSON document and at once."""
+    argv = ["minus-one", "--ell", "5", "--beta", "2", "--s", "2", "--method", "interp"]
+    start = time.perf_counter()
+    code = main(argv + ["--level", "5000"])
+    assert time.perf_counter() - start < 2
+    out = capsys.readouterr().out
+    assert code == 0 and out.count("\n") == 1 and "error" not in json.loads(out)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 TOWER = "tower.json"

@@ -5,10 +5,20 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from elladic.bernoulli import _WEIGHT_BUDGET, _character_bernoulli, bernoulli_number, gen_bernoulli
+from elladic.bernoulli import (
+    _WEIGHT_BUDGET,
+    _bernoulli_sums,
+    _character_bernoulli,
+    bernoulli_number,
+    gen_bernoulli,
+)
 from elladic.lfunctions import (
+    _dirichlet_node,
+    _hurwitz_spec,
+    _node,
+    _zinv_spec,
     DirichletCharacter,
     SigmaDependentError,
     classical_dirichlet_special,
@@ -637,3 +647,86 @@ class TestExactZero:
     def test_vanishing_node_at_other_weights_is_zero_to_m_digits(self):
         v = kubota_leopoldt(1, F(1, 2), 5, method="interp", M=3)
         assert v.is_zero_to_precision and v.abs_prec == 3
+
+
+def exact_hurwitz(k, i, m, ell):
+    """(B_k(i/m) - ell^(k-1) B_k(<i/ell>/m)) / k from the exact group sums,
+    written out apart from the family spec the routes read."""
+    b, b_shifted = _bernoulli_sums(k, m, [[i], [i * pow(ell, -1, m) % m]])
+    return (b - Fraction(ell) ** (k - 1) * b_shifted) / k
+
+
+def exact_zinv(k, primes, ell):
+    """(1 - ell^(k-1))/k sum over the units a mod m of B_k(a/m), likewise."""
+    m = math.prod(primes)
+    [total] = _bernoulli_sums(k, m, [[a for a in range(1, m) if math.gcd(a, m) == 1]])
+    return (1 - Fraction(ell) ** (k - 1)) / k * total
+
+
+class TestResidueNodes:
+    """The interpolation routes read each node off Bernoulli residues mod
+    ell^W; the result is the exact node encoded to N digits, digit for digit.
+    The exact node is written out here (or, for a character off +-1, summed
+    from Hurwitz nodes with Teichmuller weights), not read from the spec the
+    routes share with the public exact nodes.  Drawn: ell in 3-13, weights k
+    up to 600, N up to 40; named: k divisible by ell and by ell - 1, odd k at
+    m = 2 (the exact zero by symmetry) and the node (k, i, m, ell) = (1, 1, 6,
+    13), exactly 0 without that symmetry (i/ell = i mod m), where the
+    residues fall back to the exact node."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(2, 30), st.integers(0, 100),
+           st.integers(1, 600), st.integers(1, 40))
+    @example(13, 6, 0, 1, 8)       # the exact zero past the symmetry: the fallback
+    @example(5, 2, 0, 7, 8)        # odd k at m = 2
+    @example(3, 2, 0, 243, 40)     # odd k at m = 2, k = 0 mod ell^5
+    @example(5, 7, 2, 125, 20)     # k = 0 mod ell^3
+    @example(13, 10, 1, 144, 8)    # k = 0 mod ell - 1
+    @example(5, 12, 3, 500, 40)    # k = 0 mod ell and mod ell - 1
+    @example(3, 4, 1, 600, 1)
+    def test_hurwitz(self, ell, m, index, k, N):
+        m += m % ell == 0
+        units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+        i = units[index % len(units)]
+        want = exact_hurwitz(k, i, m, ell)
+        assert hurwitz_node(k, i, m, ell) == want
+        assert _node(_hurwitz_spec(k, i, m, ell), k, ell, N) == PadicNum.from_rational(want, ell, N)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 11, 13]),
+           st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=2, unique=True),
+           st.integers(1, 600), st.integers(1, 40))
+    @example(5, [2], 7, 8)          # odd k: the exact zero by symmetry
+    @example(7, [2, 3], 1, 8)
+    @example(3, [2, 5], 162, 30)    # k = 0 mod ell^4 and mod ell - 1
+    @example(13, [7], 600, 40)      # k = 0 mod ell - 1
+    def test_zinv(self, ell, primes, k, N):
+        assume(ell not in primes)
+        want = exact_zinv(k, primes, ell)
+        assert zinv_node(k, primes, ell) == want
+        assert _node(_zinv_spec(k, primes, ell), k, ell, N) == PadicNum.from_rational(want, ell, N)
+
+    def test_weight_past_the_budget_is_refused_where_the_node_vanishes(self):
+        """An exact odd weight past the table's budget is refused, as the exact
+        node refuses it, even where a -> f - a shows the node to be 0."""
+        for value in (lambda: hurwitz_l(1, 5001, 1, 2, 5), lambda: zinv_l(1, 5001, [2, 3], 5)):
+            with pytest.raises(ValueError, match=f"^weight too large: k must be at most {_WEIGHT_BUDGET}$"):
+                value()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CHARACTERS), st.integers(1, 600), st.integers(1, 40))
+    @example((5, mod4_character(5)), 125, 20)                # k = 0 mod ell^3
+    @example((5, cyclic_character(13, 2, 2, 5)), 125, 30)    # non-rational, k = 0 mod ell^3
+    @example((13, cyclic_character(7, 3, 4, 13)), 12, 8)     # non-rational, k = 0 mod ell - 1
+    @example((7, cyclic_character(9, 2, 3, 7)), 42, 40)      # non-rational, k = 0 mod ell(ell - 1)
+    def test_dirichlet(self, ell_psi, k, N):
+        ell, psi = ell_psi
+        got = _dirichlet_node(psi, k, ell, N, False)
+        if is_rational(psi):
+            assert got == PadicNum.from_rational(dirichlet_node(psi, k, ell), ell, N)
+            return
+        assert got.is_exact_zero == node_vanishes(psi, k, ell)
+        if not got.is_exact_zero:
+            want = dirichlet_hurwitz_sum(psi, k, ell, N)
+            assert want.ndigits >= N
+            assert got == want.reduce_digits(N)
