@@ -7,7 +7,7 @@ tracked precision.
 
 from fractions import Fraction
 
-from elladic import Factor, bernoulli_measure, dilation_pullback, integrate, restrict
+from elladic import Factor, bernoulli_measure, integrate, restrict
 
 ell, c = 5, 2
 E = bernoulli_measure(c, ell, depth=4)
@@ -23,10 +23,6 @@ print(f"  value at 2 mod 5 = {parent} = sum{[str(v) for v in children]}")
 
 print("\nodd symmetry E(m - i) = -E(i):")
 print("  ", all(E.value(2, (25 - i,)) == -E.value(2, (i,)) for i in range(1, 25)))
-
-print("\nself-similarity under the scaling pullback x -> 5x:")
-print("  pullback tower equals the original:",
-      dilation_pullback(E, 1).levels == E.levels[:4])
 
 print("\nintegration (unit-restricted):")
 Eu = restrict(E, "units")

@@ -18,20 +18,14 @@ from .measures import (
     bernoulli_measure,
     bernoulli_unit_integral,
     congruence_check,
-    dilation_pullback,
     dirac_tower,
     integrate,
-    mellin_multi,
-    product_tower,
     pushforward_linear,
     random_bounded_tower,
     raw_word_integral,
     restrict,
-    successive_difference_pushforward,
     tower_from_json,
     tower_to_json,
-    word_coefficient,
-    zero_tower,
 )
 from .transforms import (
     IwasawaSeries,

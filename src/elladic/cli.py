@@ -417,7 +417,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # Python 3.11's argparse reads "--opt=--" as an option with no value
+    if [] in vars(args).values():
+        parser.error("an option given as --opt=-- has no value")
     try:
         doc = _HANDLERS[args.command](args)
     except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:

@@ -12,8 +12,8 @@ coarsened and compared.  Such a tower is never ``units_only``, a flag that only
 integer numerators over one denominator ``den``, the lcm of the values'
 denominators, so every level sum adds integers and ``denom_exponent``, the
 smallest d with every value in ``ell**(-d) * Z_(ell)``, is v_ell(den).
-Fractions appear only at the boundary: ``levels``, ``value``, ``cells``,
-``total_mass`` and the level sums' results.  Tower files are read without
+Fractions appear only at the boundary: ``levels``, ``value``, ``cells``
+and the level sums' results.  Tower files are read without
 them: a level of ASCII ``n`` and ``n/d`` values is joined once and parsed
 in bulk by C-level ``int``, any other level value by value, so every
 spelling that ``Fraction`` reads is accepted and every refusal keeps its
@@ -59,7 +59,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from operator import add, floordiv, mod, mul
 from random import Random
 
@@ -81,17 +81,11 @@ __all__ = [
     "bernoulli_measure",
     "bernoulli_unit_integral",
     "dirac_tower",
-    "zero_tower",
-    "product_tower",
     "random_bounded_tower",
     "pushforward_linear",
-    "successive_difference_pushforward",
     "restrict",
-    "dilation_pullback",
     "integrate",
-    "word_coefficient",
     "raw_word_integral",
-    "mellin_multi",
     "congruence_check",
     "CongruenceReport",
     "tower_to_json",
@@ -231,10 +225,6 @@ class MeasureTower:
         for idx, v in enumerate(self.tables[level]):
             yield _decode(idx, m, self.rank), Fraction(v, self.den)
 
-    @property
-    def total_mass(self) -> Fraction:
-        return Fraction(self.tables[0][0], self.den)
-
     def __repr__(self):
         return (
             f"MeasureTower(ell={self.ell}, rank={self.rank}, depth={self.depth}, "
@@ -345,7 +335,7 @@ def _unit_row(c: int, ell: int, level: int) -> tuple:
 
 def bernoulli_unit_integral(c: int, ell: int, level: int, beta: int, s) -> PadicNum:
     """``integrate(restrict(bernoulli_measure(c, ell, level), "units"),
-    Factor(inverse=True, teich=beta, bracket=s), level)``, without the tower.
+    (Factor(inverse=True, teich=beta, bracket=s),), level)``, without the tower.
 
     At a unit x of the given level the measure is v(x)/2 for the integer
     v(x) = 2(x - c*<c^(-1) x>)/m + c - 1, m = ell^level.  The units are g^j,
@@ -399,30 +389,6 @@ def dirac_tower(point, ell: int, rank: int, depth: int) -> MeasureTower:
     return MeasureTower.from_top(ell, rank, depth, top)
 
 
-def zero_tower(ell: int, rank: int, depth: int) -> MeasureTower:
-    return MeasureTower.from_top(ell, rank, depth, [0] * (ell ** (rank * depth)))
-
-
-def product_tower(mu1: MeasureTower, mu2: MeasureTower) -> MeasureTower:
-    """Product measure on the concatenated coordinates."""
-    if mu1.ell != mu2.ell:
-        raise ValueError("prime mismatch")
-    ell = mu1.ell
-    rank = mu1.rank + mu2.rank
-    depth = min(mu1.depth, mu2.depth)
-    m = ell ** depth
-    t1, t2 = mu1.tables[depth], mu2.tables[depth]
-    top = [0] * (m ** rank)
-    for i2, v2 in enumerate(t2):
-        if not v2:
-            continue
-        base = i2 * m ** mu1.rank
-        for i1, v1 in enumerate(t1):
-            if v1:
-                top[base + i1] = v1 * v2
-    return MeasureTower.from_top(ell, rank, depth, top, mu1.den * mu2.den)
-
-
 def random_bounded_tower(
     ell: int,
     rank: int,
@@ -461,7 +427,7 @@ def random_bounded_tower(
     return MeasureTower.from_top(ell, rank, depth, table, ell ** denom_exponent)
 
 
-# -- pushforward / restriction / pullback -------------------------------------
+# -- pushforward / restriction ------------------------------------------------
 
 
 def pushforward_linear(matrix, mu: MeasureTower) -> MeasureTower:
@@ -488,19 +454,6 @@ def pushforward_linear(matrix, mu: MeasureTower) -> MeasureTower:
     for i, v in zip(image, mu.tables[mu.depth]):
         top[i] += v
     return MeasureTower.from_top(mu.ell, r, mu.depth, top, mu.den)
-
-
-def successive_difference_pushforward(mu: MeasureTower) -> MeasureTower:
-    """Pushforward under (x1,...,xr) -> (x1-x2, ..., x_{r-1}-x_r, x_r)."""
-    r = mu.rank
-    if r == 1:
-        return mu
-    mat = [[0] * r for _ in range(r)]
-    for i in range(r - 1):
-        mat[i][i] = 1
-        mat[i][i + 1] = -1
-    mat[r - 1][r - 1] = 1
-    return pushforward_linear(mat, mu)
 
 
 def restrict(mu: MeasureTower, region) -> MeasureTower:
@@ -530,37 +483,6 @@ def restrict(mu: MeasureTower, region) -> MeasureTower:
     return MeasureTower.from_top(ell, r, mu.depth, top, mu.den, units_only)
 
 
-def dilation_pullback(mu: MeasureTower, k) -> MeasureTower:
-    """Pullback along per-coordinate scaling x_j -> ell^(k_j) x_j.
-
-    The level-n value at c is mu of the product of cosets
-    ell^(k_j) c_j + ell^(n+k_j) Z_ell, read off from level n + max(k).
-    """
-    ell, r = mu.ell, mu.rank
-    ks = tuple(k) if not isinstance(k, int) else (k,) * r
-    if len(ks) != r or any(kj < 0 for kj in ks):
-        raise ValueError("scaling exponents must be nonnegative, one per coordinate")
-    kmax = max(ks)
-    if kmax > mu.depth:
-        raise ValueError("region not expressible at available depth")
-    n = mu.depth - kmax
-    m = ell ** n
-    big = ell ** mu.depth
-    src = mu.tables[mu.depth]
-    top = [0] * (m ** r)
-    for idx in range(len(top)):
-        coords = _decode(idx, m, r)
-        total = 0
-        reps = [
-            [(ell ** kj * cj + ell ** (n + kj) * e) % big for e in range(ell ** (kmax - kj))]
-            for cj, kj in zip(coords, ks)
-        ]
-        for combo in product(*reps):
-            total += src[_encode(combo, big)]
-        top[idx] = total
-    return MeasureTower.from_top(ell, r, n, top, mu.den)
-
-
 # -- integration ---------------------------------------------------------------
 
 
@@ -580,8 +502,6 @@ class Factor:
 
 def _normalize_integrand(integrand, rank):
     """Returns list of (Fraction coefficient, factor tuple) terms."""
-    if isinstance(integrand, Factor):
-        integrand = (integrand,)
     if isinstance(integrand, tuple) and all(isinstance(f, Factor) for f in integrand):
         terms = [(Fraction(1), integrand)]
     else:
@@ -706,29 +626,6 @@ def raw_word_integral(mu: MeasureTower, word: Word, level: int | None = None):
     acc = sum(_word_poly(_decode(idx, m, mu.rank), word.exponents) * v
               for idx, v in enumerate(mu.tables[level]) if v)
     return Fraction(acc, mu.den), level - mu.denom_exponent
-
-
-def word_coefficient(mu: MeasureTower, word: Word, level: int | None = None) -> PadicNum:
-    """Coefficient integral: (prod a_i!)^(-1) * raw word integral."""
-    if level is None:
-        level = mu.depth
-    s, prec = raw_word_integral(mu, word, level)
-    fact = 1
-    for ai in word.exponents:
-        fact *= math.factorial(ai)
-    lost = _frac_val(fact, mu.ell)
-    return _fraction_to_padic_abs(s / fact, mu.ell, prec - lost)
-
-
-def mellin_multi(mu: MeasureTower, s_list, beta_list, level: int | None = None) -> PadicNum:
-    """Integral of prod_i [t_i]^(s_i) t_i^(-1) omega(t_i)^(beta_i) over units."""
-    if len(s_list) != mu.rank or len(beta_list) != mu.rank:
-        raise ValueError("rank mismatch")
-    target = mu if mu.units_only else restrict(mu, "units")
-    fs = tuple(
-        Factor(inverse=True, teich=b, bracket=s) for s, b in zip(s_list, beta_list)
-    )
-    return integrate(target, fs, level)
 
 
 # -- moment congruence checker ---------------------------------------------------

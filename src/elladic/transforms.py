@@ -60,10 +60,6 @@ class IwasawaSeries:
     def __getitem__(self, index):
         return self.coeffs.get(tuple(index), Fraction(0))
 
-    @property
-    def constant(self):
-        return self[(0,) * self.rank]
-
     def __eq__(self, other):
         return (
             isinstance(other, IwasawaSeries)

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import shlex
@@ -9,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from elladic import bernoulli, cli, lfunctions, ncseries
 from elladic.cli import main
@@ -387,6 +391,17 @@ class TestContract:
             capture_output=True, env=SRC_ENV,
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv", [["teichmuller", "--ell=--", "--u", "2"],
+                                      ["kl", "--ell", "5", "--beta", "2", "--s=--"]])
+    def test_option_given_as_double_dash_is_a_usage_error(self, argv, capsys):
+        """Python 3.11's argparse reads ``--opt=--`` as an option with no
+        value; it reached the handlers as an empty list and raised."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "an option given as --opt=-- has no value" in captured.err
 
     def test_byte_identical_output(self, capsys):
         argv = ["verify", "inversion", "--degree", "5", "--seed", "3"]
@@ -787,3 +802,99 @@ class TestRefusedInputs:
         assert json.loads(out) == {
             "command": "measure",
             "error": "degree too large: C(degree+rank, rank) must be at most 1000000 index tuples"}
+
+
+# -- argv fuzzing ---------------------------------------------------------------
+
+
+def subcommands() -> dict:
+    """Each subcommand of ``build_parser()`` with its actions, less ``--help``."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+            for name, p in sub.choices.items()}
+
+
+SUBCOMMANDS = subcommands()
+# every request stays small: these options are always given, and no drawn
+# integer passes its bound
+SIZE_BOUNDS = {"--ell": 13, "--level": 4, "--degree": 6, "--prec": 20}
+INTEGERS = {"--ell": st.sampled_from([3, 5, 7, 11, 13]), "--level": st.integers(1, 4),
+            "--degree": st.integers(0, 6), "--prec": st.integers(1, 20),
+            "--beta": st.integers(0, 4), "--m": st.integers(2, 9)}
+NOT_INTEGERS = ["1/0", "", "x", "0.5", "--"]
+HOSTILE = ["0", "-1", "-7", "1/0", "0/0", "-3/4", "", "x", "\u0663", "1e2", ",", ";", ":", "=", "-", "--"]
+TEXTS = {
+    "--s": ["2", "7/3", "1/2", "-5"],
+    "--t": ["1/3", "-2"],
+    "--chi": ["2", "1/2", "-1"],
+    "--psi": ["4:1=1,3=-1", "3:1=1,2=2", "5:2=1", "0:", "1:", "-4:1=1"],
+    "--primes": ["2", "2,3", "3,7", "-2", "1"],
+    "--matrix": ["1,0;0,1", "2", "1,1;0,1", "0;1", "1,0,0;0,1,0;0,0,1"],
+    "--powers": ["1", "0,2", "1,1,1"],
+    "--teich": ["1", "0,3", "-1"],
+    "--inv": ["1", "1,0", "2"],
+    "--bracket": ["2", "-", "1/2,-", "-,-,-"],
+    "--in": [str(GOLDEN / name) for name in ("tower.json", "tower_rank2.json", "tower_rank3.json")],
+}
+BAD_FILES = [str(GOLDEN / name) for name in (
+    "tower_refused_zero_den.json", "readme_cli.argv", "missing.json", "")] + [str(GOLDEN)]
+
+
+@st.composite
+def argvs(draw, out_dir):
+    """An argv of one subcommand: each positional choice and option value is
+    mostly one the command can serve (its choices, small integers, sample
+    text) and otherwise hostile; a required option is at times left out."""
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [name]
+    for action in SUBCOMMANDS[name]:
+        option = action.option_strings[0] if action.option_strings else None
+        if option and option not in SIZE_BOUNDS and draw(st.integers(0, 9)) < (1 if action.required else 5):
+            continue
+        if action.nargs == 0:
+            argv.append(option)
+            continue
+        if action.choices:
+            good, bad = st.sampled_from(list(action.choices)), st.just("bogus")
+        elif action.type is int:
+            good = INTEGERS.get(option, st.integers(0, 30)).map(str)
+            bad = st.integers(-3, SIZE_BOUNDS.get(option, 30)).map(str) | st.sampled_from(NOT_INTEGERS)
+        elif option == "--out":
+            good = st.just(str(out_dir / "out.json"))
+            bad = st.sampled_from([str(out_dir), str(out_dir / "no" / "out.json")])
+        else:
+            good = st.sampled_from(TEXTS.get(option, ["1"]))
+            bad = st.sampled_from(BAD_FILES if option == "--in" else HOSTILE)
+        value = draw(draw(st.sampled_from([good, good, good, bad])))
+        if option is None:
+            argv.append(value)
+        else:
+            argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_every_argv_exits_with_one_json_document_or_usage(out_dir, data):
+    """Any argv built from the parser's own subcommands and options exits 0
+    or 1 with exactly one JSON document on stdout, or 2 with argparse usage
+    on stderr, and raises nothing else."""
+    argv = data.draw(argvs(out_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("usage: elladic"), argv
+    else:
+        assert code in (0, 1), argv
+        assert out.getvalue().count("\n") == 1, argv
+        doc = json.loads(out.getvalue())
+        assert "error" not in doc or code == 1, argv

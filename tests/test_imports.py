@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, every
 private helper is used somewhere in the package, and every public name is
-defined and re-exported.
+defined, re-exported and reached.
 
 Each ``src/elladic/*.py`` except ``__init__.py`` (whose imports are its
 re-exports) is parsed with ``ast``; a name bound by ``import`` or
@@ -9,6 +9,10 @@ module-level private function or class (``_name``) that no code of
 ``src/elladic`` outside its own body reads, as a name or an attribute, is
 reported as dead.  A name in a module's ``__all__`` that the module does not
 bind at top level, or that ``__init__.py`` does not import, is reported.
+A name in a module's ``__all__`` that no package module reads outside its
+own definition, and no ``demos/*.py`` reads, is reported unless ``ORACLES``
+names it with the check that keeps it; a stale or unexported ``ORACLES``
+entry is reported too.
 """
 
 import ast
@@ -85,16 +89,23 @@ def module_all(tree) -> list:
     return []
 
 
-def top_level_names(tree) -> set:
-    out = set()
+def definitions(tree) -> dict:
+    """Top-level name -> the statement that defines it."""
+    out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            out.add(node.name)
+            out[node.name] = node
         elif isinstance(node, ast.Assign):
-            out |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            out.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            out.add(node.target.id)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out[node.target.id] = node
+    return out
+
+
+def top_level_names(tree) -> set:
+    out = set(definitions(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
             out |= {a.asname or a.name.split(".")[0] for a in node.names}
     return out
 
@@ -118,3 +129,57 @@ def test_checker_reports_missing_public_names():
 def test_public_names_defined_and_exported(path):
     init = (SRC / "__init__.py").read_text()
     assert missing_public_names(path.read_text(), init) == ([], [])
+
+
+# -- every exported name is reached ---------------------------------------------
+
+DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))
+
+# Exported names that no package module and no demo reads, each with the
+# check that keeps it.
+ORACLES = {
+    "zinv_node": "the exact node of the Z[1/m] route: test_bernoulli checks it "
+                 "against a Bernoulli-polynomial sum, test_acceptance checks the "
+                 "Kummer congruences on it",
+}
+
+
+def reach_faults(sources, demos, oracles) -> dict:
+    """The exported names (``__all__`` entries) that no module reads outside
+    the name's own definition and no demo reads, less those ``oracles``
+    names; the ``oracles`` names that are in fact reached; and those that no
+    module exports."""
+    trees = [ast.parse(source) for source in sources]
+    reads = sum((names_read(ast.parse(demo)) for demo in demos),
+                sum((names_read(tree) for tree in trees), Counter()))
+    exported, unreached = set(), set()
+    for tree in trees:
+        own = definitions(tree)
+        for name in module_all(tree):
+            exported.add(name)
+            if name not in own or reads[name] == names_read(own[name])[name]:
+                unreached.add(name)
+    return {"unreached": sorted(unreached - oracles.keys()),
+            "stale": sorted((oracles.keys() & exported) - unreached),
+            "not exported": sorted(oracles.keys() - exported)}
+
+
+def test_checker_reports_unreached_and_stale_names():
+    sources = [
+        '__all__ = ["used", "shown", "selfish", "oracle", "listed"]\n'
+        "def used(): pass\ndef shown(): pass\ndef selfish(): return selfish()\n"
+        "def oracle(): pass\ndef listed(): pass\n",
+        "from m import used\nx = used()\n",
+    ]
+    demos = ["import m\nm.shown()\nm.listed()\n"]
+    oracles = {"oracle": "", "listed": "", "gone": ""}
+    assert reach_faults(sources, demos, oracles) == {
+        "unreached": ["selfish"], "stale": ["listed"], "not exported": ["gone"]}
+
+
+def test_every_exported_name_is_reached():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    demos = [p.read_text() for p in DEMOS]
+    assert DEMOS
+    assert reach_faults(sources, demos, ORACLES) == {
+        "unreached": [], "stale": [], "not exported": []}

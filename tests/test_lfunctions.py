@@ -314,11 +314,12 @@ class TestKubotaLeopoldt:
 
     def test_consistent_with_raw_unit_integral(self):
         # the regularized value times its regularizer is the raw integral
-        from elladic.measures import bernoulli_measure, mellin_multi
+        from elladic.measures import Factor, bernoulli_measure, integrate, restrict
         from elladic.padic import PadicNum, one_unit_pow, teichmuller
 
         ell, c, level, beta, s = 5, 2, 5, 2, F(7, 3)
-        raw = mellin_multi(bernoulli_measure(c, ell, level), [s], [beta], level)
+        units = restrict(bernoulli_measure(c, ell, level), "units")
+        raw = integrate(units, (Factor(inverse=True, teich=beta, bracket=s),), level)
         om = teichmuller(c, ell, level + 2)
         br = PadicNum.from_rational(c, ell, level + 2) * om.invert()
         denom = om ** beta * one_unit_pow(br, s) - 1

@@ -14,20 +14,14 @@ from elladic.measures import (
     bernoulli_measure,
     bernoulli_unit_integral,
     congruence_check,
-    dilation_pullback,
     dirac_tower,
     integrate,
-    mellin_multi,
-    product_tower,
     pushforward_linear,
     random_bounded_tower,
     raw_word_integral,
     restrict,
-    successive_difference_pushforward,
     tower_from_json,
     tower_to_json,
-    word_coefficient,
-    zero_tower,
     _coarsen,
     _moment_sums,
     _precision_plan,
@@ -87,7 +81,7 @@ class TestBernoulliMeasure:
 
     def test_total_mass(self):
         for c in (2, 3, 7):
-            assert bernoulli_measure(c, 5, 1).total_mass == F(c - 1, 2)
+            assert bernoulli_measure(c, 5, 1).levels[0][0] == F(c - 1, 2)
 
     def test_antisymmetry(self):
         for ell, c in [(5, 2), (7, 3), (3, 2)]:
@@ -104,10 +98,6 @@ class TestBernoulliMeasure:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="not a unit"):
             bernoulli_measure(10, 5, 2)
-
-    def test_self_similar_under_scaling_pullback(self):
-        E = bernoulli_measure(2, 5, 4)
-        assert dilation_pullback(E, 1).levels == E.levels[:4]
 
 
 class TestPushforward:
@@ -149,7 +139,7 @@ class TestPushforward:
                 assert v == sum(images.get(coords, []), F(0))
 
 
-class TestRestrictAndPullback:
+class TestRestrict:
     def test_unit_restriction_of_bernoulli(self):
         E = bernoulli_measure(2, 5, 2)
         Eu = restrict(E, "units")
@@ -170,22 +160,14 @@ class TestRestrictAndPullback:
         du = restrict(dirac_tower((3,), 5, 1, 2), "units")
         assert du.levels == dirac_tower((3,), 5, 1, 2).levels
         d0 = restrict(dirac_tower((5,), 5, 1, 2), "units")
-        assert d0.levels == zero_tower(5, 1, 2).levels
+        assert d0.levels == MeasureTower.from_top(5, 1, 2, [0] * 5 ** 2).levels
 
     def test_coset_restriction(self):
         E = bernoulli_measure(2, 5, 2)
         r = restrict(E, (1, [(2,)]))
         assert r.value(1, (2,)) == F(1, 2)
         assert r.value(1, (1,)) == 0
-        assert r.total_mass == F(1, 2)
-
-    def test_scaling_pullback_reads_deeper_level(self):
-        E = bernoulli_measure(2, 5, 3)
-        p = dilation_pullback(E, 1)
-        for n in range(3):
-            m = 5 ** n
-            for i in range(m):
-                assert p.value(n, (i,)) == E.value(n + 1, (5 * i,))
+        assert r.levels[0][0] == F(1, 2)
 
     def test_region_deeper_than_depth(self):
         E = bernoulli_measure(2, 5, 1)
@@ -270,21 +252,20 @@ class TestIntegrate:
 class TestWords:
     def test_point_mass_tail_power(self):
         d = dirac_tower((3,), 5, 1, 4)
-        got = word_coefficient(d, Word((0, 4)), 4)
-        assert got.congruent(F(3 ** 4, 24))
+        assert raw_word_integral(d, Word((0, 4)), 4) == (3 ** 4, 4)
 
     def test_point_mass_leading_power(self):
         d = dirac_tower((3,), 5, 1, 3)
-        assert word_coefficient(d, Word((1, 0)), 3).congruent(-3)
+        assert raw_word_integral(d, Word((1, 0)), 3) == (-3, 3)
 
     def test_rank_two_difference(self):
         d = dirac_tower((3, 1), 5, 2, 2)
-        assert word_coefficient(d, Word((0, 1, 0)), 2).congruent(2)
+        assert raw_word_integral(d, Word((0, 1, 0)), 2) == (2, 2)
 
     def test_rank_mismatch(self):
         d = dirac_tower((3,), 5, 1, 2)
         with pytest.raises(ValueError, match="rank mismatch"):
-            word_coefficient(d, Word((0, 1, 0)), 2)
+            raw_word_integral(d, Word((0, 1, 0)), 2)
 
     @pytest.mark.parametrize("level", [-1, 3])
     def test_level_out_of_range(self, level):
@@ -297,22 +278,23 @@ class TestWords:
         w = Word((0, 4))
         raw, prec = raw_word_integral(mu, w, 3)
         assert prec == 3 - mu.denom_exponent
-        assert word_coefficient(mu, w, 3).congruent(F(raw, 24))
+        assert raw == sum((x[0] ** 4 * v for x, v in mu.cells(3)), F(0))
+
+
+# (x1, x2) -> (t1, t2) = (x1 - x2, x2): the word polynomial
+# (-x1)^a0 (x1 - x2)^a1 x2^a2 is (-(t1 + t2))^a0 t1^a1 t2^a2 in the image
+DIFFERENCES = [[1, -1], [0, 1]]
 
 
 class TestChangeOfVars:
-    def test_rank_one_identity(self):
-        E = bernoulli_measure(2, 5, 2)
-        assert successive_difference_pushforward(E).levels == E.levels
-
     def test_dirac(self):
         d = dirac_tower((4, 1), 5, 2, 2)
-        out = successive_difference_pushforward(d)
+        out = pushforward_linear(DIFFERENCES, d)
         assert out.levels == dirac_tower((3, 1), 5, 2, 2).levels
 
     def test_moment_transport(self):
         mu = random_bounded_tower(5, 2, 2, denom_exponent=1, seed=11)
-        out = successive_difference_pushforward(mu)
+        out = pushforward_linear(DIFFERENCES, mu)
         t1 = sum(v * c[0] for c, v in out.cells(2))
         x_diff = sum(v * (c[0] - c[1]) for c, v in mu.cells(2))
         diff = t1 - x_diff
@@ -320,7 +302,7 @@ class TestChangeOfVars:
 
     def test_word_against_difference_coordinates(self):
         mu = random_bounded_tower(5, 2, 2, denom_exponent=0, seed=23)
-        bar = successive_difference_pushforward(mu)
+        bar = pushforward_linear(DIFFERENCES, mu)
         w = Word((1, 2, 1))
         lhs, _ = raw_word_integral(mu, w, 2)
         rhs = sum(
@@ -371,100 +353,15 @@ class TestPrecisionStability:
 class TestMellin:
     def test_trivial_integrand_gives_unit_mass(self):
         E = bernoulli_measure(2, 5, 4)
-        got = mellin_multi(E, [1], [1], 3)
-        unit_mass = integrate(restrict(E, "units"), (Factor(),), 3)
+        Eu = restrict(E, "units")
+        got = integrate(Eu, (Factor(inverse=True, teich=1, bracket=1),), 3)
+        unit_mass = integrate(Eu, (Factor(),), 3)
         assert got.congruent(unit_mass)
 
     def test_bernoulli_example(self):
         E = bernoulli_measure(2, 5, 5)
-        assert mellin_multi(E, [2], [2], 5).congruent(1)
-
-    def test_product_tower_factorizes(self):
-        E = bernoulli_measure(2, 5, 3)
-        EE = product_tower(E, E)
-        got = mellin_multi(EE, [2, 2], [2, 2], 2)
-        one_dim = mellin_multi(E, [2], [2], 2)
-        assert got.congruent(one_dim * one_dim)
-
-
-class TestBoxDecomposition:
-    """Full-space polynomial integrals = sums over unit-scaled boxes."""
-
-    @pytest.mark.parametrize("rank,depth,word", [(1, 4, (1, 2)), (2, 3, (1, 1, 2))])
-    def test_box_decomposition_sum(self, rank, depth, word):
-        ell = 3
-        mu = random_bounded_tower(ell, rank, depth, denom_exponent=1, seed=rank + 7)
-        bar = successive_difference_pushforward(mu)
-        d = bar.denom_exponent
-        a = word
-        lhs = F(0)
-        for coords, v in bar.cells(depth):
-            if not v:
-                continue
-            t = (-sum(coords)) ** a[0]
-            for ci, ai in zip(coords, a[1:]):
-                t *= ci ** ai
-            lhs += t * v
-
-        B = depth - 1
-        rhs = F(0)
-        floor = (B + 1) * min(a[1:]) - d  # tail valuation
-        for box in _boxes(rank, B):
-            level = depth - max(box)
-            if level < 1:
-                continue
-            nu = restrict(dilation_pullback(bar, box), "units")
-            pref = ell ** sum(ai * ni for ai, ni in zip(a[1:], box))
-            m = ell ** level
-            acc = F(0)
-            for coords, v in nu.cells(level):
-                if not v:
-                    continue
-                t = (-sum(ell ** ni * ci for ni, ci in zip(box, coords))) ** a[0]
-                for ci, ai in zip(coords, a[1:]):
-                    t *= ci ** ai
-                acc += t * v
-            rhs += pref * acc
-            floor = min(floor, sum(ai * ni for ai, ni in zip(a[1:], box)) + level - d)
-        assert frac_val(lhs - rhs, ell) >= floor
-
-
-def _boxes(rank, bound):
-    if rank == 0:
-        yield ()
-        return
-    for h in range(bound + 1):
-        for t in _boxes(rank - 1, bound):
-            yield (h,) + t
-
-
-class TestUnitShellExpansion:
-    """Full moments as geometric sums of unit-restricted scaled moments."""
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_bernoulli_measure(self, k):
-        ell, depth = 5, 5
-        E = bernoulli_measure(2, ell, depth)
-        lhs = integrate(E, (Factor(power=k),), depth)
-        rhs = None
-        for j in range(depth - 1):
-            nu = restrict(dilation_pullback(E, j), "units")
-            term = F(ell) ** (j * k) * integrate(nu, (Factor(power=k),), nu.depth)
-            rhs = term if rhs is None else rhs + term
-        # comparison floor: the truncated tail shells have valuation
-        # >= (depth-1)*k, and both sides are stated to depth digits
-        floor = min((depth - 1) * k, depth)
-        assert lhs.congruent(rhs, floor)
-
-    def test_dirac_at_unit(self):
-        ell, depth = 5, 4
-        dmu = dirac_tower((3,), ell, 1, depth)
-        lhs = integrate(dmu, (Factor(power=2),), depth)
-        nu = restrict(dmu, "units")
-        rhs = integrate(nu, (Factor(power=2),), depth)
-        assert lhs.congruent(rhs)
-        # deeper shells vanish: the pullback of a unit point mass is zero
-        assert dilation_pullback(dmu, 1).levels == zero_tower(ell, 1, depth - 1).levels
+        Eu = restrict(E, "units")
+        assert integrate(Eu, (Factor(inverse=True, teich=2, bracket=2),), 5).congruent(1)
 
 
 class TestZeroMassTowers:
@@ -477,8 +374,8 @@ class TestZeroMassTowers:
             mu = random_bounded_tower(
                 3, 2, 3, denom_exponent=1, seed=seed, zero_total=True
             )
-            assert mu.total_mass == 0
-            assert f_transform(mu, 3).constant == 0
+            assert mu.levels[0][0] == 0
+            assert f_transform(mu, 3)[(0, 0)] == 0
             assert integrate(mu, (Factor(), Factor()), 3).unit == 0
 
 
@@ -575,13 +472,6 @@ class TestCoarsenProperty:
 
     @settings(max_examples=25, deadline=None)
     @given(st.data(), ELLS)
-    def test_product(self, data, ell):
-        mu1 = data.draw(towers(ell, rank=1))
-        mu2 = data.draw(towers(ell, rank=1))
-        assert_coarsens(product_tower(mu1, mu2))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.data(), ELLS)
     def test_pushforward(self, data, ell):
         mu = data.draw(towers(ell))
         r = mu.rank
@@ -597,13 +487,6 @@ class TestCoarsenProperty:
     def test_restrict(self, case):
         mu, region = case
         assert_coarsens(restrict(mu, region))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.data(), ELLS)
-    def test_dilation_pullback(self, data, ell):
-        mu = data.draw(towers(ell))
-        k = data.draw(st.lists(st.integers(0, mu.depth), min_size=mu.rank, max_size=mu.rank))
-        assert_coarsens(dilation_pullback(mu, k))
 
     @settings(max_examples=25, deadline=None)
     @given(st.data(), ELLS, st.integers(1, 2), st.integers(0, 2))

@@ -395,7 +395,7 @@ class TestExponentResidue:
             lambda: _exponent_residue(PadicNum.zero(7), 5, 3),
             lambda: one_unit_pow(PadicNum.from_rational(6, 5, 3), s7),
             lambda: one_unit_pow(PadicNum.from_rational(6, 5, 3), PadicNum.zero(7)),
-            lambda: integrate(tower, Factor(inverse=True, bracket=s7), 3),
+            lambda: integrate(tower, (Factor(inverse=True, bracket=s7),), 3),
             lambda: kubota_leopoldt(2, s7, 5, level=3),
             lambda: kubota_leopoldt(2, s7, 5, method="interp"),
         ]
