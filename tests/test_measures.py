@@ -99,6 +99,14 @@ class TestBernoulliMeasure:
         with pytest.raises(ValueError, match="not a unit"):
             bernoulli_measure(10, 5, 2)
 
+    def test_self_similar_under_scaling(self):
+        # E_c(ell i + ell^(n+1) Z) = E_c(i + ell^n Z): the measure is
+        # invariant under x -> ell x
+        E = bernoulli_measure(2, 5, 4)
+        for n in range(4):
+            for i in range(5 ** n):
+                assert E.value(n + 1, (5 * i,)) == E.value(n, (i,))
+
 
 class TestPushforward:
     def test_dirac_doubling(self):
@@ -168,6 +176,24 @@ class TestRestrict:
         assert r.value(1, (2,)) == F(1, 2)
         assert r.value(1, (1,)) == 0
         assert r.levels[0][0] == F(1, 2)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_valuation_shells_partition_the_moments(self, k):
+        # the shells ell^j Z_ell^x, j < depth, and the tail ell^depth Z_ell
+        # partition Z_ell: their Riemann sums at the top level add up exactly
+        ell, depth = 3, 4
+        mu = random_bounded_tower(ell, 1, depth, denom_exponent=1, seed=k)
+        shells = [
+            restrict(mu, (j + 1, [(ell ** j * u,) for u in range(1, ell)]))
+            for j in range(depth)
+        ]
+        tail = restrict(mu, (depth, [(0,)]))
+        assert sum(s.levels[0][0] for s in shells) + tail.levels[0][0] == mu.levels[0][0]
+
+        def moment(nu):
+            return sum((c[0] ** k * v for c, v in nu.cells(depth)), F(0))
+
+        assert sum(map(moment, shells)) + moment(tail) == moment(mu)
 
     def test_region_deeper_than_depth(self):
         E = bernoulli_measure(2, 5, 1)
@@ -287,6 +313,10 @@ DIFFERENCES = [[1, -1], [0, 1]]
 
 
 class TestChangeOfVars:
+    def test_rank_one_identity(self):
+        E = bernoulli_measure(2, 5, 2)
+        assert pushforward_linear([[1]], E).levels == E.levels
+
     def test_dirac(self):
         d = dirac_tower((4, 1), 5, 2, 2)
         out = pushforward_linear(DIFFERENCES, d)
@@ -362,6 +392,55 @@ class TestMellin:
         E = bernoulli_measure(2, 5, 5)
         Eu = restrict(E, "units")
         assert integrate(Eu, (Factor(inverse=True, teich=2, bracket=2),), 5).congruent(1)
+
+    def test_product_tower_factorizes(self):
+        E = bernoulli_measure(2, 5, 3)
+        f = Factor(inverse=True, teich=2, bracket=2)
+        got = integrate(restrict(product_of(E, E), "units"), (f, f), 2)
+        one_dim = integrate(restrict(E, "units"), (f,), 2)
+        assert got.congruent(one_dim * one_dim)
+
+
+def product_of(mu1, mu2):
+    """The rank-2 product of two rank-1 towers, at the lesser of their depths."""
+    depth = min(mu1.depth, mu2.depth)
+    top = [b * a for b in mu2.tables[depth] for a in mu1.tables[depth]]
+    return MeasureTower.from_top(mu1.ell, 2, depth, top, mu1.den * mu2.den)
+
+
+class TestUnitShellExpansion:
+    """Full moments as geometric sums of unit-restricted scaled moments.
+
+    The Bernoulli measure is self-similar (pulled back along x -> ell^j x
+    it is itself at depth - j), so the shell ell^j Z_ell^x contributes
+    ell^(jk) times the unit moment of the depth - j measure.
+    """
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bernoulli_measure(self, k):
+        ell, depth = 5, 5
+        E = bernoulli_measure(2, ell, depth)
+        lhs = integrate(E, (Factor(power=k),), depth)
+        rhs = None
+        for j in range(depth - 1):
+            nu = restrict(bernoulli_measure(2, ell, depth - j), "units")
+            term = F(ell) ** (j * k) * integrate(nu, (Factor(power=k),), nu.depth)
+            rhs = term if rhs is None else rhs + term
+        # comparison floor: the truncated tail shells have valuation
+        # >= (depth-1)*k, and both sides are stated to depth digits
+        floor = min((depth - 1) * k, depth)
+        assert lhs.congruent(rhs, floor)
+
+    def test_dirac_at_unit(self):
+        ell, depth = 5, 4
+        dmu = dirac_tower((3,), ell, 1, depth)
+        lhs = integrate(dmu, (Factor(power=2),), depth)
+        nu = restrict(dmu, "units")
+        rhs = integrate(nu, (Factor(power=2),), depth)
+        assert lhs.congruent(rhs)
+        # deeper shells vanish: a unit point mass puts nothing on ell Z_ell
+        deeper = restrict(dmu, (1, [(0,)]))
+        assert deeper.levels == MeasureTower.from_top(ell, 1, depth, [0] * ell ** depth).levels
 
 
 class TestZeroMassTowers:
@@ -469,6 +548,18 @@ class TestCoarsenProperty:
     @given(ELLS, st.lists(st.integers(-50, 50), min_size=1, max_size=2), st.integers(0, 3))
     def test_dirac(self, ell, point, depth):
         assert_coarsens(dirac_tower(point, ell, len(point), depth))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data(), ELLS)
+    def test_product(self, data, ell):
+        mu1 = data.draw(towers(ell, rank=1))
+        mu2 = data.draw(towers(ell, rank=1))
+        prod = product_of(mu1, mu2)
+        assert_coarsens(prod)
+        for n in range(prod.depth + 1):
+            for (a,), u in mu1.cells(n):
+                for (b,), v in mu2.cells(n):
+                    assert prod.value(n, (a, b)) == u * v
 
     @settings(max_examples=25, deadline=None)
     @given(st.data(), ELLS)
