@@ -115,9 +115,10 @@ def _random_poly(rng: Random, degree: int):
     return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(degree + 1)]
 
 
-def verify_bch(degree: int = 10, seed: int = 7, count: int = 20) -> dict:
+def verify_bch(degree: int = 10, seed: int = 7) -> dict:
     """log(e^A e^B) by exp and log power sums vs the closed form
-    ``bch_reduced``, for A = alpha X + Y phi1(X) and B = beta X + Y phi2(X).
+    ``bch_reduced``, for A = alpha X + Y phi1(X) and B = beta X + Y phi2(X):
+    A = X and B = Y both ways round, then 20 random pairs.
 
     The power sums run on ``ReducedSeries`` at ``degree``, where the check
     reads them: the quotient map and the X-degree window form an algebra map,
@@ -129,7 +130,7 @@ def verify_bch(degree: int = 10, seed: int = 7, count: int = 20) -> dict:
     y = ReducedSeries(degree, None, [1])
     checks = [_check("xy-closed-form", bch(x, y), bch_reduced(1, [0], 0, [1], degree)),
               _check("yx-closed-form", bch(y, x), bch_reduced(0, [1], 1, [0], degree))]
-    for i in range(count):
+    for i in range(20):
         alpha = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.randint(1, 3))
         beta = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.randint(1, 3))
         phi1 = _random_poly(rng, 4)
@@ -163,10 +164,9 @@ def verify_gamma(degree: int = 10, seed: int = 7, chis=None) -> dict:
             "all_pass": all(c["pass"] for c in checks)}
 
 
-def verify_inversion(degree: int = 8, seed: int = 7, count: int = 10,
-                     chi=None, t=None) -> dict:
+def verify_inversion(degree: int = 8, seed: int = 7, chi=None, t=None) -> dict:
     """The group-product chain ``inversion_pipeline`` vs its closed form, and
-    the scaled-pair loop vs its display formula, for ``count`` random A.
+    the scaled-pair loop vs its display formula, for 10 random A.
 
     The loop, its display check and the chain's other (chi, t)-only parts
     (``inversion_parts``: the chi kernel, exp(-t Z), exp(t Z), e^(-tX) and
@@ -177,7 +177,7 @@ def verify_inversion(degree: int = 8, seed: int = 7, count: int = 10,
     rng = Random(seed)
     checks = []
     pairs = {}
-    for i in range(count):
+    for i in range(10):
         a = _random_poly(rng, degree)
         ci = Fraction(chi) if chi is not None else Fraction(rng.choice([2, 3, -1, 5]), rng.choice([1, 2]))
         ti = Fraction(t) if t is not None else Fraction(rng.randint(1, 5), rng.choice([2, 3, 7]))

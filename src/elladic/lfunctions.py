@@ -13,18 +13,20 @@ Evaluation strategies:
   a function of k alone, by the one helper ``_read_off``; a weight past the
   Bernoulli table's budget is refused before any work.  The Hurwitz, Z[1/m]
   and Dirichlet nodes are read off Bernoulli residues mod ell^W to
-  max(ndigits, M) digits (``bernoulli._residue_node``, whose docstring has
+  max(_DIGITS, M) digits (``bernoulli._residue_node``, whose docstring has
   the precision rule), never as exact rationals of thousands of bits; each
   family has one spec (checks, groups, weights, denominator) shared with
   its exact node, and the result is that node encoded to those digits.
 
 At an exact weight (an integer s >= 1 with s = beta mod (ell-1)) k = s and
-the value is the node, to ndigits digits, or the exact zero when the node
-vanishes.  The kl and Dirichlet nodes are -B_(k,chi)/k, the exact zero when
-chi(-1) != (-1)^k; the Dirichlet node's Euler factor 1 - psi(ell) ell^(k-1)
-is an exact 0 at k = 1 and psi(ell) = 1.  Its front factor is read at k as
--m^(k-1): it differs from -omega(m)^beta [m]^s / m by [m]^(s-k) = 1 mod
-ell^(M+1), past every claimed digit.  The twist omega(c)^beta [c]^s of the
+the value is the node, to ``_DIGITS`` (8) digits, or the exact zero when the
+node vanishes.  That digit count is the one module constant; only
+``kubota_leopoldt`` and the nodes ``kl_node`` and ``dirichlet_node`` take
+another, as ``ndigits``.  The kl and Dirichlet nodes are -B_(k,chi)/k, the
+exact zero when chi(-1) != (-1)^k; the Dirichlet node's Euler factor
+1 - psi(ell) ell^(k-1) is an exact 0 at k = 1 and psi(ell) = 1.  Its front
+factor is read at k as -m^(k-1): it differs from -omega(m)^beta [m]^s / m by
+[m]^(s-k) = 1 mod ell^(M+1), past every claimed digit.  The twist omega(c)^beta [c]^s of the
 measure route and the Euler-type factors is built by ``_twist``.
 """
 
@@ -41,7 +43,7 @@ from .bernoulli import (
     bernoulli_number,
     gen_bernoulli,
 )
-from .measures import bernoulli_unit_integral
+from .measures import _CELL_BUDGET, bernoulli_unit_integral
 from .padic import _DIGIT_BUDGET, PadicNum, is_odd_prime, one_unit_pow, residue_mod, smallest_regularizer, teichmuller, unit_decompose, _angle_from_scalar, _check_prime, _frac_val
 
 __all__ = [
@@ -61,6 +63,15 @@ __all__ = [
     "zinv_l",
     "zinv_report",
 ]
+
+
+# The digits of a value at an exact weight, and the default digits of the
+# nodes; every interpolated node is worked to at least this many.
+_DIGITS = 8
+
+# The most Horner steps m * (floor(k/2) + 1) of a Z[1/m] node, one row of
+# floor(k/2) + 1 steps per unit below m (see ``measures._CELL_BUDGET``).
+_STEP_BUDGET = 10 ** 7
 
 
 class SigmaDependentError(ValueError):
@@ -90,6 +101,9 @@ class DirichletCharacter:
             raise ValueError("modulus must exceed 1")
         if modulus % ell == 0:
             raise ValueError("m divisible by ell")
+        # the multiplicativity check below reads every pair of units
+        if modulus ** 2 > _CELL_BUDGET:
+            raise ValueError(f"modulus too large: m^2 must be at most {_CELL_BUDGET}")
         units = [a for a in range(1, modulus) if math.gcd(a, modulus) == 1]
         for a, v in values.items():
             if a not in units:
@@ -166,12 +180,12 @@ def _check_prec(M: int, extra: int = 0) -> None:
     """Refuse a precision M whose work precision M + extra would pass
     ``_DIGIT_BUDGET``, before any ell^M is built: ``_read_off`` works at
     max(ndigits, M) digits, ``dirichlet_l``'s Teichmuller weights at M + 3,
-    ``minus_one_l``'s twist at M + 4 and ``zinv_report`` at M + ndigits + 6."""
+    ``minus_one_l``'s twist at M + 4 and ``zinv_report`` at M + _DIGITS + 6."""
     if M + extra > _DIGIT_BUDGET:
         raise ValueError(f"precision too large: --prec must be at most {_DIGIT_BUDGET - extra}")
 
 
-def _read_off(node, beta: int, s, ell: int, M: int, ndigits: int) -> PadicNum:
+def _read_off(node, beta: int, s, ell: int, M: int, ndigits: int = _DIGITS) -> PadicNum:
     """The interpolated value at 1-s, read off ``node(k)`` at the weight k.
 
     A node is an exact Fraction, encoded with max(ndigits, M) digits (a zero
@@ -201,7 +215,7 @@ def _twist(c: int, beta: int, s, ell: int, K: int) -> PadicNum:
     return om ** beta * one_unit_pow(br, s)
 
 
-def kl_node(k: int, beta: int, ell: int, ndigits: int = 8) -> PadicNum:
+def kl_node(k: int, beta: int, ell: int, ndigits: int = _DIGITS) -> PadicNum:
     """Closed special value -(1/k) B_{k, omega^(beta-k)} as an ell-adic number."""
     return -gen_bernoulli(k, beta - k, ell, ndigits) / k
 
@@ -219,7 +233,7 @@ def kubota_leopoldt(
     level: int = 6,
     method: str = "measure",
     M: int = 2,
-    ndigits: int = 8,
+    ndigits: int = _DIGITS,
 ) -> PadicNum:
     """The regularized unit-group L-value at 1-s for the beta-th twist.
 
@@ -256,13 +270,12 @@ def minus_one_l(
     level: int = 6,
     method: str = "measure",
     M: int = 2,
-    ndigits: int = 8,
 ) -> PadicNum:
     """The z = -1 variant, as an explicit Euler-type factor times the zeta family.
 
     Only even beta has a path-independent value; odd beta is refused.  The
-    twist is worked to 4 digits past the route's own: max(level, M, ndigits)
-    on the measure route, max(M, ndigits) on the interpolation route, which
+    twist is worked to 4 digits past the route's own: max(level, M, _DIGITS)
+    on the measure route, max(M, _DIGITS) on the interpolation route, which
     reads no level.
     """
     if beta % 2:
@@ -270,8 +283,8 @@ def minus_one_l(
             "sigma-dependent; Euler-factor formula not applicable for odd beta"
         )
     _check_prec(M, 4)
-    base = kubota_leopoldt(beta, s, ell, c=c, level=level, method=method, M=M, ndigits=ndigits)
-    digits = max(M, ndigits) if method == "interp" else max(level, M, ndigits)
+    base = kubota_leopoldt(beta, s, ell, c=c, level=level, method=method, M=M)
+    digits = max(M, _DIGITS) if method == "interp" else max(level, M, _DIGITS)
     t = _twist(2, beta, s, ell, digits + 4) / 2
     return (1 - t) / t * base
 
@@ -317,13 +330,11 @@ def hurwitz_node(k: int, i: int, m: int, ell: int) -> Fraction:
     return _node(_hurwitz_spec(k, i, m, ell), k, ell)
 
 
-def hurwitz_l(
-    beta: int, s, i: int, m: int, ell: int, M: int = 2, ndigits: int = 8
-) -> PadicNum:
+def hurwitz_l(beta: int, s, i: int, m: int, ell: int, M: int = 2) -> PadicNum:
     """Interpolated Hurwitz-type value at 1-s for the pair (i, m)."""
-    N = max(ndigits, M)
+    N = max(_DIGITS, M)
     return _read_off(lambda k: _node(_hurwitz_spec(k, i, m, ell), k, ell, N),
-                     beta, s, ell, M, ndigits)
+                     beta, s, ell, M)
 
 
 def classical_dirichlet_special(psi: DirichletCharacter, k: int) -> Fraction:
@@ -347,28 +358,21 @@ def _dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int, exa
     return (1 - at_ell * ell ** (k - 1)) * -b / k
 
 
-def dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int = 8):
+def dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int = _DIGITS):
     """(1 - psi(ell) ell^(k-1)) L(1-k, psi), the classical value -B_(k,psi)/k with
     its Euler factor at ell removed: exact when psi is rational, else ndigits
     digits; the exact zero on a parity mismatch or at k = 1 and psi(ell) = 1."""
     return _dirichlet_node(psi, k, ell, ndigits, True)
 
 
-def dirichlet_l(
-    psi: DirichletCharacter,
-    beta: int,
-    s,
-    ell: int,
-    M: int = 2,
-    ndigits: int = 8,
-) -> PadicNum:
+def dirichlet_l(psi: DirichletCharacter, beta: int, s, ell: int, M: int = 2) -> PadicNum:
     """Interpolated Dirichlet L-value: ``dirichlet_node`` at the interpolation
     weight, whose front factor -m^(k-1) stands for -omega(m)^beta [m]^s / m."""
     if psi.ell != ell:
         raise ValueError("character realized at a different prime")
     _check_prec(M, 3)
-    N = max(ndigits, M)
-    return _read_off(lambda k: _dirichlet_node(psi, k, ell, N, False), beta, s, ell, M, ndigits)
+    N = max(_DIGITS, M)
+    return _read_off(lambda k: _dirichlet_node(psi, k, ell, N, False), beta, s, ell, M)
 
 
 # ---------------------------------------------------------------------------
@@ -376,21 +380,26 @@ def dirichlet_l(
 # ---------------------------------------------------------------------------
 
 
-def _zinv_modulus(primes) -> int:
+def _zinv_modulus(primes, k: int) -> int:
+    """m = prod(primes), its entries checked after the Horner steps it costs."""
     primes = list(primes)
     if not primes:
         raise ValueError("at least one prime required (the modulus must exceed 1)")
+    m = math.prod(primes)
+    if m * (k // 2 + 1) > _STEP_BUDGET:
+        raise ValueError(f"modulus too large: m * (k // 2 + 1) must be at most "
+                         f"{_STEP_BUDGET} Horner steps")
     for p in primes:
         if p != 2 and not is_odd_prime(p):
             raise ValueError(f"every entry of primes must be a prime, got {p}")
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
-    return math.prod(primes)
+    return m
 
 
 def _zinv_spec(k: int, primes, ell: int):
     """``zinv_node``'s spec, its arguments checked."""
-    m = _zinv_modulus(primes)
+    m = _zinv_modulus(primes, k)
     if any(p == ell for p in primes):
         raise ValueError("primes must differ from ell")
     _check_node(k, m, ell)
@@ -403,14 +412,14 @@ def zinv_node(k: int, primes, ell: int) -> Fraction:
     return _node(_zinv_spec(k, primes, ell), k, ell)
 
 
-def zinv_l(beta: int, s, primes, ell: int, M: int = 2, ndigits: int = 8) -> PadicNum:
+def zinv_l(beta: int, s, primes, ell: int, M: int = 2) -> PadicNum:
     """Definition-route value: the coprime Hurwitz sum at the interpolation weight."""
-    N = max(ndigits, M)
+    N = max(_DIGITS, M)
     return _read_off(lambda k: _node(_zinv_spec(k, primes, ell), k, ell, N),
-                     beta, s, ell, M, ndigits)
+                     beta, s, ell, M)
 
 
-def zinv_report(beta: int, s, primes, ell: int, M: int = 2, ndigits: int = 8) -> dict:
+def zinv_report(beta: int, s, primes, ell: int, M: int = 2) -> dict:
     """Definition-route value vs the Euler-product shortcut, with sign verdict.
 
     The product shortcut multiplies the zeta-family value by
@@ -423,9 +432,9 @@ def zinv_report(beta: int, s, primes, ell: int, M: int = 2, ndigits: int = 8) ->
     coming from kl_node_rational = -(1 - ell^(k-1)) B_k/k.  The report
     carries both values and the ratio.
     """
-    _check_prec(M, ndigits + 6)
-    value = zinv_l(beta, s, primes, ell, M=M, ndigits=ndigits)
-    work = ndigits + M + 6
+    _check_prec(M, _DIGITS + 6)
+    value = zinv_l(beta, s, primes, ell, M=M)
+    work = _DIGITS + M + 6
     base = kubota_leopoldt(beta, s, ell, method="interp", M=M, ndigits=work)
     prod = PadicNum.from_rational(1, ell, work)
     for p in primes:

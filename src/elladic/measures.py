@@ -273,14 +273,22 @@ def _moment_sums(mu: MeasureTower, indices, level: int, weight):
 # ``bernoulli_unit_integral`` sums.  A deeper request is refused before any
 # work: at ell = 5 and level 40 it would otherwise run until it is killed.
 # It also bounds the rank of a tower given by its levels, whose rank-long
-# lists would exhaust memory at a rank of 10^9.  Three more budgets refuse
-# before any work: ``bernoulli._WEIGHT_BUDGET`` (4096) bounds the exact
+# lists would exhaust memory at a rank of 10^9, and the modulus m of a
+# ``lfunctions.DirichletCharacter`` by m^2, the unit pairs its table check
+# reads (0.2 s at m = 997).  Five more budgets refuse before any work:
+# ``bernoulli._WEIGHT_BUDGET`` (4096) bounds the exact
 # Bernoulli index k, the table's and the interpolation weight's, since a cold
 # table costs about k^3 (0.09 s to k = 1000, 5.4 s to 4000);
 # ``padic._DIGIT_BUDGET`` (1000) bounds the digits of a Teichmuller lift, one
 # pow to an ell^(digits-1) exponent (at ell = 13: 0.15 s for 1000 digits,
 # 3.4 s for 3000), and every work precision an L-value derives from its
-# precision M (``lfunctions._check_prec``); and ``ncseries._DEGREE_BUDGET``
+# precision M (``lfunctions._check_prec``); ``padic._PRIME_BUDGET`` (2^32)
+# bounds the odd n whose primality trial division decides, and so every ell
+# and Z[1/m] prime (3 ms at 2^32, as is factoring ell - 1 for
+# ``smallest_regularizer``); ``lfunctions._STEP_BUDGET`` (10^7) bounds the
+# Horner steps m (floor(k/2) + 1) of a Z[1/m] node, one row per unit below
+# m (0.6 s at m = 10403, k = 1042; 4 s at m = 5*10^6, k = 2, where listing
+# the units costs more than the steps); and ``ncseries._DEGREE_BUDGET``
 # (32) bounds the degree of the ``verify`` suites, whose costliest (``bch``)
 # grows about as degree^6.
 _CELL_BUDGET = 10 ** 6
@@ -362,7 +370,7 @@ def bernoulli_unit_integral(c: int, ell: int, level: int, beta: int, s) -> Padic
     if level < 1:
         raise ValueError("region not expressible at available depth")
     factor = Factor(inverse=True, teich=beta, bracket=s)
-    prec, _, [[(a, b)]] = _precision_plan(ell, [(1, (factor,))], level, 0)
+    prec, _, [(a, b)] = _precision_plan(ell, (factor,), level, 0)
     if beta % 2:
         return _fraction_to_padic_abs(Fraction(0), ell, prec)
     m, row = ell ** level, _unit_row(c, ell, level)
@@ -380,7 +388,7 @@ def bernoulli_unit_integral(c: int, ell: int, level: int, beta: int, s) -> Padic
 
 
 def dirac_tower(point, ell: int, rank: int, depth: int) -> MeasureTower:
-    point = tuple(point) if not isinstance(point, int) else (point,)
+    point = tuple(point)
     if len(point) != rank:
         raise ValueError("rank mismatch")
     m = ell ** depth
@@ -390,12 +398,7 @@ def dirac_tower(point, ell: int, rank: int, depth: int) -> MeasureTower:
 
 
 def random_bounded_tower(
-    ell: int,
-    rank: int,
-    depth: int,
-    denom_exponent: int = 0,
-    seed: int = 0,
-    zero_total: bool = False,
+    ell: int, rank: int, depth: int, denom_exponent: int = 0, seed: int = 0
 ) -> MeasureTower:
     """Seeded synthetic bounded tower: split each value into ell^r children.
 
@@ -409,7 +412,7 @@ def random_bounded_tower(
         e = rng.randint(0, denom_exponent) if denom_exponent else 0
         return rng.randint(-9, 9) * ell ** (denom_exponent - e)
 
-    table = [0 if zero_total else rand_val()]
+    table = [rand_val()]
     for n in range(depth):
         m = ell ** n
         big = m * ell
@@ -500,50 +503,40 @@ class Factor:
         return self.inverse or self.teich != 0 or self.bracket is not None
 
 
-def _normalize_integrand(integrand, rank):
-    """Returns list of (Fraction coefficient, factor tuple) terms."""
-    if isinstance(integrand, tuple) and all(isinstance(f, Factor) for f in integrand):
-        terms = [(Fraction(1), integrand)]
-    else:
-        terms = [(Fraction(c), tuple(fs)) for c, fs in integrand]
-    for _, fs in terms:
-        if len(fs) != rank:
-            raise ValueError("rank mismatch: one factor per coordinate required")
-        for f in fs:
-            if f.power < 0:
-                raise ValueError("negative powers are spelled with inverse=True")
-    return terms
+def _check_integrand(factors, rank) -> tuple:
+    """The integrand's factors, one per coordinate, as a tuple."""
+    factors = tuple(factors)
+    if len(factors) != rank:
+        raise ValueError("rank mismatch: one factor per coordinate required")
+    if any(f.power < 0 for f in factors):
+        raise ValueError("negative powers are spelled with inverse=True")
+    return factors
 
 
-def _precision_plan(ell: int, terms, level: int, denom_exponent: int):
+def _precision_plan(ell: int, factors, level: int, denom_exponent: int):
     """(prec, K, folded) of a level sum: the guaranteed absolute precision
     ``level - denom_exponent - (#inverse factors)``, capped by the stated
-    precision of any ell-adic bracket exponent, then moved by the least
-    valuation of a nonzero term coefficient (a coefficient c scales a term's
-    error by |c|); the work precision K; and per
+    precision of any ell-adic bracket exponent; the work precision K; and per
     factor the single power x^a * omega(x)^b mod ell^K it folds into, since
     [x] = x * omega(x)^(-1): a = power - inverse + s, b = (teich - s) mod (ell - 1).
     """
-    n_inv = max(sum(1 for f in fs if f.inverse) for _, fs in terms)
-    cap = math.inf
-    for _, fs in terms:
-        for f in fs:
-            if isinstance(f.bracket, PadicNum) and not f.bracket.is_exact_zero:
-                cap = min(cap, f.bracket.abs_prec + 1)
-    shift = min((_frac_val(c, ell) for c, _ in terms if c), default=0)
-    prec = min(level - n_inv, cap) - denom_exponent + shift
+    cap = min((f.bracket.abs_prec + 1 for f in factors
+               if isinstance(f.bracket, PadicNum) and not f.bracket.is_exact_zero),
+              default=math.inf)
+    prec = min(level - sum(1 for f in factors if f.inverse), cap) - denom_exponent
     K = max(level, prec) + denom_exponent + 3
 
     def fold(f):
         s = _exponent_residue(f.bracket, ell, K - 1) if f.bracket is not None else 0
         return f.power - f.inverse + s, (f.teich - s) % (ell - 1)
 
-    return prec, K, [[fold(f) for f in fs] for _, fs in terms]
+    return prec, K, tuple(map(fold, factors))
 
 
-def integrate(mu: MeasureTower, integrand, level: int | None = None) -> PadicNum:
-    """Level-n Riemann sum of a closed-family integrand against the tower, at
-    the guaranteed absolute precision that ``_precision_plan`` works out."""
+def integrate(mu: MeasureTower, factors, level: int | None = None) -> PadicNum:
+    """Level-n Riemann sum of ``prod_j factors[j](x_j)``, one ``Factor`` per
+    coordinate, against the tower, at the guaranteed absolute precision that
+    ``_precision_plan`` works out."""
     ell, r = mu.ell, mu.rank
     if level is None:
         level = mu.depth
@@ -551,8 +544,8 @@ def integrate(mu: MeasureTower, integrand, level: int | None = None) -> PadicNum
     # valid one, and a bad level is reported before the unit checks
     if not 0 <= level <= mu.depth:
         raise ValueError("level out of range")
-    terms = _normalize_integrand(integrand, r)
-    needs_units = any(f.needs_units for _, fs in terms for f in fs)
+    factors = _check_integrand(factors, r)
+    needs_units = any(f.needs_units for f in factors)
     if needs_units:
         if not mu.units_only:
             raise ValueError(
@@ -562,7 +555,7 @@ def integrate(mu: MeasureTower, integrand, level: int | None = None) -> PadicNum
         if level < 1:
             raise ValueError("integrand undefined on region: need level >= 1")
 
-    prec, K, folded = _precision_plan(ell, terms, level, mu.denom_exponent)
+    prec, K, folded = _precision_plan(ell, factors, level, mu.denom_exponent)
     modK = ell ** K
 
     # omega(u)^b mod ell^K by u mod ell; index 0 is read only when no factor
@@ -570,7 +563,7 @@ def integrate(mu: MeasureTower, integrand, level: int | None = None) -> PadicNum
     omega = [0] * ell
     if needs_units:
         omega[1:] = [teichmuller(u, ell, K).residue(K) for u in range(1, ell)]
-    omega_pow = {b: [pow(w, b, modK) for w in omega] for fs in folded for _, b in fs}
+    omega_pow = {b: [pow(w, b, modK) for w in omega] for _, b in folded}
 
     def weight(c, key):
         a, b = key
@@ -579,9 +572,7 @@ def integrate(mu: MeasureTower, integrand, level: int | None = None) -> PadicNum
             return 0
         return pow(c, a, modK) * omega_pow[b][u] % modK
 
-    keys = [tuple(fs) for fs in folded]
-    sums = dict(_moment_sums(mu, keys, level, weight))
-    total = sum((c * sums.get(k, 0) for (c, _), k in zip(terms, keys)), Fraction(0))
+    total = dict(_moment_sums(mu, [folded], level, weight)).get(folded, Fraction(0))
     return _fraction_to_padic_abs(total, ell, prec)
 
 

@@ -436,8 +436,8 @@ def bch(a, b):
 class ReducedSeries(_TableSeries):
     """a(X) + Y b(X) up to X^degree in both parts.
 
-    The rows are ``an`` and ``bn``, the numerators of a and b; ``a`` and
-    ``b`` read them as Fraction lists.  The product is
+    ``rows`` holds the numerators of a and b; ``a`` and ``b`` read them as
+    Fraction lists.  The product is
     (a1 + Y b1)(a2 + Y b2) = a1 a2 + Y (b1 a2 + a1(0) b2).
     """
 
@@ -463,14 +463,6 @@ class ReducedSeries(_TableSeries):
             elif w[0] == "Y" and "Y" not in w[1:]:
                 b[len(w) - 1] += c
         return cls(s.degree, a, b)
-
-    @property
-    def an(self) -> list:
-        return self.rows[0]
-
-    @property
-    def bn(self) -> list:
-        return self.rows[1]
 
     @property
     def a(self) -> list:

@@ -29,9 +29,16 @@ __all__ = [
 ]
 
 
+# The largest odd n whose primality is decided (see ``measures._CELL_BUDGET``).
+_PRIME_BUDGET = 2 ** 32
+
+
 def is_odd_prime(n: int) -> bool:
+    """Trial division; an odd n past ``_PRIME_BUDGET`` is refused, undecided."""
     if n < 3 or n % 2 == 0:
         return False
+    if n > _PRIME_BUDGET:
+        raise ValueError(f"prime too large: primality is decided up to {_PRIME_BUDGET}, got {n}")
     f = 3
     while f * f <= n:
         if n % f == 0:
@@ -358,19 +365,30 @@ def _teichmuller_unit(u: int, ell: int, ndigits: int) -> int:
     return pow(u % m, ell ** (ndigits - 1), m)
 
 
+def _prime_factors(n: int) -> list:
+    """The distinct prime factors of n >= 1, by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 + f % 2
+    return out + [n] * (n > 1)
+
+
 def smallest_regularizer(ell: int) -> int:
-    """Smallest c >= 2 generating the units mod ell^2 (so c^(ell-1) != 1)."""
+    """Smallest c >= 2 generating the units mod ell^2 (so c^(ell-1) != 1).
+
+    c generates them exactly when it is a primitive root mod ell,
+    c^((ell-1)/q) != 1 mod ell for each prime q | ell - 1, and
+    c^(ell-1) != 1 mod ell^2; a c below 2 ell passes.
+    """
     _check_prime(ell)
+    exps = [(ell - 1) // q for q in _prime_factors(ell - 1)]
     m = ell * ell
-    target = ell * (ell - 1)
-    for c in range(2, m):
-        if c % ell == 0:
-            continue
-        k, x = 1, c % m
-        while x != 1:
-            x = x * c % m
-            k += 1
-        if k == target:
+    for c in range(2, 2 * ell):
+        if c % ell and all(pow(c, e, ell) != 1 for e in exps) and pow(c, ell - 1, m) != 1:
             return c
 
 

@@ -19,7 +19,7 @@ def bernoulli_unit_integral(c: int, ell: int, level: int, beta: int, s):
     if level < 1:
         raise ValueError("region not expressible at available depth")
     factor = Factor(inverse=True, teich=beta, bracket=s)
-    prec, K, [[(a, b)]] = _precision_plan(ell, [(1, (factor,))], level, 0)
+    prec, K, [(a, b)] = _precision_plan(ell, (factor,), level, 0)
     modK, m = ell ** K, ell ** level
     g = smallest_regularizer(ell)
     r = pow(g, a, modK) * pow(teichmuller(g, ell, K).residue(K), b, modK) % modK

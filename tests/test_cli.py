@@ -735,10 +735,24 @@ class TestRefusedInputs:
         (["teichmuller", "--u", "2", "--ell", "5", "--prec", "100000000"],
          "precision too large: ndigits must be at most 1000 digits"),
         (["bernoulli", "--k", "100000"], "weight too large: k must be at most 4096"),
-    ], ids=["kl prec 10^8", "kl ell 13 prec 4", "teichmuller prec 10^8", "bernoulli k 10^5"])
+        (["teichmuller", "--ell", "2305843009213693951", "--u", "2", "--prec", "1"],
+         "prime too large: primality is decided up to 4294967296, got 2305843009213693951"),
+        (["kl", "--ell", "2305843009213693951", "--beta", "2", "--s", "2", "--method", "interp"],
+         "prime too large: primality is decided up to 4294967296, got 2305843009213693951"),
+        (["zinv", "--ell", "5", "--beta", "2", "--s", "2", "--primes", "1009,1013,1019"],
+         "modulus too large: m * (k // 2 + 1) must be at most 10000000 Horner steps"),
+        (["zinv", "--ell", "5", "--beta", "2", "--s", "2", "--primes", "2305843009213693951"],
+         "modulus too large: m * (k // 2 + 1) must be at most 10000000 Horner steps"),
+        (["dirichlet", "--ell", "5", "--beta", "1", "--s", "2", "--psi", "4000000037:1=1"],
+         "modulus too large: m^2 must be at most 1000000"),
+    ], ids=["kl prec 10^8", "kl ell 13 prec 4", "teichmuller prec 10^8", "bernoulli k 10^5",
+            "teichmuller ell 2^61-1", "kl ell 2^61-1", "zinv three four-digit primes",
+            "zinv prime 2^61-1", "dirichlet 10-digit modulus"])
     def test_runaway_weight_or_digits_is_refused_before_any_work(self, argv, error, capsys):
         """Each would run for minutes or exhaust memory: an exact Bernoulli
-        number at k = 238010 or past 10^5, or ell^(10^8)."""
+        number at k = 238010 or past 10^5, ell^(10^8), trial division to
+        sqrt(2^61 - 1), 10^9 units below m with a Horner row each, or the unit
+        list and table check of a 10-digit modulus."""
         start = time.perf_counter()
         code = main(argv)
         assert time.perf_counter() - start < 2
@@ -780,9 +794,15 @@ class TestRefusedInputs:
         ["zinv", "--ell", "5", "--beta", "2", "--s", "2", "--primes", "2", "--prec", "986"],
         ["minus-one", "--ell", "5", "--beta", "2", "--s", "2", "--method", "measure",
          "--prec", "996"],
-    ], ids=["bch degree 32", "kl prec 1000", "zinv prec 986", "minus-one prec 996"])
+        ["kl", "--ell", "10007", "--beta", "2", "--s", "2", "--method", "interp"],
+    ], ids=["bch degree 32", "kl prec 1000", "zinv prec 986", "minus-one prec 996",
+            "kl ell 10007"])
     def test_the_largest_degree_or_precision_in_budget_is_served(self, argv, capsys):
+        """Each is served in under 2 s; at ell = 10007 the default regulariser
+        is found without the order of each candidate mod ell^2."""
+        start = time.perf_counter()
         code = main(argv)
+        assert time.perf_counter() - start < 2
         doc = json.loads(capsys.readouterr().out)
         assert code == 0 and "error" not in doc
 
@@ -816,12 +836,16 @@ def subcommands() -> dict:
 
 SUBCOMMANDS = subcommands()
 # every request stays small: these options are always given, and no drawn
-# integer passes its bound
+# integer passes its bound but the huge primes, which every route refuses or
+# serves at once
 SIZE_BOUNDS = {"--ell": 13, "--level": 4, "--degree": 6, "--prec": 20}
 INTEGERS = {"--ell": st.sampled_from([3, 5, 7, 11, 13]), "--level": st.integers(1, 4),
             "--degree": st.integers(0, 6), "--prec": st.integers(1, 20),
             "--beta": st.integers(0, 4), "--m": st.integers(2, 9)}
 NOT_INTEGERS = ["1/0", "", "x", "0.5", "--"]
+# a prime whose regulariser an order loop mod ell^2 took seconds to find, and
+# one past the prime budget
+HUGE_PRIMES = ["10007", "2305843009213693951"]
 HOSTILE = ["0", "-1", "-7", "1/0", "0/0", "-3/4", "", "x", "\u0663", "1e2", ",", ";", ":", "=", "-", "--"]
 TEXTS = {
     "--s": ["2", "7/3", "1/2", "-5"],
@@ -858,13 +882,15 @@ def argvs(draw, out_dir):
             good, bad = st.sampled_from(list(action.choices)), st.just("bogus")
         elif action.type is int:
             good = INTEGERS.get(option, st.integers(0, 30)).map(str)
-            bad = st.integers(-3, SIZE_BOUNDS.get(option, 30)).map(str) | st.sampled_from(NOT_INTEGERS)
+            bad = st.integers(-3, SIZE_BOUNDS.get(option, 30)).map(str) | st.sampled_from(
+                NOT_INTEGERS + HUGE_PRIMES * (option == "--ell"))
         elif option == "--out":
             good = st.just(str(out_dir / "out.json"))
             bad = st.sampled_from([str(out_dir), str(out_dir / "no" / "out.json")])
         else:
             good = st.sampled_from(TEXTS.get(option, ["1"]))
-            bad = st.sampled_from(BAD_FILES if option == "--in" else HOSTILE)
+            bad = st.sampled_from(BAD_FILES if option == "--in" else
+                                  HOSTILE + HUGE_PRIMES * (option == "--primes"))
         value = draw(draw(st.sampled_from([good, good, good, bad])))
         if option is None:
             argv.append(value)

@@ -12,11 +12,15 @@ bind at top level, or that ``__init__.py`` does not import, is reported.
 A name in a module's ``__all__`` that no package module reads outside its
 own definition, and no ``demos/*.py`` reads, is reported unless ``ORACLES``
 names it with the check that keeps it; a stale or unexported ``ORACLES``
-entry is reported too.
+entry is reported too.  Likewise a parameter with a default, of a public
+function or of a public class's public method or ``__init__``, that no call
+of that name sets, by keyword or by position, in a package module outside
+the function's own body or in a demo, is reported unless ``PARAM_ORACLES``
+names it; a call is matched by its name alone.
 """
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -183,3 +187,107 @@ def test_every_exported_name_is_reached():
     assert DEMOS
     assert reach_faults(sources, demos, ORACLES) == {
         "unreached": [], "stale": [], "not exported": []}
+
+
+# -- every defaulted parameter is set -------------------------------------------
+
+# Defaulted parameters, as module.qualname.parameter, that no package module
+# and no demo sets, each with the check that keeps it.
+PARAM_ORACLES = {
+    "padic.PadicNum.congruent.abs_exp":
+        "TestIntegrateOracle and test_padic compare at a stated precision",
+    "measures.raw_word_integral.level":
+        "TestWords and TestLevelSumOracle read coarser levels",
+    "ncseries.NcSeries.variable.max_y":
+        "TestBchReduced::test_z_series_identity builds its Y-capped oracle at "
+        "degree 13 with it",
+    "lfunctions.kl_node.ndigits":
+        "TestKubotaLeopoldt::test_node_keeps_its_digits reads the node at 1-12 digits",
+    "lfunctions.dirichlet_node.ndigits":
+        "TestDirichlet::test_one_character_sum reads the node at 1-12 digits",
+    "cli.main.argv": "bench/run.py and tests/golden/record.py call main(argv)",
+}
+
+
+def defaulted_parameters(module: str, tree):
+    """(key, call name, definition, parameter, position) of every parameter
+    with a default of a public function, or of a public class's public method
+    or ``__init__`` (called by the class name); ``position`` is the index of
+    the call's positional argument that sets it, None for a keyword-only one."""
+    def params(fn, skip):
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        first = len(pos) - len(a.defaults)
+        yield from ((arg.arg, i - skip) for i, arg in enumerate(pos) if i >= first)
+        yield from ((arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            for name, i in params(node, 0):
+                yield f"{module}.{node.name}.{name}", node.name, node, name, i
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        for fn in node.body:
+            if isinstance(fn, ast.FunctionDef) and (
+                    not fn.name.startswith("_") or fn.name == "__init__"):
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                called = node.name if fn.name == "__init__" else fn.name
+                for name, i in params(fn, 0 if static else 1):
+                    yield f"{module}.{node.name}.{fn.name}.{name}", called, fn, name, i
+
+
+def sets_parameter(call, name: str, position) -> bool:
+    """Whether the call passes the parameter by keyword or at its position;
+    a ``*`` or ``**`` argument may pass any."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def parameter_faults(sources: dict, demos, oracles) -> dict:
+    """The defaulted parameters of the modules ``sources`` (name -> source)
+    that no call sets, less those ``oracles`` names; the ``oracles`` names
+    that some call does set; and those that name no defaulted parameter."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    calls = defaultdict(list)
+    for tree in [*trees.values(), *map(ast.parse, demos)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                calls[getattr(f, "id", None) or getattr(f, "attr", None)].append(node)
+    declared, unset = set(), set()
+    for module, tree in trees.items():
+        for key, called, fn, name, position in defaulted_parameters(module, tree):
+            declared.add(key)
+            own = set(map(id, ast.walk(fn)))
+            if not any(id(c) not in own and sets_parameter(c, name, position)
+                       for c in calls[called]):
+                unset.add(key)
+    return {"unset": sorted(unset - oracles.keys()),
+            "stale": sorted((oracles.keys() & declared) - unset),
+            "not declared": sorted(oracles.keys() - declared)}
+
+
+def test_checker_reports_unset_and_stale_parameters():
+    sources = {
+        "m": "def f(a, b=1, *, c=2, d=3):\n    return f(a, d=4)\n"
+             "class K:\n    def __init__(self, x=0): pass\n"
+             "    def g(self, y=0, z=0): pass\n    def _h(self, w=0): pass\n"
+             "    @staticmethod\n    def s(u=0): pass\n"
+             "def _p(v=0): pass\n",
+        "n": "from m import K, f\nf(1, c=3)\nK(5).g(z=1)\nK.s(*args)\n",
+    }
+    demos = ["import m\nm.f(0, 1)\n"]
+    oracles = {"m.K.g.y": "", "m.K.__init__.x": "", "m.gone.q": ""}
+    assert parameter_faults(sources, demos, oracles) == {
+        "unset": ["m.f.d"], "stale": ["m.K.__init__.x"], "not declared": ["m.gone.q"]}
+
+
+def test_every_defaulted_parameter_is_set():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    demos = [p.read_text() for p in DEMOS]
+    assert parameter_faults(sources, demos, PARAM_ORACLES) == {
+        "unset": [], "stale": [], "not declared": []}

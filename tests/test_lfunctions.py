@@ -201,6 +201,35 @@ class TestWeights:
             c = smallest_regularizer(ell)
             assert pow(c, ell - 1, ell * ell) != 1
 
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([p for p in range(3, 2000) if all(p % q for q in range(2, p))]))
+    def test_smallest_regularizer_is_the_order_loop(self, ell):
+        """The primitive-root test picks the c that the order of each
+        candidate mod ell^2, found by repeated multiplication, picks."""
+        m = ell * ell
+        for c in range(2, m):
+            if c % ell == 0:
+                continue
+            k, x = 1, c % m
+            while x != 1:
+                x = x * c % m
+                k += 1
+            if k == ell * (ell - 1):
+                break
+        assert smallest_regularizer(ell) == c
+
+    def test_smallest_regularizer_skips_a_primitive_root_that_is_one_mod_ell_squared(self):
+        """At ell = 40487, the least such prime, the least primitive root 5 has
+        5^(ell-1) = 1 mod ell^2; the least generator mod ell^2 is 10, by the
+        order test c^(ell(ell-1)/q) != 1 mod ell^2 for each prime q | ell(ell-1)."""
+        ell, m = 40487, 40487 ** 2
+        n = ell * (ell - 1)
+        qs = [q for q in range(2, ell + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+        generates = [c for c in range(2, 11)
+                     if c % ell and all(pow(c, n // q, m) != 1 for q in qs)]
+        assert pow(5, ell - 1, m) == 1 and generates == [10]
+        assert smallest_regularizer(ell) == 10
+
     @pytest.mark.parametrize("ell", [2, 4, 9, 15])
     def test_smallest_regularizer_rejects_non_primes(self, ell):
         with pytest.raises(ValueError, match="odd prime"):
@@ -397,6 +426,9 @@ class TestDirichlet:
             DirichletCharacter(10, {1: 1, 3: 1, 7: 1, 9: 1}, 5)
         with pytest.raises(ValueError, match="not primitive"):
             DirichletCharacter(8, {1: 1, 3: 1, 5: 1, 7: 1}, 5)
+        # m^2 past the cell budget is refused before the units are listed
+        with pytest.raises(ValueError, match=r"^modulus too large: m\^2 must be at most 1000000$"):
+            DirichletCharacter(1001, {1: 1}, 5)
         # an order-4 table cannot land in the (3-1)-st roots of unity
         with pytest.raises(ValueError, match="outside Z_ell"):
             DirichletCharacter(5, {1: 1, 2: 2, 3: 2, 4: -1}, 3)
@@ -567,6 +599,16 @@ class TestZInverted:
         for primes in ([1], [4], [-3], [2, 9], [0]):
             with pytest.raises(ValueError, match="must be a prime"):
                 zinv_node(2, primes, 5)
+
+    def test_horner_steps_past_the_budget_are_refused_first(self):
+        """m (floor(k/2) + 1) past 10^7 is refused before any entry is tested
+        for primality, so a huge entry costs no trial division."""
+        steps = "^modulus too large: m \\* \\(k // 2 \\+ 1\\) must be at most 10000000 Horner steps$"
+        for k, primes in [(2, [1009, 1013, 1019]), (2, [2 ** 61 - 1]), (2, [2 ** 61, 4]),
+                          (2000, [101, 103])]:
+            with pytest.raises(ValueError, match=steps):
+                zinv_node(k, primes, 5)
+        assert zinv_node(2, [3, 1009], 5) == zinv_hurwitz_sum(2, [3, 1009], 5)
 
     @pytest.mark.parametrize("ell", [5, 7, 11])
     def test_node_is_minus_the_euler_factor_times_the_zeta_node(self, ell):

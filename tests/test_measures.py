@@ -241,17 +241,6 @@ class TestIntegrate:
         got = integrate(Eu, (Factor(power=k),), depth)
         assert got.congruent(want)
 
-    def test_linear_combination_integrand(self):
-        E = bernoulli_measure(2, 5, 4)
-        combo = [
-            (F(3), (Factor(power=1),)),
-            (F(-1), (Factor(power=0),)),
-        ]
-        got = integrate(E, combo, 4)
-        m1 = integrate(E, (Factor(power=1),), 4)
-        m0 = integrate(E, (Factor(),), 4)
-        assert got.congruent(3 * m1 - m0)
-
     def test_unit_factors_require_restriction(self):
         E = bernoulli_measure(2, 5, 3)
         with pytest.raises(ValueError, match="undefined on region"):
@@ -358,20 +347,6 @@ class TestPrecisionStability:
             for a, b in zip(values, values[1:]):
                 assert a.congruent(b), (f, a, b)
 
-    @pytest.mark.parametrize("c", [F(1, 5 ** 4), F(3, 5), F(7, 125), F(25), F(2, 3)])
-    def test_coefficient_valuation_moves_the_precision(self, c):
-        # a term coefficient c scales that term's error by |c|: the claim
-        # moves by the least v(c), and every level agrees with the next
-        E = bernoulli_measure(2, 5, 6)
-        alone = [(c, (Factor(power=1),))]
-        mixed = alone + [(F(1), (Factor(power=2),))]
-        v = _frac_val(c, 5)
-        for integrand, shift in ((alone, v), (mixed, min(v, 0))):
-            values = [integrate(E, integrand, n) for n in range(2, 7)]
-            assert [x.abs_prec for x in values] == [n + shift for n in range(2, 7)]
-            for a, b in zip(values, values[1:]):
-                assert a.congruent(b), (c, a, b)
-
     def test_synthetic_towers_stable_under_refinement(self):
         for seed in range(5):
             mu = random_bounded_tower(3, 1, 5, denom_exponent=1, seed=seed)
@@ -450,9 +425,11 @@ class TestZeroMassTowers:
         from elladic.transforms import f_transform
 
         for seed in (42, 43, 44):
-            mu = random_bounded_tower(
-                3, 2, 3, denom_exponent=1, seed=seed, zero_total=True
-            )
+            # a synthetic tower less its total mass at the origin's top cell
+            nu = random_bounded_tower(3, 2, 3, denom_exponent=1, seed=seed)
+            top = list(nu.tables[3])
+            top[0] -= sum(top)
+            mu = MeasureTower.from_top(3, 2, 3, top, nu.den)
             assert mu.levels[0][0] == 0
             assert f_transform(mu, 3)[(0, 0)] == 0
             assert integrate(mu, (Factor(), Factor()), 3).unit == 0
@@ -591,9 +568,9 @@ class TestCoarsenProperty:
 # -- integrate against the factor-by-factor formula ------------------------------
 
 
-def oracle_integrate(mu, terms, level, K):
-    """The level sum of the integrand with every factor evaluated one piece at a
-    time, mod ell^K: x^power, then x^-1, then omega(x)^teich, then
+def oracle_integrate(mu, fs, level, K):
+    """The level sum of the integrand ``fs`` with every factor evaluated one
+    piece at a time, mod ell^K: x^power, then x^-1, then omega(x)^teich, then
     [x]^s = (x * omega(x)^-1)^s."""
     ell = mu.ell
     mod = ell ** K
@@ -602,22 +579,21 @@ def oracle_integrate(mu, terms, level, K):
     for x, v in mu.cells(level):
         if not v or any(c % ell == 0 for c in x):
             continue
-        for coeff, fs in terms:
-            val = 1
-            for c, f in zip(x, fs):
-                om = omega[c % ell]
-                val = val * pow(c, f.power, mod) % mod
-                if f.inverse:
-                    val = val * pow(c, -1, mod) % mod
-                val = val * pow(om, f.teich, mod) % mod
-                if f.bracket is not None:
-                    s = f.bracket
-                    if isinstance(s, PadicNum):
-                        s = 0 if s.is_exact_zero else s.residue(min(K - 1, s.abs_prec))
-                    else:
-                        s = residue_mod(s, ell ** (K - 1))
-                    val = val * pow(c * pow(om, -1, mod) % mod, s, mod) % mod
-            total += coeff * val * v
+        val = 1
+        for c, f in zip(x, fs):
+            om = omega[c % ell]
+            val = val * pow(c, f.power, mod) % mod
+            if f.inverse:
+                val = val * pow(c, -1, mod) % mod
+            val = val * pow(om, f.teich, mod) % mod
+            if f.bracket is not None:
+                s = f.bracket
+                if isinstance(s, PadicNum):
+                    s = 0 if s.is_exact_zero else s.residue(min(K - 1, s.abs_prec))
+                else:
+                    s = residue_mod(s, ell ** (K - 1))
+                val = val * pow(c * pow(om, -1, mod) % mod, s, mod) % mod
+        total += val * v
     return total
 
 
@@ -642,12 +618,10 @@ class TestIntegrateOracle:
     def test_agrees_with_factor_by_factor_formula(self, data, ell):
         mu = restrict(data.draw(towers(ell, min_depth=1)), "units")
         level = data.draw(st.integers(1, mu.depth))
-        term = st.tuples(st.fractions(-3, 3, max_denominator=4),
-                         st.tuples(*[factors(ell)] * mu.rank))
-        terms = data.draw(st.lists(term, min_size=1, max_size=2))
-        got = integrate(mu, terms, level)
+        fs = data.draw(st.tuples(*[factors(ell)] * mu.rank))
+        got = integrate(mu, fs, level)
         K = level + 2 * mu.denom_exponent + 6
-        want = PadicNum.from_rational(oracle_integrate(mu, terms, level, K), ell, K)
+        want = PadicNum.from_rational(oracle_integrate(mu, fs, level, K), ell, K)
         assert got.congruent(want, got.abs_prec)
 
 
@@ -852,7 +826,7 @@ class TestMomentContraction:
         if not mu.units_only:
             fs = tuple(Factor(power=f.power) for f in fs)
         got = integrate(mu, fs, level)
-        prec, K, [folded] = _precision_plan(ell, [(1, fs)], level, mu.denom_exponent)
+        prec, K, folded = _precision_plan(ell, fs, level, mu.denom_exponent)
         modK = ell ** K
         omega = [0] + [teichmuller(u, ell, K).residue(K) for u in range(1, ell)]
 

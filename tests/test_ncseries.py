@@ -129,12 +129,12 @@ class TestReduction:
 class TestReducedTables:
     def test_tables_are_reduced(self):
         s = ReducedSeries(3, [F(1, 2), 0, F(3, 4)], [F(-1, 6)])
-        assert (s.den, s.an, s.bn) == (12, [6, 0, 9, 0], [-2, 0, 0, 0])
+        assert (s.den, s.rows) == (12, [[6, 0, 9, 0], [-2, 0, 0, 0]])
         assert s.a == [F(1, 2), 0, F(3, 4), 0] and s.b == [F(-1, 6), 0, 0, 0]
         zero = s - s
-        assert (zero.den, zero.an, zero.bn) == (1, [0] * 4, [0] * 4)
+        assert (zero.den, zero.rows) == (1, [[0] * 4, [0] * 4])
         assert zero == ReducedSeries(3)
-        assert (s.scale(4).truncate(1).den, s.scale(4).truncate(1).an) == (3, [6, 0])
+        assert (s.scale(4).truncate(1).den, s.scale(4).truncate(1).rows[0]) == (3, [6, 0])
 
     def test_truncate_refuses_a_higher_degree(self):
         """A degree-3 series does not know its X^4 coefficients, so it cannot

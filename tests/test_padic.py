@@ -1,5 +1,6 @@
 import math
 import operator
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from elladic.padic import (
     teichmuller,
     unit_decompose,
     _DIGIT_BUDGET,
+    _PRIME_BUDGET,
     _angle_from_scalar,
     _exponent_residue,
     _frac_val,
@@ -253,6 +255,19 @@ class TestAngleRepr:
 class TestArithmetic:
     def test_is_odd_prime(self):
         assert [p for p in range(20) if is_odd_prime(p)] == [3, 5, 7, 11, 13, 17, 19]
+
+    def test_primality_past_the_budget_is_refused_not_false(self):
+        """Trial division decides every odd n up to 2^32 at once; an odd n
+        past it is refused, never answered False, and an even one is not prime."""
+        start = time.perf_counter()
+        assert _PRIME_BUDGET == 2 ** 32
+        assert is_odd_prime(4294967291) and not is_odd_prime(4294967295)
+        assert not is_odd_prime(2 ** 61)
+        for n in (2 ** 32 + 1, 2 ** 61 - 1):
+            with pytest.raises(ValueError, match=f"^prime too large: primality is decided "
+                                                 f"up to 4294967296, got {n}$"):
+                is_odd_prime(n)
+        assert time.perf_counter() - start < 1
 
     def test_mixed_valuation_addition_weakens_precision(self):
         ell = 5
