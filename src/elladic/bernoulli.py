@@ -10,28 +10,37 @@ least an eighth longer when a larger index is asked for.
 
 One integer kernel, ``_bernoulli_sums``, computes every sum of B_k(a/f) the
 package reads.  It uses the identity f^k D B_k(a/f) = sum_j C(k,j) S_j f^j
-a^(k-j).  That is a polynomial in a with integer coefficients.  Each
-coefficient is made once per call and fed at once to every point's Horner
-pass, so no coefficient row is kept.
-``bernoulli_poly`` and the exact Hurwitz and Z[1/m] nodes of ``lfunctions``
-take the sums exact.
+a^(k-j).  That is a polynomial in a with integer coefficients, made one at
+a time by one recurrence (``_coefficients``) in both of the kernel's modes.
+Exact, each coefficient is fed at once to every point's Horner pass and
+dropped, so no coefficient row is kept: at k = 4096 a row would hold 2049
+numbers of up to k log2(f) bits each, and f is not bounded (``bernoulli
+--t``).  ``bernoulli_poly`` and the exact Hurwitz and Z[1/m] nodes of
+``lfunctions`` take the sums exact.
 
 The interpolated L-values print max(ndigits, M) digits, 8 on the command
 line, while a table entry at k = 500 has ~3000 bits.  So the kernel also
-runs mod ell^W: each coefficient and each Horner step is reduced, and it
-returns the group numerators n_g = D f^k sum_(a in g) B_k(a/f) mod ell^W.
+runs mod ell^W and returns the group numerators n_g = D f^k sum_(a in g)
+B_k(a/f) mod ell^W.  There it keeps one coefficient row, since each entry
+is below ell^W: the row is made once per call from the table entries
+reduced mod ell^W, and each point runs one Horner loop over it.  The
+reduced entries are kept per modulus (``_table_residues``), for at most
+``_RESIDUE_MODULI`` moduli, each tied to the table's denominator D and
+extended only up to the index asked for, so a table entry is reduced
+once per modulus and D.
 ``_residue_node`` reads a node R / (D den), R = sum_g w_g n_g, off them to
 N digits.  Its precision rule: with e = v(den) + v(D) (v(k) + v(D) + k v(f)
 for a node over k D f^k), start at W = N + e + 2; when R != 0 mod ell^W
 and W - v(R) >= N the node is ell^(v(R) - e) times the unit (R / ell^v(R))
 (D den / ell^e)^-1 mod ell^N; when W - v(R) < N, W becomes v(R) + N; when
 R = 0 mod ell^W, a node odd under a -> f - a is the exact zero, and any
-other is raised once and then taken exact.  The cost is one pass of k/2
-steps on numbers below ell^W, ~N digits, in place of products of the
-table's thousands of bits; the result is the exact node encoded to N
-digits.  The Hurwitz, Z[1/m] and Dirichlet interpolation routes go
-through it, and so do the class sums of ``_character_bernoulli`` whenever
-they are not taken exact.
+other is raised once and then taken exact.  The cost is one row of k/2 + 1
+entries and one Horner loop of k/2 steps per point, on numbers below
+ell^W, ~N digits (only the binomial C(k,j), ~k bits, stays exact), in
+place of products of the table's thousands of bits; the result is the
+exact node encoded to N digits.  The Hurwitz, Z[1/m] and Dirichlet
+interpolation routes go through it, and so do the class sums of
+``_character_bernoulli`` whenever they are not taken exact.
 
 Generalized Bernoulli numbers B_(k,chi) all come from one character sum,
 ``_character_bernoulli``.  Twisted Bernoulli numbers attached to powers of the
@@ -99,27 +108,75 @@ def _table(k: int) -> tuple[int, list[int]]:
     return table
 
 
+# Table residues per modulus: modulus -> (D, [S_0, ..., S_n] mod modulus).
+# S_j = D B_j, so the residues hold while the table's D does, also across a
+# growth.  An entry is replaced as one tuple, as ``_TABLE`` is; the cache is
+# emptied when a new modulus would pass ``_RESIDUE_MODULI``.
+_RESIDUES: dict[int, tuple[int, list[int]]] = {}
+_RESIDUE_MODULI = 64
+
+
+def _table_residues(k: int, modulus: int) -> tuple[int, list[int]]:
+    """(D, [S_0, ..., S_k, ...] mod modulus): the table grown to index k,
+    its entries reduced once per modulus and D and extended only up to k."""
+    d, s = _table(k)
+    known, res = _RESIDUES.get(modulus, (d, []))
+    if known != d:
+        res = []
+    if len(res) <= k:
+        if modulus not in _RESIDUES and len(_RESIDUES) >= _RESIDUE_MODULI:
+            _RESIDUES.clear()
+        res = res + [x % modulus for x in s[len(res):k + 1]]
+        _RESIDUES[modulus] = (d, res)
+    return d, res
+
+
+def _coefficients(k: int, f: int, s, modulus: int | None = None):
+    """The coefficients C(k,j) s_j f^j, j = 0, 2, ..., k, of f^k D B_k(a/f) as
+    a polynomial in a^2 (the j = 1 term aside), made one at a time: exact, or
+    each reduced mod ``modulus`` (the binomial itself stays exact)."""
+    binom, fpow, f2 = 1, 1, f * f
+    for j in range(0, k + 1, 2):
+        c = binom * s[j] * fpow
+        fpow *= f2
+        if modulus:
+            c %= modulus
+            fpow %= modulus
+        yield c
+        binom = binom * ((k - j) * (k - j - 1)) // ((j + 1) * (j + 2))
+
+
 def _bernoulli_sums(k: int, f: int, groups, modulus: int | None = None):
     """[sum over a in g of B_k(a/f) for g in groups], exact, for k >= 0 and
     f >= 1; a point may be any integer.  The even-j terms of f^k D B_k(a/f)
-    form a^(k mod 2) times a polynomial in a^2, read by one Horner pass over
-    all points at once, each coefficient made once and dropped once used;
-    the j = 1 term is k S_1 f a^(k-1).
+    form a^(k mod 2) times a polynomial in a^2, read by Horner's rule; the
+    j = 1 term is k S_1 f a^(k-1).
+
+    Exact, each coefficient is made once and fed at once to every point's
+    Horner pass: no row of coefficients is kept, since at k = 4096 one would
+    hold 2049 numbers of up to k log2(f) bits each, and f is not bounded.
 
     With a ``modulus`` it returns (D, [n_g mod modulus]), n_g = D f^k times
-    the sum over g: each coefficient C(k,j) S_j f^j and each Horner step is
-    reduced mod ``modulus``, so no product of two table-sized numbers is
-    taken."""
-    d, s = _table(k)
+    the sum over g.  The coefficients are made from the table residues mod
+    ``modulus`` (``_table_residues``) into one row of numbers below it, and
+    each point runs one Horner loop over that row, every step reduced, so no
+    product of two table-sized numbers is taken."""
     red = modulus.__rmod__ if modulus else pos
     points = [a for g in groups for a in g]
-    squares, accs = [a * a for a in points], [0] * len(points)
-    binom, fpow, f2 = 1, 1, red(f * f)
-    for j in range(0, k + 1, 2):
-        c = red(red(binom) * red(s[j]) * fpow)
-        accs = [red(acc * x + c) for acc, x in zip(accs, squares)]
-        binom = binom * (k - j) * (k - j - 1) // ((j + 1) * (j + 2))
-        fpow = red(fpow * f2)
+    if modulus:
+        d, s = _table_residues(k, modulus)
+        row = list(_coefficients(k, f, s, modulus))
+        accs = []
+        for a in points:
+            x, acc = a * a % modulus, 0
+            for c in row:
+                acc = (acc * x + c) % modulus
+            accs.append(acc)
+    else:
+        d, s = _table(k)
+        squares, accs = [a * a for a in points], [0] * len(points)
+        for c in _coefficients(k, f, s):
+            accs = [acc * x + c for acc, x in zip(accs, squares)]
     if k:
         odd = red(k * s[1] * f)
         accs = [red((acc * a if k % 2 else acc) + odd * pow(a, k - 1, modulus))

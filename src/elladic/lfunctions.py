@@ -69,8 +69,8 @@ __all__ = [
 # nodes; every interpolated node is worked to at least this many.
 _DIGITS = 8
 
-# The most Horner steps m * (floor(k/2) + 1) of a Z[1/m] node, one row of
-# floor(k/2) + 1 steps per unit below m (see ``measures._CELL_BUDGET``).
+# The most Horner steps m * (floor(k/2) + 1) of a Z[1/m] node, one Horner
+# loop of floor(k/2) + 1 steps per unit below m (see ``measures._CELL_BUDGET``).
 _STEP_BUDGET = 10 ** 7
 
 
@@ -193,9 +193,12 @@ def _read_off(node, beta: int, s, ell: int, M: int, ndigits: int = _DIGITS) -> P
     is the node, to ndigits digits.  Otherwise Kummer-type stability gives M
     digits, less the valuation drop of the value itself; the branch beta = 0
     mod (ell-1) carries the classical simple pole, whose two 1/weight terms
-    cost another v(k) when the weight is divisible by ell.  M is checked
-    against the digit budget once the weight is chosen, before the node.
+    cost another v(k) when the weight is divisible by ell.  Beta is checked
+    first, and M against the digit budget once the weight is chosen, both
+    before the node.
     """
+    if not 0 <= beta < ell - 1:
+        raise ValueError("beta must lie in [0, ell-1)")
     k = interpolation_weight(beta, s, ell, M)
     _check_prec(M)
     v = node(k)

@@ -286,9 +286,10 @@ def _moment_sums(mu: MeasureTower, indices, level: int, weight):
 # bounds the odd n whose primality trial division decides, and so every ell
 # and Z[1/m] prime (3 ms at 2^32, as is factoring ell - 1 for
 # ``smallest_regularizer``); ``lfunctions._STEP_BUDGET`` (10^7) bounds the
-# Horner steps m (floor(k/2) + 1) of a Z[1/m] node, one row per unit below
-# m (0.6 s at m = 10403, k = 1042; 4 s at m = 5*10^6, k = 2, where listing
-# the units costs more than the steps); and ``ncseries._DEGREE_BUDGET``
+# Horner steps m (floor(k/2) + 1) of a Z[1/m] node, one Horner loop over
+# the coefficient row per unit below m (0.5 s at m = 10403, k = 1042; 3.5 s
+# at m = 5*10^6, k = 2, where listing the units costs more than the steps;
+# in-process, py3.11, shared 2-core box); and ``ncseries._DEGREE_BUDGET``
 # (32) bounds the degree of the ``verify`` suites, whose costliest (``bch``)
 # grows about as degree^6.
 _CELL_BUDGET = 10 ** 6

@@ -15,6 +15,7 @@ immutable, so they can be shared freely between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -47,6 +48,9 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
+# A prime verdict is kept for the last 64 ell, so a value's construction
+# does not trial-divide its ell again; a refusal is not kept.
+@functools.lru_cache(maxsize=64)
 def _check_prime(ell: int) -> None:
     if not is_odd_prime(ell):
         raise ValueError(f"ell must be an odd prime >= 3, got {ell}")

@@ -262,6 +262,59 @@ class TestKernel:
     def test_bernoulli_poly(self, k, t):
         assert bernoulli_poly(k, t) == oracle.bernoulli_poly(k, t)
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 600), st.integers(1, 40),
+           st.lists(st.lists(st.integers(-60, 100), max_size=4), min_size=1, max_size=3),
+           st.sampled_from([3, 5, 7, 11, 13]), st.integers(1, 40))
+    @example(456, 12, [[1], [2]], 5, 12)
+    @example(1, 6, [[0, -6, 6], []], 13, 1)
+    @example(600, 40, [[-60, 0, 40, 100]], 3, 40)
+    def test_residues_are_the_exact_numerators_reduced(self, k, f, groups, ell, W):
+        # points may be 0, negative or at least f
+        modulus = ell ** W
+        exact = _bernoulli_sums(k, f, groups)
+        d = bernoulli._TABLE[0]
+        scale = d * f ** k
+        assert all((scale * x).denominator == 1 for x in exact)
+        want = [int(scale * x) % modulus for x in exact]
+        assert _bernoulli_sums(k, f, groups, modulus) == (d, want)
+
+    def test_residues_follow_a_grown_table(self, monkeypatch):
+        # B_0..B_9 have D = 210; the table grown to index 40 has another D,
+        # so every S_j changes and residues read from the short table are
+        # stale.  B_0..B_13 and B_0..B_15 share D = 30030 (15 is not prime),
+        # so that growth keeps them.
+        modulus, groups = 7 ** 9, [[1, 5], [-2]]
+        monkeypatch.setattr(bernoulli, "_TABLE", bernoulli._build(10))
+        monkeypatch.setattr(bernoulli, "_RESIDUES", {})
+        short = bernoulli._TABLE
+        before = _bernoulli_sums(8, 6, groups, modulus)
+        grown = _bernoulli_sums(40, 6, groups, modulus)
+        assert bernoulli._TABLE[0] != short[0]
+        again = _bernoulli_sums(8, 6, groups, modulus)
+        assert bernoulli._RESIDUES[modulus][0] == bernoulli._TABLE[0]
+        calls = [(8, before), (40, grown), (8, again)]
+        monkeypatch.setattr(bernoulli, "_TABLE", bernoulli._build(14))
+        calls.append((12, _bernoulli_sums(12, 6, groups, modulus)))
+        calls.append((15, _bernoulli_sums(15, 6, groups, modulus)))
+        assert bernoulli._TABLE[0] == 30030 == bernoulli._RESIDUES[modulus][0]
+        assert len(bernoulli._TABLE[1]) == 16 == len(bernoulli._RESIDUES[modulus][1])
+        for k, (d, got) in calls:
+            scale = d * 6 ** k
+            assert got == [int(scale * x) % modulus for x in _bernoulli_sums(k, 6, groups)]
+        assert before[0] == short[0] and again[0] == grown[0]
+
+    def test_residue_cache_holds_at_most_its_bound(self, monkeypatch):
+        monkeypatch.setattr(bernoulli, "_RESIDUES", {})
+        bound = bernoulli._RESIDUE_MODULI
+        sizes = []
+        for ell in (3, 5, 7, 11, 13):
+            for W in range(1, 31):
+                _bernoulli_sums(20, 6, [[1]], ell ** W)
+                sizes.append(len(bernoulli._RESIDUES))
+        assert bound == 64 and max(sizes) == bound
+        assert all(len(s) == 21 for _, s in bernoulli._RESIDUES.values())
+
 
 class TestNodes:
     """Each reader of the kernel against values built from the oracle."""

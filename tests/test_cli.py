@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from elladic import bernoulli, cli, lfunctions, ncseries
+from elladic import bernoulli, cli, lfunctions, ncseries, padic
 from elladic.cli import main
 from elladic.measures import bernoulli_measure, tower_to_json
 from elladic.ncseries import ReducedSeries, _conv, _Poly
@@ -581,6 +581,76 @@ def test_interpolation_routes_run_no_exact_kernel(tmp_path, monkeypatch, capsys)
     assert len(lines) == 220
     assert exact == [("hurwitz --ell 13 --beta 1 --s=18/5 --i 1 --m 6 --prec 1", 1, 6, [[1], [1]])]
     assert lfunctions.hurwitz_node(1, 1, 6, 13) == 0
+
+
+def test_interpolation_residues_match_the_exact_kernel(tmp_path, monkeypatch, capsys):
+    """Over the same 220 seeded ``lvalue-interp`` requests, every modular
+    kernel call returns the exact kernel's group numerators D f^k sum B_k(a/f)
+    reduced mod its modulus, with the table's D."""
+    proc = subprocess.run([sys.executable, str(GOLDEN / "workload_argv.py"), "--workload",
+                           "lvalue-interp", "--seed", "3", "--rounds", "20", "--dir",
+                           str(tmp_path)], capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    kernel = bernoulli._bernoulli_sums
+    checked = []
+
+    def compared(k, f, groups, modulus=None):
+        got = kernel(k, f, groups, modulus)
+        if modulus is not None:
+            d, nums = got
+            scale = d * f ** k
+            exact = [scale * x for x in kernel(k, f, groups)]
+            assert d == bernoulli._TABLE[0] and all(x.denominator == 1 for x in exact)
+            assert nums == [int(x) % modulus for x in exact], (line, k, f, groups, modulus)
+            checked.append(line)
+        return got
+
+    monkeypatch.setattr(bernoulli, "_bernoulli_sums", compared)
+    monkeypatch.setattr(lfunctions, "_bernoulli_sums", compared)
+    for line in lines:
+        assert main(shlex.split(line)) == 0
+    capsys.readouterr()
+    assert len(lines) == 220 and len(set(checked)) > 100
+
+
+@pytest.mark.parametrize("argv", [
+    ["hurwitz", "--ell", "5", "--beta", "5", "--s", "2", "--i", "1", "--m", "3"],
+    ["dirichlet", "--ell", "7", "--beta", "-3", "--s", "1/2", "--psi", "3:1=1,2=6"],
+    ["zinv", "--ell", "11", "--beta", "24", "--s", "2", "--prec", "3", "--primes", "2"],
+], ids=["hurwitz beta ell", "dirichlet beta -3", "zinv beta 24"])
+def test_beta_outside_its_range_is_refused_before_any_work(argv, capsys):
+    """Every interpolated family refuses a beta outside [0, ell-1) as ``kl``
+    does, before its node: zinv's weight-2664 node is never built."""
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 0.5
+    out = capsys.readouterr().out
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out) == {"command": argv[0], "error": "beta must lie in [0, ell-1)"}
+
+
+def test_primality_of_ell_is_decided_once(monkeypatch, capsys):
+    """A Z[1/m] request at ell = 4294967291 builds dozens of values at that
+    ell; trial division runs once for ell and once for the prime 3, and a
+    composite ell is still refused every time."""
+    calls = []
+    real = padic.is_odd_prime
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(padic, "is_odd_prime", counted)
+    monkeypatch.setattr(lfunctions, "is_odd_prime", counted)
+    padic._check_prime.cache_clear()
+    argv = ["zinv", "--ell", "4294967291", "--beta", "2", "--s", "2", "--primes", "2,3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert sorted(calls) == [3, 4294967291]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^ell must be an odd prime >= 3, got 9$"):
+            padic.PadicNum(9, 0, 1, 1)
+    assert calls[2:] == [9, 9]
 
 
 def test_minus_one_interp_reads_no_level(capsys):
