@@ -4,6 +4,13 @@ Every invocation prints a single JSON document (sorted keys, so identical
 requests give byte-identical output).  Exit status: 0 on success and when all
 verification checks pass, 1 on a domain error (structured error JSON), 2 on
 usage errors (argparse).
+
+Each request is parsed once, by its command's parser: ``main`` hands an argv
+whose first token names a command straight to that command's parser, and the
+top-level parser answers only an argv that names no command (no argv, ``-h``,
+an option first, an unknown command) and refuses the tokens a command's
+parser leaves over, with the messages ``build_parser()``'s ``parse_args``
+gives.
 """
 
 from __future__ import annotations
@@ -340,8 +347,10 @@ def _cmd_verify(args) -> dict:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: ``main`` reuses it on every call."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level argument parser and its command map (name -> the
+    command's parser, the ``choices`` of its subparsers action), built once:
+    ``main`` reuses them on every call."""
     ap = argparse.ArgumentParser(prog="elladic")
     sub = ap.add_subparsers(dest="command", required=True)
     # --json is accepted everywhere and changes nothing: output is always JSON
@@ -400,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=str, default=None)
     p.add_argument("--t", type=str, default=None)
 
-    return ap
+    return ap, sub.choices
 
 
 _HANDLERS = {
@@ -416,9 +425,8 @@ _HANDLERS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _serve(parser: argparse.ArgumentParser, args) -> int:
+    """Run the parsed request and print its one JSON document; the exit status."""
     # Python 3.11's argparse reads "--opt=--" as an option with no value
     if [] in vars(args).values():
         parser.error("an option given as --opt=-- has no value")
@@ -431,6 +439,22 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return 0 if doc["all_pass"] else 1
     return 0
+
+
+def main(argv=None) -> int:
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        # what the top-level parser would do, less its own pass over the
+        # tokens: the command's parser reads the rest, and the top-level
+        # parser refuses what that leaves
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
+    else:
+        args = parser.parse_args(argv)
+    return _serve(parser, args)
 
 
 if __name__ == "__main__":

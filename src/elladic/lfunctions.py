@@ -32,6 +32,7 @@ measure route and the Euler-type factors is built by ``_twist``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -400,13 +401,21 @@ def _zinv_modulus(primes, k: int) -> int:
     return m
 
 
+def _zinv_units(m: int, primes) -> list:
+    """The a in [1, m) prime to m = prod(primes), by a sieve over the primes."""
+    mask = bytearray(b"\x01") * m
+    for p in primes:
+        mask[::p] = bytes(len(range(0, m, p)))
+    return list(itertools.compress(range(m), mask))
+
+
 def _zinv_spec(k: int, primes, ell: int):
     """``zinv_node``'s spec, its arguments checked."""
     m = _zinv_modulus(primes, k)
     if any(p == ell for p in primes):
         raise ValueError("primes must differ from ell")
     _check_node(k, m, ell)
-    return m, [[a for a in range(1, m) if math.gcd(a, m) == 1]], [1 - ell ** (k - 1)], k * m ** k
+    return m, [_zinv_units(m, primes)], [1 - ell ** (k - 1)], k * m ** k
 
 
 def zinv_node(k: int, primes, ell: int) -> Fraction:

@@ -287,11 +287,11 @@ def _moment_sums(mu: MeasureTower, indices, level: int, weight):
 # and Z[1/m] prime (3 ms at 2^32, as is factoring ell - 1 for
 # ``smallest_regularizer``); ``lfunctions._STEP_BUDGET`` (10^7) bounds the
 # Horner steps m (floor(k/2) + 1) of a Z[1/m] node, one Horner loop over
-# the coefficient row per unit below m (0.5 s at m = 10403, k = 1042; 3.5 s
-# at m = 5*10^6, k = 2, where listing the units costs more than the steps;
-# in-process, py3.11, shared 2-core box); and ``ncseries._DEGREE_BUDGET``
-# (32) bounds the degree of the ``verify`` suites, whose costliest (``bch``)
-# grows about as degree^6.
+# the coefficient row per unit below m (0.5 s at m = 10403, k = 1042;
+# 3.3-3.7 s at m = 5*10^6, k = 2, of which the sieve listing the units takes
+# 0.2 s and the per-unit residue loop the rest; in-process, py3.11, shared
+# 2-core box); and ``ncseries._DEGREE_BUDGET`` (32) bounds the degree of the
+# ``verify`` suites, whose costliest (``bch``) grows about as degree^6.
 _CELL_BUDGET = 10 ** 6
 
 

@@ -1,26 +1,30 @@
 """Record and check golden CLI cases.
 
 Reads command lines from standard input, one per line, split as a shell would
-split them; blank lines and lines starting with ``#`` are skipped.  Runs
-``elladic.cli.main(argv)`` in-process for each and writes the cases
-``{"argv", "exit", "stdout"}`` as a JSON list, in the layout of the golden
-files here; a case whose argv has ``--out PATH`` also keeps the written file
-as ``out_file``.  With ``--append`` the cases are added to the end of an
-existing file; a command line already in it is refused, so a recorded case is
-never silently replaced.  With ``--check`` nothing is written: every case of
-FILE is run again and each argv whose exit status, stdout or ``out_file``
-differs is printed, with exit status 1 when there is one.  Each command runs
-in a fresh temporary directory that holds a copy of each golden
-``tower*.json``, as the golden tests run them.
+split them; lines starting with ``#`` are skipped, and an empty line is the
+empty argv (``shlex.join([])``).  Runs ``elladic.cli.main(argv)`` in-process
+for each and writes the cases ``{"argv", "exit", "stdout"}`` as a JSON list,
+in the layout of the golden files here; a usage error or ``--help`` ends
+``main`` with ``SystemExit``, whose code is the case's exit status.  A case
+keeps ``stderr`` when something was written there, and a case whose argv has
+``--out PATH`` also keeps the written file as ``out_file``.  With
+``--append`` the cases are added to the end of an existing file; a command
+line already in it is refused, so a recorded case is never silently
+replaced.  With ``--check`` nothing is written: every case of
+FILE is run again and each argv whose exit status, stdout, stderr or
+``out_file`` differs is printed, with exit status 1 when there is one.  Each
+command runs in a fresh temporary directory that holds a copy of each golden
+``tower*.json``, as the golden tests run them, and with ``COLUMNS=80``, the
+terminal width argparse wraps its usage and help text at.
 
 With ``--diff REV`` it is a differential between git revision REV and the
 working tree: REV's ``src`` is unpacked with ``git archive`` into a
 temporary directory, the command lines on standard input are recorded once
 under REV's ``src`` and once under the working tree's ``src``, each in a
 child process (both runs use this script and the working tree's golden
-tower files), and every argv whose exit status, stdout or ``out_file``
-differs is printed, with exit status 1 when there is one.  No git state is
-written.
+tower files), and every argv whose exit status, stdout, stderr or
+``out_file`` differs is printed, with exit status 1 when there is one.  No
+git state is written.
 
 Each golden file ``<corpus>.json`` has its command lines beside it as
 ``<corpus>.argv``, one ``shlex.join`` line per case in the file's order, so
@@ -46,6 +50,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from elladic.cli import main
 
@@ -55,9 +60,10 @@ REPO = GOLDEN.parent.parent
 
 @contextlib.contextmanager
 def golden_workdir():
-    """A temporary working directory holding the golden tower files."""
+    """A temporary working directory holding the golden tower files, with
+    ``COLUMNS`` pinned to 80."""
     cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, COLUMNS="80"):
         for tower in GOLDEN.glob("tower*.json"):
             shutil.copy(tower, tmp)
         os.chdir(tmp)
@@ -68,11 +74,16 @@ def golden_workdir():
 
 
 def record(argv: list) -> dict:
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     with golden_workdir():
-        with contextlib.redirect_stdout(out):
-            code = main(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
         case = {"argv": argv, "exit": code, "stdout": out.getvalue()}
+        if err.getvalue():
+            case["stderr"] = err.getvalue()
         if "--out" in argv:
             path = Path(argv[argv.index("--out") + 1])
             if path.exists():
@@ -81,9 +92,8 @@ def record(argv: list) -> dict:
 
 
 def command_lines(lines):
-    """The argv of each command line, skipping blank and ``#`` lines."""
-    return [shlex.split(line) for line in lines
-            if line.strip() and not line.lstrip().startswith("#")]
+    """The argv of each command line, skipping ``#`` lines."""
+    return [shlex.split(line) for line in lines if not line.lstrip().startswith("#")]
 
 
 def run(path: Path, append: bool, lines) -> int:

@@ -492,11 +492,19 @@ class TestReadmeGolden:
     c, several ``--prec`` and the domain errors; it was recorded before the
     unit integral summed half the units over one cached row per (c, ell,
     level).
+    ``golden/usage_cli.json`` covers the parser's edge cases, with their
+    stderr and exit status: no argv, unknown commands, an option before the
+    command, ``-h`` and ``--help``, missing required options and
+    positionals, invalid values, unrecognized trailing options and
+    positionals, ``--opt=--``, abbreviated and ambiguous options, ``--`` in
+    every place and duplicated options; it was recorded, at ``COLUMNS=80``,
+    before ``main`` sent an argv that names a command straight to that
+    command's parser.
     """
 
     CASES = [case for name in ("readme_cli.json", "lfunctions_cli.json", "measures_cli.json",
                                "verify_cli.json", "towers_cli.json", "bernoulli_cli.json",
-                               "measure_route_cli.json")
+                               "measure_route_cli.json", "usage_cli.json")
              for case in json.loads((GOLDEN / name).read_text())]
 
     @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
@@ -504,8 +512,15 @@ class TestReadmeGolden:
         for tower in GOLDEN.glob("tower*.json"):
             shutil.copy(tower, tmp_path)
         monkeypatch.chdir(tmp_path)
-        assert main(case["argv"]) == case["exit"]
-        assert capsys.readouterr().out == case["stdout"]
+        # argparse wraps its usage text at the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(case["argv"])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            case["exit"], case["stdout"], case.get("stderr", ""))
         if "out_file" in case:
             out_path = case["argv"][case["argv"].index("--out") + 1]
             assert (tmp_path / out_path).read_text() == case["out_file"]
@@ -544,7 +559,7 @@ def test_workload_argv_prints_runnable_requests_and_keeps_the_tower_files(tmp_pa
 
 
 CORPORA = ["bernoulli_cli", "lfunctions_cli", "measure_route_cli", "measures_cli", "readme_cli",
-           "towers_cli", "verify_cli"]
+           "towers_cli", "usage_cli", "verify_cli"]
 
 
 @pytest.mark.parametrize("corpus", CORPORA)
@@ -897,11 +912,32 @@ class TestRefusedInputs:
 # -- argv fuzzing ---------------------------------------------------------------
 
 
+def outcome(route, argv) -> tuple:
+    """(exit status, stdout, stderr) of ``route(argv)``; a usage error ends
+    it with ``SystemExit``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = route(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def parse_args_route(argv) -> int:
+    """The oracle for ``main``: the top-level parser's ``parse_args`` over the
+    whole argv, whose subparsers action runs the command's parser over the
+    same tokens again, then the request served as ``main`` serves it."""
+    parser, _ = cli.build_parser()
+    return cli._serve(parser, parser.parse_args(argv))
+
+
 def subcommands() -> dict:
-    """Each subcommand of ``build_parser()`` with its actions, less ``--help``."""
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    """Each command of the command map ``main`` dispatches on, with its
+    parser's actions, less ``--help``."""
+    _, commands = cli.build_parser()
     return {name: [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
-            for name, p in sub.choices.items()}
+            for name, p in commands.items()}
 
 
 SUBCOMMANDS = subcommands()
@@ -930,6 +966,8 @@ TEXTS = {
     "--bracket": ["2", "-", "1/2,-", "-,-,-"],
     "--in": [str(GOLDEN / name) for name in ("tower.json", "tower_rank2.json", "tower_rank3.json")],
 }
+# tokens no command's parser reads, so the top-level parser must refuse them
+LEFTOVERS = ["extra", "--zzz", "--zzz=1", "--", "-x"]
 BAD_FILES = [str(GOLDEN / name) for name in (
     "tower_refused_zero_den.json", "readme_cli.argv", "missing.json", "")] + [str(GOLDEN)]
 
@@ -938,7 +976,8 @@ BAD_FILES = [str(GOLDEN / name) for name in (
 def argvs(draw, out_dir):
     """An argv of one subcommand: each positional choice and option value is
     mostly one the command can serve (its choices, small integers, sample
-    text) and otherwise hostile; a required option is at times left out."""
+    text) and otherwise hostile; a required option is at times left out,
+    and a token the command does not read is at times added at the end."""
     name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
     argv = [name]
     for action in SUBCOMMANDS[name]:
@@ -966,6 +1005,8 @@ def argvs(draw, out_dir):
             argv.append(value)
         else:
             argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(LEFTOVERS)))
     return argv
 
 
@@ -979,18 +1020,53 @@ def out_dir(tmp_path_factory):
 def test_every_argv_exits_with_one_json_document_or_usage(out_dir, data):
     """Any argv built from the parser's own subcommands and options exits 0
     or 1 with exactly one JSON document on stdout, or 2 with argparse usage
-    on stderr, and raises nothing else."""
+    on stderr, and raises nothing else; ``parse_args_route`` gives the same
+    exit status, stdout and stderr."""
     argv = data.draw(argvs(out_dir))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    code, out, err = outcome(main, argv)
     if code == 2:
-        assert out.getvalue() == "" and err.getvalue().startswith("usage: elladic"), argv
+        assert out == "" and err.startswith("usage: elladic"), argv
     else:
         assert code in (0, 1), argv
-        assert out.getvalue().count("\n") == 1, argv
-        doc = json.loads(out.getvalue())
+        assert out.count("\n") == 1, argv
+        doc = json.loads(out)
         assert "error" not in doc or code == 1, argv
+    assert outcome(parse_args_route, argv) == (code, out, err), argv
+
+
+USAGE_ARGV = [shlex.split(line) for line in (GOLDEN / "usage_cli.argv").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGV, ids=map(" ".join, USAGE_ARGV))
+def test_main_answers_every_usage_case_as_the_top_level_parser_does(argv, tmp_path, monkeypatch):
+    """The parser edge cases of ``golden/usage_cli.argv`` (no argv, unknown
+    commands, ``-h``, leftover options and positionals, ``--opt=--``,
+    abbreviations, ``--``, repeats) give the bytes of ``parse_args_route``."""
+    for tower in GOLDEN.glob("tower*.json"):
+        shutil.copy(tower, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert outcome(main, argv) == outcome(parse_args_route, argv)
+
+
+def test_each_served_request_is_parsed_once(monkeypatch, capsys):
+    """``main`` sends an argv that names a command to that command's parser
+    alone; the top-level parser's ``parse_args`` would parse it twice."""
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    tower = str(GOLDEN / "tower.json")
+    for argv in (["kl", "--ell", "5", "--beta", "2", "--s", "2", "--level", "3"],
+                 ["verify", "bch", "--degree", "3"],
+                 ["measure", "validate", "--in", tower]):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [f"elladic {argv[0]}"]
+    calls.clear()
+    assert outcome(parse_args_route, ["bernoulli", "--k", "2"])[0] == 0
+    assert calls == ["elladic", "elladic bernoulli"]
+    capsys.readouterr()

@@ -19,6 +19,7 @@ from elladic.lfunctions import (
     _hurwitz_spec,
     _node,
     _zinv_spec,
+    _zinv_units,
     DirichletCharacter,
     SigmaDependentError,
     classical_dirichlet_special,
@@ -584,6 +585,12 @@ class TestZInverted:
                 continue
             for k in range(1, 31):
                 assert zinv_node(k, primes, ell) == zinv_hurwitz_sum(k, primes, ell), (primes, k)
+
+    @pytest.mark.parametrize("primes", [[2], [3], [2, 3], [3, 2], [5, 7], [2, 3, 5, 7, 11, 13],
+                                        [101, 103], [4999999]])
+    def test_sieved_units_are_the_gcd_filter(self, primes):
+        m = math.prod(primes)
+        assert _zinv_units(m, primes) == [a for a in range(1, m) if math.gcd(a, m) == 1]
 
     def test_weight_below_one_refused(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
