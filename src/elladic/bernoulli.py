@@ -15,8 +15,8 @@ a time by one recurrence (``_coefficients``) in both of the kernel's modes.
 Exact, each coefficient is fed at once to every point's Horner pass and
 dropped, so no coefficient row is kept: at k = 4096 a row would hold 2049
 numbers of up to k log2(f) bits each, and f is not bounded (``bernoulli
---t``).  ``bernoulli_poly`` and the exact Hurwitz and Z[1/m] nodes of
-``lfunctions`` take the sums exact.
+--t``).  ``bernoulli_poly`` and the exact Hurwitz node of ``lfunctions``
+take the sums exact.
 
 The interpolated L-values print max(ndigits, M) digits, 8 on the command
 line, while a table entry at k = 500 has ~3000 bits.  So the kernel also
@@ -38,9 +38,9 @@ other is raised once and then taken exact.  The cost is one row of k/2 + 1
 entries and one Horner loop of k/2 steps per point, on numbers below
 ell^W, ~N digits (only the binomial C(k,j), ~k bits, stays exact), in
 place of products of the table's thousands of bits; the result is the
-exact node encoded to N digits.  The Hurwitz, Z[1/m] and Dirichlet
-interpolation routes go through it, and so do the class sums of
-``_character_bernoulli`` whenever they are not taken exact.
+exact node encoded to N digits.  The Hurwitz and Dirichlet interpolation
+routes go through it, and so do the class sums of ``_character_bernoulli``
+whenever they are not taken exact.
 
 Generalized Bernoulli numbers B_(k,chi) all come from one character sum,
 ``_character_bernoulli``.  Twisted Bernoulli numbers attached to powers of the

@@ -11,28 +11,43 @@ Evaluation strategies:
   Kummer-type congruences make the result correct to M digits (minus the
   valuation drop of the value itself).  Every family is read off its node,
   a function of k alone, by the one helper ``_read_off``; a weight past the
-  Bernoulli table's budget is refused before any work.  The Hurwitz, Z[1/m]
-  and Dirichlet nodes are read off Bernoulli residues mod ell^W to
-  max(_DIGITS, M) digits (``bernoulli._residue_node``, whose docstring has
-  the precision rule), never as exact rationals of thousands of bits; each
-  family has one spec (checks, groups, weights, denominator) shared with
-  its exact node, and the result is that node encoded to those digits.
+  Bernoulli table's budget is refused before any work.
+
+Each node is sign * front * Euler * (1/k) sum_(0<=a<F) w(a) B_k(a/F), with
+w = 0 off the classes named:
+
+    family     F  w(a)                Euler factor                  front    sign
+    kl         1  1 at 0              1 - ell^(k-1)                 1        -
+    minus-one  1  1 at 0              kl's times (2^(1-k) - 1)      1        -
+    zinv       1  1 at 0              kl's times prod_(p | m)       1        +
+                                      (p^(1-k) - 1)
+    hurwitz    m  1 at i, -ell^(k-1)  1                             1        +
+                  at <i/ell>
+    dirichlet  m  psi(a)              1 - psi(ell) ell^(k-1)        m^(k-1)  -
+
+So minus-one and zinv are the exact kl node times Euler factors, each read
+at s as p omega(p)^(-beta) [p]^(-s) - 1 (``_euler_factor``).  The Hurwitz
+and Dirichlet nodes are read off Bernoulli residues mod ell^W to
+max(_DIGITS, M) digits (``bernoulli._residue_node``, whose docstring has the
+precision rule), never as exact rationals of thousands of bits; the result
+is the exact node encoded to those digits.  The sign - is the classical
+L(1-k, psi) = -B_(k,psi)/k.  Hurwitz and zinv keep +, against the classical
+zeta(1-k, x) = -B_k(x)/k, because the classical sign would change every
+value they print (``zinv_report``'s product route carries it: its ratio is
+-1).  The Dirichlet front factor -omega(m)^beta [m]^s / m is read at k as
+-m^(k-1): the two differ by [m]^(s-k) = 1 mod ell^(M+1), past every claimed
+digit.  At beta = 0 and s = 0, the pole of L_ell(1-s, omega^0), every
+family but dirichlet (a primitive psi != 1 has no pole) is refused before
+any work (``_check_pole``).
 
 At an exact weight (an integer s >= 1 with s = beta mod (ell-1)) k = s and
 the value is the node, to ``_DIGITS`` (8) digits, or the exact zero when the
-node vanishes.  That digit count is the one module constant; only
-``kubota_leopoldt`` and the nodes ``kl_node`` and ``dirichlet_node`` take
-another, as ``ndigits``.  The kl and Dirichlet nodes are -B_(k,chi)/k, the
-exact zero when chi(-1) != (-1)^k; the Dirichlet node's Euler factor
-1 - psi(ell) ell^(k-1) is an exact 0 at k = 1 and psi(ell) = 1.  Its front
-factor is read at k as -m^(k-1): it differs from -omega(m)^beta [m]^s / m by
-[m]^(s-k) = 1 mod ell^(M+1), past every claimed digit.  The twist omega(c)^beta [c]^s of the
-measure route and the Euler-type factors is built by ``_twist``.
+node vanishes.  Only ``kubota_leopoldt``, ``kl_node`` and ``dirichlet_node``
+take another digit count, as ``ndigits``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -70,9 +85,9 @@ __all__ = [
 # nodes; every interpolated node is worked to at least this many.
 _DIGITS = 8
 
-# The most Horner steps m * (floor(k/2) + 1) of a Z[1/m] node, one Horner
-# loop of floor(k/2) + 1 steps per unit below m (see ``measures._CELL_BUDGET``).
-_STEP_BUDGET = 10 ** 7
+# The largest modulus m = prod(primes) of a Z[1/m] L-value (see
+# ``measures._CELL_BUDGET``).
+_MODULUS_BUDGET = 10 ** 7
 
 
 class SigmaDependentError(ValueError):
@@ -177,11 +192,17 @@ def interpolation_weight(beta: int, s, ell: int, M: int) -> int:
                      f"{_WEIGHT_BUDGET}")
 
 
+def _check_pole(beta: int, s) -> None:
+    """Refuse beta = 0 and s = 0, the pole of L_ell(1-s, omega^0)."""
+    if beta == 0 and (s.is_exact_zero if isinstance(s, PadicNum) else s == 0):
+        raise ValueError("pole: L_ell(1-s, omega^beta) has a pole at beta = 0, s = 0")
+
+
 def _check_prec(M: int, extra: int = 0) -> None:
     """Refuse a precision M whose work precision M + extra would pass
     ``_DIGIT_BUDGET``, before any ell^M is built: ``_read_off`` works at
     max(ndigits, M) digits, ``dirichlet_l``'s Teichmuller weights at M + 3,
-    ``minus_one_l``'s twist at M + 4 and ``zinv_report`` at M + _DIGITS + 6."""
+    ``minus_one_l``'s Euler factor at M + 4 and ``zinv_report`` at M + _DIGITS + 6."""
     if M + extra > _DIGIT_BUDGET:
         raise ValueError(f"precision too large: --prec must be at most {_DIGIT_BUDGET - extra}")
 
@@ -219,6 +240,12 @@ def _twist(c: int, beta: int, s, ell: int, K: int) -> PadicNum:
     return om ** beta * one_unit_pow(br, s)
 
 
+def _euler_factor(p: int, beta: int, s, ell: int, K: int) -> PadicNum:
+    """p omega(p)^(-beta) [p]^(-s) - 1 to K digits, for a prime p != ell: the
+    Euler factor p^(1-k) - 1 read at s."""
+    return p * _twist(p, beta, s, ell, K).invert() - 1
+
+
 def kl_node(k: int, beta: int, ell: int, ndigits: int = _DIGITS) -> PadicNum:
     """Closed special value -(1/k) B_{k, omega^(beta-k)} as an ell-adic number."""
     return -gen_bernoulli(k, beta - k, ell, ndigits) / k
@@ -249,6 +276,7 @@ def kubota_leopoldt(
     _check_prime(ell)
     if not 0 <= beta < ell - 1:
         raise ValueError("beta must lie in [0, ell-1)")
+    _check_pole(beta, s)
     if method == "interp":
         return _read_off(lambda k: kl_node_rational(k, ell), beta, s, ell, M, ndigits)
     if method != "measure":
@@ -275,10 +303,10 @@ def minus_one_l(
     method: str = "measure",
     M: int = 2,
 ) -> PadicNum:
-    """The z = -1 variant, as an explicit Euler-type factor times the zeta family.
+    """The z = -1 variant: the zeta family times the Euler factor at 2.
 
     Only even beta has a path-independent value; odd beta is refused.  The
-    twist is worked to 4 digits past the route's own: max(level, M, _DIGITS)
+    factor is worked to 4 digits past the route's own: max(level, M, _DIGITS)
     on the measure route, max(M, _DIGITS) on the interpolation route, which
     reads no level.
     """
@@ -289,8 +317,7 @@ def minus_one_l(
     _check_prec(M, 4)
     base = kubota_leopoldt(beta, s, ell, c=c, level=level, method=method, M=M)
     digits = max(M, _DIGITS) if method == "interp" else max(level, M, _DIGITS)
-    t = _twist(2, beta, s, ell, digits + 4) / 2
-    return (1 - t) / t * base
+    return _euler_factor(2, beta, s, ell, digits + 4) * base
 
 
 # ---------------------------------------------------------------------------
@@ -306,39 +333,33 @@ def _check_node(k: int, m: int, ell: int) -> None:
         raise ValueError("k must be >= 1")
 
 
-def _node(spec, k: int, ell: int, N: int | None = None):
-    """The node of a family's spec (f, groups, weights, den), sum_g w_g
-    sum_(a in g) B_k(a/f) times f^k / den: exact when N is None, else read
-    off residues mod ell^W to N digits by ``_residue_node``, which falls back
-    to the exact node when the residues cannot tell it from 0."""
-    f, groups, weights, den = spec
-    if N is None:
-        sums = _bernoulli_sums(k, f, groups)
-        return sum(w * b for w, b in zip(weights, sums)) * Fraction(f ** k, den)
-    return _residue_node(k, f, groups, lambda W: weights, den, ell, N,
-                         lambda: _node(spec, k, ell))
-
-
-def _hurwitz_spec(k: int, i: int, m: int, ell: int):
-    """``hurwitz_node``'s spec, its arguments checked."""
+def _hurwitz_node(k: int, i: int, m: int, ell: int, N: int | None = None):
+    """``hurwitz_node``, its arguments checked; with N it is read off the
+    Bernoulli residues to N digits by ``_residue_node``, which falls back to
+    the exact node when the residues cannot tell it from 0."""
     _check_node(k, m, ell)
     if not 0 < i < m:
         raise ValueError("index must satisfy 0 < i < m")
     if math.gcd(i, m) != 1:
         raise ValueError("alpha not coprime to m")
-    return m, [[i], [residue_mod(Fraction(i, ell), m)]], [1, -ell ** (k - 1)], k * m ** k
+    groups, weights = [[i], [residue_mod(Fraction(i, ell), m)]], [1, -ell ** (k - 1)]
+    if N is not None:
+        return _residue_node(k, m, groups, lambda W: weights, k * m ** k, ell, N,
+                             lambda: _hurwitz_node(k, i, m, ell))
+    b, b_shifted = _bernoulli_sums(k, m, groups)
+    return (b - ell ** (k - 1) * b_shifted) / k
 
 
 def hurwitz_node(k: int, i: int, m: int, ell: int) -> Fraction:
     """(1/k) (B_k(<i>/m) - ell^(k-1) B_k(<i/ell>/m)), exact."""
-    return _node(_hurwitz_spec(k, i, m, ell), k, ell)
+    return _hurwitz_node(k, i, m, ell)
 
 
 def hurwitz_l(beta: int, s, i: int, m: int, ell: int, M: int = 2) -> PadicNum:
     """Interpolated Hurwitz-type value at 1-s for the pair (i, m)."""
+    _check_pole(beta, s)
     N = max(_DIGITS, M)
-    return _read_off(lambda k: _node(_hurwitz_spec(k, i, m, ell), k, ell, N),
-                     beta, s, ell, M)
+    return _read_off(lambda k: _hurwitz_node(k, i, m, ell, N), beta, s, ell, M)
 
 
 def classical_dirichlet_special(psi: DirichletCharacter, k: int) -> Fraction:
@@ -384,65 +405,44 @@ def dirichlet_l(psi: DirichletCharacter, beta: int, s, ell: int, M: int = 2) -> 
 # ---------------------------------------------------------------------------
 
 
-def _zinv_modulus(primes, k: int) -> int:
-    """m = prod(primes), its entries checked after the Horner steps it costs."""
+def zinv_node(k: int, primes, ell: int) -> Fraction:
+    """(1 - ell^(k-1))/k sum_(gcd(a,m)=1) B_k(a/m), m = prod(primes): the sum
+    of the Hurwitz nodes over the units mod m (i -> i/ell permutes them).  By
+    the distribution relation sum_(a<d) B_k(a/d) = d^(1-k) B_k and Moebius
+    inversion over d | m it is -prod_p (p^(1-k) - 1) kl_node_rational(k).
+    The modulus is bounded before any entry is tested for primality."""
     primes = list(primes)
     if not primes:
         raise ValueError("at least one prime required (the modulus must exceed 1)")
     m = math.prod(primes)
-    if m * (k // 2 + 1) > _STEP_BUDGET:
-        raise ValueError(f"modulus too large: m * (k // 2 + 1) must be at most "
-                         f"{_STEP_BUDGET} Horner steps")
+    if m > _MODULUS_BUDGET:
+        raise ValueError(f"modulus too large: m must be at most {_MODULUS_BUDGET}")
     for p in primes:
         if p != 2 and not is_odd_prime(p):
             raise ValueError(f"every entry of primes must be a prime, got {p}")
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
-    return m
-
-
-def _zinv_units(m: int, primes) -> list:
-    """The a in [1, m) prime to m = prod(primes), by a sieve over the primes."""
-    mask = bytearray(b"\x01") * m
-    for p in primes:
-        mask[::p] = bytes(len(range(0, m, p)))
-    return list(itertools.compress(range(m), mask))
-
-
-def _zinv_spec(k: int, primes, ell: int):
-    """``zinv_node``'s spec, its arguments checked."""
-    m = _zinv_modulus(primes, k)
-    if any(p == ell for p in primes):
+    if ell in primes:
         raise ValueError("primes must differ from ell")
     _check_node(k, m, ell)
-    return m, [_zinv_units(m, primes)], [1 - ell ** (k - 1)], k * m ** k
-
-
-def zinv_node(k: int, primes, ell: int) -> Fraction:
-    """Sum of Hurwitz nodes over the residues coprime to m = prod(primes):
-    (1 - ell^(k-1))/k sum_i B_k(i/m), since i -> i/ell permutes those residues."""
-    return _node(_zinv_spec(k, primes, ell), k, ell)
+    # prod_p (p^(1-k) - 1) over the one denominator m^(k-1)
+    factor = Fraction(math.prod(1 - p ** (k - 1) for p in primes), m ** (k - 1))
+    return -factor * kl_node_rational(k, ell)
 
 
 def zinv_l(beta: int, s, primes, ell: int, M: int = 2) -> PadicNum:
-    """Definition-route value: the coprime Hurwitz sum at the interpolation weight."""
-    N = max(_DIGITS, M)
-    return _read_off(lambda k: _node(_zinv_spec(k, primes, ell), k, ell, N),
-                     beta, s, ell, M)
+    """Interpolated Z[1/m] value: ``zinv_node`` at the interpolation weight."""
+    _check_pole(beta, s)
+    return _read_off(lambda k: zinv_node(k, primes, ell), beta, s, ell, M)
 
 
 def zinv_report(beta: int, s, primes, ell: int, M: int = 2) -> dict:
-    """Definition-route value vs the Euler-product shortcut, with sign verdict.
+    """The Z[1/m] value (``zinv_l``) vs the Euler-product route, with sign verdict.
 
-    The product shortcut multiplies the zeta-family value by
-    prod_j (p_j [p_j]^(-s) omega(p_j)^(-beta) - 1), which interpolates
-    prod_j (p_j^(1-k) - 1) at the nodes k.  Its global sign is -1 against
-    the definition route for every prime count: the distribution relation
-    sum_(a<d) B_k(a/d) = d^(1-k) B_k and Moebius inversion over d | m give
-    sum_(gcd(a,m)=1) B_k(a/m) = B_k prod_j (p_j^(1-k) - 1), so
-    zinv_node(k) = -prod_j (p_j^(1-k) - 1) * kl_node_rational(k), the sign
-    coming from kl_node_rational = -(1 - ell^(k-1)) B_k/k.  The report
-    carries both values and the ratio.
+    The product route multiplies the zeta-family value at s by
+    prod_j ``_euler_factor``(p_j), which interpolates prod_j (p_j^(1-k) - 1)
+    at the nodes k.  Against the value, whose node keeps the sign +, its
+    global sign is -1 for every prime count, as ``zinv_node`` derives.
     """
     _check_prec(M, _DIGITS + 6)
     value = zinv_l(beta, s, primes, ell, M=M)
@@ -450,7 +450,7 @@ def zinv_report(beta: int, s, primes, ell: int, M: int = 2) -> dict:
     base = kubota_leopoldt(beta, s, ell, method="interp", M=M, ndigits=work)
     prod = PadicNum.from_rational(1, ell, work)
     for p in primes:
-        prod = prod * (p * _twist(p, beta, s, ell, work).invert() - 1)
+        prod = prod * _euler_factor(p, beta, s, ell, work)
     product_route = prod * base
     # ratio of the two routes, when both are nonzero to working precision
     ratio = None

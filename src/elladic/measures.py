@@ -285,13 +285,12 @@ def _moment_sums(mu: MeasureTower, indices, level: int, weight):
 # precision M (``lfunctions._check_prec``); ``padic._PRIME_BUDGET`` (2^32)
 # bounds the odd n whose primality trial division decides, and so every ell
 # and Z[1/m] prime (3 ms at 2^32, as is factoring ell - 1 for
-# ``smallest_regularizer``); ``lfunctions._STEP_BUDGET`` (10^7) bounds the
-# Horner steps m (floor(k/2) + 1) of a Z[1/m] node, one Horner loop over
-# the coefficient row per unit below m (0.5 s at m = 10403, k = 1042;
-# 3.3-3.7 s at m = 5*10^6, k = 2, of which the sieve listing the units takes
-# 0.2 s and the per-unit residue loop the rest; in-process, py3.11, shared
-# 2-core box); and ``ncseries._DEGREE_BUDGET`` (32) bounds the degree of the
-# ``verify`` suites, whose costliest (``bch``) grows about as degree^6.
+# ``smallest_regularizer``); ``lfunctions._MODULUS_BUDGET`` (10^7) bounds
+# the Z[1/m] modulus m = prod(primes) before any entry is tested, so no
+# trial division passes sqrt(10^7) (the node costs B_k and one Euler factor
+# per prime, whatever m); and ``ncseries._DEGREE_BUDGET`` (32) bounds the
+# degree of the ``verify`` suites, whose costliest (``bch``) grows about as
+# degree^6.
 _CELL_BUDGET = 10 ** 6
 
 

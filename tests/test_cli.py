@@ -443,7 +443,12 @@ class TestReadmeGolden:
     9:1=1,2=3,4=2,8=6,7=4,5=5`` (an odd character at an even weight) was
     re-recorded from ``O(7^22)`` to the exact zero when a generalized
     Bernoulli number of the wrong parity became the exact zero for every
-    character.  ``golden/measures_cli.json`` covers ``measure
+    character; its five cases at beta = 0, s = 0 (two ``kl``, ``minus-one``,
+    ``hurwitz`` and ``zinv``) were re-recorded from a value ``O(ell^-3)`` to
+    the pole refusal, and ``zinv --ell 5 --beta 2 --s 2 --primes 4999999``
+    was appended, with the bytes it printed as a sum over the units below m,
+    when the Z[1/m] node became the zeta node times Euler factors.
+    ``golden/measures_cli.json`` covers ``measure
     validate``, ``pushforward --out``, ``transform --kind p|f`` and
     ``integrate`` (with and without ``--units``; powers, inverses, Teichmuller
     powers, integer, fractional, negative and ``-`` brackets; several levels;
@@ -491,7 +496,8 @@ class TestReadmeGolden:
     fractional s, the default, explicit, negative, degenerate and non-unit
     c, several ``--prec`` and the domain errors; it was recorded before the
     unit integral summed half the units over one cached row per (c, ell,
-    level).
+    level).  Its four cases at beta = 0, s = 0 were re-recorded from
+    "regularizer degenerate", which no c could mend, to the pole refusal.
     ``golden/usage_cli.json`` covers the parser's edge cases, with their
     stderr and exit status: no argv, unknown commands, an option before the
     command, ``-h`` and ``--help``, missing required options and
@@ -573,7 +579,8 @@ def test_each_corpus_has_its_argv_list(corpus):
 
 def test_interpolation_routes_run_no_exact_kernel(tmp_path, monkeypatch, capsys):
     """Over 220 seeded ``lvalue-interp`` requests (seed 3, 20 rounds) every
-    node is read from Bernoulli residues: the exact kernel runs once, for the
+    hurwitz and dirichlet node is read from Bernoulli residues (the kl and
+    zinv nodes read B_k off the table): the exact kernel runs once, for the
     one node that is exactly 0 where no symmetry shows it, hurwitz_node(1, 1,
     6, 13) (1/13 = 1 mod 6), through the fallback."""
     proc = subprocess.run([sys.executable, str(GOLDEN / "workload_argv.py"), "--workload",
@@ -599,11 +606,12 @@ def test_interpolation_routes_run_no_exact_kernel(tmp_path, monkeypatch, capsys)
 
 
 def test_interpolation_residues_match_the_exact_kernel(tmp_path, monkeypatch, capsys):
-    """Over the same 220 seeded ``lvalue-interp`` requests, every modular
-    kernel call returns the exact kernel's group numerators D f^k sum B_k(a/f)
-    reduced mod its modulus, with the table's D."""
+    """Over 330 seeded ``lvalue-interp`` requests (seed 3, 30 rounds), every
+    modular kernel call returns the exact kernel's group numerators
+    D f^k sum B_k(a/f) reduced mod its modulus, with the table's D; more than
+    100 distinct requests (the hurwitz and dirichlet ones) reach it."""
     proc = subprocess.run([sys.executable, str(GOLDEN / "workload_argv.py"), "--workload",
-                           "lvalue-interp", "--seed", "3", "--rounds", "20", "--dir",
+                           "lvalue-interp", "--seed", "3", "--rounds", "30", "--dir",
                            str(tmp_path)], capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     kernel = bernoulli._bernoulli_sums
@@ -625,7 +633,7 @@ def test_interpolation_residues_match_the_exact_kernel(tmp_path, monkeypatch, ca
     for line in lines:
         assert main(shlex.split(line)) == 0
     capsys.readouterr()
-    assert len(lines) == 220 and len(set(checked)) > 100
+    assert len(lines) == 330 and len(set(checked)) > 100
 
 
 @pytest.mark.parametrize("argv", [
@@ -825,9 +833,9 @@ class TestRefusedInputs:
         (["kl", "--ell", "2305843009213693951", "--beta", "2", "--s", "2", "--method", "interp"],
          "prime too large: primality is decided up to 4294967296, got 2305843009213693951"),
         (["zinv", "--ell", "5", "--beta", "2", "--s", "2", "--primes", "1009,1013,1019"],
-         "modulus too large: m * (k // 2 + 1) must be at most 10000000 Horner steps"),
+         "modulus too large: m must be at most 10000000"),
         (["zinv", "--ell", "5", "--beta", "2", "--s", "2", "--primes", "2305843009213693951"],
-         "modulus too large: m * (k // 2 + 1) must be at most 10000000 Horner steps"),
+         "modulus too large: m must be at most 10000000"),
         (["dirichlet", "--ell", "5", "--beta", "1", "--s", "2", "--psi", "4000000037:1=1"],
          "modulus too large: m^2 must be at most 1000000"),
     ], ids=["kl prec 10^8", "kl ell 13 prec 4", "teichmuller prec 10^8", "bernoulli k 10^5",
@@ -836,8 +844,9 @@ class TestRefusedInputs:
     def test_runaway_weight_or_digits_is_refused_before_any_work(self, argv, error, capsys):
         """Each would run for minutes or exhaust memory: an exact Bernoulli
         number at k = 238010 or past 10^5, ell^(10^8), trial division to
-        sqrt(2^61 - 1), 10^9 units below m with a Horner row each, or the unit
-        list and table check of a 10-digit modulus."""
+        sqrt(2^61 - 1) (a Z[1/m] modulus past 10^7 is refused before its
+        entries are tested), or the unit list and table check of a 10-digit
+        modulus."""
         start = time.perf_counter()
         code = main(argv)
         assert time.perf_counter() - start < 2
@@ -890,6 +899,15 @@ class TestRefusedInputs:
         assert time.perf_counter() - start < 2
         doc = json.loads(capsys.readouterr().out)
         assert code == 0 and "error" not in doc
+
+    def test_a_prime_modulus_near_the_budget_is_served_at_once(self, capsys):
+        """The Z[1/m] node is B_k times one Euler factor per prime, so a
+        modulus near 10^7 costs no more than m = 2."""
+        start = time.perf_counter()
+        code = main(["zinv", "--ell", "5", "--beta", "2", "--s", "2", "--primes", "4999999"])
+        assert time.perf_counter() - start < 1
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["sign"] == -1
 
     @pytest.mark.parametrize("kind", ["p", "f"])
     def test_huge_transform_degree_is_refused_before_any_work(self, kind, tmp_path, capsys):

@@ -16,10 +16,13 @@ entry is reported too.  Likewise a parameter with a default, of a public
 function or of a public class's public method or ``__init__``, that no call
 of that name sets, by keyword or by position, in a package module outside
 the function's own body or in a demo, is reported unless ``PARAM_ORACLES``
-names it; a call is matched by its name alone.
+names it; a call is matched by its name alone.  Every module-level
+``_*_BUDGET`` constant is named, as ``module._NAME_BUDGET``, in the comment
+above ``measures._CELL_BUDGET``, and every such name there exists.
 """
 
 import ast
+import re
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -141,11 +144,7 @@ DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))
 
 # Exported names that no package module and no demo reads, each with the
 # check that keeps it.
-ORACLES = {
-    "zinv_node": "the exact node of the Z[1/m] route: test_bernoulli checks it "
-                 "against a Bernoulli-polynomial sum, test_acceptance checks the "
-                 "Kummer congruences on it",
-}
+ORACLES: dict = {}
 
 
 def reach_faults(sources, demos, oracles) -> dict:
@@ -291,3 +290,52 @@ def test_every_defaulted_parameter_is_set():
     demos = [p.read_text() for p in DEMOS]
     assert parameter_faults(sources, demos, PARAM_ORACLES) == {
         "unset": [], "stale": [], "not declared": []}
+
+
+# -- every budget is named in the budget comment ---------------------------------
+
+
+def budget_faults(sources: dict, comment: str) -> dict:
+    """The module-level ``_*_BUDGET`` constants of the modules ``sources``
+    (name -> source) that ``comment`` does not name as ``module._NAME``, and
+    the ``module._*_BUDGET`` names in it that no module binds; the comment's
+    own constant, ``measures._CELL_BUDGET``, is exempt."""
+    bound = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            bound |= {f"{module}.{t.id}" for t in targets
+                      if isinstance(t, ast.Name) and re.fullmatch(r"_\w+_BUDGET", t.id)}
+    named = set(re.findall(r"\b\w+\._\w+_BUDGET\b", comment))
+    bound.discard("measures._CELL_BUDGET")
+    return {"unnamed": sorted(bound - named), "not bound": sorted(named - bound)}
+
+
+def cell_budget_comment(source: str) -> str:
+    """The comment lines right above ``_CELL_BUDGET = ...``."""
+    lines = source.splitlines()
+    end = next(i for i, line in enumerate(lines) if line.startswith("_CELL_BUDGET ="))
+    start = end
+    while start and lines[start - 1].startswith("#"):
+        start -= 1
+    return "\n".join(lines[start:end])
+
+
+def test_checker_reports_unnamed_and_unbound_budgets():
+    sources = {"m": "_A_BUDGET = 1\n_B_BUDGET: int = 2\n_C = 3\ndef f():\n    _D_BUDGET = 4\n",
+               "measures": "# see ``m._A_BUDGET`` and ``n._GONE_BUDGET``\n_CELL_BUDGET = 5\n"}
+    comment = cell_budget_comment(sources["measures"])
+    assert comment == "# see ``m._A_BUDGET`` and ``n._GONE_BUDGET``"
+    assert budget_faults(sources, comment) == {
+        "unnamed": ["m._B_BUDGET"], "not bound": ["n._GONE_BUDGET"]}
+
+
+def test_every_budget_is_named_in_the_cell_budget_comment():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    comment = cell_budget_comment(sources["measures"])
+    assert budget_faults(sources, comment) == {"unnamed": [], "not bound": []}

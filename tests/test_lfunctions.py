@@ -16,10 +16,7 @@ from elladic.bernoulli import (
 )
 from elladic.lfunctions import (
     _dirichlet_node,
-    _hurwitz_spec,
-    _node,
-    _zinv_spec,
-    _zinv_units,
+    _hurwitz_node,
     DirichletCharacter,
     SigmaDependentError,
     classical_dirichlet_special,
@@ -103,6 +100,12 @@ def node_vanishes(psi, k, ell):
     """psi(-1) != (-1)^k, or the Euler factor 1 - psi(ell) ell^(k-1) is 0."""
     even = psi.residue(-1) == 1
     return even != (k % 2 == 0) or (k == 1 and psi.residue(ell) == 1)
+
+
+def prime_sets(ell):
+    """The sets of one to three primes from {2, 3, 13, 17}, less ell."""
+    pool = [p for p in (2, 3, 13, 17) if p != ell]
+    return [s for n in (1, 2, 3) for s in itertools.combinations(pool, n)]
 
 
 def zinv_hurwitz_sum(k, primes, ell):
@@ -380,6 +383,32 @@ class TestMinusOne:
             minus_one_l(1, 2, 5, level=3)
 
 
+POLE = "^pole: L_ell\\(1-s, omega\\^beta\\) has a pole at beta = 0, s = 0$"
+
+
+@pytest.mark.parametrize("value", [
+    lambda s: kubota_leopoldt(0, s, 5, method="interp"),
+    lambda s: kubota_leopoldt(0, s, 5, level=3),
+    lambda s: minus_one_l(0, s, 5, method="interp"),
+    lambda s: minus_one_l(0, s, 7, level=4),
+    lambda s: hurwitz_l(0, s, 1, 3, 5),
+    lambda s: zinv_l(0, s, [3], 5),
+    lambda s: zinv_report(0, s, [2, 3], 5),
+], ids=["kl interp", "kl measure", "minus-one interp", "minus-one measure", "hurwitz",
+        "zinv", "zinv report"])
+@pytest.mark.parametrize("s", [0, F(0), PadicNum.zero(5)], ids=["int", "Fraction", "PadicNum"])
+def test_the_pole_at_beta_0_s_0_is_refused(value, s):
+    """L_ell(1-s, omega^0) has its pole at s = 0: every family but dirichlet
+    refuses it with one message, on both routes, whatever the type of s."""
+    with pytest.raises(ValueError, match=POLE):
+        value(s)
+
+
+def test_dirichlet_has_no_pole_at_beta_0_s_0():
+    """A primitive psi != 1 has no pole: dirichlet is served there."""
+    assert isinstance(dirichlet_l(mod4_character(5), 0, 0, 5), PadicNum)
+
+
 class TestHurwitz:
     def test_node_value(self):
         assert hurwitz_node(2, 1, 3, 5) == F(1, 9)
@@ -578,19 +607,13 @@ class TestZInverted:
                 want *= F(1, p ** (k - 1)) - 1
             assert zinv_node(k, primes, ell) == want, (k, primes)
 
-    @pytest.mark.parametrize("ell", [3, 5, 7, 13])
+    @pytest.mark.parametrize("ell", [5, 7, 11])
     def test_node_is_the_hurwitz_sum(self, ell):
-        for primes in ([2], [3], [2, 3], [2, 5], [2, 3, 7], [11]):
-            if ell in primes:
-                continue
-            for k in range(1, 31):
+        """The node against the Hurwitz nodes summed one unit at a time, over
+        the range where the Euler-factor identity below is checked."""
+        for primes in prime_sets(ell):
+            for k in range(1, 61):
                 assert zinv_node(k, primes, ell) == zinv_hurwitz_sum(k, primes, ell), (primes, k)
-
-    @pytest.mark.parametrize("primes", [[2], [3], [2, 3], [3, 2], [5, 7], [2, 3, 5, 7, 11, 13],
-                                        [101, 103], [4999999]])
-    def test_sieved_units_are_the_gcd_filter(self, primes):
-        m = math.prod(primes)
-        assert _zinv_units(m, primes) == [a for a in range(1, m) if math.gcd(a, m) == 1]
 
     def test_weight_below_one_refused(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
@@ -607,23 +630,25 @@ class TestZInverted:
             with pytest.raises(ValueError, match="must be a prime"):
                 zinv_node(2, primes, 5)
 
-    def test_horner_steps_past_the_budget_are_refused_first(self):
-        """m (floor(k/2) + 1) past 10^7 is refused before any entry is tested
-        for primality, so a huge entry costs no trial division."""
-        steps = "^modulus too large: m \\* \\(k // 2 \\+ 1\\) must be at most 10000000 Horner steps$"
-        for k, primes in [(2, [1009, 1013, 1019]), (2, [2 ** 61 - 1]), (2, [2 ** 61, 4]),
-                          (2000, [101, 103])]:
-            with pytest.raises(ValueError, match=steps):
-                zinv_node(k, primes, 5)
+    def test_modulus_past_the_budget_is_refused_first(self):
+        """m = prod(primes) past 10^7 is refused before any entry is tested
+        for primality, so a huge entry costs no trial division; the largest
+        prime modulus in budget, and a weight the old Horner-step budget
+        refused at m = 10403, are served."""
+        too_large = "^modulus too large: m must be at most 10000000$"
+        for primes in ([1009, 1013, 1019], [2 ** 61 - 1], [2 ** 61, 4], [10000019]):
+            with pytest.raises(ValueError, match=too_large):
+                zinv_node(2, primes, 5)
+        for k, primes in [(2, [9999991]), (2000, [101, 103])]:
+            factor = math.prod(F(1, p ** (k - 1)) - 1 for p in primes)
+            assert zinv_node(k, primes, 5) == -factor * kl_node_rational(k, 5)
         assert zinv_node(2, [3, 1009], 5) == zinv_hurwitz_sum(2, [3, 1009], 5)
 
     @pytest.mark.parametrize("ell", [5, 7, 11])
     def test_node_is_minus_the_euler_factor_times_the_zeta_node(self, ell):
         """zinv_node(k) = -prod_p (p^(1-k) - 1) kl_node_rational(k), exactly:
         the product route's sign -1 is derived, not observed."""
-        pool = [p for p in (2, 3, 13, 17) if p != ell]
-        sets = [s for n in (1, 2, 3) for s in itertools.combinations(pool, n)]
-        for primes in sets:
+        for primes in prime_sets(ell):
             for k in range(1, 61):
                 factor = math.prod(F(1, p ** (k - 1)) - 1 for p in primes)
                 assert zinv_node(k, primes, ell) == -factor * kl_node_rational(k, ell), (primes, k)
@@ -701,28 +726,30 @@ class TestExactZero:
 
 def exact_hurwitz(k, i, m, ell):
     """(B_k(i/m) - ell^(k-1) B_k(<i/ell>/m)) / k from the exact group sums,
-    written out apart from the family spec the routes read."""
+    written out apart from the node the routes read."""
     b, b_shifted = _bernoulli_sums(k, m, [[i], [i * pow(ell, -1, m) % m]])
     return (b - Fraction(ell) ** (k - 1) * b_shifted) / k
 
 
 def exact_zinv(k, primes, ell):
-    """(1 - ell^(k-1))/k sum over the units a mod m of B_k(a/m), likewise."""
+    """(1 - ell^(k-1))/k sum over the units a mod m of B_k(a/m), from one
+    exact group sum: an oracle apart from the Euler-factor product."""
     m = math.prod(primes)
     [total] = _bernoulli_sums(k, m, [[a for a in range(1, m) if math.gcd(a, m) == 1]])
     return (1 - Fraction(ell) ** (k - 1)) / k * total
 
 
 class TestResidueNodes:
-    """The interpolation routes read each node off Bernoulli residues mod
-    ell^W; the result is the exact node encoded to N digits, digit for digit.
-    The exact node is written out here (or, for a character off +-1, summed
-    from Hurwitz nodes with Teichmuller weights), not read from the spec the
-    routes share with the public exact nodes.  Drawn: ell in 3-13, weights k
-    up to 600, N up to 40; named: k divisible by ell and by ell - 1, odd k at
-    m = 2 (the exact zero by symmetry) and the node (k, i, m, ell) = (1, 1, 6,
-    13), exactly 0 without that symmetry (i/ell = i mod m), where the
-    residues fall back to the exact node."""
+    """The Hurwitz and Dirichlet routes read each node off Bernoulli residues
+    mod ell^W; the result is the exact node encoded to N digits, digit for
+    digit.  The exact node is written out here (or, for a character off +-1,
+    summed from Hurwitz nodes with Teichmuller weights), not read from the
+    node the routes share with the public exact nodes; the exact Z[1/m] node
+    is checked against its unit sum at the same weights.  Drawn: ell in 3-13,
+    weights k up to 600, N up to 40; named: k divisible by ell and by
+    ell - 1, odd k at m = 2 (the exact zero by symmetry) and the node
+    (k, i, m, ell) = (1, 1, 6, 13), exactly 0 without that symmetry
+    (i/ell = i mod m), where the residues fall back to the exact node."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(2, 30), st.integers(0, 100),
@@ -740,21 +767,19 @@ class TestResidueNodes:
         i = units[index % len(units)]
         want = exact_hurwitz(k, i, m, ell)
         assert hurwitz_node(k, i, m, ell) == want
-        assert _node(_hurwitz_spec(k, i, m, ell), k, ell, N) == PadicNum.from_rational(want, ell, N)
+        assert _hurwitz_node(k, i, m, ell, N) == PadicNum.from_rational(want, ell, N)
 
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from([3, 5, 7, 11, 13]),
            st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=2, unique=True),
-           st.integers(1, 600), st.integers(1, 40))
-    @example(5, [2], 7, 8)          # odd k: the exact zero by symmetry
-    @example(7, [2, 3], 1, 8)
-    @example(3, [2, 5], 162, 30)    # k = 0 mod ell^4 and mod ell - 1
-    @example(13, [7], 600, 40)      # k = 0 mod ell - 1
-    def test_zinv(self, ell, primes, k, N):
+           st.integers(1, 600))
+    @example(5, [2], 7)          # odd k: the exact zero
+    @example(7, [2, 3], 1)
+    @example(3, [2, 5], 162)     # k = 0 mod ell^4 and mod ell - 1
+    @example(13, [7], 600)       # k = 0 mod ell - 1
+    def test_zinv(self, ell, primes, k):
         assume(ell not in primes)
-        want = exact_zinv(k, primes, ell)
-        assert zinv_node(k, primes, ell) == want
-        assert _node(_zinv_spec(k, primes, ell), k, ell, N) == PadicNum.from_rational(want, ell, N)
+        assert zinv_node(k, primes, ell) == exact_zinv(k, primes, ell)
 
     def test_weight_past_the_budget_is_refused_where_the_node_vanishes(self):
         """An exact odd weight past the table's budget is refused, as the exact
