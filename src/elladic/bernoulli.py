@@ -40,7 +40,8 @@ ell^W, ~N digits (only the binomial C(k,j), ~k bits, stays exact), in
 place of products of the table's thousands of bits; the result is the
 exact node encoded to N digits.  The Hurwitz and Dirichlet interpolation
 routes go through it, and so do the class sums of ``_character_bernoulli``
-whenever they are not taken exact.
+whenever they are not taken exact (``gen_bernoulli`` never takes them
+exact).
 
 Generalized Bernoulli numbers B_(k,chi) all come from one character sum,
 ``_character_bernoulli``.  Twisted Bernoulli numbers attached to powers of the
@@ -281,7 +282,8 @@ def _character_bernoulli(k: int, f: int, residue, ell: int, ndigits: int, exact:
 def gen_bernoulli(k: int, j: int, ell: int, ndigits: int) -> PadicNum:
     """Twisted Bernoulli number ``ell**(k-1) * sum_{a=1..ell-1} omega(a)**j *
     B_k(a/ell)`` for the j-th Teichmuller power, modulus ell (it vanishes at
-    ``a = ell``), to ``ndigits`` digits; exactly zero when j, k differ in parity."""
+    ``a = ell``), to ``ndigits`` digits; exactly zero when j, k differ in parity.
+    It is read off Bernoulli residues at every j, the rational twists (j = 0
+    and j = (ell-1)/2) included, so ndigits lies in [1, _DIGIT_BUDGET - 3]."""
     j %= ell - 1
-    b = _character_bernoulli(k, ell, lambda a: pow(a, j, ell), ell, ndigits)
-    return b if isinstance(b, PadicNum) else PadicNum.from_rational(b, ell, ndigits)
+    return _character_bernoulli(k, ell, lambda a: pow(a, j, ell), ell, ndigits, False)

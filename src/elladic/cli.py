@@ -11,6 +11,9 @@ top-level parser answers only an argv that names no command (no argv, ``-h``,
 an option first, an unknown command) and refuses the tokens a command's
 parser leaves over, with the messages ``build_parser()``'s ``parse_args``
 gives.
+
+A handler reads its options, calls the library and shapes its answer; the
+``verify`` suites live beside the series they check, in ``ncseries``.
 """
 
 from __future__ import annotations
@@ -19,9 +22,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
-from math import factorial
-from random import Random
 
 from .bernoulli import bernoulli_number, bernoulli_poly
 from .lfunctions import (
@@ -41,20 +41,7 @@ from .measures import (
     tower_from_json,
     tower_to_json,
 )
-from .ncseries import (
-    _DEGREE_BUDGET,
-    ReducedSeries,
-    _display_table,
-    _kernel_table,
-    _Poly,
-    bch,
-    bch_reduced,
-    bch_scaled_pair,
-    gamma_series,
-    inversion_closed_form,
-    inversion_parts,
-    inversion_pipeline,
-)
+from .ncseries import _DEGREE_BUDGET, verify_bch, verify_gamma, verify_inversion
 from .padic import smallest_regularizer, teichmuller
 from .transforms import f_transform, p_transform
 
@@ -94,114 +81,6 @@ def _parse_psi(spec: str, ell: int) -> DirichletCharacter:
             raise ValueError(f"--psi repeats residue {a}: {a}={values[a]} and {a}={v}")
         values[a] = v
     return DirichletCharacter(m, values, ell)
-
-
-# -- verification suites -------------------------------------------------------
-
-
-def _first_discrepancy(r1, r2):
-    """None when the series are equal, else the first differing coefficient;
-    series that agree on every common coefficient differ in degree."""
-    if r1 == r2:
-        return None
-    for i, (x, y) in enumerate(zip(r1.a, r2.a)):
-        if x != y:
-            return f"X^{i}"
-    for i, (x, y) in enumerate(zip(r1.b, r2.b)):
-        if x != y:
-            return f"Y*X^{i}"
-    return f"degree {r1.degree} vs {r2.degree}"
-
-
-def _check(name, got, want) -> dict:
-    disc = _first_discrepancy(got, want)
-    return {"name": name, "pass": disc is None, "discrepancy": disc}
-
-
-def _random_poly(rng: Random, degree: int):
-    return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(degree + 1)]
-
-
-def verify_bch(degree: int = 10, seed: int = 7) -> dict:
-    """log(e^A e^B) by exp and log power sums vs the closed form
-    ``bch_reduced``, for A = alpha X + Y phi1(X) and B = beta X + Y phi2(X):
-    A = X and B = Y both ways round, then 20 random pairs.
-
-    The power sums run on ``ReducedSeries`` at ``degree``, where the check
-    reads them: the quotient map and the X-degree window form an algebra map,
-    which commutes with the truncated exp and log.  The closed form shares
-    only the table core: one-variable products and ``_stack``.
-    """
-    rng = Random(seed)
-    x = ReducedSeries(degree, [0, 1])
-    y = ReducedSeries(degree, None, [1])
-    checks = [_check("xy-closed-form", bch(x, y), bch_reduced(1, [0], 0, [1], degree)),
-              _check("yx-closed-form", bch(y, x), bch_reduced(0, [1], 1, [0], degree))]
-    for i in range(20):
-        alpha = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.randint(1, 3))
-        beta = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.randint(1, 3))
-        phi1 = _random_poly(rng, 4)
-        phi2 = _random_poly(rng, 4)
-        got = bch(ReducedSeries(degree, [0, alpha], phi1), ReducedSeries(degree, [0, beta], phi2))
-        want = bch_reduced(alpha, phi1, beta, phi2, degree)
-        checks.append(_check(f"random-{i}", got, want))
-    return {"suite": "bch", "degree": degree, "seed": seed, "checks": checks,
-            "all_pass": all(c["pass"] for c in checks)}
-
-
-def verify_gamma(degree: int = 10, seed: int = 7, chis=None) -> dict:
-    rng = Random(seed)
-    chis = chis or [Fraction(2), Fraction(3), Fraction(1, 2)]
-    checks = []
-    for chi in chis:
-        l_even = [
-            bernoulli_number(2 * k) / (2 * factorial(2 * k)) * (1 - chi ** (2 * k))
-            for k in range(1, (degree + 1) // 2 + 1)
-        ]
-        l_odd = [Fraction(rng.randint(-5, 5)) for _ in range(degree // 2 + 1)]
-        out = gamma_series(chi, l_even, l_odd, degree)
-        ok = out == ReducedSeries._stack(_Poly(degree), _kernel_table(chi, 0, degree))
-        b = out._row(1)
-        for trial in range(5):
-            other_odd = [Fraction(rng.randint(-5, 5)) for _ in range(degree // 2 + 1)]
-            again = gamma_series(chi, l_even, other_odd, degree)
-            ok = ok and again._row(1) == b
-        checks.append({"name": f"chi={chi}", "pass": ok})
-    return {"suite": "gamma", "degree": degree, "seed": seed, "checks": checks,
-            "all_pass": all(c["pass"] for c in checks)}
-
-
-def verify_inversion(degree: int = 8, seed: int = 7, chi=None, t=None) -> dict:
-    """The group-product chain ``inversion_pipeline`` vs its closed form, and
-    the scaled-pair loop vs its display formula, for 10 random A.
-
-    The loop, its display check and the chain's other (chi, t)-only parts
-    (``inversion_parts``: the chi kernel, exp(-t Z), exp(t Z), e^(-tX) and
-    e^(tX)) are computed once per distinct (chi, t), so once per call with
-    ``chi`` and ``t``; each check then costs one chain on its A and one
-    closed form, which builds its own kernel at t and shares nothing with
-    the chain."""
-    rng = Random(seed)
-    checks = []
-    pairs = {}
-    for i in range(10):
-        a = _random_poly(rng, degree)
-        ci = Fraction(chi) if chi is not None else Fraction(rng.choice([2, 3, -1, 5]), rng.choice([1, 2]))
-        ti = Fraction(t) if t is not None else Fraction(rng.randint(1, 5), rng.choice([2, 3, 7]))
-        if (ci, ti) not in pairs:
-            loop = bch_scaled_pair(ci, ti, degree)
-            pairs[ci, ti] = (loop, inversion_parts(ci, ti, degree),
-                             ci == 0 or loop._row(1) == _display_table(ci, ti, degree))
-        loop, parts, disp_ok = pairs[ci, ti]
-        got = inversion_pipeline(a, ci, ti, degree, loop, parts)
-        want = inversion_closed_form(a, ci, ti, degree)
-        disc = _first_discrepancy(got, want)
-        checks.append(
-            {"name": f"random-{i}", "chi": str(ci), "t": str(ti),
-             "pass": disc is None and disp_ok, "discrepancy": disc}
-        )
-    return {"suite": "inversion", "degree": degree, "seed": seed, "checks": checks,
-            "all_pass": all(c["pass"] for c in checks)}
 
 
 # -- subcommand handlers ---------------------------------------------------------

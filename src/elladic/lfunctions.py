@@ -38,12 +38,14 @@ value they print (``zinv_report``'s product route carries it: its ratio is
 -m^(k-1): the two differ by [m]^(s-k) = 1 mod ell^(M+1), past every claimed
 digit.  At beta = 0 and s = 0, the pole of L_ell(1-s, omega^0), every
 family but dirichlet (a primitive psi != 1 has no pole) is refused before
-any work (``_check_pole``).
+any work (``_check_pole``); near the pole, at beta = 0 and a weight
+divisible by ell, the same families lose v(k) digits to it and dirichlet
+does not.
 
 At an exact weight (an integer s >= 1 with s = beta mod (ell-1)) k = s and
 the value is the node, to ``_DIGITS`` (8) digits, or the exact zero when the
-node vanishes.  Only ``kubota_leopoldt``, ``kl_node`` and ``dirichlet_node``
-take another digit count, as ``ndigits``.
+node vanishes.  Only ``kl_node`` and ``dirichlet_node`` take another digit
+count, as ``ndigits``.
 """
 
 from __future__ import annotations
@@ -207,17 +209,18 @@ def _check_prec(M: int, extra: int = 0) -> None:
         raise ValueError(f"precision too large: --prec must be at most {_DIGIT_BUDGET - extra}")
 
 
-def _read_off(node, beta: int, s, ell: int, M: int, ndigits: int = _DIGITS) -> PadicNum:
+def _read_off(node, beta: int, s, ell: int, M: int, ndigits: int = _DIGITS, *,
+              pole: bool = True) -> PadicNum:
     """The interpolated value at 1-s, read off ``node(k)`` at the weight k.
 
     A node is an exact Fraction, encoded with max(ndigits, M) digits (a zero
     Fraction is the exact zero), or a PadicNum.  At an exact weight the value
     is the node, to ndigits digits.  Otherwise Kummer-type stability gives M
-    digits, less the valuation drop of the value itself; the branch beta = 0
-    mod (ell-1) carries the classical simple pole, whose two 1/weight terms
-    cost another v(k) when the weight is divisible by ell.  Beta is checked
-    first, and M against the digit budget once the weight is chosen, both
-    before the node.
+    digits, less the valuation drop of the value itself; for a family with
+    the classical simple pole at beta = 0 (``pole``: every family but
+    dirichlet), its two 1/weight terms cost another v(k) there when the
+    weight is divisible by ell.  Beta is checked first, and M against the
+    digit budget once the weight is chosen, both before the node.
     """
     if not 0 <= beta < ell - 1:
         raise ValueError("beta must lie in [0, ell-1)")
@@ -229,7 +232,7 @@ def _read_off(node, beta: int, s, ell: int, M: int, ndigits: int = _DIGITS) -> P
     if _exact_weight(beta, s, ell):
         return v.reduce_digits(ndigits)
     prec = M + (min(0, v.valuation) if v.unit else 0)
-    if beta % (ell - 1) == 0:
+    if pole and beta == 0:
         prec -= _frac_val(k, ell)
     return v.reduce_abs(prec)
 
@@ -264,7 +267,6 @@ def kubota_leopoldt(
     level: int = 6,
     method: str = "measure",
     M: int = 2,
-    ndigits: int = _DIGITS,
 ) -> PadicNum:
     """The regularized unit-group L-value at 1-s for the beta-th twist.
 
@@ -278,7 +280,7 @@ def kubota_leopoldt(
         raise ValueError("beta must lie in [0, ell-1)")
     _check_pole(beta, s)
     if method == "interp":
-        return _read_off(lambda k: kl_node_rational(k, ell), beta, s, ell, M, ndigits)
+        return _read_off(lambda k: kl_node_rational(k, ell), beta, s, ell, M)
     if method != "measure":
         raise ValueError("method must be 'measure' or 'interp'")
     if c is None:
@@ -397,7 +399,8 @@ def dirichlet_l(psi: DirichletCharacter, beta: int, s, ell: int, M: int = 2) -> 
         raise ValueError("character realized at a different prime")
     _check_prec(M, 3)
     N = max(_DIGITS, M)
-    return _read_off(lambda k: _dirichlet_node(psi, k, ell, N, False), beta, s, ell, M)
+    return _read_off(lambda k: _dirichlet_node(psi, k, ell, N, False), beta, s, ell, M,
+                     pole=False)
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +442,17 @@ def zinv_l(beta: int, s, primes, ell: int, M: int = 2) -> PadicNum:
 def zinv_report(beta: int, s, primes, ell: int, M: int = 2) -> dict:
     """The Z[1/m] value (``zinv_l``) vs the Euler-product route, with sign verdict.
 
-    The product route multiplies the zeta-family value at s by
-    prod_j ``_euler_factor``(p_j), which interpolates prod_j (p_j^(1-k) - 1)
-    at the nodes k.  Against the value, whose node keeps the sign +, its
-    global sign is -1 for every prime count, as ``zinv_node`` derives.
+    The product route multiplies the zeta-family value at s, read off
+    ``kl_node_rational`` like ``kubota_leopoldt``'s interpolation route but
+    to the work digits, by prod_j ``_euler_factor``(p_j), which interpolates
+    prod_j (p_j^(1-k) - 1) at the nodes k.  Against the value, whose node
+    keeps the sign +, its global sign is -1 for every prime count, as
+    ``zinv_node`` derives.
     """
     _check_prec(M, _DIGITS + 6)
     value = zinv_l(beta, s, primes, ell, M=M)
     work = _DIGITS + M + 6
-    base = kubota_leopoldt(beta, s, ell, method="interp", M=M, ndigits=work)
+    base = _read_off(lambda k: kl_node_rational(k, ell), beta, s, ell, M, work)
     prod = PadicNum.from_rational(1, ell, work)
     for p in primes:
         prod = prod * _euler_factor(p, beta, s, ell, work)

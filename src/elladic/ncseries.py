@@ -31,9 +31,13 @@ nonzero entries only; so the exp of a linear a = c X costs O(D) per power
 (the exps of ``verify bch`` and of the inversion chain's t Z), and a dense
 log costs what dense convolutions cost.  No product by 0 or 1 is taken: the
 group product skips the factors of a zero scalar (E_0 = e^0 = K_0 = 1) and of
-a zero series, and the kernel at t = 0 skips e^(0 X).  ``inversion_parts``
-builds the chain's (chi, t)-only parts once, for a caller to share among
-the checks of one (chi, t).
+a zero series, and the kernel at t = 0 skips e^(0 X).
+
+The ``verify`` suites (``verify_bch``, ``verify_gamma``, ``verify_inversion``)
+check the mechanical group products against their closed forms and return
+one JSON-ready document each.  ``verify_inversion`` builds the chain's
+(chi, t)-only parts once per distinct (chi, t) and shares them among the
+checks of that pair.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, islice
 from math import factorial, gcd, lcm
+from random import Random
 
 from .bernoulli import bernoulli_number
 
@@ -51,7 +56,6 @@ __all__ = [
     "bch",
     "bch_reduced",
     "gamma_series",
-    "inversion_parts",
     "inversion_pipeline",
     "inversion_closed_form",
     "bch_scaled_pair",
@@ -617,45 +621,153 @@ def _display_table(chi, t, degree: int) -> _Poly:
     return (part1 + part2) * p_x_over_em1(t * (1 - chi), D)
 
 
-def inversion_parts(chi, t, degree: int) -> tuple:
-    """The parts of ``inversion_pipeline`` that depend on (chi, t, degree)
-    alone, for a caller that runs the chain on many A: the kernel
-    1/(e^X-1) - chi/(e^(chi X)-1), exp(-t Z) and exp(t Z) for
-    Z = -X - Y X/(e^X-1), and e^(-tX) and e^(tX) as quotient series."""
+def _inversion_parts(chi, t, degree: int) -> tuple:
+    """The parts of the inversion chain that depend on (chi, t, degree)
+    alone, for rational chi and t: the kernel 1/(e^X-1) - chi/(e^(chi X)-1),
+    exp(-t Z) and exp(t Z) for Z = -X - Y X/(e^X-1), e^(-tX) and e^(tX) as
+    quotient series, and the loop ``bch_scaled_pair(chi, t, degree)``."""
     D = degree
-    chi, t = Fraction(chi), Fraction(t)
     zero = _Poly(D)
     z = ReducedSeries._stack(_Poly(D, [0, -1]), p_x_over_em1(1, D).scale(-1))
     return (_kernel_table(chi, 0, D), z.scale(-t).exp(), z.scale(t).exp(),
             ReducedSeries._stack(pexp_scalar(-t, D), zero),
-            ReducedSeries._stack(pexp_scalar(t, D), zero))
+            ReducedSeries._stack(pexp_scalar(t, D), zero),
+            bch_scaled_pair(chi, t, D))
 
 
-def inversion_pipeline(a_coeffs, chi, t, degree: int, loop=None, parts=None) -> ReducedSeries:
+def _inversion_chain(a_coeffs, chi, t, degree: int, parts) -> ReducedSeries:
+    """``inversion_pipeline`` on ``parts = _inversion_parts(chi, t, degree)``."""
+    D = degree
+    kernel, z_neg, z_pos, ex_neg, ex_pos, loop = parts
+    step1 = _bch(Q0, _Poly(D, a_coeffs).at(-1), Q0, kernel)
+    conj1 = z_neg * step1 * z_pos
+    step3 = _bch(Q0, conj1._row(1), t * (1 - chi), loop._row(1))
+    conj2 = ex_neg * step3 * ex_pos
+    return _bch(t * (1 - chi), conj2._row(1), t * (chi - 1), _Poly(D))
+
+
+def inversion_pipeline(a_coeffs, chi, t, degree: int) -> ReducedSeries:
     """Mechanical group-product chain computing the reversed-path log series.
 
     a_coeffs are the coefficients of A(X) = sum a_k X^(k-1); chi and t are
     rational scalars.  All conjugations and group products are carried out in
     the quotient algebra; nothing is taken from the closed form (which lives
-    in ``inversion_closed_form`` for comparison).  ``loop`` is
-    ``bch_scaled_pair(chi, t, degree)`` and ``parts`` is
-    ``inversion_parts(chi, t, degree)`` when the caller has them already.
+    in ``inversion_closed_form`` for comparison).
     """
-    D = degree
     chi, t = Fraction(chi), Fraction(t)
-    kernel, z_neg, z_pos, ex_neg, ex_pos = parts or inversion_parts(chi, t, D)
-    step1 = _bch(Q0, _Poly(D, a_coeffs).at(-1), Q0, kernel)
-    conj1 = z_neg * step1 * z_pos
-
-    if loop is None:
-        loop = bch_scaled_pair(chi, t, D)
-    step3 = _bch(Q0, conj1._row(1), t * (1 - chi), loop._row(1))
-    conj2 = ex_neg * step3 * ex_pos
-
-    return _bch(t * (1 - chi), conj2._row(1), t * (chi - 1), _Poly(D))
+    return _inversion_chain(a_coeffs, chi, t, degree, _inversion_parts(chi, t, degree))
 
 
 def inversion_closed_form(a_coeffs, chi, t, degree: int) -> ReducedSeries:
     """A(-X) + e^(tX)/(e^X - 1) - chi e^(t chi X)/(e^(chi X) - 1), as Y-part."""
     b = _Poly(degree, a_coeffs).at(-1) + _kernel_table(chi, t, degree)
     return ReducedSeries._stack(_Poly(degree), b)
+
+
+# ---------------------------------------------------------------------------
+# verification suites
+# ---------------------------------------------------------------------------
+
+
+def _first_discrepancy(r1, r2):
+    """None when the series are equal, else the first differing coefficient;
+    series that agree on every common coefficient differ in degree."""
+    if r1 == r2:
+        return None
+    for i, (x, y) in enumerate(zip(r1.a, r2.a)):
+        if x != y:
+            return f"X^{i}"
+    for i, (x, y) in enumerate(zip(r1.b, r2.b)):
+        if x != y:
+            return f"Y*X^{i}"
+    return f"degree {r1.degree} vs {r2.degree}"
+
+
+def _check(name, got, want) -> dict:
+    disc = _first_discrepancy(got, want)
+    return {"name": name, "pass": disc is None, "discrepancy": disc}
+
+
+def _random_poly(rng: Random, degree: int):
+    return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(degree + 1)]
+
+
+def verify_bch(degree: int = 10, seed: int = 7) -> dict:
+    """log(e^A e^B) by exp and log power sums vs the closed form
+    ``bch_reduced``, for A = alpha X + Y phi1(X) and B = beta X + Y phi2(X):
+    A = X and B = Y both ways round, then 20 random pairs.
+
+    The power sums run on ``ReducedSeries`` at ``degree``, where the check
+    reads them: the quotient map and the X-degree window form an algebra map,
+    which commutes with the truncated exp and log.  The closed form shares
+    only the table core: one-variable products and ``_stack``.
+    """
+    rng = Random(seed)
+    x = ReducedSeries(degree, [0, 1])
+    y = ReducedSeries(degree, None, [1])
+    checks = [_check("xy-closed-form", bch(x, y), bch_reduced(1, [0], 0, [1], degree)),
+              _check("yx-closed-form", bch(y, x), bch_reduced(0, [1], 1, [0], degree))]
+    for i in range(20):
+        alpha = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.randint(1, 3))
+        beta = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.randint(1, 3))
+        phi1 = _random_poly(rng, 4)
+        phi2 = _random_poly(rng, 4)
+        got = bch(ReducedSeries(degree, [0, alpha], phi1), ReducedSeries(degree, [0, beta], phi2))
+        want = bch_reduced(alpha, phi1, beta, phi2, degree)
+        checks.append(_check(f"random-{i}", got, want))
+    return {"suite": "bch", "degree": degree, "seed": seed, "checks": checks,
+            "all_pass": all(c["pass"] for c in checks)}
+
+
+def verify_gamma(degree: int = 10, seed: int = 7, chis=None) -> dict:
+    rng = Random(seed)
+    chis = chis or [Fraction(2), Fraction(3), Fraction(1, 2)]
+    checks = []
+    for chi in chis:
+        l_even = [
+            bernoulli_number(2 * k) / (2 * factorial(2 * k)) * (1 - chi ** (2 * k))
+            for k in range(1, (degree + 1) // 2 + 1)
+        ]
+        l_odd = [Fraction(rng.randint(-5, 5)) for _ in range(degree // 2 + 1)]
+        out = gamma_series(chi, l_even, l_odd, degree)
+        ok = out == ReducedSeries._stack(_Poly(degree), _kernel_table(chi, 0, degree))
+        b = out._row(1)
+        for trial in range(5):
+            other_odd = [Fraction(rng.randint(-5, 5)) for _ in range(degree // 2 + 1)]
+            again = gamma_series(chi, l_even, other_odd, degree)
+            ok = ok and again._row(1) == b
+        checks.append({"name": f"chi={chi}", "pass": ok})
+    return {"suite": "gamma", "degree": degree, "seed": seed, "checks": checks,
+            "all_pass": all(c["pass"] for c in checks)}
+
+
+def verify_inversion(degree: int = 8, seed: int = 7, chi=None, t=None) -> dict:
+    """The group-product chain ``inversion_pipeline`` vs its closed form, and
+    the scaled-pair loop vs its display formula, for 10 random A.
+
+    The chain's (chi, t)-only parts (``_inversion_parts``: the chi kernel,
+    exp(-t Z), exp(t Z), e^(-tX), e^(tX) and the loop) and the loop's display
+    check are computed once per distinct (chi, t), so once per call with
+    ``chi`` and ``t``; each check then costs one chain on its A and one
+    closed form, which builds its own kernel at t and shares nothing with
+    the chain."""
+    rng = Random(seed)
+    checks = []
+    pairs = {}
+    for i in range(10):
+        a = _random_poly(rng, degree)
+        ci = Fraction(chi) if chi is not None else Fraction(rng.choice([2, 3, -1, 5]), rng.choice([1, 2]))
+        ti = Fraction(t) if t is not None else Fraction(rng.randint(1, 5), rng.choice([2, 3, 7]))
+        if (ci, ti) not in pairs:
+            parts = _inversion_parts(ci, ti, degree)
+            pairs[ci, ti] = (parts, ci == 0 or parts[-1]._row(1) == _display_table(ci, ti, degree))
+        parts, disp_ok = pairs[ci, ti]
+        got = _inversion_chain(a, ci, ti, degree, parts)
+        want = inversion_closed_form(a, ci, ti, degree)
+        disc = _first_discrepancy(got, want)
+        checks.append(
+            {"name": f"random-{i}", "chi": str(ci), "t": str(ti),
+             "pass": disc is None and disp_ok, "discrepancy": disc}
+        )
+    return {"suite": "inversion", "degree": degree, "seed": seed, "checks": checks,
+            "all_pass": all(c["pass"] for c in checks)}

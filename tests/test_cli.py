@@ -235,7 +235,7 @@ class TestVerify:
         """The power sums in the quotient algebra tell a closed form that is
         off by 10^-6 in one b coefficient, at either end of the degree-10
         window."""
-        exact = cli.bch_reduced
+        exact = ncseries.bch_reduced
 
         def perturbed(*args):
             r = exact(*args)
@@ -243,8 +243,8 @@ class TestVerify:
             b[index] += Fraction(1, 10 ** 6)
             return ReducedSeries(r.degree, r.a, b)
 
-        monkeypatch.setattr(cli, "bch_reduced", perturbed)
-        doc = cli.verify_bch(10, 7)
+        monkeypatch.setattr(ncseries, "bch_reduced", perturbed)
+        doc = ncseries.verify_bch(10, 7)
         assert not doc["all_pass"]
         assert {c["discrepancy"] for c in doc["checks"]} == {f"Y*X^{index}"}
 
@@ -261,7 +261,7 @@ class TestVerify:
             return [_conv(p[0], q[0], n), _conv(p[1], q[0], n)]
 
         monkeypatch.setattr(ReducedSeries, "_product", broken)
-        doc = cli.verify_bch(10, 7)
+        doc = ncseries.verify_bch(10, 7)
         passed = [c["name"] for c in doc["checks"] if c["pass"]]
         assert not doc["all_pass"] and passed == ["yx-closed-form"]
         assert ({c["discrepancy"] for c in doc["checks"] if not c["pass"]}
@@ -271,34 +271,34 @@ class TestVerify:
     def test_perturbed_closed_form_fails_the_inversion_suite(self, index, monkeypatch):
         """The group-product chain and the closed form share their integer
         tables, yet a closed form off by 10^-6 in Y X^0 or Y X^D is told."""
-        exact = cli.inversion_closed_form
+        exact = ncseries.inversion_closed_form
 
         def perturbed(a, chi, t, D):
             return exact(a, chi, t, D) + ReducedSeries(D, None, [0] * index + [Fraction(1, 10 ** 6)])
 
-        monkeypatch.setattr(cli, "inversion_closed_form", perturbed)
-        doc = cli.verify_inversion(8, 7)
+        monkeypatch.setattr(ncseries, "inversion_closed_form", perturbed)
+        doc = ncseries.verify_inversion(8, 7)
         assert not doc["all_pass"] and not any(c["pass"] for c in doc["checks"])
         assert {c["discrepancy"] for c in doc["checks"]} == {f"Y*X^{index}"}
 
     def test_perturbed_display_fails_the_inversion_suite(self, monkeypatch):
-        exact = cli._display_table
+        exact = ncseries._display_table
 
         def perturbed(chi, t, D):
             return exact(chi, t, D) + _Poly(D, [0, 0, 0, Fraction(1, 10 ** 6)])
 
-        monkeypatch.setattr(cli, "_display_table", perturbed)
-        doc = cli.verify_inversion(8, 7)
+        monkeypatch.setattr(ncseries, "_display_table", perturbed)
+        doc = ncseries.verify_inversion(8, 7)
         assert not doc["all_pass"] and not any(c["pass"] for c in doc["checks"])
         assert {c["discrepancy"] for c in doc["checks"]} == {None}
 
     @staticmethod
     def count_pair_work(monkeypatch) -> dict:
         """Counters of the per-(chi, t) work of ``verify_inversion``: the
-        loop, its display check, the chain's parts, and inside those parts
-        the quotient exps and the chain's kernel at t = 0 (the closed form
-        builds its own kernel at t)."""
-        calls = {"bch_scaled_pair": 0, "_display_table": 0, "inversion_parts": 0,
+        chain's parts, and inside them the loop, the quotient exps and the
+        chain's kernel at t = 0 (the closed form builds its own kernel at
+        t), and the loop's display check."""
+        calls = {"bch_scaled_pair": 0, "_display_table": 0, "_inversion_parts": 0,
                  "exp": 0, "chain_kernel": 0}
 
         def counted(owner, name, key, when=lambda *args: True):
@@ -309,8 +309,8 @@ class TestVerify:
                 return exact(*args)
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("bch_scaled_pair", "_display_table", "inversion_parts"):
-            counted(cli, name, name)
+        for name in ("bch_scaled_pair", "_display_table", "_inversion_parts"):
+            counted(ncseries, name, name)
         counted(ReducedSeries, "exp", "exp")
         counted(ncseries, "_kernel_table", "chain_kernel", lambda chi, t, D: t == 0)
         return calls
@@ -319,9 +319,9 @@ class TestVerify:
         """With --chi and --t every check shares one (chi, t): its loop,
         display check and chain parts are computed once, not once per check."""
         calls = self.count_pair_work(monkeypatch)
-        doc = cli.verify_inversion(9, 7, chi=3, t="2/7")
+        doc = ncseries.verify_inversion(9, 7, chi=3, t="2/7")
         assert doc["all_pass"] and len(doc["checks"]) == 10
-        assert calls == {"bch_scaled_pair": 1, "_display_table": 1, "inversion_parts": 1,
+        assert calls == {"bch_scaled_pair": 1, "_display_table": 1, "_inversion_parts": 1,
                          "exp": 2, "chain_kernel": 1}
 
     @pytest.mark.parametrize("chi", [None, 3])
@@ -329,30 +329,30 @@ class TestVerify:
         """Without --t each distinct (chi, t) has its loop, display check and
         chain parts computed once; seed 7 repeats a pair either way."""
         calls = self.count_pair_work(monkeypatch)
-        doc = cli.verify_inversion(6, 7, chi=chi)
+        doc = ncseries.verify_inversion(6, 7, chi=chi)
         pairs = len({(c["chi"], c["t"]) for c in doc["checks"]})
         assert doc["all_pass"] and pairs < len(doc["checks"]) == 10
         assert calls == {"bch_scaled_pair": pairs, "_display_table": pairs,
-                         "inversion_parts": pairs, "exp": 2 * pairs, "chain_kernel": pairs}
+                         "_inversion_parts": pairs, "exp": 2 * pairs, "chain_kernel": pairs}
 
     def test_discrepancy_in_the_a_row(self):
-        doc = cli._check("x", ReducedSeries(3, [0, 1, 2], [1]), ReducedSeries(3, [0, 1, 3], [1]))
+        doc = ncseries._check("x", ReducedSeries(3, [0, 1, 2], [1]), ReducedSeries(3, [0, 1, 3], [1]))
         assert doc == {"name": "x", "pass": False, "discrepancy": "X^2"}
 
     def test_series_of_different_degrees_never_pass(self):
         """Series whose common coefficients agree but whose degrees differ are
         unequal, and the check says where."""
-        doc = cli._check("x", ReducedSeries(3, [0, 1], [1]), ReducedSeries(4, [0, 1], [1]))
+        doc = ncseries._check("x", ReducedSeries(3, [0, 1], [1]), ReducedSeries(4, [0, 1], [1]))
         assert doc == {"name": "x", "pass": False, "discrepancy": "degree 3 vs 4"}
 
     def test_perturbed_kernel_fails_the_gamma_suite(self, monkeypatch):
-        exact = cli._kernel_table
+        exact = ncseries._kernel_table
 
         def perturbed(chi, t, D):
             return exact(chi, t, D) + _Poly(D, [0] * D + [Fraction(1, 10 ** 6)])
 
-        monkeypatch.setattr(cli, "_kernel_table", perturbed)
-        doc = cli.verify_gamma(10, 7)
+        monkeypatch.setattr(ncseries, "_kernel_table", perturbed)
+        doc = ncseries.verify_gamma(10, 7)
         assert not doc["all_pass"] and not any(c["pass"] for c in doc["checks"])
 
     def test_all_suite_passes_its_options_to_every_part(self, capsys):
@@ -447,7 +447,10 @@ class TestReadmeGolden:
     ``hurwitz`` and ``zinv``) were re-recorded from a value ``O(ell^-3)`` to
     the pole refusal, and ``zinv --ell 5 --beta 2 --s 2 --primes 4999999``
     was appended, with the bytes it printed as a sum over the units below m,
-    when the Z[1/m] node became the zeta node times Euler factors.
+    when the Z[1/m] node became the zeta node times Euler factors; its two
+    ``dirichlet --beta 0 --s 0`` cases were re-recorded from ``O(ell^0)`` to
+    ``O(ell^2)`` when ``dirichlet``, which has no pole, stopped losing v(k)
+    digits to one.
     ``golden/measures_cli.json`` covers ``measure
     validate``, ``pushforward --out``, ``transform --kind p|f`` and
     ``integrate`` (with and without ``--units``; powers, inverses, Teichmuller
@@ -489,7 +492,10 @@ class TestReadmeGolden:
     ``dirichlet`` (rational and non-rational characters) and ``zinv`` at
     weights 170-1000 and ell 3-13, with exact and non-exact s; it was
     recorded before the Bernoulli numbers moved to an integer tangent-number
-    table and every B_k(a/f) sum to one integer kernel.
+    table and every B_k(a/f) sum to one integer kernel; its case ``dirichlet
+    --ell 5 --beta 0 --s=-20/9 ... --prec 3`` was re-recorded from
+    ``O(5^2)`` to ``O(5^3)`` when ``dirichlet`` stopped losing v(k) digits to
+    a pole it does not have.
     ``golden/measure_route_cli.json`` covers ``kl`` and ``minus-one --method
     measure`` at ell 3-13 (levels 1-6 at ell 3-7, 1-5 at ell 11 and 13, and
     ``--level 8`` at ell 5), every beta (odd beta, whose value vanishes, included), integer and

@@ -18,7 +18,8 @@ of that name sets, by keyword or by position, in a package module outside
 the function's own body or in a demo, is reported unless ``PARAM_ORACLES``
 names it; a call is matched by its name alone.  Every module-level
 ``_*_BUDGET`` constant is named, as ``module._NAME_BUDGET``, in the comment
-above ``measures._CELL_BUDGET``, and every such name there exists.
+above ``measures._CELL_BUDGET``, and every such name there exists.  The
+command line reads no private name of ``ncseries`` but its budgets.
 """
 
 import ast
@@ -339,3 +340,30 @@ def test_every_budget_is_named_in_the_cell_budget_comment():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     comment = cell_budget_comment(sources["measures"])
     assert budget_faults(sources, comment) == {"unnamed": [], "not bound": []}
+
+
+# -- the command line reads the series through their public names ----------------
+
+
+def private_imports(source: str, module: str) -> list:
+    """The ``_``-prefixed names that ``source`` imports from the package
+    module ``module``, less the ``_*_BUDGET`` constants."""
+    return sorted(
+        a.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == module
+        for a in node.names
+        if a.name.startswith("_") and not re.fullmatch(r"_\w+_BUDGET", a.name)
+    )
+
+
+def test_checker_reports_a_private_import():
+    source = ("from .ncseries import _DEGREE_BUDGET, _Poly, bch\n"
+              "from .measures import _frac_from_str\nfrom ncseries import _other\n")
+    assert private_imports(source, "ncseries") == ["_Poly"]
+
+
+def test_cli_imports_no_private_ncseries_name():
+    """The ``verify`` suites live in ``ncseries``, beside the tables they
+    read; the command line takes only their public entry points and the
+    degree budget it checks ``--degree`` against."""
+    assert private_imports((SRC / "cli.py").read_text(), "ncseries") == []

@@ -135,7 +135,8 @@ def dirichlet_hurwitz_sum(psi, k, ell, ndigits=8):
 def dirichlet_twisted_at_s(psi, beta, s, ell, M, ndigits=8):
     """Oracle: the character-weighted Hurwitz sum at the interpolation weight
     k times the front factor -omega(m)^beta [m]^s / m twisted at s itself,
-    worked to ndigits + k + 6 digits and read off like ``dirichlet_l``."""
+    worked to ndigits + k + 6 digits and read off like ``dirichlet_l``, which
+    loses no digits to a pole at beta = 0 (a primitive psi != 1 has none)."""
     m = psi.modulus
     k = interpolation_weight(beta, s, ell, M)
     work = ndigits + k + 6
@@ -147,10 +148,7 @@ def dirichlet_twisted_at_s(psi, beta, s, ell, M, ndigits=8):
             )
     om, br = unit_decompose(PadicNum.from_rational(m, ell, work))
     v = -(om ** beta) * one_unit_pow(br, s) / m * acc
-    prec = M + (min(0, v.valuation) if v.unit else 0)
-    if beta % (ell - 1) == 0:
-        prec -= _frac_val(k, ell)
-    return v.reduce_abs(prec)
+    return v.reduce_abs(M + (min(0, v.valuation) if v.unit else 0))
 
 
 class TestWeights:
@@ -575,6 +573,22 @@ class TestDirichlet:
         psi = mod4_character()
         v = dirichlet_l(psi, 1, 1, 5)
         assert v.congruent(0)
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_no_pole_at_beta_zero(self, ell):
+        """A primitive psi != 1 has no pole at beta = 0, so at a weight
+        divisible by ell (s = 0, or v(s) >= 1) the value claims M + min(0, v)
+        digits, none lost to v(k), and --prec M + 1 agrees on them; even and
+        odd psi (whose node vanishes at the even weight) alike."""
+        chars = [psi for psi in rational_characters(ell, 8) + non_rational_characters(ell)
+                 if psi.modulus <= 9]
+        assert {psi.residue(-1) == 1 for psi in chars} == {True, False}
+        for psi in chars:
+            for s in (0, ell, -2 * ell, F(ell, 4)):
+                for M in (1, 2):
+                    got = dirichlet_l(psi, 0, s, ell, M)
+                    assert got.abs_prec == M + (min(0, got.valuation) if got.unit else 0)
+                    assert dirichlet_l(psi, 0, s, ell, M + 1).congruent(got, got.abs_prec)
 
     @pytest.mark.parametrize("ell,m,g,r", NON_RATIONAL)
     def test_front_factor_read_at_the_weight(self, ell, m, g, r):
