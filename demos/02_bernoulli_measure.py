@@ -25,7 +25,7 @@ print("\nodd symmetry E(m - i) = -E(i):")
 print("  ", all(E.value(2, (25 - i,)) == -E.value(2, (i,)) for i in range(1, 25)))
 
 print("\nintegration (unit-restricted):")
-Eu = restrict(E, "units")
+Eu = restrict(E)
 m1 = integrate(Eu, (Factor(power=1),), 4)
 print(f"  first moment over units: {m1}")
 print(f"  closed form (1-5)(1-c^2) B_2 / 2 = "

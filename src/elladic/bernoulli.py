@@ -273,7 +273,7 @@ def _character_bernoulli(k: int, f: int, residue, ell: int, ndigits: int, exact:
     if ndigits < 1:
         raise ValueError("nonzero value needs at least one digit")
     if ndigits + 3 > _DIGIT_BUDGET:
-        raise ValueError(f"precision too large: ndigits must be at most {_DIGIT_BUDGET} digits")
+        raise ValueError(f"precision too large: ndigits must be at most {_DIGIT_BUDGET - 3} digits")
     return _residue_node(k, f, list(points.values()),
                          lambda W: [2 * _teichmuller_unit(r, ell, W) for r in points],
                          f, ell, ndigits)

@@ -183,7 +183,7 @@ def _cmd_measure(args) -> dict:
                 raise ValueError(f"rank mismatch: a rank-{mu.rank} tower needs "
                                  f"{mu.rank} --{name} entries, got {len(values)}")
         if args.units:
-            mu = restrict(mu, "units")
+            mu = restrict(mu)
         factors = tuple(
             Factor(power=p, inverse=bool(iv), teich=tc, bracket=br)
             for p, iv, tc, br in zip(powers, inv, teich, brackets)

@@ -202,7 +202,7 @@ def _check_pole(beta: int, s) -> None:
 
 def _check_prec(M: int, extra: int = 0) -> None:
     """Refuse a precision M whose work precision M + extra would pass
-    ``_DIGIT_BUDGET``, before any ell^M is built: ``_read_off`` works at
+    ``_DIGIT_BUDGET``, before any ell^M is built: ``_read_off``'s nodes work at
     max(ndigits, M) digits, ``dirichlet_l``'s Teichmuller weights at M + 3,
     ``minus_one_l``'s Euler factor at M + 4 and ``zinv_report`` at M + _DIGITS + 6."""
     if M + extra > _DIGIT_BUDGET:
@@ -211,24 +211,28 @@ def _check_prec(M: int, extra: int = 0) -> None:
 
 def _read_off(node, beta: int, s, ell: int, M: int, ndigits: int = _DIGITS, *,
               pole: bool = True) -> PadicNum:
-    """The interpolated value at 1-s, read off ``node(k)`` at the weight k.
+    """The interpolated value at 1-s, read off ``node(k, N)`` at the weight k.
 
-    A node is an exact Fraction, encoded with max(ndigits, M) digits (a zero
-    Fraction is the exact zero), or a PadicNum.  At an exact weight the value
-    is the node, to ndigits digits.  Otherwise Kummer-type stability gives M
-    digits, less the valuation drop of the value itself; for a family with
-    the classical simple pole at beta = 0 (``pole``: every family but
-    dirichlet), its two 1/weight terms cost another v(k) there when the
-    weight is divisible by ell.  Beta is checked first, and M against the
-    digit budget once the weight is chosen, both before the node.
+    The node is worked to N = max(ndigits, M) digits: an exact Fraction,
+    encoded with N digits (a zero Fraction is the exact zero), or a PadicNum.
+    At an exact weight the value is the node, to ndigits digits.  Otherwise
+    Kummer-type stability gives M digits, less the valuation drop of the
+    value itself; a family with the classical simple pole at beta = 0
+    (``pole``: every family but dirichlet) is refused at the pole, and its
+    two 1/weight terms cost another v(k) near it, when the weight is
+    divisible by ell.  Beta and the pole are checked first, and M against
+    the digit budget once the weight is chosen, all before the node.
     """
     if not 0 <= beta < ell - 1:
         raise ValueError("beta must lie in [0, ell-1)")
+    if pole:
+        _check_pole(beta, s)
     k = interpolation_weight(beta, s, ell, M)
     _check_prec(M)
-    v = node(k)
+    N = max(ndigits, M)
+    v = node(k, N)
     if not isinstance(v, PadicNum):
-        v = PadicNum.from_rational(v, ell, max(ndigits, M))
+        v = PadicNum.from_rational(v, ell, N)
     if _exact_weight(beta, s, ell):
         return v.reduce_digits(ndigits)
     prec = M + (min(0, v.valuation) if v.unit else 0)
@@ -276,11 +280,11 @@ def kubota_leopoldt(
     weight (omega^(beta-k) is trivial there).
     """
     _check_prime(ell)
+    if method == "interp":
+        return _read_off(lambda k, N: kl_node_rational(k, ell), beta, s, ell, M)
     if not 0 <= beta < ell - 1:
         raise ValueError("beta must lie in [0, ell-1)")
     _check_pole(beta, s)
-    if method == "interp":
-        return _read_off(lambda k: kl_node_rational(k, ell), beta, s, ell, M)
     if method != "measure":
         raise ValueError("method must be 'measure' or 'interp'")
     if c is None:
@@ -359,17 +363,15 @@ def hurwitz_node(k: int, i: int, m: int, ell: int) -> Fraction:
 
 def hurwitz_l(beta: int, s, i: int, m: int, ell: int, M: int = 2) -> PadicNum:
     """Interpolated Hurwitz-type value at 1-s for the pair (i, m)."""
-    _check_pole(beta, s)
-    N = max(_DIGITS, M)
-    return _read_off(lambda k: _hurwitz_node(k, i, m, ell, N), beta, s, ell, M)
+    return _read_off(lambda k, N: _hurwitz_node(k, i, m, ell, N), beta, s, ell, M)
 
 
 def classical_dirichlet_special(psi: DirichletCharacter, k: int) -> Fraction:
-    """L(1-k, psi) = -B_(k,psi)/k exactly, for a character with values +-1."""
-    b = _character_bernoulli(k, psi.modulus, psi.residue, psi.ell, 1)
-    if isinstance(b, PadicNum):
+    """L(1-k, psi) = -B_(k,psi)/k exactly, for a character with values +-1;
+    another psi is refused before any Bernoulli work, after a k < 1."""
+    if k >= 1 and not {psi.residue(a) for a in range(1, psi.modulus)} <= {0, 1, psi.ell - 1}:
         raise ValueError("exact route needs a character with values +-1")
-    return -b / k
+    return -_character_bernoulli(k, psi.modulus, psi.residue, psi.ell, 1) / k
 
 
 def _dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int, exact: bool):
@@ -377,7 +379,7 @@ def _dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int, exa
     digits: then B_(k,psi) is read off residues even when psi is rational."""
     _check_node(k, psi.modulus, ell)
     if psi.ell != ell:
-        raise ValueError("prime mismatch")
+        raise ValueError("character realized at a different prime")
     # psi(ell) is exact when it is +-1 (never 0: ell does not divide m)
     r = psi.residue(ell)
     at_ell = 1 if r == 1 else -1 if r == ell - 1 else teichmuller(r, ell, ndigits)
@@ -395,11 +397,8 @@ def dirichlet_node(psi: DirichletCharacter, k: int, ell: int, ndigits: int = _DI
 def dirichlet_l(psi: DirichletCharacter, beta: int, s, ell: int, M: int = 2) -> PadicNum:
     """Interpolated Dirichlet L-value: ``dirichlet_node`` at the interpolation
     weight, whose front factor -m^(k-1) stands for -omega(m)^beta [m]^s / m."""
-    if psi.ell != ell:
-        raise ValueError("character realized at a different prime")
     _check_prec(M, 3)
-    N = max(_DIGITS, M)
-    return _read_off(lambda k: _dirichlet_node(psi, k, ell, N, False), beta, s, ell, M,
+    return _read_off(lambda k, N: _dirichlet_node(psi, k, ell, N, False), beta, s, ell, M,
                      pole=False)
 
 
@@ -435,8 +434,7 @@ def zinv_node(k: int, primes, ell: int) -> Fraction:
 
 def zinv_l(beta: int, s, primes, ell: int, M: int = 2) -> PadicNum:
     """Interpolated Z[1/m] value: ``zinv_node`` at the interpolation weight."""
-    _check_pole(beta, s)
-    return _read_off(lambda k: zinv_node(k, primes, ell), beta, s, ell, M)
+    return _read_off(lambda k, N: zinv_node(k, primes, ell), beta, s, ell, M)
 
 
 def zinv_report(beta: int, s, primes, ell: int, M: int = 2) -> dict:
@@ -452,13 +450,12 @@ def zinv_report(beta: int, s, primes, ell: int, M: int = 2) -> dict:
     _check_prec(M, _DIGITS + 6)
     value = zinv_l(beta, s, primes, ell, M=M)
     work = _DIGITS + M + 6
-    base = _read_off(lambda k: kl_node_rational(k, ell), beta, s, ell, M, work)
+    base = _read_off(lambda k, N: kl_node_rational(k, ell), beta, s, ell, M, work)
     prod = PadicNum.from_rational(1, ell, work)
     for p in primes:
         prod = prod * _euler_factor(p, beta, s, ell, work)
     product_route = prod * base
     # ratio of the two routes, when both are nonzero to working precision
-    ratio = None
     sign = None
     if value.unit and product_route.unit:
         ratio = product_route / value
@@ -469,7 +466,6 @@ def zinv_report(beta: int, s, primes, ell: int, M: int = 2) -> dict:
     return {
         "definition_route": value,
         "product_route": product_route,
-        "ratio": ratio,
         "sign": sign,
         "magnitude_matches": sign is not None,
     }

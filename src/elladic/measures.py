@@ -23,8 +23,8 @@ message.  A tower given by its levels has a rank r with 3^r at most
 Cells at level n are indexed by coordinate tuples in ``[0, ell**n)**r``; the
 flat index is ``sum_j c_j * (ell**n)**j`` (first coordinate fastest).
 ``_axes`` lists, per axis, the coordinate of every flat index; pushforward
-and restriction map cells through these lists, with no cell decoded on its
-own.
+and restriction to the units map cells through these lists, with no cell
+decoded on its own.
 
 Every integral against a tower is a level sum
 ``sum_x f(x) * mu(x + ell**n Z_ell**r)`` over the cells x of level n.
@@ -342,7 +342,7 @@ def _unit_row(c: int, ell: int, level: int) -> tuple:
 
 
 def bernoulli_unit_integral(c: int, ell: int, level: int, beta: int, s) -> PadicNum:
-    """``integrate(restrict(bernoulli_measure(c, ell, level), "units"),
+    """``integrate(restrict(bernoulli_measure(c, ell, level)),
     (Factor(inverse=True, teich=beta, bracket=s),), level)``, without the tower.
 
     At a unit x of the given level the measure is v(x)/2 for the integer
@@ -459,31 +459,19 @@ def pushforward_linear(matrix, mu: MeasureTower) -> MeasureTower:
     return MeasureTower.from_top(mu.ell, r, mu.depth, top, mu.den)
 
 
-def restrict(mu: MeasureTower, region) -> MeasureTower:
-    """Restriction to a compact-open region.
-
-    ``region`` is either the string "units" (unit coordinates) or a pair
-    ``(level, cells)`` where cells is an iterable of coordinate tuples at that
-    level.  The top level is filtered and the coarser levels are rebuilt by
-    summation, so the result is again a distribution tower.
+def restrict(mu: MeasureTower) -> MeasureTower:
+    """Restriction to the units (Z_ell^x)^r, the cells with every coordinate
+    prime to ell; a depth-0 tower cannot tell them apart.  The top level is
+    filtered and the coarser levels are rebuilt by summation, so the result
+    is again a distribution tower.
     """
     ell, r = mu.ell, mu.rank
-    if region == "units":
-        base_level, keep = 1, None
-    else:
-        base_level, cells = region
-        keep = {tuple(c % ell ** base_level for c in t) for t in cells}
-    if base_level > mu.depth:
+    if mu.depth < 1:
         raise ValueError("region not expressible at available depth")
-    # each top cell's coordinates mod ell^base_level
-    q = ell ** base_level
-    coords = zip(*[map(mod, x, repeat(q)) for x in _axes(ell ** mu.depth, r)])
-    kept = map(all, coords) if keep is None else map(keep.__contains__, coords)
-    top = list(map(mul, mu.tables[mu.depth], kept))
-    units_only = keep is None or all(
-        all(c % ell for c in t) for t in keep
-    )
-    return MeasureTower.from_top(ell, r, mu.depth, top, mu.den, units_only)
+    # each top cell's coordinates mod ell
+    coords = zip(*[map(mod, x, repeat(ell)) for x in _axes(ell ** mu.depth, r)])
+    top = list(map(mul, mu.tables[mu.depth], map(all, coords)))
+    return MeasureTower.from_top(ell, r, mu.depth, top, mu.den, True)
 
 
 # -- integration ---------------------------------------------------------------
@@ -533,13 +521,11 @@ def _precision_plan(ell: int, factors, level: int, denom_exponent: int):
     return prec, K, tuple(map(fold, factors))
 
 
-def integrate(mu: MeasureTower, factors, level: int | None = None) -> PadicNum:
+def integrate(mu: MeasureTower, factors, level: int) -> PadicNum:
     """Level-n Riemann sum of ``prod_j factors[j](x_j)``, one ``Factor`` per
     coordinate, against the tower, at the guaranteed absolute precision that
     ``_precision_plan`` works out."""
     ell, r = mu.ell, mu.rank
-    if level is None:
-        level = mu.depth
     # the kernel checks the level too, but the work precision below needs a
     # valid one, and a bad level is reported before the unit checks
     if not 0 <= level <= mu.depth:

@@ -40,12 +40,7 @@ def is_odd_prime(n: int) -> bool:
         return False
     if n > _PRIME_BUDGET:
         raise ValueError(f"prime too large: primality is decided up to {_PRIME_BUDGET}, got {n}")
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return _prime_factors(n) == [n]
 
 
 # A prime verdict is kept for the last 64 ell, so a value's construction
@@ -280,17 +275,17 @@ class PadicNum:
 
     # -- comparisons and readout ---------------------------------------------
 
-    def congruent(self, other, abs_exp=None) -> bool:
-        """Equality mod ell^abs_exp (default: the weaker stated precision).
+    def congruent(self, other) -> bool:
+        """Equality mod ell^k at the weaker stated precision k; at another k
+        it is ``(self - other).valuation_at_least(k)``.
 
         Raises ValueError when the known digits cannot decide it.
         """
         o = self._coerce_other(other)
         d = self - o
-        if abs_exp is None:
-            abs_exp = min(self.abs_prec, o.abs_prec)
-            if abs_exp is math.inf:
-                return d.is_exact_zero
+        abs_exp = min(self.abs_prec, o.abs_prec)
+        if abs_exp is math.inf:
+            return d.is_exact_zero
         return d.valuation_at_least(abs_exp)
 
     def residue(self, k: int) -> int:

@@ -163,6 +163,13 @@ class TestGenBernoulli:
             with pytest.raises(ValueError, match="nonzero value needs at least one digit"):
                 gen_bernoulli(k, j, 5, nd)
 
+    def test_digit_count_bound_names_the_largest_served(self):
+        # the Teichmuller weights start 3 digits past ndigits, whose budget is 1000
+        assert gen_bernoulli(2, 0, 5, 997).ndigits == 997
+        with pytest.raises(ValueError,
+                           match="^precision too large: ndigits must be at most 997 digits$"):
+            gen_bernoulli(2, 0, 5, 998)
+
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(0, 11),
            st.integers(1, 60), st.integers(1, 12))

@@ -16,7 +16,10 @@ entry is reported too.  Likewise a parameter with a default, of a public
 function or of a public class's public method or ``__init__``, that no call
 of that name sets, by keyword or by position, in a package module outside
 the function's own body or in a demo, is reported unless ``PARAM_ORACLES``
-names it; a call is matched by its name alone.  Every module-level
+names it; a call is matched by its name alone.  A public method or property
+of a public class that no package module reads as an attribute outside the
+member's own body, and no demo reads, is reported unless ``MEMBER_ORACLES``
+names it; an attribute is matched by its name alone.  Every module-level
 ``_*_BUDGET`` constant is named, as ``module._NAME_BUDGET``, in the comment
 above ``measures._CELL_BUDGET``, and every such name there exists.  The
 command line reads no private name of ``ncseries`` but its budgets.
@@ -189,13 +192,74 @@ def test_every_exported_name_is_reached():
         "unreached": [], "stale": [], "not exported": []}
 
 
+# -- every public member is reached ---------------------------------------------
+
+# Public methods and properties, as module.Class.member, that no package
+# module and no demo reads, each with the check that keeps it.
+MEMBER_ORACLES = {
+    "measures.MeasureTower.cells":
+        "the pushforward, product and word-integral tests read a tower cell by cell",
+    "ncseries.ReducedSeries.from_series":
+        "TestReduction compares full-series products with the quotient's",
+    "ncseries.ReducedSeries.truncate":
+        "TestReducedTables cuts a quotient series to a lower degree with it",
+}
+
+
+def attributes_read(tree) -> Counter:
+    return Counter(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+
+
+def member_faults(sources: dict, demos, oracles) -> dict:
+    """The public methods and properties of the public classes of the modules
+    ``sources`` (name -> source) that no module reads as an attribute outside
+    the member's own body and no demo reads, less those ``oracles`` names; the
+    ``oracles`` names that are in fact read; and those that name no member."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum((attributes_read(tree) for tree in [*trees.values(), *map(ast.parse, demos)]),
+                Counter())
+    declared, unreached = set(), set()
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    key = f"{module}.{cls.name}.{fn.name}"
+                    declared.add(key)
+                    if reads[fn.name] == attributes_read(fn)[fn.name]:
+                        unreached.add(key)
+    return {"unreached": sorted(unreached - oracles.keys()),
+            "stale": sorted((oracles.keys() & declared) - unreached),
+            "not declared": sorted(oracles.keys() - declared)}
+
+
+def test_checker_reports_unreached_and_stale_members():
+    sources = {
+        "m": "class K:\n    def used(self): pass\n    def selfish(self): return self.selfish()\n"
+             "    @property\n    def shown(self): pass\n    def oracle(self): pass\n"
+             "    def listed(self): pass\n    def _private(self): pass\n"
+             "class _Hidden:\n    def alone(self): pass\n"
+             "def f(k):\n    return k.used()\n",
+    }
+    demos = ["import m\nm.K().shown\nm.K().listed()\n"]
+    oracles = {"m.K.oracle": "", "m.K.listed": "", "m.K.gone": ""}
+    assert member_faults(sources, demos, oracles) == {
+        "unreached": ["m.K.selfish"], "stale": ["m.K.listed"], "not declared": ["m.K.gone"]}
+
+
+def test_every_public_member_is_reached():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    demos = [p.read_text() for p in DEMOS]
+    assert member_faults(sources, demos, MEMBER_ORACLES) == {
+        "unreached": [], "stale": [], "not declared": []}
+
+
 # -- every defaulted parameter is set -------------------------------------------
 
 # Defaulted parameters, as module.qualname.parameter, that no package module
 # and no demo sets, each with the check that keeps it.
 PARAM_ORACLES = {
-    "padic.PadicNum.congruent.abs_exp":
-        "TestIntegrateOracle and test_padic compare at a stated precision",
     "measures.raw_word_integral.level":
         "TestWords and TestLevelSumOracle read coarser levels",
     "ncseries.NcSeries.variable.max_y":

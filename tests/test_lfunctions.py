@@ -349,7 +349,7 @@ class TestKubotaLeopoldt:
         from elladic.padic import PadicNum, one_unit_pow, teichmuller
 
         ell, c, level, beta, s = 5, 2, 5, 2, F(7, 3)
-        units = restrict(bernoulli_measure(c, ell, level), "units")
+        units = restrict(bernoulli_measure(c, ell, level))
         raw = integrate(units, (Factor(inverse=True, teich=beta, bracket=s),), level)
         om = teichmuller(c, ell, level + 2)
         br = PadicNum.from_rational(c, ell, level + 2) * om.invert()
@@ -488,9 +488,19 @@ class TestDirichlet:
                 classical_dirichlet_special(psi, k)
 
     def test_classical_value_below_weight_one_refused(self):
-        for k in (0, -3):
-            with pytest.raises(ValueError, match="k must be >= 1"):
-                classical_dirichlet_special(mod4_character(), k)
+        # before the values: a psi off +-1 gets the weight's refusal too
+        for psi in (mod4_character(), cyclic_character(5, 2, 5, 13)):
+            for k in (0, -3):
+                with pytest.raises(ValueError, match="k must be >= 1"):
+                    classical_dirichlet_special(psi, k)
+
+    def test_classical_value_refuses_values_before_any_bernoulli_work(self):
+        # psi mod 5 of order 4 at 13: B_(2001,psi) off residues takes ~0.7 s
+        psi = cyclic_character(5, 2, 5, 13)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^exact route needs a character with values"):
+            classical_dirichlet_special(psi, 2001)
+        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("m,values,ell", [
         (4, {1: 1, 3: -1}, 5),
@@ -557,7 +567,7 @@ class TestDirichlet:
         # realized at 5, read at 3: psi(3) = 1, yet no exact zero at k = 1
         psi = cyclic_character(13, 2, 2, 5)
         for k in (1, 2):
-            with pytest.raises(ValueError, match="prime mismatch"):
+            with pytest.raises(ValueError, match="^character realized at a different prime$"):
                 dirichlet_node(psi, k, 3)
 
     def test_interpolated_value(self):
@@ -588,7 +598,8 @@ class TestDirichlet:
                 for M in (1, 2):
                     got = dirichlet_l(psi, 0, s, ell, M)
                     assert got.abs_prec == M + (min(0, got.valuation) if got.unit else 0)
-                    assert dirichlet_l(psi, 0, s, ell, M + 1).congruent(got, got.abs_prec)
+                    finer = dirichlet_l(psi, 0, s, ell, M + 1)
+                    assert (finer - got).valuation_at_least(got.abs_prec)
 
     @pytest.mark.parametrize("ell,m,g,r", NON_RATIONAL)
     def test_front_factor_read_at_the_weight(self, ell, m, g, r):

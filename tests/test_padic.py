@@ -306,12 +306,12 @@ class TestArithmetic:
     def test_congruent_raises_when_undecidable(self):
         # O(5^2) and 3 + O(5^2) say nothing about the digits mod 5^4 or 5^5
         with pytest.raises(ValueError, match="insufficient precision"):
-            PadicNum.zero_to_precision(5, 2).congruent(0, 4)
+            (PadicNum.zero_to_precision(5, 2) - 0).valuation_at_least(4)
         with pytest.raises(ValueError, match="insufficient precision"):
-            PadicNum.from_rational(3, 5, 2).congruent(28, 5)
+            (PadicNum.from_rational(3, 5, 2) - 28).valuation_at_least(5)
         # decidable verdicts are unchanged
-        assert PadicNum.zero_to_precision(5, 2).congruent(0, 2)
-        assert not PadicNum.from_rational(3, 5, 2).congruent(4, 5)
+        assert (PadicNum.zero_to_precision(5, 2) - 0).valuation_at_least(2)
+        assert not (PadicNum.from_rational(3, 5, 2) - 4).valuation_at_least(5)
         assert PadicNum.from_rational(3, 5, 2).congruent(28)
 
     def test_rational_roundtrip(self):
@@ -404,7 +404,7 @@ class TestExponentResidue:
         from elladic.measures import Factor, bernoulli_measure, integrate, restrict
 
         s7 = PadicNum.from_rational(2, 7, 3)
-        tower = restrict(bernoulli_measure(2, 5, 3), "units")
+        tower = restrict(bernoulli_measure(2, 5, 3))
         calls = [
             lambda: _exponent_residue(s7, 5, 3),
             lambda: _exponent_residue(PadicNum.zero(7), 5, 3),

@@ -92,29 +92,15 @@ def pushforward_linear(matrix, mu):
     return MeasureTower.from_top(mu.ell, r, mu.depth, top, mu.den)
 
 
-def restrict(mu, region):
-    """Restriction to the units or to ``(level, cells)``, one top cell at a time."""
+def restrict(mu):
+    """Restriction to the units, one top cell at a time."""
     ell, r = mu.ell, mu.rank
-    if region == "units":
-        base_level, keep = 1, None
-    else:
-        base_level, cells = region
-        keep = {tuple(c % ell ** base_level for c in t) for t in cells}
-    if base_level > mu.depth:
+    if mu.depth < 1:
         raise ValueError("region not expressible at available depth")
-
-    def kept(coords):
-        if keep is None:
-            return all(c % ell for c in coords)
-        return tuple(c % ell ** base_level for c in coords) in keep
-
     m = ell ** mu.depth
     top = [
-        v if v and kept(decode(idx, m, r)) else 0
+        v if v and all(c % ell for c in decode(idx, m, r)) else 0
         for idx, v in enumerate(mu.tables[mu.depth])
     ]
-    units_only = keep is None or all(
-        all(c % ell for c in t) for t in keep
-    )
-    return MeasureTower.from_top(ell, r, mu.depth, top, mu.den, units_only)
+    return MeasureTower.from_top(ell, r, mu.depth, top, mu.den, True)
 
