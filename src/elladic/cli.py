@@ -166,8 +166,8 @@ def _cmd_measure(args) -> dict:
             with open(args.outfile, "w") as fh:
                 fh.write(json.dumps(doc, sort_keys=True))
         return {"action": "pushforward", "matrix": rows, "tower": doc}
+    level = args.level if args.level is not None else mu.depth
     if args.action == "integrate":
-        level = args.level if args.level is not None else mu.depth
         powers = _parse_csv(args.powers, "--powers") if args.powers else [0] * mu.rank
         teich = _parse_csv(args.teich, "--teich") if args.teich else [0] * mu.rank
         inv = _parse_csv(args.inv, "--inv") if args.inv else [0] * mu.rank
@@ -190,7 +190,6 @@ def _cmd_measure(args) -> dict:
         )
         val = integrate(mu, factors, level)
         return {"action": "integrate", "level": level, "value": val.to_json()}
-    level = args.level if args.level is not None else mu.depth
     if args.kind == "p":
         ser = p_transform(mu, args.degree, level)
     else:

@@ -25,16 +25,18 @@ w = 0 off the classes named:
                   at <i/ell>
     dirichlet  m  psi(a)              1 - psi(ell) ell^(k-1)        m^(k-1)  -
 
-So minus-one and zinv are the exact kl node times Euler factors, each read
-at s as p omega(p)^(-beta) [p]^(-s) - 1 (``_euler_factor``).  The Hurwitz
+So minus-one and zinv are the exact kl node times Euler factors.  The zinv
+node carries prod_p (p^(1-k) - 1) exactly at the weight k; minus-one, and
+``zinv_report``'s product route, read each factor at s as
+p omega(p)^(-beta) [p]^(-s) - 1 (``_euler_factor``).  The Hurwitz
 and Dirichlet nodes are read off Bernoulli residues mod ell^W to
 max(_DIGITS, M) digits (``bernoulli._residue_node``, whose docstring has the
 precision rule), never as exact rationals of thousands of bits; the result
 is the exact node encoded to those digits.  The sign - is the classical
 L(1-k, psi) = -B_(k,psi)/k.  Hurwitz and zinv keep +, against the classical
 zeta(1-k, x) = -B_k(x)/k, because the classical sign would change every
-value they print (``zinv_report``'s product route carries it: its ratio is
--1).  The Dirichlet front factor -omega(m)^beta [m]^s / m is read at k as
+value they print (``zinv_report``'s product route carries it: its ``sign``
+is -1).  The Dirichlet front factor -omega(m)^beta [m]^s / m is read at k as
 -m^(k-1): the two differ by [m]^(s-k) = 1 mod ell^(M+1), past every claimed
 digit.  At beta = 0 and s = 0, the pole of L_ell(1-s, omega^0), every
 family but dirichlet (a primitive psi != 1 has no pole) is refused before
@@ -275,7 +277,8 @@ def kubota_leopoldt(
     """The regularized unit-group L-value at 1-s for the beta-th twist.
 
     method "measure": the unit integral of [x]^s x^(-1) omega(x)^beta against the
-    Bernoulli measure for c, summed over residues mod ell^K, over omega(c)^beta [c]^s - 1.
+    Bernoulli measure for c, summed mod ell^level over half the units
+    (``bernoulli_unit_integral``), over omega(c)^beta [c]^s - 1.
     method "interp": the rational node ``kl_node_rational`` at the interpolation
     weight (omega^(beta-k) is trivial there).
     """
@@ -451,10 +454,7 @@ def zinv_report(beta: int, s, primes, ell: int, M: int = 2) -> dict:
     value = zinv_l(beta, s, primes, ell, M=M)
     work = _DIGITS + M + 6
     base = _read_off(lambda k, N: kl_node_rational(k, ell), beta, s, ell, M, work)
-    prod = PadicNum.from_rational(1, ell, work)
-    for p in primes:
-        prod = prod * _euler_factor(p, beta, s, ell, work)
-    product_route = prod * base
+    product_route = math.prod((_euler_factor(p, beta, s, ell, work) for p in primes), start=base)
     # ratio of the two routes, when both are nonzero to working precision
     sign = None
     if value.unit and product_route.unit:

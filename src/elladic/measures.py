@@ -29,9 +29,9 @@ decoded on its own.
 Every integral against a tower is a level sum
 ``sum_x f(x) * mu(x + ell**n Z_ell**r)`` over the cells x of level n.
 ``_moment_sums`` contracts such a sum one axis at a time when
-``f(x) = prod_j w(x_j, n_j)``: ``integrate`` and the P/F transforms of
-``transforms`` differ only in w.  The word integrands couple neighbouring
-coordinates, so ``raw_word_integral`` sums cell by cell.  The one integral
+``f(x) = prod_j w(x_j, n_j)``: ``integrate``, the P/F transforms of
+``transforms`` and ``raw_word_integral``, over its word polynomial's
+monomials (w(c, e) = c^e), differ only in w and the tuples n.  The one integral
 that needs no tower, ``bernoulli_unit_integral``, sums the Bernoulli
 measure's closed-form values (integers plus (c-1)/2) mod ell^level, over
 half the units: the measure is odd under x -> -x and the integrand even or
@@ -583,26 +583,23 @@ class Word:
         return len(self.exponents) - 1
 
 
-def _word_poly(x, a) -> int:
-    """(-x1)^a0 (x1-x2)^a1 ... (x_(r-1)-x_r)^a_(r-1) x_r^a_r at the point x."""
-    inner = math.prod((p - q) ** e for p, q, e in zip(x, x[1:], a[1:]))
-    return (-x[0]) ** a[0] * inner * x[-1] ** a[-1]
-
-
 def raw_word_integral(mu: MeasureTower, word: Word, level: int | None = None):
-    """The un-normalized word integral and its guaranteed precision exponent."""
+    """The un-normalized word integral and its guaranteed precision exponent,
+    the moments of (-x1)^a0 (x1-x2)^a1 ... (x_(r-1)-x_r)^a_(r-1) x_r^a_r
+    expanded into ``{exponent tuple: coefficient}`` one binomial at a time."""
     if word.rank != mu.rank:
         raise ValueError("rank mismatch")
     if level is None:
         level = mu.depth
-    if not 0 <= level <= mu.depth:
-        raise ValueError("level out of range")
-    # the word polynomial couples neighbouring coordinates, so it is summed
-    # cell by cell rather than contracted one axis at a time
-    m = mu.ell ** level
-    acc = sum(_word_poly(_decode(idx, m, mu.rank), word.exponents) * v
-              for idx, v in enumerate(mu.tables[level]) if v)
-    return Fraction(acc, mu.den), level - mu.denom_exponent
+    a = word.exponents
+    poly = {(a[0],): (-1) ** a[0]}
+    for e in a[1:-1]:
+        # distinct (term, j) give distinct tuples, so no terms merge
+        poly = {(*n[:-1], n[-1] + e - j, j): (-1) ** j * math.comb(e, j) * c
+                for n, c in poly.items() for j in range(e + 1)}
+    poly = {(*n[:-1], n[-1] + a[-1]): c for n, c in poly.items()}
+    total = sum((poly[n] * v for n, v in _moment_sums(mu, poly, level, pow)), Fraction(0))
+    return total, level - mu.denom_exponent
 
 
 # -- moment congruence checker ---------------------------------------------------
@@ -610,12 +607,8 @@ def raw_word_integral(mu: MeasureTower, word: Word, level: int | None = None):
 
 @dataclass(frozen=True)
 class CongruenceReport:
-    lhs: Fraction
-    rhs: Fraction
-    difference: Fraction
     difference_valuation: object  # int or math.inf
     required_valuation: int
-    riemann_floor: int
     passed: bool
 
 
@@ -647,15 +640,8 @@ def congruence_check(mu: MeasureTower, w: Word, v: Word, M: int) -> CongruenceRe
     diff = lhs - rhs
     dval = math.inf if diff == 0 else _frac_val(diff, ell)
     required = M + 1 - mu.denom_exponent
-    return CongruenceReport(
-        lhs=lhs,
-        rhs=rhs,
-        difference=diff,
-        difference_valuation=dval,
-        required_valuation=required,
-        riemann_floor=mu.depth - mu.denom_exponent,
-        passed=dval >= required,
-    )
+    return CongruenceReport(difference_valuation=dval, required_valuation=required,
+                            passed=dval >= required)
 
 
 # -- serialization ----------------------------------------------------------------

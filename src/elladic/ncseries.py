@@ -563,7 +563,6 @@ def bch_reduced(alpha, phi1, beta, phi2, degree: int) -> ReducedSeries:
     * K_(alpha+beta), where E_g = (e^(gX)-1)/(gX) and K_g = gX/(e^(gX)-1),
     both read as 1 at g = 0.
     """
-    phi1, phi2 = ([phi] if isinstance(phi, (int, Fraction)) else phi for phi in (phi1, phi2))
     return _bch(Fraction(alpha), _Poly(degree, phi1), Fraction(beta), _Poly(degree, phi2))
 
 

@@ -19,7 +19,10 @@ the function's own body or in a demo, is reported unless ``PARAM_ORACLES``
 names it; a call is matched by its name alone.  A public method or property
 of a public class that no package module reads as an attribute outside the
 member's own body, and no demo reads, is reported unless ``MEMBER_ORACLES``
-names it; an attribute is matched by its name alone.  Every module-level
+names it; an attribute is matched by its name alone.  Likewise an annotated
+field of a public dataclass that no package module reads as an attribute
+outside the field's class, and no demo reads, is reported unless
+``FIELD_ORACLES`` names it.  Every module-level
 ``_*_BUDGET`` constant is named, as ``module._NAME_BUDGET``, in the comment
 above ``measures._CELL_BUDGET``, and every such name there exists.  The
 command line reads no private name of ``ncseries`` but its budgets.
@@ -253,6 +256,70 @@ def test_every_public_member_is_reached():
     demos = [p.read_text() for p in DEMOS]
     assert member_faults(sources, demos, MEMBER_ORACLES) == {
         "unreached": [], "stale": [], "not declared": []}
+
+
+# -- every dataclass field is read ---------------------------------------------
+
+# Fields of public dataclasses, as module.Class.field, that no package module
+# and no demo reads, each with the check that keeps it.
+FIELD_ORACLES: dict = {}
+
+
+def decorator_names(node) -> set:
+    return {getattr(f, "id", None) or getattr(f, "attr", None)
+            for f in (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)}
+
+
+def field_faults(sources: dict, demos, oracles) -> dict:
+    """The annotated fields of the public dataclasses of the modules
+    ``sources`` (name -> source) that no module reads as an attribute outside
+    the field's class and no demo reads, less those ``oracles`` names; the
+    ``oracles`` names that are in fact read; and those that name no field."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum((attributes_read(tree) for tree in [*trees.values(), *map(ast.parse, demos)]),
+                Counter())
+    declared, unread = set(), set()
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if (not isinstance(cls, ast.ClassDef) or cls.name.startswith("_")
+                    or "dataclass" not in decorator_names(cls)):
+                continue
+            own = attributes_read(cls)
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                    key = f"{module}.{cls.name}.{name}"
+                    declared.add(key)
+                    if reads[name] == own[name]:
+                        unread.add(key)
+    return {"unread": sorted(unread - oracles.keys()),
+            "stale": sorted((oracles.keys() & declared) - unread),
+            "not declared": sorted(oracles.keys() - declared)}
+
+
+def test_checker_reports_unread_and_stale_fields():
+    sources = {
+        "m": "import dataclasses\nfrom dataclasses import dataclass\n"
+             "@dataclass(frozen=True)\nclass R:\n    read: int\n    selfish: int\n"
+             "    shown: int = 0\n    oracle: int = 0\n    listed: int = 0\n    NOTE = 1\n"
+             "    @property\n    def twice(self):\n        return 2 * self.selfish\n"
+             "@dataclasses.dataclass\nclass S:\n    alone: int\n"
+             "@dataclass\nclass _Hidden:\n    hidden: int\n"
+             "class Plain:\n    plain: int\n"
+             "def f(r):\n    return r.read\n",
+    }
+    demos = ["import m\nm.R(1, 2).shown\nm.R(1, 2).listed\n"]
+    oracles = {"m.R.oracle": "", "m.R.listed": "", "m.R.gone": ""}
+    assert field_faults(sources, demos, oracles) == {
+        "unread": ["m.R.selfish", "m.S.alone"], "stale": ["m.R.listed"],
+        "not declared": ["m.R.gone"]}
+
+
+def test_every_dataclass_field_is_read():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    demos = [p.read_text() for p in DEMOS]
+    assert field_faults(sources, demos, FIELD_ORACLES) == {
+        "unread": [], "stale": [], "not declared": []}
 
 
 # -- every defaulted parameter is set -------------------------------------------

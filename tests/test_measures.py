@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from itertools import product
@@ -27,6 +28,7 @@ from elladic.measures import (
     _precision_plan,
     _unit_row,
 )
+from elladic.ncseries import bernoulli_kernel
 from elladic.padic import PadicNum, residue_mod, teichmuller, _frac_val, _fraction_to_padic_abs
 from elladic.transforms import IwasawaSeries, f_transform, measure_from_p_series, p_transform
 
@@ -402,11 +404,54 @@ class TestZeroMassTowers:
             assert integrate(mu, (Factor(), Factor()), 3).unit == 0
 
 
+@functools.lru_cache(maxsize=None)
+def word_moments(c, ell, level, D):
+    """(raw / (k-1)!, the digits claimed for it) of ``bernoulli_measure(c,
+    ell, level)`` at Word((0, k-1)), for k = 1 ... D."""
+    mu = bernoulli_measure(c, ell, level)
+    out = []
+    for k in range(1, D + 1):
+        raw, prec = raw_word_integral(mu, Word((0, k - 1)))
+        fact = math.factorial(k - 1)
+        out.append((raw / fact, prec - _frac_val(F(fact), ell)))
+    return out
+
+
+class TestRankOneIntegralFormula:
+    """The paper's rank-1 integral formula: the word integral of the
+    c-regularized Bernoulli measure at Word((0, k-1)), over (k-1)!, is the
+    X^(k-1) coefficient (1 - c^k) B_k / k! of ``bernoulli_kernel(c, 0, D)``
+    to the integral's claimed digits less v((k-1)!)."""
+
+    ELL, LEVEL, D = 5, 6, 10
+
+    def faults(self, c, kernel):
+        """The weights k at which the word integral and the kernel differ."""
+        moments = word_moments(c, self.ELL, self.LEVEL, self.D)
+        return [k for k, ((value, digits), coeff) in enumerate(zip(moments, kernel), 1)
+                if frac_val(value - coeff, self.ELL) < digits]
+
+    @pytest.mark.parametrize("c", [2, 3, 7])
+    def test_word_integrals_match_the_kernel(self, c):
+        kernel = bernoulli_kernel(c, 0, self.D)
+        assert self.faults(c, kernel) == []
+        # k = 1 is the total mass (c - 1)/2, exactly
+        assert word_moments(c, self.ELL, self.LEVEL, self.D)[0][0] == kernel[0]
+
+    @pytest.mark.parametrize("c", [2, 3, 7])
+    def test_a_mutated_coefficient_fails(self, c):
+        kernel = bernoulli_kernel(c, 0, self.D)
+        for i in range(self.D):
+            mutated = list(kernel)
+            mutated[i] += 1
+            assert self.faults(c, mutated) == [i + 1]
+
+
 class TestCongruenceChecker:
     def test_equal_words_give_exact_zero(self):
         mu = random_bounded_tower(3, 1, 3, denom_exponent=1, seed=1)
         rep = congruence_check(mu, Word((0, 7)), Word((0, 7)), 1)
-        assert rep.passed and rep.difference == 0
+        assert rep.passed and rep.difference_valuation == math.inf
 
     def test_hypothesis_violations(self):
         mu = random_bounded_tower(3, 1, 3, denom_exponent=0, seed=1)
@@ -609,16 +654,26 @@ class TestLevelSumOracle:
         want = {n: direct(moment, n) for n in total}
         assert f_transform(mu, degree, level).coeffs == {n: c for n, c in want.items() if c}
 
+        self.check_word_integral(data, mu, level)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data(), towers(3, rank=3))
+    def test_rank_three_word_integral(self, data, mu):
+        # two binomial factors: the only rank whose expansion loops twice
+        self.check_word_integral(data, mu, data.draw(st.integers(0, mu.depth)))
+
+    @staticmethod
+    def check_word_integral(data, mu, level):
         a = data.draw(st.lists(st.integers(0, 3), min_size=mu.rank + 1, max_size=mu.rank + 1))
 
-        def word_poly(x, a):
+        def word_poly(x):
             val = (-x[0]) ** a[0] * x[-1] ** a[-1]
             for j in range(mu.rank - 1):
                 val *= (x[j] - x[j + 1]) ** a[j + 1]
             return val
 
         got, prec = raw_word_integral(mu, Word(a), level)
-        assert got == direct(word_poly, a)
+        assert got == sum((word_poly(x) * v for x, v in mu.cells(level)), F(0))
         assert prec == level - mu.denom_exponent
 
 
